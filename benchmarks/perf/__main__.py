@@ -82,12 +82,6 @@ def main(argv=None) -> int:
         help="--check fails when the scheduler arrival speedup drops below this (default 5.0)",
     )
     parser.add_argument(
-        "--min-index-speedup",
-        type=float,
-        default=3.0,
-        help="--check fails when the depth-4096 index speedup drops below this (default 3.0)",
-    )
-    parser.add_argument(
         "--min-efficiency-ratio",
         type=float,
         default=0.99,
@@ -101,21 +95,6 @@ def main(argv=None) -> int:
         default=2.0,
         help="--check fails when the skyline-vs-guillotine fleet re-pack "
         "speedup at depth 4096 drops below this (default 2.0)",
-    )
-    parser.add_argument(
-        "--min-consolidation-speedup",
-        type=float,
-        default=1.5,
-        help="--check fails when the depth-4096 memo-vs-repack "
-        "consolidation speedup drops below this (default 1.5)",
-    )
-    parser.add_argument(
-        "--min-canvas-index-speedup",
-        type=float,
-        default=1.3,
-        help="--check fails when the depth-4096 canvas-admission-index "
-        "(+ adaptive budget) speedup over the PR-4 fleet path drops "
-        "below this (default 1.3)",
     )
     parser.add_argument(
         "--min-fleet-efficiency-ratio",
@@ -158,7 +137,7 @@ def main(argv=None) -> int:
         choices=["fleet", "crowded"],
         default="fleet",
         help="--profile workload: the uniform fleet mix (default) or the "
-        "consolidation A/B's crowded mix (backoff disabled, as in the A/B)",
+        "crowded-fleet mix under a hard-consolidating budget",
     )
     parser.add_argument(
         "--profile-depth",
@@ -250,11 +229,8 @@ def main(argv=None) -> int:
             baseline,
             max_regression=args.max_regression,
             min_speedup=args.min_speedup,
-            min_index_speedup=args.min_index_speedup,
             min_efficiency_ratio=args.min_efficiency_ratio,
             min_skyline_speedup=args.min_skyline_speedup,
-            min_consolidation_speedup=args.min_consolidation_speedup,
-            min_canvas_index_speedup=args.min_canvas_index_speedup,
             min_fleet_efficiency_ratio=args.min_fleet_efficiency_ratio,
             max_fleet_overreaction=args.max_fleet_overreaction,
             min_sharded_speedup=args.min_sharded_speedup,

@@ -97,16 +97,15 @@ def _make_heavytail_patches(count: int, seed: int):
 
 
 def _make_crowded_patches(count: int, seed: int):
-    """The consolidation A/B's crowded-fleet mix: 30% wide-flat RoIs
-    (560-700 x 360-480 — exactly two stack per canvas, so a victim pool
-    of flat-pair canvases can never consolidate), 60% near-canvas giants
-    (800-1020 square — they overflow on arrival but their singleton
-    canvases are efficient enough to stay out of the victim set), and
-    10% small crops (they land in victims' gaps, churning the pools the
-    memo cache must invalidate).  The regime of sustained wasteful
-    overflows whose trial re-packs keep failing on slowly-changing
-    victim pools — the worst case the consolidation subsystem exists
-    for."""
+    """The crowded-fleet mix: 30% wide-flat RoIs (560-700 x 360-480 —
+    exactly two stack per canvas, so a victim pool of flat-pair canvases
+    can never consolidate), 60% near-canvas giants (800-1020 square —
+    they overflow on arrival but their singleton canvases are efficient
+    enough to stay out of the victim set), and 10% small crops (they
+    land in victims' gaps, churning the pools).  The regime of sustained
+    wasteful overflows whose trial re-packs keep failing on
+    slowly-changing victim pools — the worst case the consolidation
+    subsystem exists for."""
     from repro.core.patches import Patch
     from repro.video.geometry import Box
 
@@ -314,123 +313,42 @@ def _bench_deep_arrival(
         },
         "packing_stats": scheduler.packing_stats,
     }
-    index_stats = scheduler.index_stats
-    if index_stats:
-        meta["index_stats"] = index_stats
-    canvas_index_stats = scheduler.canvas_index_stats
-    if canvas_index_stats:
-        meta["canvas_index_stats"] = canvas_index_stats
     consolidation_stats = scheduler.consolidation_stats
     if consolidation_stats and consolidation_stats.get("attempts"):
         meta["consolidation_stats"] = consolidation_stats
     return BenchResult(name, elapsed, meta)
 
 
-#: The probe-isolation pairs run with drift re-packs disabled so the two
-#: arms make identical, re-pack-free placement decisions and the timing
-#: difference is purely linear scan vs size-class index.  They stay pinned
-#: to guillotine canvases: that is the structure the PR-2 index ratio was
-#: defined on, and the skyline's own O(log n) per-canvas fast-reject makes
-#: the linear arm fast enough that the pair would measure the structure,
-#: not the index (the skyline-vs-guillotine A/B has its own sections).
-_PROBE_ONLY = {
-    "repack_scope": "canvas",
-    "drift_margin": float("inf"),
-    "canvas_structure": "guillotine",
-}
-
-
-def bench_probe_linear_1024() -> BenchResult:
-    return _bench_deep_arrival(
-        "scheduler_arrival_probe_linear_1024",
-        _make_patches(1024, seed=19),
-        use_index=False,
-        **_PROBE_ONLY,
-    )
-
-
-def bench_probe_indexed_1024() -> BenchResult:
-    return _bench_deep_arrival(
-        "scheduler_arrival_probe_indexed_1024",
-        _make_patches(1024, seed=19),
-        use_index=True,
-        **_PROBE_ONLY,
-    )
-
-
-def bench_probe_linear_4096() -> BenchResult:
-    return _bench_deep_arrival(
-        "scheduler_arrival_probe_linear_4096",
-        _make_patches(4096, seed=19),
-        use_index=False,
-        **_PROBE_ONLY,
-    )
-
-
-def bench_probe_indexed_4096() -> BenchResult:
-    return _bench_deep_arrival(
-        "scheduler_arrival_probe_indexed_4096",
-        _make_patches(4096, seed=19),
-        use_index=True,
-        **_PROBE_ONLY,
-    )
-
-
 def bench_arrival_pr1_4096() -> BenchResult:
-    """The PR-1 arrival path at queue depth 4096: linear probe scan,
-    whole-queue re-packs on wasteful overflow, guillotine canvases —
-    all three PR-1 defaults (the old scaling wall)."""
+    """The original arrival path at queue depth 4096: whole-queue
+    re-packs on wasteful overflow and guillotine canvases (the old
+    scaling wall; informational)."""
     return _bench_deep_arrival(
         "scheduler_arrival_pr1_4096",
         _make_patches(4096, seed=19),
-        use_index=False,
         repack_scope="queue",
         canvas_structure="guillotine",
     )
 
 
 def bench_arrival_fleet_4096() -> BenchResult:
-    """The fleet-scale arrival path at the same depth: size-class index,
-    budget-bounded partial re-packs, skyline canvases."""
+    """The fleet-scale arrival path at the same depth: budget-bounded
+    partial re-packs on skyline canvases (informational)."""
     return _bench_deep_arrival(
         "scheduler_arrival_fleet_4096",
         _make_patches(4096, seed=19),
-        use_index=True,
         repack_scope="canvas",
     )
 
 
 def bench_arrival_fleet_guillotine_4096() -> BenchResult:
-    """The fleet configuration on guillotine canvases (the PR-2 state):
-    the structure arm of the arrival-path A/B."""
+    """The fleet configuration on guillotine canvases: the structure arm
+    of the arrival-path A/B."""
     return _bench_deep_arrival(
         "scheduler_arrival_fleet_guillotine_4096",
         _make_patches(4096, seed=19),
-        use_index=True,
         repack_scope="canvas",
         canvas_structure="guillotine",
-    )
-
-
-def bench_arrival_canvasindex_4096() -> BenchResult:
-    """The arrival-path capstone at depth 4096: the canvas admission
-    index (one vectorised capability summary per canvas instead of the
-    per-rectangle bucket index) plus adaptive re-pack budgets (the
-    consolidation budget ramps floor-to-knob with the overflow streak
-    once the queue is fleet-deep), on the same fleet mix as
-    ``scheduler_arrival_fleet_4096`` — the gated pair's fast arm
-    (``canvas_index_speedup_4096`` >= 1.3x over that PR-4 path).
-    Canvas-index decisions alone are byte-identical to the PR-4 arm
-    (pinned by ``tests/test_canvas_index.py``); the headroom past par
-    comes from the budget ramp, whose quality drift the
-    ``canvas_index_stream_efficiency_ratio`` gate bounds."""
-    return _bench_deep_arrival(
-        "scheduler_arrival_canvasindex_4096",
-        _make_patches(4096, seed=19),
-        use_index=False,
-        canvas_index=True,
-        adaptive_budget=True,
-        repack_scope="canvas",
     )
 
 
@@ -471,73 +389,22 @@ def bench_fleet_repack_skyline() -> BenchResult:
     return _bench_fleet_repack("skyline", "stitching_fleet_repack_skyline_4096")
 
 
-#: The consolidation A/B pairs isolate the overflow-consolidation path:
-#: canvas scope with a hard-consolidating budget (32 victims / 96 pooled
-#: patches) and the retry backoff disabled, so every wasteful overflow
-#: attempts a consolidation — under the growth-gate backoff both arms
-#: attempt so rarely that the pair would measure the backoff, not the
-#: policy ("memo"'s stamp cache *is* the precise replacement for that
-#: gate: it retries exactly when a member canvas changed).  Decisions are
-#: byte-identical between the two arms (tests/test_consolidation.py), so
-#: the timing difference is purely trial packs skipped by the cache.
-_CONSOLIDATION_ONLY = {
-    "repack_scope": "canvas",
-    "max_partial_victims": 32,
-    "partial_patch_budget": 96,
-    "retry_backoff": False,
-}
-
-
-def _bench_consolidation(depth: int, policy: str) -> BenchResult:
-    return _bench_deep_arrival(
-        f"scheduler_arrival_consolidation_{policy}_{depth}",
-        _make_crowded_patches(depth, seed=43),
-        use_index=True,
-        consolidation=policy,
-        **_CONSOLIDATION_ONLY,
-    )
-
-
-def bench_consolidation_repack_1024() -> BenchResult:
-    return _bench_consolidation(1024, "repack")
-
-
-def bench_consolidation_memo_1024() -> BenchResult:
-    return _bench_consolidation(1024, "memo")
-
-
-def bench_consolidation_repack_4096() -> BenchResult:
-    return _bench_consolidation(4096, "repack")
-
-
-def bench_consolidation_memo_4096() -> BenchResult:
-    return _bench_consolidation(4096, "memo")
-
-
-def bench_consolidation_merge_4096() -> BenchResult:
-    """The ``"merge"`` arm on the same crowded mix, for visibility: its
-    drain-and-migrate planning mostly stalls here (the whole point of the
-    mix is that nothing fits anywhere) and falls back to the memo-cached
-    trial pack, so it tracks the ``"memo"`` arm plus the stall probes.
-    Its winning regime is the realistic stream (see
-    ``scheduler_stream_merge_2048``)."""
-    return _bench_consolidation(4096, "merge")
-
-
 def bench_arrival_heavytail_1024() -> BenchResult:
-    """Heavy-tailed patch sizes stress the index's bucket spread (many
-    tiny crops, occasional near-canvas giants) and the partial re-pack's
-    patch budget (tiny patches pile up dozens per canvas)."""
+    """Heavy-tailed patch sizes (many tiny crops, occasional near-canvas
+    giants) stress the partial re-pack's patch budget (tiny patches pile
+    up dozens per canvas)."""
     return _bench_deep_arrival(
         "scheduler_arrival_heavytail_1024",
         _make_heavytail_patches(1024, seed=29),
-        use_index=True,
         repack_scope="canvas",
     )
 
 
 def _bench_scheduler_stream(
-    name: str, canvas_structure: str = "skyline", **scheduler_kwargs
+    name: str,
+    canvas_structure: str = "skyline",
+    incremental: bool = True,
+    **scheduler_kwargs,
 ) -> BenchResult:
     """A realistic 2048-patch stream (timed arrivals, 2 s SLO, a larger
     GPU instance so queues run ~100 patches deep) through the scheduler:
@@ -549,7 +416,7 @@ def _bench_scheduler_stream(
     small-queue whole-queue re-pack."""
     patches = _make_timed_trace(2048, seed=31)
     simulator, scheduler = _build_scheduler(
-        True,
+        incremental,
         unconstrained=False,
         gpu_memory_gb=60.0,
         canvas_structure=canvas_structure,
@@ -585,11 +452,9 @@ def _bench_scheduler_stream(
 
 
 def bench_stream_batch_packer_2048() -> BenchResult:
-    """The batch packer reference: full-repack-equivalent mode re-packs
-    the whole queue on every arrival (byte-identical to Algorithm 2)."""
-    return _bench_scheduler_stream(
-        "scheduler_stream_batchpack_2048", full_repack_equivalent=True
-    )
+    """The batch packer reference: the literal Algorithm 2
+    (``incremental=False``) re-packs the whole queue on every arrival."""
+    return _bench_scheduler_stream("scheduler_stream_batchpack_2048", incremental=False)
 
 
 def bench_stream_partial_repack_2048() -> BenchResult:
@@ -606,34 +471,6 @@ def bench_stream_partial_guillotine_2048() -> BenchResult:
         "scheduler_stream_partial_guillotine_2048",
         canvas_structure="guillotine",
         repack_scope="canvas",
-    )
-
-
-def bench_stream_canvasindex_2048() -> BenchResult:
-    """The realistic stream under the capstone configuration (canvas
-    admission index + adaptive budgets).  Its mean canvas efficiency
-    against ``scheduler_stream_partial_2048`` is the committed
-    ``canvas_index_stream_efficiency_ratio`` (gated at >= 0.99): the
-    index is byte-identical and the budget ramp only engages on
-    fleet-deep queues, so at this stream's ~100-patch depths the
-    decisions — hence the ratio — should stay exactly 1.0."""
-    return _bench_scheduler_stream(
-        "scheduler_stream_canvasindex_2048",
-        repack_scope="canvas",
-        canvas_index=True,
-        adaptive_budget=True,
-    )
-
-
-def bench_stream_merge_2048() -> BenchResult:
-    """The same realistic stream under ``consolidation="merge"``: its
-    mean canvas efficiency against the memo/repack-decisions stream
-    (``scheduler_stream_partial_2048``) is the committed
-    ``consolidation_stream_efficiency_ratio`` (gated at >= 0.99)."""
-    return _bench_scheduler_stream(
-        "scheduler_stream_merge_2048",
-        repack_scope="canvas",
-        consolidation="merge",
     )
 
 
@@ -694,7 +531,7 @@ _FLEET_TRACES = None
 
 def bench_end_to_end_fleet() -> BenchResult:
     """A 64-camera fleet sharing one fat uplink, running the fleet-scale
-    scheduler configuration (size-class index + canvas-scope re-packs).
+    scheduler configuration (canvas-scope re-packs).
     Trace generation is untimed and cached across repeats."""
     from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
     from repro.simulation.random_streams import RandomStreams
@@ -906,27 +743,15 @@ SECTIONS: Dict[str, Callable[[], BenchResult]] = {
     "validate_packing_1024": bench_validate_packing,
     "scheduler_arrival_full_256": bench_scheduler_arrival_full,
     "scheduler_arrival_fast_256": bench_scheduler_arrival_fast,
-    "scheduler_arrival_probe_linear_1024": bench_probe_linear_1024,
-    "scheduler_arrival_probe_indexed_1024": bench_probe_indexed_1024,
-    "scheduler_arrival_probe_linear_4096": bench_probe_linear_4096,
-    "scheduler_arrival_probe_indexed_4096": bench_probe_indexed_4096,
     "scheduler_arrival_pr1_4096": bench_arrival_pr1_4096,
     "scheduler_arrival_fleet_4096": bench_arrival_fleet_4096,
     "scheduler_arrival_fleet_guillotine_4096": bench_arrival_fleet_guillotine_4096,
-    "scheduler_arrival_canvasindex_4096": bench_arrival_canvasindex_4096,
     "stitching_fleet_repack_guillotine_4096": bench_fleet_repack_guillotine,
     "stitching_fleet_repack_skyline_4096": bench_fleet_repack_skyline,
     "scheduler_arrival_heavytail_1024": bench_arrival_heavytail_1024,
-    "scheduler_arrival_consolidation_repack_1024": bench_consolidation_repack_1024,
-    "scheduler_arrival_consolidation_memo_1024": bench_consolidation_memo_1024,
-    "scheduler_arrival_consolidation_repack_4096": bench_consolidation_repack_4096,
-    "scheduler_arrival_consolidation_memo_4096": bench_consolidation_memo_4096,
-    "scheduler_arrival_consolidation_merge_4096": bench_consolidation_merge_4096,
     "scheduler_stream_batchpack_2048": bench_stream_batch_packer_2048,
     "scheduler_stream_partial_2048": bench_stream_partial_repack_2048,
     "scheduler_stream_partial_guillotine_2048": bench_stream_partial_guillotine_2048,
-    "scheduler_stream_canvasindex_2048": bench_stream_canvasindex_2048,
-    "scheduler_stream_merge_2048": bench_stream_merge_2048,
     "gmm_frame_loop": bench_gmm_frame_loop,
     "end_to_end_small": bench_end_to_end,
     "end_to_end_fleet_64": bench_end_to_end_fleet,
@@ -948,21 +773,18 @@ def profile_arrival(depth: int = 4096, mix: str = "fleet") -> Dict[str, object]:
 
     ``mix`` selects the workload: ``"fleet"`` (the uniform 64-640 mix of
     ``scheduler_arrival_fleet_4096``, default) or ``"crowded"`` (the
-    consolidation A/B mix, which also disables the retry backoff the way
-    the A/B sections do).
+    crowded-fleet mix under a hard-consolidating budget of 32 victims /
+    96 pooled patches, where trial re-packs keep failing).
     """
     if mix == "fleet":
         patches = _make_patches(depth, seed=19)
         scheduler_kwargs: Dict[str, object] = {}
     elif mix == "crowded":
         patches = _make_crowded_patches(depth, seed=43)
-        scheduler_kwargs = dict(_CONSOLIDATION_ONLY)
-        scheduler_kwargs.pop("repack_scope")
+        scheduler_kwargs = {"max_partial_victims": 32, "partial_patch_budget": 96}
     else:
         raise ValueError(f"unknown profile mix {mix!r} (use 'fleet' or 'crowded')")
-    _simulator, scheduler = _build_scheduler(
-        True, use_index=True, repack_scope="canvas", **scheduler_kwargs
-    )
+    _simulator, scheduler = _build_scheduler(True, repack_scope="canvas", **scheduler_kwargs)
     packer = scheduler._packer
     engine = packer._consolidation
     times = {"probe": 0.0, "commit": 0.0, "consolidation": 0.0}
@@ -1060,28 +882,6 @@ def _derive(sections: Dict[str, Dict[str, object]]) -> Dict[str, float]:
     speedup = _ratio("scheduler_arrival_full_256", "scheduler_arrival_fast_256")
     if speedup is not None:
         derived["scheduler_arrival_speedup"] = speedup
-    for depth in (1024, 4096):
-        ratio = _ratio(
-            f"scheduler_arrival_probe_linear_{depth}",
-            f"scheduler_arrival_probe_indexed_{depth}",
-        )
-        if ratio is not None:
-            derived[f"probe_index_speedup_{depth}"] = ratio
-    fleet = _ratio("scheduler_arrival_pr1_4096", "scheduler_arrival_fleet_4096")
-    if fleet is not None:
-        derived["arrival_fleet_speedup_4096"] = fleet
-    canvasindex = _ratio(
-        "scheduler_arrival_fleet_4096", "scheduler_arrival_canvasindex_4096"
-    )
-    if canvasindex is not None:
-        derived["canvas_index_speedup_4096"] = canvasindex
-    for depth in (1024, 4096):
-        ratio = _ratio(
-            f"scheduler_arrival_consolidation_repack_{depth}",
-            f"scheduler_arrival_consolidation_memo_{depth}",
-        )
-        if ratio is not None:
-            derived[f"consolidation_memo_speedup_{depth}"] = ratio
     skyline_pack = _ratio(
         "stitching_fleet_repack_guillotine_4096",
         "stitching_fleet_repack_skyline_4096",
@@ -1106,27 +906,6 @@ def _derive(sections: Dict[str, Dict[str, object]]) -> Dict[str, float]:
         if guillotine_eff > 0:
             derived["skyline_stream_efficiency_ratio"] = round(
                 skyline_eff / guillotine_eff, 4
-            )
-    canvasindex_stream = sections.get("scheduler_stream_canvasindex_2048")
-    if partial and canvasindex_stream:
-        reference_eff = float(partial["meta"].get("mean_canvas_efficiency", 0.0))
-        capstone_eff = float(
-            canvasindex_stream["meta"].get("mean_canvas_efficiency", 0.0)
-        )
-        if reference_eff > 0:
-            derived["canvas_index_stream_efficiency_ratio"] = round(
-                capstone_eff / reference_eff, 4
-            )
-    merge_stream = sections.get("scheduler_stream_merge_2048")
-    if partial and merge_stream:
-        # ``scheduler_stream_partial_2048`` runs the default "memo"
-        # policy, whose decisions are byte-identical to "repack" — so
-        # this ratio bounds the "merge" policy's efficiency drift.
-        reference_eff = float(partial["meta"].get("mean_canvas_efficiency", 0.0))
-        merge_eff = float(merge_stream["meta"].get("mean_canvas_efficiency", 0.0))
-        if reference_eff > 0:
-            derived["consolidation_stream_efficiency_ratio"] = round(
-                merge_eff / reference_eff, 4
             )
     faultfree = sections.get("fleet_faultfree_1024")
     churn = sections.get("fleet_churn_1024")
@@ -1188,11 +967,8 @@ def check_against_baseline(
     baseline: Dict[str, object],
     max_regression: float = 2.0,
     min_speedup: float = 5.0,
-    min_index_speedup: float = 3.0,
     min_efficiency_ratio: float = 0.99,
     min_skyline_speedup: float = 2.0,
-    min_consolidation_speedup: float = 1.5,
-    min_canvas_index_speedup: float = 1.3,
     min_fleet_efficiency_ratio: float = 0.95,
     max_fleet_overreaction: float = 0.05,
     min_sharded_speedup: float = 1.5,
@@ -1231,15 +1007,9 @@ def check_against_baseline(
     derived = report.get("derived", {})
     gates = [
         ("scheduler_arrival_speedup", min_speedup, "x"),
-        ("probe_index_speedup_4096", min_index_speedup, "x"),
-        ("arrival_fleet_speedup_4096", min_index_speedup, "x"),
         ("partial_repack_efficiency_ratio", min_efficiency_ratio, ""),
         ("skyline_pack_speedup_4096", min_skyline_speedup, "x"),
         ("skyline_stream_efficiency_ratio", min_efficiency_ratio, ""),
-        ("consolidation_memo_speedup_4096", min_consolidation_speedup, "x"),
-        ("consolidation_stream_efficiency_ratio", min_efficiency_ratio, ""),
-        ("canvas_index_speedup_4096", min_canvas_index_speedup, "x"),
-        ("canvas_index_stream_efficiency_ratio", min_efficiency_ratio, ""),
         ("fleet_stream_efficiency_ratio", min_fleet_efficiency_ratio, ""),
         ("sharded_throughput_speedup", min_sharded_speedup, "x"),
     ]

@@ -52,7 +52,6 @@ def build_config(
         ),
         bandwidth_mbps=40.0,
         repack_scope="canvas",
-        consolidation="memo",
         estimator_iterations=estimator_iterations,
     )
 

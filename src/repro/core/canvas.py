@@ -3,7 +3,7 @@
 Split out of :mod:`repro.core.stitching` when the consolidation subsystem
 moved into :mod:`repro.core.consolidation`: the canvas is the shared
 substrate all three layers (batch solver, incremental stitcher,
-consolidation policies) place patches on, and it carries no packing
+consolidation engine) place patches on, and it carries no packing
 *policy* of its own — just the free-space bookkeeping.
 
 Two interchangeable free-space structures implement the same contract,
@@ -21,6 +21,7 @@ point of the design (resizing costs accuracy, padding costs compute).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -89,6 +90,8 @@ class Canvas:
         free_rectangles: Optional[List[Box]] = None,
         structure: str = "guillotine",
     ) -> None:
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise ValueError("canvas dimensions must be finite")
         if width <= 0 or height <= 0:
             raise ValueError("canvas dimensions must be positive")
         if structure not in CANVAS_STRUCTURES:
@@ -145,38 +148,6 @@ class Canvas:
             f"structure={self.structure!r}, num_patches={self.num_patches})"
         )
 
-    def clone(self) -> "Canvas":
-        """An independent copy for *trial* placements.
-
-        The consolidation ``"merge"`` policy plans patch migrations by
-        placing onto clones of the target canvases, then replays the
-        recorded ``(rect_index, patch)`` sequence on the real canvases at
-        commit time — placement is deterministic, so the replay lands
-        identically.  Patches themselves are shared (they are never
-        mutated by packing); the placement list and the free-space
-        structure are copied.
-        """
-        other = Canvas.__new__(Canvas)
-        other.width = self.width
-        other.height = self.height
-        other.canvas_id = self.canvas_id
-        other.oversized = self.oversized
-        other.placements = list(self.placements)
-        other.structure = self.structure
-        other._used_area = self.used_area  # syncs the cache if stale
-        other._used_count = len(other.placements)
-        if self.skyline is not None:
-            other.skyline = self.skyline.clone()
-            other._free_rectangles = []
-            other._free_stale = True
-        else:
-            other.skyline = None
-            # Box objects are never mutated by packing, so a shallow list
-            # copy keeps the clone independent.
-            other._free_rectangles = list(self._free_rectangles)
-            other._free_stale = False
-        return other
-
     @property
     def free_rectangles(self) -> List[Box]:
         """The free-space list the packers scan, in ``rect_index`` order.
@@ -185,7 +156,7 @@ class Canvas:
         materialise it from :attr:`Skyline.candidates` on first read
         after a mutation (the scheduler's hot paths never read it — they
         scan the skyline's tuples — so the object list is only built for
-        the index-free consumers and the test suite).
+        the test suite and other readers of the list).
         """
         if self._free_stale:
             assert self.skyline is not None
@@ -268,17 +239,10 @@ class Canvas:
         Skyline canvases answer through :meth:`Skyline.best_fit` — the
         same scan over the same ``free_rectangles`` order, behind an
         exact O(log n) fast-reject — so scores, indices, and tie-breaks
-        are identical to scanning ``free_rectangles`` directly (the
-        size-class index's exactness pin relies on this).
+        are identical to scanning ``free_rectangles`` directly.
         """
-        return self.best_fit_size(patch.width, patch.height)
-
-    def best_fit_size(
-        self, patch_width: float, patch_height: float
-    ) -> Optional[Tuple[int, float]]:
-        """:meth:`best_fit` by dimensions, for callers without a
-        :class:`~repro.core.patches.Patch` in hand (the canvas admission
-        index probes summaries-first and only then asks the canvas)."""
+        patch_width = patch.width
+        patch_height = patch.height
         if self.skyline is not None:
             return self.skyline.best_fit(patch_width, patch_height)
         best_index = -1

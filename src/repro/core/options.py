@@ -1,16 +1,19 @@
 """One frozen options object for every scheduler/stitcher knob.
 
-The online path grew its knobs one PR at a time — ``incremental=``,
-``repack_scope=``, ``consolidation=``, ``canvas_index=``,
-``adaptive_budget=``, ``admission_watermark=``, … — and each of them was
+The online path grew its knobs one PR at a time and each of them was
 hand-plumbed through four layers (:class:`~repro.core.stitching.
 IncrementalStitcher` / :class:`~repro.core.scheduler.TangramScheduler` /
 :class:`~repro.core.tangram.TangramConfig` / :class:`repro.pipeline.
-endtoend.EndToEndConfig`).  That was tolerable for one scheduler; the
-sharded fleet frontend (:mod:`repro.fleet.shard`) constructs *N*
-schedulers that must agree on every knob, which is exactly the situation
-a single immutable options object exists for: build one
-:class:`SchedulerOptions`, clone it per worker, done.
+endtoend.EndToEndConfig`).  The sharded fleet frontend
+(:mod:`repro.fleet.shard`) constructs *N* schedulers that must agree on
+every knob, which is exactly the situation a single immutable options
+object exists for: build one :class:`SchedulerOptions`, clone it per
+worker, done.
+
+Each decision the options do not name has exactly one production path:
+the probe is the linear per-canvas scan, consolidation is the trial
+re-pack behind the failed-attempt backoff, and ``incremental=False`` is
+the one route to the literal Algorithm 2.
 
 Back-compat contract
 --------------------
@@ -19,12 +22,6 @@ layer over this object: an explicitly passed kwarg overrides the
 corresponding field of ``options=``, and omitting both yields the same
 defaults as before.  ``tests/test_scheduler_options.py`` pins the
 equivalence byte-for-byte.
-
-The one exception is ``use_index=``, superseded by ``canvas_index=``
-(PR 5's canvas admission index): passing it explicitly still works but
-now emits a :class:`DeprecationWarning`.  Setting the
-:attr:`SchedulerOptions.use_index` *field* does not warn — the options
-object is the supported carrier for the legacy A/B arms.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.canvas import CANVAS_STRUCTURES
-from repro.core.consolidation import CONSOLIDATION_POLICIES
 
 #: Sentinel distinguishing "kwarg not passed" from any real value, so the
 #: constructors can tell an explicit override apart from the default.
@@ -59,31 +55,16 @@ class SchedulerOptions:
     #: Incremental fast path (live packing + heap deadlines) vs the
     #: literal Algorithm 2 full re-pack per arrival.
     incremental: bool = True
-    #: Fast path: efficiency headroom before a drift re-pack triggers.
+    #: Fast path: efficiency headroom before a drift re-pack triggers;
+    #: ``inf`` never re-packs on overflow.
     drift_margin: float = 0.05
     #: Overflow re-pack scope: ``"queue"`` or ``"canvas"``.
     repack_scope: str = "queue"
-    #: ``repack_scope="canvas"``: ``"memo"`` / ``"repack"`` / ``"merge"``.
-    consolidation: str = "memo"
-    #: ``repack_scope="canvas"``: linear failed-attempt backoff between
-    #: consolidation attempts.
-    retry_backoff: bool = True
-    #: Probe via the per-rectangle size-class index (deprecated knob;
-    #: kept for the legacy A/B arms — superseded by ``canvas_index``).
-    use_index: bool = True
-    #: Probe via the fleet-scale canvas admission index.
-    canvas_index: bool = False
-    #: Ramp the pooled-patch consolidation budget with overflow pressure.
-    adaptive_budget: bool = False
     #: ``repack_scope="canvas"``: worst canvases one consolidation may
     #: dissolve at once.
     max_partial_victims: int = 8
     #: ``repack_scope="canvas"``: pooled-patch cap per consolidation.
     partial_patch_budget: int = 48
-    #: Re-pack the whole queue on every arrival through the incremental
-    #: plumbing (byte-identical to ``incremental=False``; equivalence
-    #: tests only).
-    full_repack_equivalent: bool = False
     #: Canvas free-space structure: ``"skyline"`` or ``"guillotine"``.
     #: Applies when the owner builds its own solver; an explicit
     #: ``solver=`` brings its own structure and wins.
@@ -92,17 +73,12 @@ class SchedulerOptions:
     admission_watermark: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.drift_margin < 0:
-            raise ValueError("drift_margin must be non-negative")
+        if math.isnan(self.drift_margin) or self.drift_margin < 0:
+            raise ValueError("drift_margin must be non-negative (inf allowed)")
         if self.repack_scope not in REPACK_SCOPES:
             raise ValueError(
                 f"repack_scope must be one of {REPACK_SCOPES}, "
                 f"got {self.repack_scope!r}"
-            )
-        if self.consolidation not in CONSOLIDATION_POLICIES:
-            raise ValueError(
-                f"unknown consolidation policy {self.consolidation!r}; "
-                f"valid: {CONSOLIDATION_POLICIES}"
             )
         if self.canvas_structure not in CANVAS_STRUCTURES:
             raise ValueError(

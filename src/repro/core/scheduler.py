@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -240,45 +239,14 @@ class TangramScheduler(BaseScheduler):
         :class:`IncrementalStitcher`).
     repack_scope:
         Fast path only: ``"queue"`` re-packs the whole queue on a wasteful
-        overflow (PR-1 behaviour), ``"canvas"`` re-packs only the
-        least-efficient canvas plus the incoming patch — the fleet-scale
-        configuration (see :class:`IncrementalStitcher`).
-    consolidation:
-        ``repack_scope="canvas"`` only: the overflow-consolidation policy
-        — ``"memo"`` (default, trial re-packs behind a victim-pool
-        signature cache, byte-identical decisions), ``"repack"`` (the
-        equivalence-pinned from-scratch trial), or ``"merge"``
-        (incremental patch migration).  See
-        :mod:`repro.core.consolidation`.
-    retry_backoff:
-        ``repack_scope="canvas"`` only: arm the linear failed-attempt
-        backoff between consolidation attempts (default true); ``False``
-        retries on every wasteful overflow (the consolidation A/B
-        benchmark configuration).
-    use_index:
-        Fast path only: answer probes from the size-class
-        :class:`~repro.core.freerect_index.FreeRectIndex` instead of the
-        linear scan over every free rectangle (identical decisions).
-    canvas_index:
-        Fast path only: answer probes from the fleet-scale
-        :class:`~repro.core.canvas_index.CanvasAdmissionIndex` — one
-        capability summary per live canvas, so whole canvases are
-        skipped without touching their rectangles (identical decisions;
-        supersedes ``use_index``).
-    adaptive_budget:
-        ``repack_scope="canvas"`` only: spend an adaptive pooled-patch
-        budget that ramps from a quarter of ``partial_patch_budget`` to
-        the full knob with the wasteful-overflow rate observed between
-        consolidations (see :class:`IncrementalStitcher`).
+        overflow, ``"canvas"`` consolidates only the least-efficient
+        canvases plus the incoming patch through a trial re-pack — the
+        fleet-scale configuration (see
+        :class:`IncrementalStitcher` and :mod:`repro.core.consolidation`).
     max_partial_victims, partial_patch_budget:
         ``repack_scope="canvas"`` tuning: how many worst canvases one
         partial re-pack may dissolve, and the pooled-patch cap bounding
         its cost (see :class:`IncrementalStitcher`).
-    full_repack_equivalent:
-        Fast path only: keep the incremental plumbing but re-pack the whole
-        queue on every arrival, so every scheduling decision — and therefore
-        every :class:`BatchRecord` metric — is byte-identical to
-        ``incremental=False``.  Used by the equivalence regression tests.
     canvas_structure:
         Free-space structure of the canvases (``"skyline"``, the default,
         or ``"guillotine"`` — see :class:`~repro.core.skyline.Skyline`).
@@ -299,9 +267,7 @@ class TangramScheduler(BaseScheduler):
         knob above at once — the supported way to configure a scheduler
         since the sharded fleet frontend (each shard worker clones one
         options object).  Explicitly passed kwargs override the matching
-        fields; passing ``use_index=`` as a kwarg is deprecated
-        (superseded by ``canvas_index=``) and warns.  The resolved record
-        is exposed as :attr:`options`.
+        fields.  The resolved record is exposed as :attr:`options`.
     record_placements:
         Capture each batch's per-canvas placement tuples on its
         :class:`BatchRecord` at invoke time (run-independent patch
@@ -323,42 +289,21 @@ class TangramScheduler(BaseScheduler):
         incremental: bool = UNSET,
         drift_margin: float = UNSET,
         repack_scope: str = UNSET,
-        use_index: bool = UNSET,
         max_partial_victims: int = UNSET,
         partial_patch_budget: int = UNSET,
-        consolidation: str = UNSET,
-        retry_backoff: bool = UNSET,
-        canvas_index: bool = UNSET,
-        adaptive_budget: bool = UNSET,
-        full_repack_equivalent: bool = UNSET,
         canvas_structure: str = UNSET,
         admission_watermark: Optional[int] = UNSET,
         options: Optional[SchedulerOptions] = None,
         record_placements: bool = False,
     ) -> None:
-        if use_index is not UNSET:
-            warnings.warn(
-                "use_index= is deprecated: the canvas admission index "
-                "(canvas_index=) supersedes the per-rectangle index; pass "
-                "options=SchedulerOptions(use_index=...) for the legacy "
-                "A/B arms",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         # Back-compat resolution: explicit kwargs override the matching
         # ``options`` fields (validation re-runs inside ``merged_with``).
         opts = (options or SchedulerOptions()).merged_with(
             incremental=incremental,
             drift_margin=drift_margin,
             repack_scope=repack_scope,
-            use_index=use_index,
             max_partial_victims=max_partial_victims,
             partial_patch_budget=partial_patch_budget,
-            consolidation=consolidation,
-            retry_backoff=retry_backoff,
-            canvas_index=canvas_index,
-            adaptive_budget=adaptive_budget,
-            full_repack_equivalent=full_repack_equivalent,
             canvas_structure=canvas_structure,
             admission_watermark=admission_watermark,
         )
@@ -569,21 +514,6 @@ class TangramScheduler(BaseScheduler):
         if self._packer is None:
             return {}
         return dict(self._packer.stats)
-
-    @property
-    def index_stats(self) -> dict:
-        """Size-class index counters; empty without the fast path/index."""
-        if self._packer is None:
-            return {}
-        return self._packer.index_stats
-
-    @property
-    def canvas_index_stats(self) -> dict:
-        """Canvas-admission-index counters; empty without the fast
-        path or the ``canvas_index`` knob."""
-        if self._packer is None:
-            return {}
-        return self._packer.canvas_index_stats
 
     @property
     def consolidation_stats(self) -> dict:

@@ -44,10 +44,9 @@ Two further ideas make the structure fast:
   complexity, not its placement count.
 
 Scoring stays plain best-short-side-fit over the candidate's
-``(width, height)`` — the same score the guillotine scan and the
-size-class :class:`~repro.core.freerect_index.FreeRectIndex` compute —
-so skyline canvases plug into the incremental stitcher's global-BSSF
-probe with byte-identical index/linear decisions.  The randomized
+``(width, height)`` — the same score the guillotine scan computes — so
+skyline canvases plug into the incremental stitcher's global-BSSF probe
+unchanged.  The randomized
 equivalence suite (``tests/test_skyline.py``) plus the benchmark A/B pin
 the packing metrics within 1% of the guillotine path.
 """
@@ -71,8 +70,8 @@ class FreeRect:
     are built in bulk on the hot path; a ``__slots__`` class with a plain
     ``__init__`` keeps that cheap while still quacking like
     :class:`repro.video.geometry.Box` for the consumers that only read
-    geometry (:class:`~repro.core.freerect_index.FreeRectIndex`, the
-    best-short-side-fit scans, and the test suite's containment checks).
+    geometry (the best-short-side-fit scans and the test suite's
+    containment checks).
     """
 
     __slots__ = ("x", "y", "width", "height")
@@ -137,8 +136,7 @@ class Skyline:
     first (the first :attr:`num_surface` entries), waste rectangles
     after — as ``(x, y, width, height)`` tuples.  Its order is the
     canonical ``rect_index`` order every consumer shares
-    (:meth:`Canvas.best_fit`, :class:`FreeRectIndex` entries, placement
-    plans), so the skyline and the index make byte-identical decisions.
+    (:meth:`Canvas.best_fit` and placement plans).
     """
 
     __slots__ = (
@@ -175,24 +173,6 @@ class Skyline:
         self.fit_heights: List[float] = [height]
         self.fit_maxw: List[float] = [width]
 
-    def clone(self) -> "Skyline":
-        """An independent copy (for the merge policy's trial placements).
-
-        Every slot is a plain list of immutable tuples/floats, so shallow
-        list copies fully decouple the clone from the original.
-        """
-        other = Skyline.__new__(Skyline)
-        other.width = self.width
-        other.height = self.height
-        other.xs = list(self.xs)
-        other.ys = list(self.ys)
-        other.waste = list(self.waste)
-        other.candidates = list(self.candidates)
-        other.num_surface = self.num_surface
-        other.fit_heights = list(self.fit_heights)
-        other.fit_maxw = list(self.fit_maxw)
-        return other
-
     # -------------------------------------------------------------- queries
     @property
     def segments(self) -> List[Tuple[float, float, float]]:
@@ -203,19 +183,6 @@ class Skyline:
             end = xs[i + 1] if i + 1 < len(xs) else self.width
             out.append((x, y, end - x))
         return out
-
-    def envelope(self) -> Tuple[float, float]:
-        """The free-space envelope ``(max_w, max_h)``: maximum candidate
-        width and maximum candidate height, possibly from different
-        candidates.  Falls out of the fitness profile in O(1) —
-        ``fit_maxw[0]`` is the suffix maximum over *all* candidate
-        widths and ``fit_heights[-1]`` the largest candidate height.
-        The coarse summary behind :func:`repro.core.canvas_index.
-        canvas_envelope` (the admission index itself keeps the sharper
-        per-class fit profile)."""
-        if not self.fit_heights:
-            return (0.0, 0.0)
-        return (self.fit_maxw[0], self.fit_heights[-1])
 
     def fits(self, patch_width: float, patch_height: float) -> bool:
         """Exact: does any candidate admit a ``patch_width x patch_height``
@@ -232,7 +199,7 @@ class Skyline:
         Same contract as the guillotine scan in :meth:`Canvas.best_fit`:
         lower score is better, strict ``<`` keeps the lowest index on
         ties, and the score is comparable across canvases (the global
-        probe and the size-class index rely on that).
+        probe relies on that).
         """
         if not self.fits(patch_width, patch_height):
             return None

@@ -20,10 +20,8 @@ The module holds the two packers:
 
 Their substrates live in sibling modules: the canvas itself (free-space
 bookkeeping, both the skyline and guillotine structures) in
-:mod:`repro.core.canvas`, the size-class probe index in
-:mod:`repro.core.freerect_index`, and the overflow-consolidation
-subsystem (victim heap, retry backoff, the pluggable
-``repack``/``memo``/``merge`` policies) in
+:mod:`repro.core.canvas`, and the overflow-consolidation subsystem
+(victim heap, retry backoff, trial re-pack) in
 :mod:`repro.core.consolidation`.
 
 Patches are never resized, padded, rotated, or overlapped -- that is the
@@ -33,7 +31,6 @@ point of the design (resizing costs accuracy, padding costs compute).
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -42,22 +39,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 # module when the consolidation subsystem was extracted, but
 # ``repro.core.stitching.Canvas`` remains the documented import path.
 from repro.core.canvas import CANVAS_STRUCTURES, Canvas, Placement  # noqa: F401
+from repro.core.consolidation import ConsolidationEngine
 from repro.core.options import UNSET, SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.skyline import Skyline
 from repro.video.geometry import Box
-
-#: Wasteful overflows (since the last committed consolidation) at which
-#: the adaptive budget reaches the full static ``partial_patch_budget``.
-_BUDGET_RAMP = 8
-
-#: The adaptive budget only engages once the queue holds more than this
-#: many multiples of the static budget.  Below that, one consolidation
-#: pool is a large fraction of the queue — the budget is both affordable
-#: and quality-critical (the flushing-stream A/B measures ~3% mean
-#: canvas efficiency lost to a quartered budget at ~2x budget-to-queue
-#: ratio) — so shallow queues keep the static behaviour byte-identical.
-_DEEP_QUEUE_FACTOR = 8
 
 
 class PatchStitchingSolver:
@@ -66,7 +52,8 @@ class PatchStitchingSolver:
     Parameters
     ----------
     canvas_width, canvas_height:
-        The uniform canvas size ``M x N`` (the paper uses 1024 x 1024).
+        The uniform canvas size ``M x N`` (the paper uses 1024 x 1024);
+        both must be positive and finite.
     sort_patches:
         When true, patches are packed in decreasing area order, the classic
         first-fit-decreasing improvement.  The paper's online algorithm
@@ -97,6 +84,8 @@ class PatchStitchingSolver:
         allow_oversized: bool = True,
         canvas_structure: str = "skyline",
     ) -> None:
+        if not (math.isfinite(canvas_width) and math.isfinite(canvas_height)):
+            raise ValueError("canvas dimensions must be finite")
         if canvas_width <= 0 or canvas_height <= 0:
             raise ValueError("canvas dimensions must be positive")
         if canvas_structure not in CANVAS_STRUCTURES:
@@ -313,11 +302,9 @@ class PlacementPlan:
     patch: Patch
     #: ``"fit"`` (placed into an existing canvas), ``"new"`` (opens a blank
     #: canvas), ``"oversized"`` (opens a dedicated oversized canvas),
-    #: ``"repack"`` (the whole queue was re-packed from scratch),
+    #: ``"repack"`` (the whole queue was re-packed from scratch), or
     #: ``"partial"`` (only the least-efficient canvases were re-packed
-    #: together with the incoming patch), or ``"merge"`` (the worst
-    #: canvas's patches migrate into siblings and the emptied canvas is
-    #: reused for the incoming patch).
+    #: together with the incoming patch).
     kind: str
     #: Canvas count if the plan is committed (GPU-memory constraint input).
     canvases_after: int
@@ -327,18 +314,11 @@ class PlacementPlan:
     rect_index: int = -1
     #: For ``kind == "repack"``: the already-computed packing of the whole
     #: queue.  For ``kind == "partial"``: the replacement canvases of the
-    #: re-packed victims (always fewer than ``victims + 1``).  For
-    #: ``kind == "merge"``: the single fresh canvas holding the incoming
-    #: patch that replaces the emptied victim.
+    #: re-packed victims (always fewer than ``victims + 1``).
     repacked: Optional[List[Canvas]] = None
     #: For ``kind == "partial"``: indices of the canvases being dissolved
-    #: into ``repacked`` (the least-efficient ones first).  For
-    #: ``kind == "merge"``: the single emptied canvas's index.
+    #: into ``repacked`` (the least-efficient ones first).
     victim_indices: Optional[List[int]] = None
-    #: Only for ``kind == "merge"``: the ``(canvas_index, rect_index,
-    #: patch)`` sequence migrating the victim's patches into siblings,
-    #: replayed in order at commit time.
-    migrations: Optional[List[Tuple[int, int, Patch]]] = None
 
 
 class IncrementalStitcher:
@@ -349,11 +329,8 @@ class IncrementalStitcher:
     O(n * canvases * free-rects) per patch.  This class instead keeps the
     canvases and their free-space pools (skyline or guillotine, per the
     solver's ``canvas_structure``) alive and places each
-    new patch with a *global* best-short-side-fit over all live pools.
-    With the default size-class index
-    (:class:`~repro.core.freerect_index.FreeRectIndex`) a probe only scans
-    the few buckets whose size classes can contain the winner, instead of
-    every live free rectangle; decisions are byte-identical either way.
+    new patch with a *global* best-short-side-fit over all live pools
+    (:meth:`linear_best_fit`).
 
     Packing patches in arrival order is worse than the batch solver's
     decreasing-area order, but the live packing's efficiency can only drop
@@ -377,30 +354,18 @@ class IncrementalStitcher:
         Free-space headroom (fraction of the arriving patch's area) the
         live canvases may hold before opening another canvas triggers a
         re-pack.  Smaller values re-pack more often and track the batch
-        packer more tightly.
+        packer more tightly; ``inf`` never re-packs on overflow.
     repack_scope:
         ``"queue"`` (default): a wasteful overflow re-packs the whole
         queue, as in PR 1 — best packing quality, but O(queue) per
         re-pack.  ``"canvas"``: consolidate only the few
         *least-efficient* live canvases (up to :attr:`max_partial_
-        victims`) — O(a few canvases) per overflow, which keeps the
-        overflow path flat at fleet-scale queue depths.  A consolidation
-        is only adopted when it saves at least one canvas over not
-        consolidating at all, so the decision never lowers mean canvas
-        efficiency versus the no-re-pack alternative.
-    consolidation:
-        ``repack_scope="canvas"`` only: the consolidation policy —
-        ``"memo"`` (default; trial re-packs behind a victim-pool
-        signature cache, decisions byte-identical to ``"repack"``),
-        ``"repack"`` (PR-2/3's from-scratch trial re-pack, the
-        equivalence-pinned mode), or ``"merge"`` (incremental patch
-        migration with a ``"repack"`` fallback; metrics may drift within
-        the benchmark gates).  See :mod:`repro.core.consolidation`.
-    retry_backoff:
-        ``repack_scope="canvas"`` only: arm the linear failed-attempt
-        backoff (default true, the PR-2 behaviour).  ``False`` retries
-        consolidation on every wasteful overflow — pair it with
-        ``"memo"``, whose signature cache subsumes the growth gate.
+        victims`) through a trial re-pack — O(a few canvases) per
+        overflow, which keeps the overflow path flat at fleet-scale
+        queue depths.  A consolidation is only adopted when it saves at
+        least one canvas over not consolidating at all, so the decision
+        never lowers mean canvas efficiency versus the no-re-pack
+        alternative (see :mod:`repro.core.consolidation`).
     max_partial_victims:
         ``repack_scope="canvas"`` only: how many of the least-efficient
         canvases one consolidation may dissolve at once.  Larger values
@@ -412,81 +377,28 @@ class IncrementalStitcher:
         bound).  On small queues the victims cover nearly the whole queue
         within this budget, so partial re-packs approach batch quality;
         on deep queues the budget keeps the overflow path O(1)-ish.
-    use_index:
-        When true (the default), probes consult a
-        :class:`~repro.core.freerect_index.FreeRectIndex` — a bucketed
-        per-size-class index over all live free rectangles — instead of
-        linearly scanning every canvas's pool.  Placement decisions are
-        byte-identical either way (the index is exact); the knob exists
-        for equivalence tests and A/B benchmarks.
-    canvas_index:
-        When true, probes are answered by a
-        :class:`~repro.core.canvas_index.CanvasAdmissionIndex` — one
-        version-stamped capability summary (free-space envelope) per
-        live canvas, bucketed by envelope size class, so whole canvases
-        are skipped without touching their rectangles.  Decisions stay
-        byte-identical to the linear canvas sweep (and hence to the
-        rectangle index).  Supersedes ``use_index``: the per-rectangle
-        index is not built when the canvas index is on, since its
-        per-rectangle maintenance is exactly the cost the canvas index
-        exists to shed at fleet scale.
-    adaptive_budget:
-        When true, the consolidation paths spend
-        :attr:`effective_patch_budget` instead of the static
-        ``partial_patch_budget``: the budget starts at a quarter of the
-        static knob and ramps toward it with the number of wasteful
-        overflows observed since the last committed consolidation (the
-        overflow *rate between consolidations*), so cheap trials are
-        used while small pools keep consolidating and the full budget is
-        spent only under sustained overflow pressure.  Always bounded
-        above by the static knob.  Off by default: the equivalence pins
-        and the PR-2..4 benchmark arms rely on the static behaviour.
-    always_repack:
-        Full-repack-equivalent mode: every probe packs the whole queue from
-        scratch with the batch solver, making the scheduler's decisions (and
-        therefore all experiment metrics) byte-identical to the literal
-        Algorithm 2 implementation.  Used by the equivalence tests.
     equivalent_canvas_pixels:
         Pixel area of one standard canvas used for the equivalent-canvas
         accounting; defaults to the solver's canvas area.  Pass the latency
         estimator's ``canvas_pixels`` when the two are configured apart.
+        Must be positive and finite.
     options:
         A :class:`~repro.core.options.SchedulerOptions` carrying all of
         the above knobs at once (the sharded fleet frontend clones one
         per worker).  Explicitly passed kwargs override the matching
-        fields; ``always_repack`` maps onto
-        :attr:`~repro.core.options.SchedulerOptions.
-        full_repack_equivalent`.  Passing ``use_index=`` as a kwarg is
-        deprecated (superseded by ``canvas_index=``) and emits a
-        :class:`DeprecationWarning`; the resolved knobs are exposed as
-        :attr:`options`.
+        fields; the resolved knobs are exposed as :attr:`options`.
     """
 
     def __init__(
         self,
         solver: Optional[PatchStitchingSolver] = None,
         drift_margin: float = UNSET,
-        always_repack: bool = UNSET,
         equivalent_canvas_pixels: Optional[float] = None,
         repack_scope: str = UNSET,
-        use_index: bool = UNSET,
         max_partial_victims: int = UNSET,
         partial_patch_budget: int = UNSET,
-        consolidation: str = UNSET,
-        retry_backoff: bool = UNSET,
-        canvas_index: bool = UNSET,
-        adaptive_budget: bool = UNSET,
         options: Optional[SchedulerOptions] = None,
     ) -> None:
-        if use_index is not UNSET:
-            warnings.warn(
-                "use_index= is deprecated: the canvas admission index "
-                "(canvas_index=) supersedes the per-rectangle index; pass "
-                "options=SchedulerOptions(use_index=...) for the legacy "
-                "A/B arms",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         # Resolution rule of the back-compat layer: an explicitly passed
         # kwarg overrides the matching ``options`` field; ``UNSET`` kwargs
         # take the field (whose default is the historical kwarg default).
@@ -494,58 +406,23 @@ class IncrementalStitcher:
         # raise the same ``ValueError`` they always did.
         opts = (options or SchedulerOptions()).merged_with(
             drift_margin=drift_margin,
-            full_repack_equivalent=always_repack,
             repack_scope=repack_scope,
-            use_index=use_index,
             max_partial_victims=max_partial_victims,
             partial_patch_budget=partial_patch_budget,
-            consolidation=consolidation,
-            retry_backoff=retry_backoff,
-            canvas_index=canvas_index,
-            adaptive_budget=adaptive_budget,
         )
         self.options = opts
-        drift_margin = opts.drift_margin
-        always_repack = opts.full_repack_equivalent
-        repack_scope = opts.repack_scope
-        use_index = opts.use_index
-        max_partial_victims = opts.max_partial_victims
-        partial_patch_budget = opts.partial_patch_budget
-        consolidation = opts.consolidation
-        retry_backoff = opts.retry_backoff
-        canvas_index = opts.canvas_index
-        adaptive_budget = opts.adaptive_budget
         self.solver = solver or PatchStitchingSolver()
-        self.drift_margin = drift_margin
-        self.always_repack = always_repack
-        self.repack_scope = repack_scope
-        self.max_partial_victims = max_partial_victims
-        self.partial_patch_budget = partial_patch_budget
-        self.consolidation = consolidation
-        self.canvas_index = canvas_index
-        self.adaptive_budget = adaptive_budget
-        #: Wasteful overflows seen since the last committed consolidation
-        #: (probe-side bookkeeping, like the engine's backoff); drives
-        #: :attr:`effective_patch_budget` when ``adaptive_budget`` is on.
-        self._overflow_streak = 0
-        # Full-repack-equivalent mode never probes the pools, so the index
-        # would only be maintenance overhead there.  The canvas admission
-        # index supersedes the per-rectangle index when both are requested.
-        self._canvas_index: Optional["CanvasAdmissionIndex"] = None
-        self._index: Optional["FreeRectIndex"] = None
-        if canvas_index and not always_repack:
-            from repro.core.canvas_index import CanvasAdmissionIndex
-
-            self._canvas_index = CanvasAdmissionIndex()
-        elif use_index and not always_repack:
-            from repro.core.freerect_index import FreeRectIndex
-
-            self._index = FreeRectIndex()
+        self.drift_margin = opts.drift_margin
+        self.repack_scope = opts.repack_scope
+        self.max_partial_victims = opts.max_partial_victims
+        self.partial_patch_budget = opts.partial_patch_budget
         self.equivalent_canvas_pixels = (
             self.solver.canvas_area
             if equivalent_canvas_pixels is None
             else equivalent_canvas_pixels
         )
+        if not math.isfinite(self.equivalent_canvas_pixels):
+            raise ValueError("equivalent_canvas_pixels must be finite")
         if self.equivalent_canvas_pixels <= 0:
             raise ValueError("equivalent_canvas_pixels must be positive")
         self.stats = {
@@ -555,23 +432,14 @@ class IncrementalStitcher:
             "oversized_canvases": 0,
             "full_repacks": 0,
             "partial_repacks": 0,
-            "merges": 0,
             "resets": 0,
         }
         self._patches: List[Patch] = []
         self._canvases: List[Canvas] = []
         # The consolidation engine owns the efficiency heap, the retry
-        # backoff, and the policy (raises on an unknown policy name).
-        from repro.core.consolidation import ConsolidationEngine
-
-        self._consolidation = ConsolidationEngine(
-            self, policy=consolidation, retry_backoff=retry_backoff
-        )
+        # backoff, and the trial re-pack.
+        self._consolidation = ConsolidationEngine(self)
         self._consolidation.rebuild()
-        # Attach the (identity-stable) canvas list now: compaction re-walks
-        # it, and every later mutation is either in place or goes through
-        # ``_adopt`` which re-attaches.
-        self._rebuild_indexes()
         self._next_id = 0
         self._equivalent = 0
         #: Total patch area on non-oversized canvases (drift bookkeeping).
@@ -612,21 +480,7 @@ class IncrementalStitcher:
         return PatchStitchingSolver.mean_efficiency(self._canvases)
 
     @property
-    def index_stats(self) -> dict:
-        """Counters of the size-class index; empty when ``use_index=False``."""
-        if self._index is None:
-            return {}
-        return dict(self._index.stats)
-
-    @property
-    def canvas_index_stats(self) -> dict:
-        """Counters of the canvas admission index; empty without it."""
-        if self._canvas_index is None:
-            return {}
-        return dict(self._canvas_index.stats)
-
-    @property
-    def consolidation_engine(self) -> "ConsolidationEngine":
+    def consolidation_engine(self) -> ConsolidationEngine:
         """The consolidation engine, exposed read-only for introspection
         (tests pin heap contents through
         :meth:`~repro.core.consolidation.ConsolidationEngine.
@@ -634,45 +488,15 @@ class IncrementalStitcher:
         return self._consolidation
 
     @property
-    def effective_patch_budget(self) -> int:
-        """The pooled-patch budget consolidation may spend *right now*.
-
-        Equal to the static ``partial_patch_budget`` unless
-        ``adaptive_budget`` is on *and* the queue is fleet-deep (more
-        than :data:`_DEEP_QUEUE_FACTOR` times the static budget — below
-        that a pool covers a large slice of the queue and the full
-        budget is quality-critical); then it starts at a quarter of the
-        static knob and ramps linearly toward it with the wasteful
-        overflows observed since the last committed consolidation,
-        reaching the full budget after :data:`_BUDGET_RAMP` of them.
-        Never exceeds the static knob and never falls below 2 (the
-        constructor's validation floor).
-        """
-        static = self.partial_patch_budget
-        if not self.adaptive_budget:
-            return static
-        if len(self._patches) <= _DEEP_QUEUE_FACTOR * static:
-            return static
-        floor = max(2, static // 4)
-        if self._overflow_streak >= _BUDGET_RAMP:
-            return static
-        return min(
-            static,
-            floor + ((static - floor) * self._overflow_streak) // _BUDGET_RAMP,
-        )
-
-    @property
     def consolidation_stats(self) -> dict:
         """Counters of the consolidation engine (attempts, trial packs,
-        pre-check and memo rejections, merges)."""
+        and the two pre-checks' rejections)."""
         return dict(self._consolidation.stats)
 
     # ------------------------------------------------------------ probe/commit
     def probe(self, patch: Patch) -> PlacementPlan:
         """Plan the placement of ``patch`` without mutating any state."""
         self.stats["probes"] += 1
-        if self.always_repack:
-            return self._full_repack_plan(patch)
         solver = self.solver
         if not patch.fits_on(solver.canvas_width, solver.canvas_height):
             if not solver.allow_oversized:
@@ -688,16 +512,7 @@ class IncrementalStitcher:
                 canvases_after=len(self._canvases) + 1,
                 equivalent_after=self._equivalent + max(1, extra),
             )
-        # Global best-short-side-fit across every live free-rectangle pool,
-        # answered by the canvas admission index or the size-class index
-        # when enabled (same decision all three ways; the indexes only
-        # skip provably non-winning canvases/buckets).
-        if self._canvas_index is not None:
-            fit = self._canvas_index.best_fit(patch.width, patch.height)
-        elif self._index is not None:
-            fit = self._index.best_fit(patch.width, patch.height)
-        else:
-            fit = self.linear_best_fit(patch)
+        fit = self.linear_best_fit(patch)
         if fit is not None:
             best_canvas, best_rect, _score = fit
             return PlacementPlan(
@@ -710,18 +525,10 @@ class IncrementalStitcher:
             )
         if self._should_repack_on_overflow(patch):
             if self.repack_scope == "canvas":
-                # Adaptive-budget bookkeeping (probe-side, like the
-                # engine's backoff): another wasteful overflow since the
-                # last committed consolidation.
-                self._overflow_streak += 1
                 # Canvas scope bounds re-pack work by the patch budget:
                 # when the whole queue fits it, a full re-pack *is* the
                 # bounded operation (and tracks the batch packer exactly);
-                # past that, consolidate only the worst canvases.  This
-                # threshold deliberately stays on the *static* budget —
-                # a small queue's full re-pack is both the cheapest and
-                # the highest-quality intervention, so the adaptive ramp
-                # only throttles the deep-queue victim-pool trials.
+                # past that, consolidate only the worst canvases.
                 if len(self._patches) + 1 <= self.partial_patch_budget:
                     return self._full_repack_plan(patch)
                 plan = self._consolidation.plan(patch)
@@ -750,11 +557,17 @@ class IncrementalStitcher:
         )
 
     def linear_best_fit(self, patch: Patch) -> Optional[Tuple[int, int, float]]:
-        """The un-indexed global BSSF scan: ``(canvas_index, rect_index,
-        score)`` minimising ``(score, canvas_index, rect_index)``
-        lexicographically, or ``None`` when nothing fits.  This is the
-        reference the index is pinned against (and the probe path when
-        ``use_index=False``)."""
+        """The global best-short-side-fit scan: ``(canvas_index,
+        rect_index, score)`` minimising ``(score, canvas_index,
+        rect_index)`` lexicographically, or ``None`` when nothing fits.
+
+        One pass over the live canvases, where a skyline canvas that
+        cannot hold the patch is rejected with one bisect of its fitness
+        profile.  GPU memory caps a batch at a few dozen canvases, a
+        range over which this scan beat both per-rectangle and
+        per-canvas indexes on every benchmark workload; an index only
+        pays off past ~100 live canvases.
+        """
         best_canvas = -1
         best_rect = -1
         best_score = float("inf")
@@ -795,14 +608,11 @@ class IncrementalStitcher:
         self._patches.append(patch)
         if plan.kind == "repack":
             assert plan.repacked is not None
-            self._adopt(plan.repacked)  # also resets the overflow streak
-            if not self.always_repack:
-                self.stats["full_repacks"] += 1
+            self._adopt(plan.repacked)
+            self.stats["full_repacks"] += 1
             return self._canvases
         if plan.kind == "partial":
             return self._commit_partial(plan)
-        if plan.kind == "merge":
-            return self._commit_merge(plan)
         if plan.kind == "oversized":
             canvas = Canvas(
                 width=patch.width,
@@ -817,7 +627,6 @@ class IncrementalStitcher:
             self._equivalent = plan.equivalent_after
             self.stats["oversized_canvases"] += 1
             self._consolidation.touch(len(self._canvases) - 1)
-            self._reindex_slot(len(self._canvases) - 1, canvas)
             return self._canvases
         if plan.kind == "new":
             canvas = Canvas(
@@ -835,14 +644,12 @@ class IncrementalStitcher:
             self._active_used += patch.area
             self.stats["new_canvases"] += 1
             self._consolidation.touch(len(self._canvases) - 1)
-            self._reindex_slot(len(self._canvases) - 1, canvas)
         else:  # "fit"
             canvas = self._canvases[plan.canvas_index]
             canvas.place(patch, plan.rect_index)
             self._active_used += patch.area
             self.stats["incremental_placements"] += 1
             self._consolidation.touch(plan.canvas_index)
-            self._reindex_slot(plan.canvas_index, canvas)
         return self._canvases
 
     def _commit_partial(self, plan: PlacementPlan) -> List[Canvas]:
@@ -855,10 +662,10 @@ class IncrementalStitcher:
             canvas.canvas_id = self._next_id
             self._next_id += 1
         # Replace victims slot-for-slot (so untouched canvases keep
-        # their indices and index entries stay valid); a consolidating
+        # their indices and heap entries stay valid); a consolidating
         # re-pack has fewer replacements than victims, so the leftover
         # victim slots are deleted, which shifts later indices and
-        # forces a full index rebuild.
+        # forces a heap rebuild.
         reused = victim_indices[: len(replacements)]
         for slot, canvas in zip(reused, replacements):
             self._canvases[slot] = canvas
@@ -869,43 +676,11 @@ class IncrementalStitcher:
         self._active_used += plan.patch.area
         self._equivalent = plan.equivalent_after
         self.stats["partial_repacks"] += 1
-        self._overflow_streak = 0
         if removed:
             self._consolidation.rebuild()
-            self._rebuild_indexes()
         else:
             for slot in reused:
                 self._consolidation.touch(slot)
-            for slot, canvas in zip(reused, replacements):
-                self._reindex_slot(slot, canvas)
-        return self._canvases
-
-    def _commit_merge(self, plan: PlacementPlan) -> List[Canvas]:
-        """Adopt a merge plan: replay the planned migrations on the real
-        canvases, then reuse the emptied victim slot for the fresh canvas
-        holding the incoming patch.  The canvas count is unchanged (one
-        fewer than the ``"new"`` alternative); migrations move patch area
-        between live canvases, so only the incoming patch changes the
-        drift bookkeeping."""
-        assert plan.repacked is not None and plan.victim_indices
-        assert plan.migrations is not None
-        canvases = self._canvases
-        for slot, rect_index, migrant in plan.migrations:
-            canvases[slot].place(migrant, rect_index)
-        replacement = plan.repacked[0]
-        replacement.canvas_id = self._next_id
-        self._next_id += 1
-        victim_slot = plan.victim_indices[0]
-        canvases[victim_slot] = replacement
-        self._active_used += plan.patch.area
-        self._equivalent = plan.equivalent_after
-        self.stats["merges"] += 1
-        self._overflow_streak = 0
-        touched = {slot for slot, _rect, _p in plan.migrations}
-        touched.add(victim_slot)
-        for slot in touched:
-            self._consolidation.touch(slot)
-            self._reindex_slot(slot, canvases[slot])
         return self._canvases
 
     def add(self, patch: Patch) -> List[Canvas]:
@@ -931,23 +706,4 @@ class IncrementalStitcher:
         )
         self._active_count = sum(1 for canvas in canvases if not canvas.oversized)
         self._last_repack_size = len(self._patches)
-        self._overflow_streak = 0
         self._consolidation.rebuild()
-        self._rebuild_indexes()
-
-    def _reindex_slot(self, slot: int, canvas: Canvas) -> None:
-        """Refresh whichever probe index is enabled for one mutated (or
-        newly appended) canvas slot."""
-        if self._canvas_index is not None:
-            self._canvas_index.reindex_canvas(slot, canvas)
-        elif self._index is not None:
-            self._index.reindex_canvas(slot, canvas)
-
-    def _rebuild_indexes(self) -> None:
-        """Re-attach the live canvas list to whichever probe index is
-        enabled (the list object itself was replaced, or slots were
-        deleted and every index shifted)."""
-        if self._canvas_index is not None:
-            self._canvas_index.rebuild(self._canvases)
-        elif self._index is not None:
-            self._index.rebuild(self._canvases)

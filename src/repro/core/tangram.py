@@ -87,20 +87,6 @@ class TangramConfig:
     #: Overflow re-pack scope: ``"queue"`` (whole queue, PR-1 behaviour) or
     #: ``"canvas"`` (only the least-efficient canvas — fleet scale).
     scheduler_repack_scope: str = "queue"
-    #: Consolidation policy for ``"canvas"`` scope: ``"memo"`` (default),
-    #: ``"repack"``, or ``"merge"`` (see :mod:`repro.core.consolidation`).
-    scheduler_consolidation: str = "memo"
-    #: Probe via the size-class free-rectangle index (identical decisions).
-    scheduler_use_index: bool = True
-    #: Probe via the fleet-scale canvas admission index instead — one
-    #: capability summary per canvas, identical decisions, supersedes
-    #: ``scheduler_use_index`` (see :mod:`repro.core.canvas_index`).
-    scheduler_canvas_index: bool = False
-    #: Adaptive consolidation budget: ramp the pooled-patch budget with
-    #: the wasteful-overflow rate between consolidations, bounded by
-    #: ``partial_patch_budget`` (see :class:`repro.core.stitching.
-    #: IncrementalStitcher`).
-    scheduler_adaptive_budget: bool = False
     #: Canvas free-space structure: ``"skyline"`` (default) or
     #: ``"guillotine"`` (see :class:`repro.core.skyline.Skyline`).
     canvas_structure: str = "skyline"
@@ -125,10 +111,6 @@ class TangramConfig:
             incremental=self.scheduler_incremental,
             drift_margin=self.scheduler_drift_margin,
             repack_scope=self.scheduler_repack_scope,
-            consolidation=self.scheduler_consolidation,
-            use_index=self.scheduler_use_index,
-            canvas_index=self.scheduler_canvas_index,
-            adaptive_budget=self.scheduler_adaptive_budget,
             canvas_structure=self.canvas_structure,
             admission_watermark=self.scheduler_admission_watermark,
         )

@@ -74,7 +74,6 @@ class FleetScenarioConfig:
     #: Scheduler knobs (subset of :class:`repro.core.tangram.TangramConfig`).
     canvas_size: float = 1024.0
     repack_scope: str = "canvas"
-    consolidation: str = "memo"
     admission_watermark: Optional[int] = None
     seed: int = 0
     max_instances: int = 32
@@ -87,9 +86,8 @@ class FleetScenarioConfig:
     gpu_memory_gb: float = 6.0
     #: One :class:`~repro.core.options.SchedulerOptions` for the
     #: scheduler; when set it wins wholesale over the per-knob fields
-    #: above (``repack_scope`` / ``consolidation`` /
-    #: ``admission_watermark``), and it is the record the sharded
-    #: frontend clones per worker.
+    #: above (``repack_scope`` / ``admission_watermark``), and it is the
+    #: record the sharded frontend clones per worker.
     scheduler_options: Optional[SchedulerOptions] = None
     #: Capture per-batch placement tuples for the byte-identity pins
     #: (fills :attr:`FleetRunResult.batch_keys`; off by default).
@@ -101,7 +99,6 @@ class FleetScenarioConfig:
             return self.scheduler_options
         return SchedulerOptions(
             repack_scope=self.repack_scope,
-            consolidation=self.consolidation,
             admission_watermark=self.admission_watermark,
         )
 

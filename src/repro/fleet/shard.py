@@ -14,14 +14,13 @@ patch to the worker that currently owns its camera.
   owned-camera count at registration and by live backlog afterwards).
 * **Work stealing**: on a fixed rebalance cadence the router compares
   shard backlogs; when one shard runs hot it plans a camera-ownership
-  migration to the coldest shard.  The trial follows the merge policy's
-  probe-on-clones / commit-only-if-it-helps shape
-  (:class:`repro.core.consolidation.MergePolicy`), lifted to shard
-  granularity: planned loads are mutated on *copies*, a migrant is
-  adopted only while the plan leaves the target strictly colder than
-  the source, and a stalled plan commits nothing.  Only **future**
-  arrivals move — patches already queued on the hot shard drain where
-  they are (they are mid-flight state, like a canvas's residents).
+  migration to the coldest shard.  The trial plans on copies and
+  commits only if it helps: planned loads are mutated on *copies*, a
+  migrant is adopted only while the plan leaves the target strictly
+  colder than the source, and a stalled plan commits nothing.  Only
+  **future** arrivals move — patches already queued on the hot shard
+  drain where they are (they are mid-flight state, like a canvas's
+  residents).
 * **Faults** compose exactly as in the single-scheduler scenario: the
   :class:`~repro.fleet.faults.FaultPlan` drives capture suppression,
   uplink dials, and burst surplus per camera, so shard-targeted chaos is
@@ -242,8 +241,7 @@ class ShardRouter:
     def rebalance(self) -> int:
         """One work-stealing pass; returns the number of cameras moved.
 
-        The migration trial mirrors the merge policy's clone-based drain
-        planning: the plan mutates *copies* of the two shard loads, each
+        The migration trial mutates *copies* of the two shard loads, each
         candidate migrant is adopted only while the planned move keeps
         the target strictly colder than the source (the shard-level
         "adopt only if it saves" rule), and a plan that stalls before

@@ -30,7 +30,6 @@ from repro.core.options import SchedulerOptions
 from repro.core.partitioning import FramePartitioner
 from repro.core.scheduler import BaseScheduler, BatchRecord, PatchOutcome, TangramScheduler
 from repro.core.latency import LatencyEstimator
-from repro.core.consolidation import CONSOLIDATION_POLICIES
 from repro.core.stitching import CANVAS_STRUCTURES, PatchStitchingSolver
 from repro.network.encoding import FrameEncoder
 from repro.network.link import Uplink
@@ -78,27 +77,6 @@ class EndToEndConfig:
     #: Overflow re-pack scope: ``"queue"`` (whole queue, PR-1 behaviour)
     #: or ``"canvas"`` (only the least-efficient canvas — fleet scale).
     scheduler_repack_scope: str = "queue"
-    #: Consolidation policy for ``"canvas"`` scope: ``"memo"`` (default;
-    #: byte-identical to ``"repack"``), ``"repack"``, or ``"merge"``
-    #: (see :mod:`repro.core.consolidation`).
-    scheduler_consolidation: str = "memo"
-    #: Answer probes from the size-class free-rectangle index instead of
-    #: the linear scan (placement decisions are identical either way).
-    scheduler_use_index: bool = True
-    #: Answer probes from the fleet-scale canvas admission index — one
-    #: capability summary per live canvas, identical decisions,
-    #: supersedes ``scheduler_use_index`` (see
-    #: :mod:`repro.core.canvas_index`).
-    scheduler_canvas_index: bool = False
-    #: Ramp the consolidation pooled-patch budget with the
-    #: wasteful-overflow rate between consolidations, bounded by the
-    #: static knob (see :class:`repro.core.stitching.
-    #: IncrementalStitcher`).
-    scheduler_adaptive_budget: bool = False
-    #: Re-pack the whole queue on every arrival through the incremental
-    #: plumbing; metrics become byte-identical to ``scheduler_incremental
-    #: = False`` (used for equivalence checks).
-    scheduler_full_repack_equivalent: bool = False
     #: Canvas free-space structure: ``"skyline"`` (default) or
     #: ``"guillotine"`` (see :class:`repro.core.skyline.Skyline`).
     canvas_structure: str = "skyline"
@@ -141,12 +119,6 @@ class EndToEndConfig:
                 f"unknown canvas_structure {self.canvas_structure!r}; "
                 f"valid: {CANVAS_STRUCTURES}"
             )
-        if self.scheduler_consolidation not in CONSOLIDATION_POLICIES:
-            raise ValueError(
-                f"unknown scheduler_consolidation "
-                f"{self.scheduler_consolidation!r}; "
-                f"valid: {CONSOLIDATION_POLICIES}"
-            )
 
     def resolved_scheduler_options(self) -> SchedulerOptions:
         """The options record the Tangram scheduler is built from."""
@@ -156,11 +128,6 @@ class EndToEndConfig:
             incremental=self.scheduler_incremental,
             drift_margin=self.scheduler_drift_margin,
             repack_scope=self.scheduler_repack_scope,
-            consolidation=self.scheduler_consolidation,
-            use_index=self.scheduler_use_index,
-            canvas_index=self.scheduler_canvas_index,
-            adaptive_budget=self.scheduler_adaptive_budget,
-            full_repack_equivalent=self.scheduler_full_repack_equivalent,
             canvas_structure=self.canvas_structure,
             admission_watermark=self.scheduler_admission_watermark,
         )

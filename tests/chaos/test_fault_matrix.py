@@ -1,6 +1,6 @@
-"""The chaos fault matrix: every fault class x every consolidation policy.
+"""The chaos fault matrix: every fault class at rising plan intensity.
 
-For each cell the contracts are:
+For each fault class the contracts are:
 
 * **no escaped exceptions** -- the scenario completes and flushes;
 * **monotone degradation** -- raising the fault-plan intensity (with the
@@ -29,7 +29,6 @@ pytestmark = pytest.mark.skipif(
 
 PLAN_SEED = 23
 DURATION = 6.0
-POLICIES = ("repack", "memo", "merge")
 INTENSITIES = (0.0, 0.5, 1.0)
 
 #: One knob set per fault class; everything else stays zero so each cell
@@ -42,17 +41,16 @@ FAULT_KNOBS = {
 }
 
 
-def _config(policy: str) -> FleetScenarioConfig:
+def _config() -> FleetScenarioConfig:
     return FleetScenarioConfig(
         workload=FleetWorkloadConfig(num_cameras=6, fps=4.0, duration_s=DURATION, seed=7),
         repack_scope="canvas",
-        consolidation=policy,
         estimator_iterations=100,
     )
 
 
 def _plan(fault: str, intensity: float) -> FaultPlan:
-    cameras = camera_ids(_config("memo").workload)
+    cameras = camera_ids(_config().workload)
     return FaultPlan.generate(
         seed=PLAN_SEED,
         camera_ids=cameras,
@@ -62,25 +60,24 @@ def _plan(fault: str, intensity: float) -> FaultPlan:
     )
 
 
-#: (policy, fault, intensity) -> result; the intensity-0 plan is empty,
-#: so fault classes share one fault-free run per policy.
+#: (fault, intensity) -> result; the intensity-0 plan is empty, so fault
+#: classes share one fault-free run.
 _CACHE: dict = {}
 
 
-def _result(policy: str, fault: str, intensity: float):
-    key = (policy, "any", 0.0) if intensity == 0.0 else (policy, fault, intensity)
+def _result(fault: str, intensity: float):
+    key = ("any", 0.0) if intensity == 0.0 else (fault, intensity)
     if key not in _CACHE:
         plan = _plan(fault, intensity) if intensity > 0.0 else None
-        _CACHE[key] = run_fleet_scenario(_config(policy), plan)
+        _CACHE[key] = run_fleet_scenario(_config(), plan)
     return _CACHE[key]
 
 
-@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("fault", sorted(FAULT_KNOBS))
-def test_completes_and_degrades_monotonically(policy, fault):
+def test_completes_and_degrades_monotonically(fault):
     fractions = []
     for intensity in INTENSITIES:
-        result = _result(policy, fault, intensity)
+        result = _result(fault, intensity)
         assert result.errors == 0
         # Conservation: the delivered, suppressed, and retry-exhausted
         # buckets are disjoint subsets of the base stream (the remainder
@@ -96,18 +93,16 @@ def test_completes_and_degrades_monotonically(policy, fault):
         )
 
 
-@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("fault", sorted(FAULT_KNOBS))
-def test_full_intensity_runs_are_deterministic(policy, fault):
-    first = _result(policy, fault, 1.0).counters()
-    second = run_fleet_scenario(_config(policy), _plan(fault, 1.0)).counters()
+def test_full_intensity_runs_are_deterministic(fault):
+    first = _result(fault, 1.0).counters()
+    second = run_fleet_scenario(_config(), _plan(fault, 1.0)).counters()
     assert first == second
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_combined_fault_cocktail_completes(policy):
+def test_combined_fault_cocktail_completes():
     """All four classes at once: the worst case still finishes cleanly."""
-    cameras = camera_ids(_config(policy).workload)
+    cameras = camera_ids(_config().workload)
     plan = FaultPlan.generate(
         seed=PLAN_SEED,
         camera_ids=cameras,
@@ -118,7 +113,7 @@ def test_combined_fault_cocktail_completes(policy):
         burst_count=2,
         burst_multiplier=3.0,
     )
-    result = run_fleet_scenario(_config(policy), plan)
+    result = run_fleet_scenario(_config(), plan)
     assert result.errors == 0
     assert 0.0 < result.delivered_fraction <= 1.0
-    assert result.counters() == run_fleet_scenario(_config(policy), plan).counters()
+    assert result.counters() == run_fleet_scenario(_config(), plan).counters()

@@ -2,21 +2,20 @@
 
 Three contracts are pinned here:
 
-* ``consolidation="repack"`` is the pre-refactor ``_plan_partial_repack``
+* the consolidation trial is the pre-refactor ``_plan_partial_repack``
   path, byte-identical: every attempted consolidation produces exactly
   the plan a verbatim reference implementation of the old inline logic
   (rescan-and-sort victim selection, combined-capacity check, trial
   ``pack_within``, and *no* other pre-checks) computes from the same
-  state.  This simultaneously proves the new unpairable-patch pre-check
-  is decision-neutral: it only rejects pools whose trial pack fails.
-* ``consolidation="memo"`` makes byte-identical decisions to
-  ``"repack"`` — same plan kinds, same victim sets, same final
-  placements — across randomized streams at depths 64-4096, with the
-  retry backoff both armed and disabled.  The cache may only skip trial
-  packs whose outcome is already known.
-* ``consolidation="merge"`` may drift, but stays within tight bounds of
-  ``"repack"`` (mean canvas efficiency within 1%, canvas counts within
-  3%) while preserving every packing invariant.
+  state.  This simultaneously proves the unpairable-patch pre-check is
+  decision-neutral: it only rejects pools whose trial pack fails.
+* the failed-attempt backoff holds attempts back until the queue grew
+  by the failure streak, and a success or a reset disarms it.
+* every attempt the backoff lets through either fails an exact
+  pre-check or runs the trial pack — none is turned away on a guess:
+  each pre-check firing coincides with a failing trial pack, the
+  pre-checks are decision-neutral, and a cheaper max-free-extent guess
+  would be unsound.
 """
 
 from __future__ import annotations
@@ -26,14 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.consolidation import (
-    CONSOLIDATION_POLICIES,
-    MemoPolicy,
-    MergePolicy,
-    RepackPolicy,
-    make_policy,
-    unpairable,
-)
+from repro.core import consolidation
+from repro.core.consolidation import unpairable
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
@@ -63,30 +56,45 @@ def _placement_key(canvases):
 
 def _uniform_mix(count: int, seed: int, lo: float = 64.0, hi: float = 640.0):
     rng = np.random.default_rng(seed)
-    return _patches(
-        zip(rng.uniform(lo, hi, size=count), rng.uniform(lo, hi, size=count))
-    )
+    return _patches(zip(rng.uniform(lo, hi, size=count), rng.uniform(lo, hi, size=count)))
+
+
+def _giant_mix(count: int, seed: int, share: float = 0.2):
+    """A fleet crowded with never-pairing giants: ``share`` of the RoIs
+    are :func:`unpairable` (520-800 px a side on a 1024 canvas), the
+    rest small crops.  Victim pools nearly always hold more giants than
+    canvases, the regime the unpairable pre-check rejects."""
+    rng = np.random.default_rng(seed)
+    sizes = []
+    for _ in range(count):
+        lo, hi = (520.0, 800.0) if rng.random() < share else (64.0, 400.0)
+        sizes.append(tuple(rng.uniform(lo, hi, size=2)))
+    return _patches(sizes)
 
 
 def _crowded_mix(count: int, seed: int):
-    """The consolidation benchmark's crowded-fleet mix — wide-flat RoIs
-    that pair two per canvas, near-canvas giants, and a trickle of small
-    crops: sustained wasteful-overflow pressure where trial re-packs
-    keep failing on slowly-changing victim pools (the regime the memo
-    cache exists for).  Imported from the harness so the equivalence
-    pins exercise exactly the distribution the benchmark gates."""
+    """The crowded-fleet mix — wide-flat RoIs that pair two per canvas,
+    near-canvas giants, and a trickle of small crops: sustained
+    wasteful-overflow pressure where trial re-packs keep failing on
+    slowly-changing victim pools.  Imported from the harness so the pins
+    exercise exactly the distribution the benchmark profiles."""
     from benchmarks.perf.harness import _make_crowded_patches
 
     return _make_crowded_patches(count, seed)
 
 
-def _stitcher(policy: str, retry_backoff: bool = True, **kw) -> IncrementalStitcher:
+def _stitcher(**kw) -> IncrementalStitcher:
     kw.setdefault("repack_scope", "canvas")
-    return IncrementalStitcher(
-        PatchStitchingSolver(),
-        consolidation=policy,
-        retry_backoff=retry_backoff,
-        **kw,
+    return IncrementalStitcher(PatchStitchingSolver(), **kw)
+
+
+def _envelope(canvas) -> tuple[float, float]:
+    """The canvas's max free extent ``(max_w, max_h)``: the widest and
+    the tallest free rectangle, possibly two different ones."""
+    rects = canvas.free_rectangles
+    return (
+        max((rect.width for rect in rects), default=0.0),
+        max((rect.height for rect in rects), default=0.0),
     )
 
 
@@ -96,9 +104,9 @@ def _reference_partial_plan(stitcher: IncrementalStitcher, patch: Patch):
     verbatim from first principles: victims by ascending ``(efficiency,
     canvas_index)`` over a full rescan (the heap selection was pinned to
     this order by ``tests/test_skyline.py``), the combined-capacity
-    check, and the bounded trial pack — no signature cache, no
-    unpairable pre-check.  Returns ``None`` or ``(victim_indices,
-    repacked_placement_key, canvases_after)``.
+    check, and the bounded trial pack — no unpairable pre-check.
+    Returns ``None`` or ``(victim_indices, repacked_placement_key,
+    canvases_after)``.
     """
     candidates = sorted(
         (canvas.efficiency, index)
@@ -133,7 +141,7 @@ def _reference_partial_plan(stitcher: IncrementalStitcher, patch: Patch):
 
 class TestRepackMatchesPreRefactorPath:
     def _pin_stream(self, patches, **kw):
-        stitcher = _stitcher("repack", **kw)
+        stitcher = _stitcher(**kw)
         attempts_seen = 0
         for patch in patches:
             before = stitcher.consolidation_stats["attempts"]
@@ -167,182 +175,8 @@ class TestRepackMatchesPreRefactorPath:
             assert attempts > 0, "workload never exercised consolidation"
 
 
-# ----------------------------------------------------- memo ≡ repack pin
-def _decision_trace(patches, policy: str, retry_backoff: bool, **kw):
-    stitcher = _stitcher(policy, retry_backoff=retry_backoff, **kw)
-    trace = []
-    for patch in patches:
-        plan = stitcher.probe(patch)
-        trace.append(
-            (
-                plan.kind,
-                plan.canvases_after,
-                plan.equivalent_after,
-                plan.canvas_index,
-                plan.rect_index,
-                tuple(plan.victim_indices or ()),
-            )
-        )
-        stitcher.commit(plan)
-    return stitcher, trace
-
-
-class TestMemoIsByteIdenticalToRepack:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(fitting_sizes, min_size=10, max_size=60),
-        st.booleans(),
-    )
-    def test_randomized_streams(self, size_list, retry_backoff):
-        patches = _patches(size_list)
-        repack, trace_a = _decision_trace(
-            patches, "repack", retry_backoff, partial_patch_budget=8
-        )
-        memo, trace_b = _decision_trace(
-            patches, "memo", retry_backoff, partial_patch_budget=8
-        )
-        assert trace_a == trace_b
-        assert _placement_key(repack.canvases) == _placement_key(memo.canvases)
-        assert repack.stats == memo.stats
-
-    @pytest.mark.parametrize(
-        "depth,mix",
-        [(64, "uniform"), (256, "crowded"), (1024, "crowded"), (4096, "crowded")],
-    )
-    def test_deep_streams(self, depth, mix):
-        """The satellite pin: byte-identical decisions at depths 64-4096,
-        in the no-backoff configuration where the cache actually fires."""
-        make = _uniform_mix if mix == "uniform" else _crowded_mix
-        patches = make(depth, seed=43)
-        kw = dict(max_partial_victims=24, partial_patch_budget=64)
-        repack, trace_a = _decision_trace(patches, "repack", False, **kw)
-        memo, trace_b = _decision_trace(patches, "memo", False, **kw)
-        assert trace_a == trace_b
-        assert _placement_key(repack.canvases) == _placement_key(memo.canvases)
-        assert repack.stats == memo.stats
-        if depth >= 1024:
-            # The pin is only meaningful if the cache actually skipped
-            # trial packs on this workload.
-            assert memo.consolidation_stats["memo_rejects"] > 0
-            assert (
-                memo.consolidation_stats["trial_packs"]
-                < repack.consolidation_stats["trial_packs"]
-            )
-
-    def test_memo_rejections_match_fresh_trial_outcomes(self):
-        """Every cache rejection must coincide with a trial pack that
-        would fail: re-run each rejected attempt through a pristine
-        repack policy and demand the same verdict (guards the dominance
-        assumption the frontier check leans on)."""
-        patches = _crowded_mix(512, seed=3)
-        stitcher = _stitcher(
-            "memo", retry_backoff=False, max_partial_victims=24, partial_patch_budget=64
-        )
-        engine = stitcher._consolidation
-        checked = 0
-        reference = RepackPolicy()
-        for patch in patches:
-            before = engine.stats["memo_rejects"]
-            plan = stitcher.probe(patch)
-            if engine.stats["memo_rejects"] > before:
-                assert reference.plan(engine, patch) is None
-                checked += 1
-            stitcher.commit(plan)
-        assert checked > 0, "workload never hit the cache"
-
-
-# ------------------------------------------------------- merge behaviour
-class TestMergePolicy:
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(fitting_sizes, min_size=10, max_size=60))
-    def test_invariants_hold_after_every_arrival(self, size_list):
-        stitcher = _stitcher("merge", partial_patch_budget=8)
-        patches = _patches(size_list)
-        for patch in patches:
-            stitcher.add(patch)
-            PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
-        placed = sorted(p.patch_id for c in stitcher.canvases for p in c.patches)
-        assert placed == sorted(p.patch_id for p in patches)
-
-    def test_merge_plans_are_adopted_and_preserve_patches(self):
-        patches = _uniform_mix(1024, seed=19)
-        stitcher = _stitcher("merge")
-        for patch in patches:
-            stitcher.add(patch)
-        assert stitcher.stats["merges"] > 0
-        PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
-        placed = sorted(p.patch_id for c in stitcher.canvases for p in c.patches)
-        assert placed == sorted(p.patch_id for p in patches)
-
-    def test_merge_probe_is_pure(self):
-        """Probing a merge plan twice must yield the same plan and leave
-        the packing untouched (clone-based planning)."""
-        patches = _uniform_mix(1024, seed=19)
-        stitcher = _stitcher("merge")
-        merge_patch = None
-        for patch in patches:
-            plan = stitcher.probe(patch)
-            if plan.kind == "merge":
-                merge_patch = patch
-                break
-            stitcher.commit(plan)
-        assert merge_patch is not None, "workload never planned a merge"
-        before = _placement_key(stitcher.canvases)
-        first = stitcher.probe(merge_patch)
-        second = stitcher.probe(merge_patch)
-        assert _placement_key(stitcher.canvases) == before
-        assert first.kind == second.kind == "merge"
-        assert first.victim_indices == second.victim_indices
-        first_moves = [(s, r, p.patch_id) for s, r, p in first.migrations]
-        second_moves = [(s, r, p.patch_id) for s, r, p in second.migrations]
-        assert first_moves == second_moves
-        committed = stitcher.commit(first)
-        PatchStitchingSolver.validate_packing(committed, strict=True)
-
-    def test_merge_keeps_canvas_count_flat(self):
-        """An adopted merge must not change the canvas count (that is its
-        whole value: one fewer canvas than the "new" alternative)."""
-        patches = _uniform_mix(1024, seed=19)
-        stitcher = _stitcher("merge")
-        for patch in patches:
-            plan = stitcher.probe(patch)
-            if plan.kind == "merge":
-                assert plan.canvases_after == stitcher.num_canvases
-                assert plan.equivalent_after == stitcher.equivalent
-            stitcher.commit(plan)
-            assert stitcher.num_canvases == plan.canvases_after
-
-    def test_merge_metrics_drift_is_bounded(self):
-        """The satellite drift bound: mean canvas efficiency within 1% of
-        the repack policy, canvas counts within 3%, on a deep stream."""
-        patches = _uniform_mix(2048, seed=29)
-        repack = _stitcher("repack")
-        merge = _stitcher("merge")
-        for patch in patches:
-            repack.add(patch)
-            merge.add(patch)
-        eff_repack = repack.mean_canvas_efficiency
-        eff_merge = merge.mean_canvas_efficiency
-        assert eff_merge >= 0.99 * eff_repack
-        assert abs(merge.num_canvases - repack.num_canvases) <= max(
-            1, int(0.03 * repack.num_canvases)
-        )
-
-
 # ------------------------------------------------------------ engine unit
 class TestEngineMechanics:
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError, match="consolidation"):
-            make_policy("turbo")
-        with pytest.raises(ValueError, match="consolidation"):
-            IncrementalStitcher(PatchStitchingSolver(), consolidation="turbo")
-
-    def test_policy_registry(self):
-        assert CONSOLIDATION_POLICIES == ("repack", "memo", "merge")
-        assert isinstance(make_policy("repack"), RepackPolicy)
-        assert isinstance(make_policy("memo"), MemoPolicy)
-        assert isinstance(make_policy("merge"), MergePolicy)
-
     def test_unpairable_is_strictly_more_than_half(self):
         canvas = (1024.0, 1024.0)
         assert unpairable(_patches([(513.0, 513.0)])[0], *canvas)
@@ -353,10 +187,10 @@ class TestEngineMechanics:
         """A pool of unpairable singletons plus an unpairable arrival is
         rejected without a trial pack — and the trial, if run, would have
         failed (checked via the pre-refactor reference)."""
-        sizes = [(600.0, 600.0)] * 60  # queue deeper than the patch budget
-        stitcher = _stitcher("repack", retry_backoff=False)
-        for patch in _patches(sizes):
-            stitcher.add(patch)
+        stitcher = _stitcher()
+        # A fresh queue deeper than the patch budget; reset() leaves the
+        # backoff disarmed, so the probe below attempts.
+        stitcher.reset(_patches([(600.0, 600.0)] * 60))
         probe_patch = _patches([(700.0, 700.0)])[0]
         before = stitcher.consolidation_stats["unpairable_rejects"]
         plan = stitcher.probe(probe_patch)
@@ -364,86 +198,95 @@ class TestEngineMechanics:
         assert stitcher.consolidation_stats["unpairable_rejects"] == before + 1
         assert _reference_partial_plan(stitcher, probe_patch) is None
 
-    def test_memo_cache_invalidated_by_canvas_mutation(self):
-        """A cached failure must stop matching once a member canvas
-        changes (its stamp bumps)."""
-        stitcher = _stitcher(
-            "memo", retry_backoff=False, max_partial_victims=24, partial_patch_budget=64
-        )
-        engine = stitcher._consolidation
-        for patch in _crowded_mix(512, seed=7):
-            stitcher.add(patch)
-        probe_patch = _patches([(900.0, 900.0)])[0]
-        stitcher.probe(probe_patch)  # prime or hit the cache
-        trials_before = engine.stats["trial_packs"]
-        rejects_before = engine.stats["memo_rejects"]
-        stitcher.probe(probe_patch)
-        assert engine.stats["memo_rejects"] == rejects_before + 1
-        assert engine.stats["trial_packs"] == trials_before
-        # Mutate one victim canvas through the public path: a small patch
-        # lands on it, bumping its stamp.
-        _pool, _used, victims = engine.select_victims(probe_patch)
-        victim = stitcher.canvases[victims[0]]
-        filler = _patches([(32.0, 32.0)])[0]
-        rect = victim.find_free_rectangle(filler)
-        assert rect is not None
-        victim.place(filler, rect)
-        engine.touch(victims[0])
-        stitcher.probe(probe_patch)
-        assert engine.stats["trial_packs"] > trials_before
+    def test_unknown_policy_raises(self):
+        """The repack scope is the one consolidation policy left to
+        choose; an unknown scope is rejected by the stitcher and by the
+        scheduler alike."""
+        from repro.core.scheduler import TangramScheduler
+        from repro.serverless.platform import ServerlessPlatform
+        from repro.simulation.engine import Simulator
 
-    def test_retry_backoff_gates_attempts(self):
-        """With the backoff armed, consecutive failing overflows skip
-        attempts until the queue grows; without it, every wasteful
-        overflow attempts consolidation."""
-        patches = _crowded_mix(512, seed=5)
-        gated = _stitcher("repack", retry_backoff=True)
-        for patch in patches:
-            gated.add(patch)
-        eager = _stitcher("repack", retry_backoff=False)
-        for patch in patches:
-            eager.add(patch)
-        assert (
-            eager.consolidation_stats["attempts"]
-            > gated.consolidation_stats["attempts"]
-        )
+        with pytest.raises(ValueError, match="repack_scope"):
+            IncrementalStitcher(PatchStitchingSolver(), repack_scope="turbo")
+        simulator = Simulator()
+        with pytest.raises(ValueError, match="repack_scope"):
+            TangramScheduler(simulator, ServerlessPlatform(simulator), repack_scope="turbo")
 
     def test_worst_slot_peek_does_not_consume_valid_entries(self):
-        stitcher = _stitcher("merge")
-        for patch in _uniform_mix(64, seed=1):
+        """Victim selection peeks the worst slots off the efficiency heap:
+        it may drop stale entries, but every valid entry it pops goes
+        back, so back-to-back selections agree, leave the candidates
+        untouched, and start at the least-efficient canvas."""
+        stitcher = _stitcher()
+        for patch in _uniform_mix(256, seed=1):
             stitcher.add(patch)
-        engine = stitcher._consolidation
-        first = engine.worst_slot()
-        second = engine.worst_slot()
-        assert first == second
-        worst = stitcher.canvases[first]
+        engine = stitcher.consolidation_engine
+        candidates = engine.heap_entries()
+        probe_patch = _patches([(900.0, 900.0)])[0]
+        _pool, first_used, first = engine.select_victims(probe_patch)
+        _pool, second_used, second = engine.select_victims(probe_patch)
+        assert first and first == second and first_used == second_used
+        assert engine.heap_entries() == candidates
+        worst = stitcher.canvases[first[0]]
         assert all(
             worst.efficiency <= canvas.efficiency + 1e-9
             for canvas in stitcher.canvases
             if not canvas.oversized
         )
 
+    def test_retry_backoff_gates_attempts(self):
+        """A failed attempt arms the linear backoff: until the queue has
+        grown by the failure streak no wasteful overflow attempts, and
+        the next attempt re-arms (failure) or disarms (success) it — read
+        off the engine's state around every arrival."""
+        stitcher = _stitcher()
+        engine = stitcher.consolidation_engine
+        gated = 0
+        for patch in _crowded_mix(512, seed=5):
+            queued = len(stitcher.patches)
+            retry_size, failures = engine._retry_size, engine._failures
+            attempts = engine.stats["attempts"]
+            plan = stitcher.probe(patch)
+            if engine.stats["attempts"] == attempts:
+                assert (engine._retry_size, engine._failures) == (retry_size, failures)
+                if (
+                    queued < retry_size
+                    and plan.kind == "new"
+                    and stitcher._should_repack_on_overflow(patch)
+                ):
+                    gated += 1
+            else:
+                assert queued >= retry_size, "attempted while backing off"
+                if plan.kind == "partial":
+                    assert (engine._retry_size, engine._failures) == (0, 0)
+                else:
+                    assert engine._failures == failures + 1
+                    assert engine._retry_size == queued + failures + 1
+            stitcher.commit(plan)
+        assert gated > 0, "the backoff never held back a wasteful overflow"
+
     def test_reset_clears_engine_state(self):
-        stitcher = _stitcher("memo", retry_backoff=False)
+        stitcher = _stitcher()
         for patch in _crowded_mix(256, seed=9):
             stitcher.add(patch)
-        policy = stitcher._consolidation.policy
+        engine = stitcher.consolidation_engine
+        assert engine._failures > 0, "stream never armed the backoff"
         stitcher.reset()
-        assert not policy._failed
-        assert stitcher._consolidation._failures == 0
+        assert (engine._failures, engine._retry_size) == (0, 0)
+        assert engine.heap_entries() == []
 
 
 # ------------------------------------------------------- stall predictor
 class TestStallPredictor:
-    """The drainable-area stall predictor must be *conservative*: it may
-    only reject drains the full clone-planned probe would have stalled
-    on, so merge decisions are byte-identical with the predictor on and
-    off — it can only make doomed attempts cheaper."""
+    """The two exact pre-checks are the engine's stall predictors: they
+    turn an attempt away without its trial pack only when that pack must
+    fail.  They must be *conservative* — every firing coincides with a
+    failing trial, and decisions are byte-identical with the unpairable
+    pre-check on and off — and a cheaper guess from the victims' current
+    free extents would be unsound."""
 
-    def _trace(self, patches, predictor: bool, **kw):
-        kw.setdefault("canvas_index", True)
-        stitcher = _stitcher("merge", **kw)
-        stitcher.consolidation_engine.policy.use_stall_predictor = predictor
+    def _trace(self, patches, **kw):
+        stitcher = _stitcher(**kw)
         trace = []
         for patch in patches:
             plan = stitcher.probe(patch)
@@ -458,85 +301,68 @@ class TestStallPredictor:
             stitcher.commit(plan)
         return stitcher, trace
 
-    def test_decision_neutral_on_crowded_fleet(self):
-        """The firing regime: most crowded-mix drains are provably
-        doomed (wide-flats fit no sibling), and skipping their probes
-        must not change a single decision."""
-        patches = _crowded_mix(512, seed=43)
-        kw = dict(retry_backoff=False, max_partial_victims=24, partial_patch_budget=64)
-        on, trace_on = self._trace(patches, True, **kw)
-        off, trace_off = self._trace(patches, False, **kw)
+    def _neutral(self, monkeypatch, patches, **kw):
+        on, trace_on = self._trace(patches, **kw)
+        monkeypatch.setattr(consolidation, "unpairable", lambda *_args: False)
+        off, trace_off = self._trace(patches, **kw)
         assert trace_on == trace_off
         assert _placement_key(on.canvases) == _placement_key(off.canvases)
-        assert on.consolidation_stats["stall_predicted"] > 0
+        assert off.consolidation_stats["unpairable_rejects"] == 0
+        return on
 
-    def test_decision_neutral_on_uniform_fleet(self):
-        """The committing regime: merges succeed here, so a predictor
-        that over-fired would visibly change plans."""
-        patches = _uniform_mix(1024, seed=19)
-        on, trace_on = self._trace(patches, True)
-        off, trace_off = self._trace(patches, False)
-        assert trace_on == trace_off
-        assert on.stats["merges"] > 0
-        assert on.stats["merges"] == off.stats["merges"]
+    def test_decision_neutral_on_crowded_fleet(self, monkeypatch):
+        """The firing regime: a fleet crowded with never-pairing giants,
+        where most pools are doomed and skipping their trials must not
+        change a single decision."""
+        on = self._neutral(monkeypatch, _giant_mix(512, seed=43))
+        stats = on.consolidation_stats
+        assert stats["unpairable_rejects"] > 0 and stats["trial_packs"] > 0
+
+    def test_decision_neutral_on_uniform_fleet(self, monkeypatch):
+        """The committing regime: consolidations succeed here, so a
+        pre-check that over-fired would visibly change plans."""
+        on = self._neutral(monkeypatch, _uniform_mix(1024, seed=19))
+        assert on.stats["partial_repacks"] > 0
 
     def test_predicted_stalls_match_the_full_probe(self):
-        """Every individual firing is checked against ground truth: the
-        full clone-planned drain of the same state must stall."""
-        reference = MergePolicy()
-        reference.use_stall_predictor = False
-        stitcher = _stitcher(
-            "merge",
-            canvas_index=True,
-            retry_backoff=False,
-            max_partial_victims=24,
-            partial_patch_budget=64,
-        )
+        """Every firing is checked against ground truth: the trial pack
+        of the same victim pool, run anyway, must fail."""
+        stitcher = _stitcher()
         engine = stitcher.consolidation_engine
         checked = 0
-        for patch in _crowded_mix(512, seed=43):
-            before = engine.stats["stall_predicted"]
+        for patch in _giant_mix(512, seed=43):
+            before = engine.stats["capacity_rejects"] + engine.stats["unpairable_rejects"]
             plan = stitcher.probe(patch)
-            if engine.stats["stall_predicted"] > before:
-                assert reference._plan_merge(engine, patch) is None
+            if engine.stats["capacity_rejects"] + engine.stats["unpairable_rejects"] > before:
+                pool, _used, victims = engine.select_victims(patch)
+                assert stitcher.solver.pack_within(pool, len(victims)) is None
                 checked += 1
             stitcher.commit(plan)
-        assert checked > 0, "workload never fired the predictor"
+        assert checked > 0, "workload never fired a pre-check"
 
     def test_predictor_stands_down_without_maintained_summaries(self):
-        """Without the canvas admission index there is nothing cheap to
-        consult — re-deriving every sibling's profile per attempt costs
-        more than the stalling drain — so the predictor must not fire
-        (and decisions are trivially unchanged)."""
-        patches = _crowded_mix(256, seed=43)
-        stitcher, _ = self._trace(
-            patches,
-            True,
-            canvas_index=False,
-            retry_backoff=False,
-            max_partial_victims=24,
-            partial_patch_budget=64,
-        )
-        assert stitcher.consolidation_stats["merge_stalls"] > 0
-        assert stitcher.consolidation_stats["stall_predicted"] == 0
+        """Queue scope re-packs the whole queue on overflow and never
+        consults the engine, so the engine keeps its efficiency heap
+        unmaintained there (no entry per arrival) and no pre-check ever
+        fires."""
+        stitcher = IncrementalStitcher(PatchStitchingSolver(), repack_scope="queue")
+        for patch in _crowded_mix(256, seed=43):
+            stitcher.add(patch)
+        assert stitcher.stats["full_repacks"] > 0
+        assert set(stitcher.consolidation_stats.values()) == {0}
+        assert len(stitcher.consolidation_engine.heap_entries()) <= stitcher.num_canvases
 
     def test_max_free_extent_precheck_is_unsound(self):
-        """PR 4's lesson, pinned as a constructed counterexample: an
-        incoming patch *taller than every victim's max free extent*
-        whose trial re-pack still consolidates — rearranging the
-        victims' patches opens a row no current free rectangle shows.
-        Any pre-check that rejects on the victims' current extents
-        would wrongly reject this plan (which is why the drainable-area
-        predictor bounds what *migrates into existing rectangles*
-        instead — re-packs conjure new room, drains do not)."""
-        from repro.core.canvas_index import canvas_envelope
-
+        """A constructed counterexample to a tempting pre-check: an
+        incoming patch *taller than every victim's max free extent* whose
+        trial re-pack still consolidates — rearranging the victims'
+        patches opens a row no current free rectangle shows.  Any
+        pre-check that rejects on the victims' current extents would
+        wrongly reject this plan."""
         solver = PatchStitchingSolver(canvas_width=100.0, canvas_height=100.0)
         stitcher = IncrementalStitcher(
             solver,
             repack_scope="canvas",
-            consolidation="repack",
-            retry_backoff=False,
             max_partial_victims=2,
             partial_patch_budget=5,
         )
@@ -558,7 +384,7 @@ class TestStallPredictor:
         assert plan.kind == "partial", "the trial re-pack must consolidate"
         assert plan.victim_indices == [0, 1]
         for index in plan.victim_indices:
-            env_w, env_h = canvas_envelope(stitcher.canvases[index])
+            env_w, env_h = _envelope(stitcher.canvases[index])
             assert incoming.width > env_w or incoming.height > env_h, (
                 "counterexample requires the patch to exceed the victim's "
                 "max free extent"
@@ -567,32 +393,72 @@ class TestStallPredictor:
         PatchStitchingSolver.validate_packing(committed, strict=True)
 
 
+# ----------------------------------------------------- attempt accounting
+def test_every_unrejected_attempt_runs_a_trial_pack(monkeypatch):
+    """No attempt is turned away on a guess: each one the backoff lets
+    through either fails an exact pre-check or runs the trial pack.
+    Pinned on the smallest fleet run found shaped like the benchmark's
+    churn workload (10% dropout, 2% loss, two 2x bursts) whose deep
+    queue re-tries victim pools that already failed — where skipping
+    trials for remembered failures turns attempts away."""
+    from repro.fleet import FaultPlan, FleetScenarioConfig, FleetWorkloadConfig, camera_ids
+    from repro.fleet import scenario
+
+    schedulers = []
+
+    class RecordingScheduler(scenario.TangramScheduler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            schedulers.append(self)
+
+    monkeypatch.setattr(scenario, "TangramScheduler", RecordingScheduler)
+    workload = FleetWorkloadConfig(
+        num_cameras=28, fps=4.0, duration_s=0.5, patches_per_frame=2, slo=1.0, seed=0
+    )
+    plan = FaultPlan.generate(
+        seed=0,
+        camera_ids=camera_ids(workload),
+        duration=workload.duration_s,
+        dropout_fraction=0.1,
+        dropout_duration=workload.duration_s,
+        loss_probability=0.02,
+        burst_count=2,
+        burst_multiplier=2.0,
+    )
+    result = scenario.run_fleet_scenario(FleetScenarioConfig(workload=workload), plan)
+    assert result.errors == 0
+    (scheduler,) = schedulers
+    stats = scheduler.consolidation_stats
+    assert stats["attempts"] > 0
+    assert stats["attempts"] == (
+        stats["trial_packs"] + stats["capacity_rejects"] + stats["unpairable_rejects"]
+    )
+
+
 # --------------------------------------------------------------- plumbing
 class TestKnobPlumbing:
     def test_endtoend_config_validates_policy(self):
+        """The end-to-end config resolves its repack-scope policy
+        through the options record, which rejects unknown scopes."""
         from repro.pipeline.endtoend import EndToEndConfig
 
-        with pytest.raises(ValueError, match="scheduler_consolidation"):
-            EndToEndConfig(scheduler_consolidation="turbo")
-        config = EndToEndConfig(
-            scheduler_repack_scope="canvas", scheduler_consolidation="merge"
-        )
-        assert config.scheduler_consolidation == "merge"
+        with pytest.raises(ValueError, match="repack_scope"):
+            EndToEndConfig(scheduler_repack_scope="turbo").resolved_scheduler_options()
+        config = EndToEndConfig(scheduler_repack_scope="canvas")
+        assert config.resolved_scheduler_options().repack_scope == "canvas"
 
     def test_tangram_config_reaches_the_stitcher(self):
         from repro.core.tangram import Tangram, TangramConfig
         from repro.serverless.platform import ServerlessPlatform
         from repro.simulation.engine import Simulator
 
-        config = TangramConfig(
-            scheduler_repack_scope="canvas", scheduler_consolidation="merge"
-        )
+        config = TangramConfig(scheduler_repack_scope="canvas")
         tangram = Tangram(config=config)
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
         scheduler = tangram.build_online_scheduler(simulator, platform)
-        assert scheduler._packer.consolidation == "merge"
-        assert isinstance(scheduler._packer._consolidation.policy, MergePolicy)
+        assert scheduler._packer.repack_scope == "canvas"
+        assert scheduler._packer.consolidation_engine.stitcher is scheduler._packer
 
     def test_scheduler_exposes_consolidation_stats(self):
         from repro.core.scheduler import TangramScheduler
@@ -601,8 +467,10 @@ class TestKnobPlumbing:
 
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
-        scheduler = TangramScheduler(
-            simulator, platform, repack_scope="canvas", retry_backoff=False
-        )
-        stats = scheduler.consolidation_stats
-        assert set(stats) >= {"attempts", "trial_packs", "memo_rejects"}
+        scheduler = TangramScheduler(simulator, platform, repack_scope="canvas")
+        assert set(scheduler.consolidation_stats) == {
+            "attempts",
+            "trial_packs",
+            "capacity_rejects",
+            "unpairable_rejects",
+        }

@@ -22,6 +22,7 @@ from repro.core.stitching import (
     equivalent_canvases,
 )
 from repro.video.geometry import Box
+from tests.conftest import AlwaysRepackStitcher
 
 patch_sizes = st.tuples(
     st.floats(min_value=10.0, max_value=1500.0, allow_nan=False),
@@ -84,10 +85,10 @@ def test_incremental_efficiency_within_tolerance_of_batch(size_list):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=30))
 def test_always_repack_mode_is_identical_to_batch_packer(size_list):
-    """Full-repack-equivalent mode reproduces the batch packer placement
+    """The always-re-pack oracle reproduces the batch packer placement
     for placement — the scheduler equivalence tests build on this."""
     patches = _patches(size_list)
-    stitcher = IncrementalStitcher(PatchStitchingSolver(), always_repack=True)
+    stitcher = AlwaysRepackStitcher(PatchStitchingSolver())
     for patch in patches:
         stitcher.add(patch)
     batch = PatchStitchingSolver().pack(patches)
@@ -306,108 +307,3 @@ def test_queue_scope_unchanged_by_default():
     stitcher = IncrementalStitcher(PatchStitchingSolver())
     assert stitcher.repack_scope == "queue"
     assert stitcher.stats["partial_repacks"] == 0
-
-
-# ------------------------------------------------------- adaptive budget
-class TestAdaptiveBudget:
-    """The adaptive consolidation budget: equal to the static knob by
-    default and on shallow queues, ramping from a quarter of the knob to
-    the full knob with the wasteful-overflow streak once the queue is
-    fleet-deep, and never exceeding the static bound."""
-
-    def _deep_stitcher(self, **kw):
-        kw.setdefault("partial_patch_budget", 48)
-        return IncrementalStitcher(
-            PatchStitchingSolver(),
-            repack_scope="canvas",
-            adaptive_budget=True,
-            **kw,
-        )
-
-    def test_static_when_off_or_shallow(self):
-        static = IncrementalStitcher(PatchStitchingSolver(), repack_scope="canvas")
-        assert static.effective_patch_budget == static.partial_patch_budget
-        adaptive = self._deep_stitcher()
-        # Empty queue is as shallow as it gets: static behaviour.
-        assert adaptive.effective_patch_budget == 48
-        adaptive._overflow_streak = 100
-        assert adaptive.effective_patch_budget == 48
-
-    def test_ramp_is_monotone_and_bounded(self):
-        stitcher = self._deep_stitcher()
-        # Force the deep-queue regime without running 384 arrivals.
-        stitcher._patches = _patches([(10.0, 10.0)]) * 400
-        budgets = []
-        for streak in range(12):
-            stitcher._overflow_streak = streak
-            budgets.append(stitcher.effective_patch_budget)
-        assert budgets[0] == 12  # floor = static // 4
-        assert budgets == sorted(budgets)  # monotone ramp
-        assert budgets[-1] == 48  # capped at the static knob
-        assert all(12 <= budget <= 48 for budget in budgets)
-
-    def test_streak_resets_on_committed_consolidation(self):
-        import numpy as np
-
-        rng = np.random.default_rng(19)
-        patches = _patches(
-            zip(
-                (float(w) for w in rng.uniform(64, 640, 700)),
-                (float(h) for h in rng.uniform(64, 640, 700)),
-            )
-        )
-        stitcher = self._deep_stitcher()
-        saw_deep_reset = False
-        for patch in patches:
-            plan = stitcher.probe(patch)
-            stitcher.commit(plan)
-            if plan.kind in ("partial", "merge", "repack"):
-                assert stitcher._overflow_streak == 0
-                if len(stitcher.patches) > 8 * 48:
-                    saw_deep_reset = True
-        assert stitcher.stats["partial_repacks"] > 0
-        assert saw_deep_reset, "stream never consolidated in the deep regime"
-
-    def test_shallow_stream_is_byte_identical_to_static(self):
-        """Below the deep-queue threshold the knob must change nothing:
-        the flushing-stream quality contract relies on it."""
-        import numpy as np
-
-        rng = np.random.default_rng(7)
-        patches = _patches(
-            zip(
-                (float(w) for w in rng.uniform(64, 640, 350)),
-                (float(h) for h in rng.uniform(64, 640, 350)),
-            )
-        )
-        adaptive = self._deep_stitcher()
-        static = IncrementalStitcher(PatchStitchingSolver(), repack_scope="canvas")
-        for patch in patches:
-            adaptive.add(patch)
-            static.add(patch)
-        assert _placement_key(adaptive.canvases) == _placement_key(static.canvases)
-        assert adaptive.stats == static.stats
-
-    def test_deep_stream_drift_is_bounded(self):
-        """Fleet-deep, the throttled budget may drift the live packing,
-        within documented bounds: canvas count within 3% and mean
-        canvas efficiency >= 0.97 of the static path."""
-        import numpy as np
-
-        rng = np.random.default_rng(29)
-        patches = _patches(
-            zip(
-                (float(w) for w in rng.uniform(64, 640, 2048)),
-                (float(h) for h in rng.uniform(64, 640, 2048)),
-            )
-        )
-        adaptive = self._deep_stitcher()
-        static = IncrementalStitcher(PatchStitchingSolver(), repack_scope="canvas")
-        for patch in patches:
-            adaptive.add(patch)
-            static.add(patch)
-        PatchStitchingSolver.validate_packing(adaptive.canvases, strict=True)
-        assert abs(adaptive.num_canvases - static.num_canvases) <= max(
-            1, math.ceil(0.03 * static.num_canvases)
-        )
-        assert adaptive.mean_canvas_efficiency >= 0.97 * static.mean_canvas_efficiency

@@ -1,27 +1,27 @@
-"""The cross-policy equivalence matrix: one parametrised stream test.
+"""The cross-configuration matrix: one parametrised test per surviving axis.
 
-The knob grid the arrival path now exposes — 2 canvas structures
-(``skyline``/``guillotine``) x 3 consolidation policies
-(``repack``/``memo``/``merge``) x probe index on/off (the fleet-scale
-canvas admission index vs the linear canvas sweep) — is pinned here as
-the **single source of truth** for the documented metric contracts,
-replacing the per-PR pairwise pins scattered across earlier suites (the
-byte-level pins those suites carry remain; this matrix is the one place
-the *metric* contracts live):
+Every decision of the arrival path has one production path except the
+canvas free-space structure (``skyline``/``guillotine``), so that is the
+matrix's stream axis.  Each stream cell is ``(reprobe, consolidation,
+structure)``: consolidation has the one path, the plain trial
+``repack``, and the re-probe arm probes every arrival twice before
+committing (the scheduler re-probes a patch it vetoed once).  This
+module is the **single source of truth** for the documented metric
+contracts across the surviving axes (the byte-level pins of other
+suites stay where they are):
 
-* ``memo`` is byte-identical to ``repack`` and the canvas index is
-  byte-identical to the linear sweep, so within one structure the four
-  repack/memo combos must produce *exactly* the same placements;
-* ``merge`` may drift, bounded by mean canvas efficiency within 1% of
-  the structure's ``repack`` reference and canvas counts within 3%
-  (the PR-4 contract, now asserted per structure and per index arm);
-* across structures, the references track each other within the PR-3
-  bounds (canvas counts within 5%, mean efficiency ratio >= 0.97).
+* per structure, a deep canvas-scope stream keeps every packing invariant,
+  loses no patch, and exercises genuine victim consolidation;
+* probing is pure: the re-probe arm makes exactly the single-probe arm's
+  placements;
+* across structures, the two packings track each other (canvas counts
+  within 5%, mean efficiency ratio >= 0.97);
+* fault-free fleet ingest is byte-identical to the plain scheduler path;
+* ``shards in {1, 4}``: one shard is placement-equal to the unsharded
+  fleet path, four stay within the stream-drift bounds.
 
 Depth 2048 on the benchmark's uniform fleet distribution: deep enough
-that every combo exercises genuine victim consolidation (asserted), and
-the depth at which the merge drift bound is seed-robust (at 1024 the
-per-seed variance crosses 1%).
+that both structures consolidate victims (asserted).
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ DEPTH = 2048
 SEED = 43
 
 STRUCTURES = ("skyline", "guillotine")
-POLICIES = ("repack", "memo", "merge")
-INDEX_ARMS = (True, False)  # canvas admission index on / linear sweep
+#: Consolidation path -> the stitcher counter its adoptions bump.
+CONSOLIDATIONS = {"repack": "partial_repacks"}
+REPROBE_ARMS = (True, False)
 
 
 def _patches(count: int, seed: int) -> list[Patch]:
@@ -59,37 +60,30 @@ def _patches(count: int, seed: int) -> list[Patch]:
     ]
 
 
-def _run(structure: str, policy: str, canvas_index: bool):
+def _run(structure: str, reprobe: bool):
     patches = _stream()
     stitcher = IncrementalStitcher(
-        PatchStitchingSolver(canvas_structure=structure),
-        repack_scope="canvas",
-        consolidation=policy,
-        canvas_index=canvas_index,
-        use_index=False,
+        PatchStitchingSolver(canvas_structure=structure), repack_scope="canvas"
     )
     for patch in patches:
-        stitcher.add(patch)
+        if reprobe:
+            stitcher.probe(patch)
+        stitcher.commit(stitcher.probe(patch))
     PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
     placed = sorted(p.patch_id for c in stitcher.canvases for p in c.patches)
     assert placed == sorted(p.patch_id for p in patches), "patches lost"
     key = [(p.patch.patch_id, p.x, p.y) for c in stitcher.canvases for p in c.placements]
-    consolidations = (
-        stitcher.stats["partial_repacks"]
-        + stitcher.stats["merges"]
-        + stitcher.stats["full_repacks"]
-    )
     return {
         "canvases": stitcher.num_canvases,
         "efficiency": stitcher.mean_canvas_efficiency,
         "key": key,
-        "consolidations": consolidations,
+        "stats": dict(stitcher.stats),
     }
 
 
-#: Shared stream and per-combo results, computed lazily on first use so
-#: collection stays free and ``-k`` selections only run what they read
-#: (each combo runs once, not once per assert).
+#: Shared stream and per-structure results, computed lazily on first use
+#: so collection stays free and ``-k`` selections only run what they read
+#: (each structure runs once, not once per assert).
 _CACHE: dict = {}
 
 
@@ -99,35 +93,30 @@ def _stream():
     return _CACHE["patches"]
 
 
-def _result(structure: str, policy: str, canvas_index: bool):
-    key = (structure, policy, canvas_index)
+def _result(structure: str, reprobe: bool = False):
+    key = (structure, reprobe)
     if key not in _CACHE:
-        _CACHE[key] = _run(structure, policy, canvas_index)
+        _CACHE[key] = _run(structure, reprobe)
     return _CACHE[key]
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
-@pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("canvas_index", INDEX_ARMS)
-def test_matrix_metric_contracts(structure, policy, canvas_index):
-    reference = _result(structure, "repack", False)
-    combo = _result(structure, policy, canvas_index)
-    assert combo["consolidations"] > 0, "combo never exercised consolidation"
-    if policy in ("repack", "memo"):
-        # Byte-identical contracts compose: memo == repack and canvas
-        # index == linear sweep, so the whole quadrant is one packing.
-        assert combo["key"] == reference["key"]
-        return
-    # "merge" may drift, within the documented bounds.
-    assert combo["efficiency"] >= 0.99 * reference["efficiency"]
-    assert abs(combo["canvases"] - reference["canvases"]) <= max(
-        1, math.ceil(0.03 * reference["canvases"])
-    )
+@pytest.mark.parametrize("consolidation", CONSOLIDATIONS)
+@pytest.mark.parametrize("reprobe", REPROBE_ARMS)
+def test_matrix_metric_contracts(structure, consolidation, reprobe):
+    combo = _result(structure, reprobe)
+    consolidated = combo["stats"][CONSOLIDATIONS[consolidation]]
+    assert consolidated > 0, "stream never consolidated victims"
+    # Probes mutate nothing a decision reads, so probing every arrival
+    # twice must reproduce the single-probe packing exactly.
+    reference = _result(structure)
+    assert combo["key"] == reference["key"]
+    assert combo["stats"]["probes"] == (2 if reprobe else 1) * DEPTH
 
 
 def test_structures_track_each_other():
-    skyline = _result("skyline", "repack", False)
-    guillotine = _result("guillotine", "repack", False)
+    skyline = _result("skyline")
+    guillotine = _result("guillotine")
     assert abs(skyline["canvases"] - guillotine["canvases"]) <= max(
         1, math.ceil(0.05 * guillotine["canvases"])
     )
@@ -196,9 +185,7 @@ def _timed_run(via_ingestor: bool):
     ingestor = FleetIngestor(simulator, scheduler) if via_ingestor else None
     deliver = ingestor.offer if via_ingestor else scheduler.receive_patch
     for patch in _timed_patches():
-        simulator.schedule_at(
-            patch.generation_time, lambda _sim, patch=patch: deliver(patch)
-        )
+        simulator.schedule_at(patch.generation_time, lambda _sim, patch=patch: deliver(patch))
     simulator.run()
     if ingestor is not None:
         ingestor.flush()
@@ -227,14 +214,13 @@ def test_fault_free_fleet_ingest_is_byte_identical():
 
 
 # --------------------------------------------------------------------------
-# Sharded-frontend axis (ISSUE 8): the ``shards in {1, 4}`` cells of the
-# matrix.  ``shards=1`` must be *placement-equal* to the unsharded fleet
-# path (same per-batch keys: times, cost, efficiencies, placements,
-# outcome identities -- and same counters).  ``shards=4`` partitions the
-# stream across four independent packers, so its packing may drift, but
-# only within the same contract bounds the merge policy is held to above:
-# mean canvas efficiency within 1% of the unsharded reference and canvas
-# counts within 3%.
+# Sharded-frontend axis: the ``shards in {1, 4}`` cells of the matrix.
+# ``shards=1`` must be *placement-equal* to the unsharded fleet path (same
+# per-batch keys: times, cost, efficiencies, placements, outcome
+# identities -- and same counters).  ``shards=4`` partitions the stream
+# across four independent packers, so its packing may drift, but only
+# within the stream-drift bounds: mean canvas efficiency within 1% of the
+# unsharded reference and canvas counts within 3%.
 #
 # The 4-shard cell runs a 128-camera / 16 fps fleet: parity is a
 # saturation property (each shard's arrival rate must still fill
@@ -249,13 +235,9 @@ def _shard_base(record_placements: bool):
     from repro.fleet import FleetScenarioConfig, FleetWorkloadConfig
 
     if record_placements:
-        workload = FleetWorkloadConfig(
-            num_cameras=16, fps=4.0, duration_s=3.0, seed=11
-        )
+        workload = FleetWorkloadConfig(num_cameras=16, fps=4.0, duration_s=3.0, seed=11)
     else:
-        workload = FleetWorkloadConfig(
-            num_cameras=128, fps=16.0, duration_s=2.0, seed=11
-        )
+        workload = FleetWorkloadConfig(num_cameras=128, fps=16.0, duration_s=2.0, seed=11)
     return FleetScenarioConfig(
         workload=workload,
         seed=3,

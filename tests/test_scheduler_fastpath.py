@@ -2,10 +2,12 @@
 
 Two layers of guarantees:
 
-* in **full-repack-equivalent mode** the fast path must produce
-  *byte-identical* ``BatchRecord`` metrics to ``incremental=False`` — same
-  invoke times, costs, canvas counts, efficiencies — because every
-  scheduling decision is made from the same packing;
+* in **full-repack-equivalent mode** (the fast path driving the
+  :class:`~tests.conftest.AlwaysRepackStitcher` oracle) the scheduler
+  must produce *byte-identical* ``BatchRecord`` metrics to
+  ``incremental=False`` — same invoke times, costs, canvas counts,
+  efficiencies — because every scheduling decision is made from the
+  same packing;
 * in the default **incremental mode** the metrics may differ slightly, but
   the behavioural guarantees (SLO compliance, memory constraint, flush
   semantics) must hold unchanged.
@@ -23,7 +25,7 @@ from repro.serverless.platform import ServerlessPlatform
 from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
 from repro.vision.detector import DetectorLatencyModel
-from tests.conftest import make_patch
+from tests.conftest import make_patch, use_always_repack
 
 
 def _scheduler(simulator: Simulator, **kwargs) -> TangramScheduler:
@@ -55,16 +57,19 @@ def _arrival_trace(count: int = 90, seed: int = 11):
     ]
 
 
-def _run_trace(trace, **scheduler_kwargs):
+def _run_trace(trace, always_repack=False, **scheduler_kwargs):
     """Run an arrival trace of (patch, arrival) pairs or raw size tuples.
 
     ``Patch`` is frozen, so identity-critical tests build the patches once
     and replay the *same* objects through differently configured
     schedulers (patch ids are globally assigned and would otherwise
-    differ between runs).
+    differ between runs).  ``always_repack`` injects the always-re-pack
+    oracle into the fast path.
     """
     simulator = Simulator()
     scheduler = _scheduler(simulator, **scheduler_kwargs)
+    if always_repack:
+        use_always_repack(scheduler)
     for entry in trace:
         if len(entry) == 2:
             patch, arrival = entry
@@ -113,7 +118,7 @@ def test_full_repack_equivalent_mode_metrics_are_identical():
     produce byte-identical BatchRecord metrics on a mixed arrival trace."""
     trace = _materialise(_arrival_trace())
     literal = _run_trace(trace, incremental=False)
-    equivalent = _run_trace(trace, incremental=True, full_repack_equivalent=True)
+    equivalent = _run_trace(trace, always_repack=True, incremental=True)
     assert _batch_metrics(literal) == _batch_metrics(equivalent)
 
 
@@ -196,7 +201,7 @@ def test_fast_path_tracks_earliest_deadline_like_literal_mode():
         ]
     )
     literal = _run_trace(trace, incremental=False)
-    fast = _run_trace(trace, incremental=True, full_repack_equivalent=True)
+    fast = _run_trace(trace, always_repack=True, incremental=True)
     assert [b.invoke_time for b in literal.batches] == [
         b.invoke_time for b in fast.batches
     ]

@@ -1,21 +1,23 @@
 """The SchedulerOptions API: one frozen record for every scheduler knob.
 
-The contract of the redesign (ISSUE 8):
+The contract of the redesign:
 
 * every knob keeps its historical default, so ``SchedulerOptions()`` is
-  the status quo;
+  the status quo, and the record holds exactly the seven knobs the
+  benchmark workloads exercise;
 * the legacy per-kwarg surface stays as a thin back-compat layer: an
   explicitly passed kwarg overrides the matching ``options=`` field, and
   a kwargs-built object is byte-identical to an options-built one;
-* ``use_index=`` is formally deprecated (superseded by ``canvas_index=``
-  in PR 5) -- passing it explicitly emits ``DeprecationWarning`` on both
-  ``IncrementalStitcher`` and ``TangramScheduler``;
+* removed knobs stay removed: ``use_index=`` is rejected, and the
+  always-re-pack mode lives on as a test oracle with the same meaning;
 * ``TangramConfig`` / ``EndToEndConfig`` resolve their scattered
   ``scheduler_*`` fields into one options record (a provided
   ``scheduler_options=`` wins wholesale).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -58,17 +60,20 @@ def _placements(stitcher: IncrementalStitcher) -> list[tuple]:
 class TestSchedulerOptionsRecord:
     def test_defaults_match_historical_kwarg_defaults(self):
         options = SchedulerOptions()
+        assert [field.name for field in dataclasses.fields(options)] == [
+            "incremental",
+            "drift_margin",
+            "repack_scope",
+            "max_partial_victims",
+            "partial_patch_budget",
+            "canvas_structure",
+            "admission_watermark",
+        ]
         assert options.incremental is True
         assert options.drift_margin == 0.05
         assert options.repack_scope == "queue"
-        assert options.consolidation == "memo"
-        assert options.retry_backoff is True
-        assert options.use_index is True
-        assert options.canvas_index is False
-        assert options.adaptive_budget is False
         assert options.max_partial_victims == 8
         assert options.partial_patch_budget == 48
-        assert options.full_repack_equivalent is False
         assert options.canvas_structure == "skyline"
         assert options.admission_watermark is None
 
@@ -76,8 +81,8 @@ class TestSchedulerOptionsRecord:
         "overrides",
         [
             {"drift_margin": -0.1},
+            {"drift_margin": float("nan")},
             {"repack_scope": "galaxy"},
-            {"consolidation": "nope"},
             {"canvas_structure": "voronoi"},
             {"max_partial_victims": 0},
             {"partial_patch_budget": 1},
@@ -93,35 +98,37 @@ class TestSchedulerOptionsRecord:
             SchedulerOptions().drift_margin = 0.2  # type: ignore[misc]
 
     def test_replace_revalidates(self):
-        options = SchedulerOptions().replace(consolidation="merge")
-        assert options.consolidation == "merge"
+        options = SchedulerOptions().replace(repack_scope="canvas")
+        assert options.repack_scope == "canvas"
         with pytest.raises(ValueError):
             options.replace(repack_scope="galaxy")
 
     def test_merged_with_skips_unset_and_overrides_set(self):
         from repro.core.options import UNSET
 
-        base = SchedulerOptions(consolidation="merge", drift_margin=0.1)
+        base = SchedulerOptions(repack_scope="canvas", drift_margin=0.1)
         merged = base.merged_with(
-            consolidation=UNSET, drift_margin=0.2, canvas_index=UNSET
+            repack_scope=UNSET, drift_margin=0.2, admission_watermark=UNSET
         )
-        assert merged.consolidation == "merge"
+        assert merged.repack_scope == "canvas"
         assert merged.drift_margin == 0.2
-        assert merged.canvas_index is False
+        assert merged.admission_watermark is None
 
     def test_describe_is_json_friendly(self):
         import json
 
-        payload = SchedulerOptions().describe()
-        assert json.loads(json.dumps(payload))["repack_scope"] in REPACK_SCOPES
+        # ``inf`` is the documented "never re-pack on overflow" setting:
+        # it validates, and describe() stringifies it.
+        payload = SchedulerOptions(drift_margin=float("inf")).describe()
+        decoded = json.loads(json.dumps(payload))
+        assert decoded["repack_scope"] in REPACK_SCOPES
+        assert decoded["drift_margin"] == "inf"
 
 
 class TestBackCompatEquivalence:
     def test_stitcher_kwargs_equal_options(self):
         kwargs = dict(
             repack_scope="canvas",
-            consolidation="merge",
-            canvas_index=True,
             max_partial_victims=4,
             partial_patch_budget=32,
         )
@@ -139,53 +146,37 @@ class TestBackCompatEquivalence:
     def test_explicit_kwarg_overrides_options_field(self):
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(),
-            options=SchedulerOptions(consolidation="repack"),
-            consolidation="merge",
+            options=SchedulerOptions(repack_scope="queue"),
+            repack_scope="canvas",
         )
-        assert stitcher.options.consolidation == "merge"
+        assert stitcher.options.repack_scope == "canvas"
 
     def test_always_repack_maps_to_full_repack_equivalent(self):
-        stitcher = IncrementalStitcher(PatchStitchingSolver(), always_repack=True)
-        assert stitcher.options.full_repack_equivalent is True
+        """The always-re-pack oracle the equivalence suites inject keeps
+        what ``always_repack=True`` meant: under the same options, its
+        live packing after every arrival is the batch packing of the
+        whole queue — the literal Algorithm 2 state."""
+        from tests.conftest import AlwaysRepackStitcher
+
+        def key(canvases):
+            return [(p.patch.patch_id, p.x, p.y) for c in canvases for p in c.placements]
+
+        solver = PatchStitchingSolver()
+        options = SchedulerOptions(repack_scope="canvas", partial_patch_budget=8)
+        oracle = AlwaysRepackStitcher(solver, options=options)
+        queue: list[Patch] = []
+        for patch in _patches(count=40):
+            queue.append(patch)
+            oracle.add(patch)
+            assert key(oracle.canvases) == key(solver.pack(queue))
+        assert oracle.options is options
+        assert oracle.stats["full_repacks"] == len(queue)
 
 
 class TestUseIndexDeprecation:
-    def test_stitcher_warns(self):
-        with pytest.warns(DeprecationWarning, match="canvas_index"):
-            stitcher = IncrementalStitcher(PatchStitchingSolver(), use_index=False)
-        assert stitcher.options.use_index is False
-
-    def test_scheduler_warns(self):
-        from repro.core.latency import LatencyEstimator
-        from repro.core.scheduler import TangramScheduler
-        from repro.serverless.platform import ScalingPolicy, ServerlessPlatform
-        from repro.simulation.engine import Simulator
-        from repro.simulation.random_streams import RandomStreams
-        from repro.vision.detector import DetectorLatencyModel
-
-        simulator = Simulator()
-        streams = RandomStreams(3)
-        model = DetectorLatencyModel.serverless()
-        platform = ServerlessPlatform(
-            simulator, scaling=ScalingPolicy(max_instances=2)
-        )
-        estimator = LatencyEstimator(
-            latency_model=model,
-            canvas_width=1024.0,
-            canvas_height=1024.0,
-            iterations=10,
-            streams=streams.spawn("estimator"),
-        )
-        with pytest.warns(DeprecationWarning, match="canvas_index"):
-            scheduler = TangramScheduler(
-                simulator,
-                platform,
-                estimator=estimator,
-                latency_model=model,
-                streams=streams.spawn("scheduler"),
-                use_index=False,
-            )
-        assert scheduler.options.use_index is False
+    """``use_index=`` finished its deprecation cycle: the knob is gone
+    from every layer, so building through the options record has nothing
+    left to warn about and the old kwarg fails loudly."""
 
     def test_options_path_does_not_warn(self):
         import warnings
@@ -193,10 +184,13 @@ class TestUseIndexDeprecation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             stitcher = IncrementalStitcher(
-                PatchStitchingSolver(),
-                options=SchedulerOptions(use_index=False),
+                PatchStitchingSolver(), options=SchedulerOptions(repack_scope="canvas")
             )
-        assert stitcher.options.use_index is False
+            for patch in _patches(count=16):
+                stitcher.add(patch)
+        assert stitcher.options == SchedulerOptions(repack_scope="canvas")
+        with pytest.raises(TypeError):
+            IncrementalStitcher(PatchStitchingSolver(), use_index=False)
 
 
 class TestConfigResolution:
@@ -205,33 +199,31 @@ class TestConfigResolution:
             scheduler_incremental=False,
             scheduler_drift_margin=0.2,
             scheduler_repack_scope="canvas",
-            scheduler_consolidation="merge",
             canvas_structure="guillotine",
+            scheduler_admission_watermark=16,
         )
         options = config.resolved_scheduler_options()
         assert options.incremental is False
         assert options.drift_margin == 0.2
         assert options.repack_scope == "canvas"
-        assert options.consolidation == "merge"
         assert options.canvas_structure == "guillotine"
+        assert options.admission_watermark == 16
 
     def test_tangram_config_options_win_wholesale(self):
-        record = SchedulerOptions(consolidation="repack", drift_margin=0.3)
-        config = TangramConfig(
-            scheduler_consolidation="merge", scheduler_options=record
-        )
+        record = SchedulerOptions(repack_scope="canvas", drift_margin=0.3)
+        config = TangramConfig(scheduler_repack_scope="queue", scheduler_options=record)
         assert config.resolved_scheduler_options() is record
 
     def test_endtoend_config_maps_scattered_fields(self):
         config = EndToEndConfig(
             scheduler_repack_scope="canvas",
-            scheduler_consolidation="merge",
-            scheduler_canvas_index=True,
+            scheduler_drift_margin=0.2,
+            scheduler_admission_watermark=16,
         )
         options = config.resolved_scheduler_options()
         assert options.repack_scope == "canvas"
-        assert options.consolidation == "merge"
-        assert options.canvas_index is True
+        assert options.drift_margin == 0.2
+        assert options.admission_watermark == 16
 
     def test_endtoend_config_options_win_wholesale(self):
         record = SchedulerOptions(repack_scope="canvas")

@@ -12,8 +12,8 @@ Four pins:
   these are the always-on pins).
 * **Best-fit exactness** — ``Skyline.best_fit``'s bisect fast-reject and
   tuple scan return exactly what a naive scan over ``free_rectangles``
-  would, and the size-class index stays byte-identical to the linear
-  probe on skyline canvases.
+  would, and the stitcher's global probe picks the canvas a naive scan
+  of every live skyline canvas would.
 * **Efficiency-heap selection** — ``_plan_partial_repack``'s running
   min-heap picks exactly the victims the former sort-per-overflow did.
 """
@@ -241,23 +241,26 @@ class TestBestFitExactness:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(patch_sizes, min_size=1, max_size=40))
     def test_index_matches_linear_probe_on_skyline_canvases(self, size_list):
-        """The size-class index must stay byte-identical to the linear
-        global BSSF when the pools underneath are skyline candidates."""
-        indexed = IncrementalStitcher(
-            PatchStitchingSolver(canvas_structure="skyline"), use_index=True
-        )
-        linear = IncrementalStitcher(
-            PatchStitchingSolver(canvas_structure="skyline"), use_index=False
-        )
+        """The canvas index, rectangle and score the stitcher's probe
+        picks equal a naive global scan of every live skyline canvas's
+        ``free_rectangles`` (first canvas wins ties): the per-canvas
+        bisect fast-reject never hides the global best short-side fit."""
+        stitcher = IncrementalStitcher(PatchStitchingSolver(canvas_structure="skyline"))
         for patch in _patches(size_list):
-            indexed.add(patch)
-            linear.add(patch)
-            key = lambda stitcher: [
-                (p.patch.patch_id, p.x, p.y)
-                for c in stitcher.canvases
-                for p in c.placements
-            ]
-            assert key(indexed) == key(linear)
+            expected = None
+            for index, canvas in enumerate(stitcher.canvases):
+                if canvas.oversized:
+                    continue
+                fit = _naive_best_fit(canvas, patch)
+                if fit is not None and (expected is None or fit[1] < expected[2]):
+                    expected = (index, fit[0], fit[1])
+            assert stitcher.linear_best_fit(patch) == expected
+            plan = stitcher.probe(patch)
+            if plan.kind == "fit":
+                assert (plan.canvas_index, plan.rect_index) == expected[:2]
+            else:
+                assert expected is None
+            stitcher.commit(plan)
 
 
 # ------------------------------------------- skyline vs guillotine metrics

@@ -4,8 +4,32 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.stitching import Canvas, PatchStitchingSolver
+from repro.core.stitching import Canvas, IncrementalStitcher, PatchStitchingSolver
 from tests.conftest import make_patch
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: PatchStitchingSolver(canvas_width=NAN), id="solver-width-nan"),
+        pytest.param(lambda: PatchStitchingSolver(canvas_width=INF), id="solver-width-inf"),
+        pytest.param(lambda: PatchStitchingSolver(canvas_height=NAN), id="solver-height-nan"),
+        pytest.param(lambda: Canvas(NAN, 10.0), id="canvas-width-nan"),
+        pytest.param(lambda: Canvas(10.0, INF), id="canvas-height-inf"),
+        pytest.param(
+            lambda: IncrementalStitcher(equivalent_canvas_pixels=NAN), id="stitcher-pixels-nan"
+        ),
+        pytest.param(
+            lambda: IncrementalStitcher(equivalent_canvas_pixels=INF), id="stitcher-pixels-inf"
+        ),
+    ],
+)
+def test_geometry_constructors_reject_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestCanvas:
