@@ -10,9 +10,8 @@ across PRs — change them only together with ``--update-baseline``.
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -166,15 +165,20 @@ def _make_timed_trace(count: int, seed: int, slo: float = 2.0, spacing: float = 
     ]
 
 
-def _build_scheduler(
-    incremental: bool,
-    unconstrained: bool = True,
-    canvas_structure: str = "skyline",
-    **scheduler_kwargs,
-):
+def _options(**fields):
+    """A :class:`~repro.core.options.SchedulerOptions` record (imported
+    here, like every ``repro`` import of this module)."""
+    from repro.core.options import SchedulerOptions
+
+    return SchedulerOptions(**fields)
+
+
+def _build_scheduler(options, unconstrained: bool = True, **scheduler_kwargs):
+    """A scheduler configured by ``options`` (a :class:`~repro.core.
+    options.SchedulerOptions`); ``scheduler_kwargs`` are constructor
+    arguments such as ``gpu_memory_gb``."""
     from repro.core.latency import LatencyEstimator
     from repro.core.scheduler import TangramScheduler
-    from repro.core.stitching import PatchStitchingSolver
     from repro.serverless.platform import ServerlessPlatform
     from repro.simulation.engine import Simulator
     from repro.simulation.random_streams import RandomStreams
@@ -193,13 +197,12 @@ def _build_scheduler(
     scheduler = TangramScheduler(
         simulator,
         platform,
-        solver=PatchStitchingSolver(canvas_structure=canvas_structure),
         estimator=estimator,
         latency_model=latency_model,
         streams=RandomStreams(6),
         model_memory_gb=2.5,
         canvas_memory_gb=0.35,
-        incremental=incremental,
+        options=options,
         **scheduler_kwargs,
     )
     return simulator, scheduler
@@ -264,7 +267,7 @@ def bench_validate_packing() -> BenchResult:
 
 def _bench_scheduler_arrival(incremental: bool, name: str) -> BenchResult:
     patches = _make_patches(ARRIVAL_QUEUE_DEPTH, seed=17)
-    simulator, scheduler = _build_scheduler(incremental)
+    simulator, scheduler = _build_scheduler(_options(incremental=incremental))
     start = time.perf_counter()
     for patch in patches:
         scheduler.receive_patch(patch)
@@ -288,15 +291,11 @@ def bench_scheduler_arrival_fast() -> BenchResult:
     return _bench_scheduler_arrival(True, "scheduler_arrival_fast_256")
 
 
-def _bench_deep_arrival(
-    name: str, patches, canvas_structure: str = "skyline", **scheduler_kwargs
-) -> BenchResult:
+def _bench_deep_arrival(name: str, patches, options) -> BenchResult:
     """Deep-queue arrival microbenchmark: push every patch through
     ``receive_patch`` with a huge SLO and unconstrained memory so the
     queue only grows, and time the arrival path alone."""
-    simulator, scheduler = _build_scheduler(
-        True, canvas_structure=canvas_structure, **scheduler_kwargs
-    )
+    simulator, scheduler = _build_scheduler(options)
     start = time.perf_counter()
     for patch in patches:
         scheduler.receive_patch(patch)
@@ -304,13 +303,8 @@ def _bench_deep_arrival(
     meta: Dict[str, object] = {
         "queue_depth": len(patches),
         "pending_canvases": scheduler.pending_canvases,
-        "canvas_structure": canvas_structure,
-        "scheduler_kwargs": {
-            key: value
-            if not isinstance(value, float) or math.isfinite(value)
-            else str(value)
-            for key, value in scheduler_kwargs.items()
-        },
+        "canvas_structure": options.canvas_structure,
+        "scheduler_options": asdict(options),
         "packing_stats": scheduler.packing_stats,
     }
     consolidation_stats = scheduler.consolidation_stats
@@ -326,8 +320,7 @@ def bench_arrival_pr1_4096() -> BenchResult:
     return _bench_deep_arrival(
         "scheduler_arrival_pr1_4096",
         _make_patches(4096, seed=19),
-        repack_scope="queue",
-        canvas_structure="guillotine",
+        _options(repack_scope="queue", canvas_structure="guillotine"),
     )
 
 
@@ -337,7 +330,7 @@ def bench_arrival_fleet_4096() -> BenchResult:
     return _bench_deep_arrival(
         "scheduler_arrival_fleet_4096",
         _make_patches(4096, seed=19),
-        repack_scope="canvas",
+        _options(repack_scope="canvas"),
     )
 
 
@@ -347,8 +340,7 @@ def bench_arrival_fleet_guillotine_4096() -> BenchResult:
     return _bench_deep_arrival(
         "scheduler_arrival_fleet_guillotine_4096",
         _make_patches(4096, seed=19),
-        repack_scope="canvas",
-        canvas_structure="guillotine",
+        _options(repack_scope="canvas", canvas_structure="guillotine"),
     )
 
 
@@ -396,16 +388,11 @@ def bench_arrival_heavytail_1024() -> BenchResult:
     return _bench_deep_arrival(
         "scheduler_arrival_heavytail_1024",
         _make_heavytail_patches(1024, seed=29),
-        repack_scope="canvas",
+        _options(repack_scope="canvas"),
     )
 
 
-def _bench_scheduler_stream(
-    name: str,
-    canvas_structure: str = "skyline",
-    incremental: bool = True,
-    **scheduler_kwargs,
-) -> BenchResult:
+def _bench_scheduler_stream(name: str, options) -> BenchResult:
     """A realistic 2048-patch stream (timed arrivals, 2 s SLO, a larger
     GPU instance so queues run ~100 patches deep) through the scheduler:
     queues flush at invocations, so this measures the packing quality
@@ -415,13 +402,7 @@ def _bench_scheduler_stream(
     (``partial_repacks`` in its meta stays well above zero), not just the
     small-queue whole-queue re-pack."""
     patches = _make_timed_trace(2048, seed=31)
-    simulator, scheduler = _build_scheduler(
-        incremental,
-        unconstrained=False,
-        gpu_memory_gb=60.0,
-        canvas_structure=canvas_structure,
-        **scheduler_kwargs,
-    )
+    simulator, scheduler = _build_scheduler(options, unconstrained=False, gpu_memory_gb=60.0)
     for patch in patches:
         simulator.schedule_at(
             patch.generation_time + 0.02,
@@ -444,7 +425,7 @@ def _bench_scheduler_stream(
         {
             "patches": len(patches),
             "batches": len(scheduler.completed_batches),
-            "canvas_structure": canvas_structure,
+            "canvas_structure": options.canvas_structure,
             "mean_canvas_efficiency": round(mean_efficiency, 4),
             "packing_stats": scheduler.packing_stats,
         },
@@ -454,13 +435,15 @@ def _bench_scheduler_stream(
 def bench_stream_batch_packer_2048() -> BenchResult:
     """The batch packer reference: the literal Algorithm 2
     (``incremental=False``) re-packs the whole queue on every arrival."""
-    return _bench_scheduler_stream("scheduler_stream_batchpack_2048", incremental=False)
+    return _bench_scheduler_stream(
+        "scheduler_stream_batchpack_2048", _options(incremental=False)
+    )
 
 
 def bench_stream_partial_repack_2048() -> BenchResult:
     """The same stream under canvas-scope (partial) re-packs."""
     return _bench_scheduler_stream(
-        "scheduler_stream_partial_2048", repack_scope="canvas"
+        "scheduler_stream_partial_2048", _options(repack_scope="canvas")
     )
 
 
@@ -469,8 +452,7 @@ def bench_stream_partial_guillotine_2048() -> BenchResult:
     of the stream-efficiency A/B (gated at >= 0.99 by ``--check``)."""
     return _bench_scheduler_stream(
         "scheduler_stream_partial_guillotine_2048",
-        canvas_structure="guillotine",
-        repack_scope="canvas",
+        _options(repack_scope="canvas", canvas_structure="guillotine"),
     )
 
 
@@ -546,7 +528,7 @@ def bench_end_to_end_fleet() -> BenchResult:
         strategy="tangram",
         bandwidth_mbps=400.0,
         slo=2.0,
-        scheduler_repack_scope="canvas",
+        scheduler_options=_options(repack_scope="canvas"),
     )
     start = time.perf_counter()
     result = run_end_to_end(config, _FLEET_TRACES, streams=RandomStreams(77))
@@ -577,7 +559,6 @@ def _fleet_scenario_config():
             slo=1.0,
             seed=7,
         ),
-        repack_scope="canvas",
         estimator_iterations=100,
     )
 
@@ -681,27 +662,18 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
     a uniform fleet would deploy with; consistent hashing's 225-281
     camera spread leaves ~1.5x on the slowest shard).
     """
-    from repro.fleet import ShardScenarioConfig, run_fleet_scenario, run_sharded_scenario
+    from repro.fleet import ShardScenarioConfig, run_sharded_scenario
 
     config = _sharded_fleet_config()
     plan = _sharded_fleet_plan(config)
     start = time.perf_counter()
-    if shards == 1:
-        result = run_fleet_scenario(config, plan)
-        fleet = result
-        critical_path = result.scheduler_compute_seconds
-        shard_cameras = [config.workload.num_cameras]
-        routing: Dict[str, int] = {}
-    else:
-        sharded = run_sharded_scenario(
-            ShardScenarioConfig(base=config, shards=shards, dispatch="least_loaded"),
-            plan,
-        )
-        fleet = sharded.fleet
-        critical_path = sharded.critical_path_seconds
-        shard_cameras = sharded.shard_cameras
-        routing = sharded.routing
+    # shards=1 is exactly ``run_fleet_scenario``: one worker owns every camera.
+    sharded = run_sharded_scenario(
+        ShardScenarioConfig(base=config, shards=shards, dispatch="least_loaded"), plan
+    )
     elapsed = time.perf_counter() - start
+    fleet = sharded.fleet
+    critical_path = sharded.critical_path_seconds
     violation_rate = (
         fleet.slo_violations / fleet.completed_patches if fleet.completed_patches else 0.0
     )
@@ -711,7 +683,7 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
         {
             "num_cameras": config.workload.num_cameras,
             "shards": shards,
-            "shard_cameras": shard_cameras,
+            "shard_cameras": sharded.shard_cameras,
             "completed_patches": fleet.completed_patches,
             "scheduler_compute_seconds": round(fleet.scheduler_compute_seconds, 4),
             "critical_path_seconds": round(critical_path, 4),
@@ -722,7 +694,7 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
             "delivered_fraction": round(fleet.delivered_fraction, 4),
             "mean_canvas_efficiency": round(fleet.mean_canvas_efficiency, 4),
             "errors": fleet.errors,
-            "routing": routing,
+            "routing": sharded.routing,
         },
     )
 
@@ -778,13 +750,15 @@ def profile_arrival(depth: int = 4096, mix: str = "fleet") -> Dict[str, object]:
     """
     if mix == "fleet":
         patches = _make_patches(depth, seed=19)
-        scheduler_kwargs: Dict[str, object] = {}
+        options = _options(repack_scope="canvas")
     elif mix == "crowded":
         patches = _make_crowded_patches(depth, seed=43)
-        scheduler_kwargs = {"max_partial_victims": 32, "partial_patch_budget": 96}
+        options = _options(
+            repack_scope="canvas", max_partial_victims=32, partial_patch_budget=96
+        )
     else:
         raise ValueError(f"unknown profile mix {mix!r} (use 'fleet' or 'crowded')")
-    _simulator, scheduler = _build_scheduler(True, repack_scope="canvas", **scheduler_kwargs)
+    _simulator, scheduler = _build_scheduler(options)
     packer = scheduler._packer
     engine = packer._consolidation
     times = {"probe": 0.0, "commit": 0.0, "consolidation": 0.0}

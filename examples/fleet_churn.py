@@ -51,7 +51,6 @@ def build_config(
             seed=7,
         ),
         bandwidth_mbps=40.0,
-        repack_scope="canvas",
         estimator_iterations=estimator_iterations,
     )
 

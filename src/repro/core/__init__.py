@@ -19,12 +19,14 @@
   subsystem: the victim efficiency heap, the retry backoff, and the
   trial re-pack behind two exact pre-checks.
 * :mod:`repro.core.options` -- :class:`SchedulerOptions`, the frozen
-  record carrying every scheduler/stitcher knob.
+  record carrying every scheduler/stitcher knob (the only way to set
+  one).
 * :mod:`repro.core.latency` -- the latency estimator (offline profiling,
   slack = mean + 3 sigma).
 * :mod:`repro.core.scheduler` -- the online SLO-aware batching invoker that
-  decides when to trigger the serverless function; ``incremental=False``
-  runs the literal Algorithm 2 (a full re-pack per arrival).
+  decides when to trigger the serverless function;
+  ``SchedulerOptions(incremental=False)`` runs the literal Algorithm 2
+  (a full re-pack per arrival).
 * :mod:`repro.core.tangram` -- the plug-and-play facade mirroring the
   paper's public API (``partition`` / ``receive_patch`` / ``invoke``).
 """

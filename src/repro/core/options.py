@@ -1,41 +1,34 @@
 """One frozen options object for every scheduler/stitcher knob.
 
-The online path grew its knobs one PR at a time and each of them was
-hand-plumbed through four layers (:class:`~repro.core.stitching.
-IncrementalStitcher` / :class:`~repro.core.scheduler.TangramScheduler` /
-:class:`~repro.core.tangram.TangramConfig` / :class:`repro.pipeline.
-endtoend.EndToEndConfig`).  The sharded fleet frontend
-(:mod:`repro.fleet.shard`) constructs *N* schedulers that must agree on
-every knob, which is exactly the situation a single immutable options
-object exists for: build one :class:`SchedulerOptions`, clone it per
-worker, done.
+:class:`SchedulerOptions` is the only way to set a scheduler knob:
+:class:`~repro.core.stitching.IncrementalStitcher` and
+:class:`~repro.core.scheduler.TangramScheduler` take it as ``options=``,
+and each runner config holds one as ``scheduler_options``.  The record
+is frozen, so the sharded fleet frontend (:mod:`repro.fleet.shard`)
+hands the same instance to all *N* of its schedulers; build a changed
+copy with :func:`dataclasses.replace`, which re-runs the validation.
+
+Each runner config keeps its own default record:
+
+* :class:`repro.pipeline.endtoend.EndToEndConfig` and
+  :class:`repro.core.tangram.TangramConfig`: ``SchedulerOptions()``
+  (queue scope);
+* :class:`repro.fleet.scenario.FleetScenarioConfig` (and with it the
+  sharded frontend): ``SchedulerOptions(repack_scope="canvas")``.
 
 Each decision the options do not name has exactly one production path:
 the probe is the linear per-canvas scan, consolidation is the trial
 re-pack behind the failed-attempt backoff, and ``incremental=False`` is
 the one route to the literal Algorithm 2.
-
-Back-compat contract
---------------------
-The per-knob keyword arguments on the constructors remain as a thin
-layer over this object: an explicitly passed kwarg overrides the
-corresponding field of ``options=``, and omitting both yields the same
-defaults as before.  ``tests/test_scheduler_options.py`` pins the
-equivalence byte-for-byte.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.canvas import CANVAS_STRUCTURES
-
-#: Sentinel distinguishing "kwarg not passed" from any real value, so the
-#: constructors can tell an explicit override apart from the default.
-UNSET = object()
 
 #: Overflow re-pack scopes of the incremental stitcher.
 REPACK_SCOPES = ("queue", "canvas")
@@ -43,33 +36,56 @@ REPACK_SCOPES = ("queue", "canvas")
 
 @dataclass(frozen=True)
 class SchedulerOptions:
-    """Every scheduler/stitcher knob, in one immutable, cloneable record.
+    """Every scheduler/stitcher knob, in one immutable record.
 
-    Defaults are exactly the historical per-kwarg defaults, so
-    ``SchedulerOptions()`` reproduces an unconfigured scheduler.  See the
-    matching parameters on :class:`~repro.core.scheduler.TangramScheduler`
-    and :class:`~repro.core.stitching.IncrementalStitcher` for the full
-    per-knob documentation.
+    ``SchedulerOptions()`` reproduces an unconfigured scheduler.
     """
 
-    #: Incremental fast path (live packing + heap deadlines) vs the
-    #: literal Algorithm 2 full re-pack per arrival.
+    #: When true, arrivals take the incremental fast path: the queue's
+    #: packing stays alive across arrivals in an :class:`~repro.core.
+    #: stitching.IncrementalStitcher` instead of being re-packed from
+    #: scratch, and the earliest deadline is tracked with a running-min
+    #: heap instead of an O(n) scan.  When false the scheduler runs the
+    #: literal Algorithm 2 (full re-pack per arrival).
     incremental: bool = True
-    #: Fast path: efficiency headroom before a drift re-pack triggers;
-    #: ``inf`` never re-packs on overflow.
+    #: Fast path: free-space headroom (fraction of the arriving patch's
+    #: area) the live canvases may hold before opening another canvas
+    #: triggers a re-pack.  Smaller values re-pack more often and track
+    #: the batch packer more tightly; ``inf`` never re-packs on overflow.
     drift_margin: float = 0.05
-    #: Overflow re-pack scope: ``"queue"`` or ``"canvas"``.
+    #: Fast path, what a wasteful overflow re-packs.  ``"queue"``: the
+    #: whole queue -- best packing quality, but O(queue) per re-pack.
+    #: ``"canvas"``: only the few least-efficient live canvases plus the
+    #: incoming patch, through a trial re-pack that is adopted only when
+    #: it saves a canvas (so it never lowers mean canvas efficiency versus
+    #: not re-packing) -- O(a few canvases) per overflow, which keeps the
+    #: overflow path flat at fleet-scale queue depths (see
+    #: :mod:`repro.core.consolidation`).
     repack_scope: str = "queue"
-    #: ``repack_scope="canvas"``: worst canvases one consolidation may
-    #: dissolve at once.
+    #: ``repack_scope="canvas"``: how many of the least-efficient canvases
+    #: one consolidation may dissolve at once.  Larger values consolidate
+    #: harder (tracking the batch packer more closely) at a per-overflow
+    #: cost that grows with the victims' patch count.
     max_partial_victims: int = 8
-    #: ``repack_scope="canvas"``: pooled-patch cap per consolidation.
+    #: ``repack_scope="canvas"``: cap on the pooled patch count one
+    #: consolidation may re-pack (the trial re-pack's cost bound).  While
+    #: the whole queue fits it, an overflow re-packs the whole queue and
+    #: tracks the batch packer; on deep queues it keeps the overflow path
+    #: O(1)-ish.
     partial_patch_budget: int = 48
-    #: Canvas free-space structure: ``"skyline"`` or ``"guillotine"``.
-    #: Applies when the owner builds its own solver; an explicit
-    #: ``solver=`` brings its own structure and wins.
+    #: Canvas free-space structure: ``"skyline"`` or ``"guillotine"`` (see
+    #: :class:`repro.core.skyline.Skyline`).  Applies when the owner builds
+    #: its own solver; an explicit ``solver=`` brings its own structure
+    #: and wins.
     canvas_structure: str = "skyline"
-    #: SLO-aware admission shedding threshold (``None`` disables).
+    #: SLO-aware graceful degradation: once the pending queue holds at
+    #: least this many patches, arrivals that can no longer meet their SLO
+    #: even if served at once (remaining slack below the single-canvas
+    #: execution floor) are shed at admission instead of burning a probe,
+    #: a canvas slot and an invocation.  The scheduler records them in
+    #: ``shed``, apart from the SLO violations of served-but-late patches.
+    #: ``None`` disables shedding, and every decision is then the
+    #: watermark-free scheduler's.
     admission_watermark: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -92,31 +108,5 @@ class SchedulerOptions:
         if self.admission_watermark is not None and self.admission_watermark < 1:
             raise ValueError("admission_watermark must be at least 1")
 
-    # ------------------------------------------------------------------ clone
-    def replace(self, **overrides) -> "SchedulerOptions":
-        """A changed copy (validation re-runs); unknown names raise."""
-        return dataclasses.replace(self, **overrides)
 
-    def merged_with(self, **maybe_overrides) -> "SchedulerOptions":
-        """Like :meth:`replace`, but :data:`UNSET` values are skipped —
-        the resolution rule of the back-compat kwarg layer."""
-        overrides = {
-            name: value
-            for name, value in maybe_overrides.items()
-            if value is not UNSET
-        }
-        if not overrides:
-            return self
-        return dataclasses.replace(self, **overrides)
-
-    # ---------------------------------------------------------------- summary
-    def describe(self) -> dict:
-        """A JSON-friendly dict (non-finite floats are stringified)."""
-        record = dataclasses.asdict(self)
-        for name, value in record.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                record[name] = str(value)
-        return record
-
-
-__all__ = ["REPACK_SCOPES", "SchedulerOptions", "UNSET"]
+__all__ = ["REPACK_SCOPES", "SchedulerOptions"]

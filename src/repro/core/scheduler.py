@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.latency import LatencyEstimator
-from repro.core.options import UNSET, SchedulerOptions
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import Canvas, IncrementalStitcher, PatchStitchingSolver
 from repro.serverless.platform import ServerlessPlatform
@@ -226,48 +226,13 @@ class TangramScheduler(BaseScheduler):
         Memory occupied by the DNN weights (``tau`` in the paper).
     canvas_memory_gb:
         GPU memory one canvas occupies during inference (``w``).
-    incremental:
-        When true (the default), arrivals are handled by the incremental
-        fast path: the queue's packing is kept alive across arrivals by an
-        :class:`IncrementalStitcher` instead of being re-packed from
-        scratch, and the earliest deadline is tracked with a running-min
-        heap instead of an O(n) scan.  When false the scheduler runs the
-        literal Algorithm 2 implementation (full re-pack per arrival).
-    drift_margin:
-        Fast path only: how far the live packing's efficiency may drift
-        below what a full re-pack achieves before one is triggered (see
-        :class:`IncrementalStitcher`).
-    repack_scope:
-        Fast path only: ``"queue"`` re-packs the whole queue on a wasteful
-        overflow, ``"canvas"`` consolidates only the least-efficient
-        canvases plus the incoming patch through a trial re-pack — the
-        fleet-scale configuration (see
-        :class:`IncrementalStitcher` and :mod:`repro.core.consolidation`).
-    max_partial_victims, partial_patch_budget:
-        ``repack_scope="canvas"`` tuning: how many worst canvases one
-        partial re-pack may dissolve, and the pooled-patch cap bounding
-        its cost (see :class:`IncrementalStitcher`).
-    canvas_structure:
-        Free-space structure of the canvases (``"skyline"``, the default,
-        or ``"guillotine"`` — see :class:`~repro.core.skyline.Skyline`).
-        Applies when the scheduler builds its own solver; a ``solver``
-        passed in brings its own ``canvas_structure`` and wins.
-    admission_watermark:
-        SLO-aware graceful degradation: once the pending queue holds at
-        least this many patches, arriving patches that can no longer
-        meet their SLO even if served immediately (remaining slack below
-        the single-canvas execution floor) are *shed* at admission
-        instead of burning a probe, a canvas slot, and an invocation —
-        recorded in :attr:`shed` (vs the SLO-violation accounting of
-        served-but-late patches).  ``None`` (the default) disables
-        shedding; every decision is then byte-identical to the
-        watermark-free scheduler.
     options:
-        A :class:`~repro.core.options.SchedulerOptions` carrying every
-        knob above at once — the supported way to configure a scheduler
-        since the sharded fleet frontend (each shard worker clones one
-        options object).  Explicitly passed kwargs override the matching
-        fields.  The resolved record is exposed as :attr:`options`.
+        The :class:`~repro.core.options.SchedulerOptions` record carrying
+        every scheduler knob (fast path, re-pack scope and its tuning,
+        canvas structure, admission watermark); see its fields for each
+        knob's meaning.  ``options.canvas_structure`` applies when the
+        scheduler builds its own solver; a ``solver`` passed in brings
+        its own structure and wins.  Exposed as :attr:`options`.
     record_placements:
         Capture each batch's per-canvas placement tuples on its
         :class:`BatchRecord` at invoke time (run-independent patch
@@ -286,28 +251,10 @@ class TangramScheduler(BaseScheduler):
         model_memory_gb: float = 2.5,
         canvas_memory_gb: float = 0.35,
         streams: Optional[RandomStreams] = None,
-        incremental: bool = UNSET,
-        drift_margin: float = UNSET,
-        repack_scope: str = UNSET,
-        max_partial_victims: int = UNSET,
-        partial_patch_budget: int = UNSET,
-        canvas_structure: str = UNSET,
-        admission_watermark: Optional[int] = UNSET,
-        options: Optional[SchedulerOptions] = None,
+        options: SchedulerOptions = SchedulerOptions(),
         record_placements: bool = False,
     ) -> None:
-        # Back-compat resolution: explicit kwargs override the matching
-        # ``options`` fields (validation re-runs inside ``merged_with``).
-        opts = (options or SchedulerOptions()).merged_with(
-            incremental=incremental,
-            drift_margin=drift_margin,
-            repack_scope=repack_scope,
-            max_partial_victims=max_partial_victims,
-            partial_patch_budget=partial_patch_budget,
-            canvas_structure=canvas_structure,
-            admission_watermark=admission_watermark,
-        )
-        self.options = opts
+        self.options = options
         latency_model = latency_model or DetectorLatencyModel.serverless()
         super().__init__(
             simulator,
@@ -318,7 +265,7 @@ class TangramScheduler(BaseScheduler):
             record_placements=record_placements,
         )
         self.solver = solver or PatchStitchingSolver(
-            canvas_structure=opts.canvas_structure
+            canvas_structure=options.canvas_structure
         )
         self.estimator = estimator or LatencyEstimator(
             latency_model=latency_model,
@@ -331,17 +278,17 @@ class TangramScheduler(BaseScheduler):
         self.gpu_memory_gb = gpu_memory_gb
         self.model_memory_gb = model_memory_gb
         self.canvas_memory_gb = canvas_memory_gb
-        self.incremental = opts.incremental
+        self.incremental = options.incremental
         self._packer: Optional[IncrementalStitcher] = (
             IncrementalStitcher(
                 self.solver,
                 equivalent_canvas_pixels=self.estimator.canvas_pixels,
-                options=opts,
+                options=options,
             )
-            if opts.incremental
+            if options.incremental
             else None
         )
-        self.admission_watermark = opts.admission_watermark
+        self.admission_watermark = options.admission_watermark
         #: Patches shed by the admission watermark (SLO-aware degradation).
         self.shed: List[Patch] = []
         self._min_feasible_latency: Optional[float] = None

@@ -40,7 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 # ``repro.core.stitching.Canvas`` remains the documented import path.
 from repro.core.canvas import CANVAS_STRUCTURES, Canvas, Placement  # noqa: F401
 from repro.core.consolidation import ConsolidationEngine
-from repro.core.options import UNSET, SchedulerOptions
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.skyline import Skyline
 from repro.video.geometry import Box
@@ -350,72 +350,30 @@ class IncrementalStitcher:
     solver:
         The batch solver used for full re-packs (and whose canvas size
         defines the packing geometry).
-    drift_margin:
-        Free-space headroom (fraction of the arriving patch's area) the
-        live canvases may hold before opening another canvas triggers a
-        re-pack.  Smaller values re-pack more often and track the batch
-        packer more tightly; ``inf`` never re-packs on overflow.
-    repack_scope:
-        ``"queue"`` (default): a wasteful overflow re-packs the whole
-        queue, as in PR 1 — best packing quality, but O(queue) per
-        re-pack.  ``"canvas"``: consolidate only the few
-        *least-efficient* live canvases (up to :attr:`max_partial_
-        victims`) through a trial re-pack — O(a few canvases) per
-        overflow, which keeps the overflow path flat at fleet-scale
-        queue depths.  A consolidation is only adopted when it saves at
-        least one canvas over not consolidating at all, so the decision
-        never lowers mean canvas efficiency versus the no-re-pack
-        alternative (see :mod:`repro.core.consolidation`).
-    max_partial_victims:
-        ``repack_scope="canvas"`` only: how many of the least-efficient
-        canvases one consolidation may dissolve at once.  Larger values
-        consolidate harder (tracking the batch packer more closely) at a
-        per-overflow cost that grows with the victims' patch count.
-    partial_patch_budget:
-        ``repack_scope="canvas"`` only: cap on the pooled patch count a
-        consolidation may re-pack in one go (the trial re-pack's cost
-        bound).  On small queues the victims cover nearly the whole queue
-        within this budget, so partial re-packs approach batch quality;
-        on deep queues the budget keeps the overflow path O(1)-ish.
     equivalent_canvas_pixels:
         Pixel area of one standard canvas used for the equivalent-canvas
         accounting; defaults to the solver's canvas area.  Pass the latency
         estimator's ``canvas_pixels`` when the two are configured apart.
         Must be positive and finite.
     options:
-        A :class:`~repro.core.options.SchedulerOptions` carrying all of
-        the above knobs at once (the sharded fleet frontend clones one
-        per worker).  Explicitly passed kwargs override the matching
-        fields; the resolved knobs are exposed as :attr:`options`.
+        The :class:`~repro.core.options.SchedulerOptions` record; the
+        stitcher reads ``drift_margin``, ``repack_scope``,
+        ``max_partial_victims`` and ``partial_patch_budget`` (see its
+        fields for each knob's meaning).  Exposed as :attr:`options`.
     """
 
     def __init__(
         self,
         solver: Optional[PatchStitchingSolver] = None,
-        drift_margin: float = UNSET,
         equivalent_canvas_pixels: Optional[float] = None,
-        repack_scope: str = UNSET,
-        max_partial_victims: int = UNSET,
-        partial_patch_budget: int = UNSET,
-        options: Optional[SchedulerOptions] = None,
+        options: SchedulerOptions = SchedulerOptions(),
     ) -> None:
-        # Resolution rule of the back-compat layer: an explicitly passed
-        # kwarg overrides the matching ``options`` field; ``UNSET`` kwargs
-        # take the field (whose default is the historical kwarg default).
-        # ``merged_with`` re-runs the dataclass validation, so bad values
-        # raise the same ``ValueError`` they always did.
-        opts = (options or SchedulerOptions()).merged_with(
-            drift_margin=drift_margin,
-            repack_scope=repack_scope,
-            max_partial_victims=max_partial_victims,
-            partial_patch_budget=partial_patch_budget,
-        )
-        self.options = opts
+        self.options = options
         self.solver = solver or PatchStitchingSolver()
-        self.drift_margin = opts.drift_margin
-        self.repack_scope = opts.repack_scope
-        self.max_partial_victims = opts.max_partial_victims
-        self.partial_patch_budget = opts.partial_patch_budget
+        self.drift_margin = options.drift_margin
+        self.repack_scope = options.repack_scope
+        self.max_partial_victims = options.max_partial_victims
+        self.partial_patch_budget = options.partial_patch_budget
         self.equivalent_canvas_pixels = (
             self.solver.canvas_area
             if equivalent_canvas_pixels is None

@@ -22,7 +22,7 @@ It can run in two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.latency import LatencyEstimator
@@ -81,39 +81,10 @@ class TangramConfig:
     model_memory_gb: float = 2.5
     canvas_memory_gb: float = 0.35
     latency_profile_iterations: int = 300
-    #: Online-scheduler fast path (incremental stitching + heap deadlines).
-    scheduler_incremental: bool = True
-    scheduler_drift_margin: float = 0.05
-    #: Overflow re-pack scope: ``"queue"`` (whole queue, PR-1 behaviour) or
-    #: ``"canvas"`` (only the least-efficient canvas — fleet scale).
-    scheduler_repack_scope: str = "queue"
-    #: Canvas free-space structure: ``"skyline"`` (default) or
-    #: ``"guillotine"`` (see :class:`repro.core.skyline.Skyline`).
-    canvas_structure: str = "skyline"
-    #: SLO-aware degradation: once the scheduler queue holds this many
-    #: patches, arrivals that can no longer meet their SLO are shed at
-    #: admission instead of served late (see
-    #: :class:`repro.core.scheduler.TangramScheduler`).  ``None``
-    #: disables shedding (byte-identical to the watermark-free path).
-    scheduler_admission_watermark: Optional[int] = None
-    #: One :class:`~repro.core.options.SchedulerOptions` carrying every
-    #: scheduler knob at once.  When set it *wins wholesale* over the
-    #: per-knob ``scheduler_*`` fields above (which remain as the
-    #: back-compat layer); :meth:`resolved_scheduler_options` is the
-    #: single resolution point.
-    scheduler_options: Optional[SchedulerOptions] = None
-
-    def resolved_scheduler_options(self) -> SchedulerOptions:
-        """The options record the online scheduler is built from."""
-        if self.scheduler_options is not None:
-            return self.scheduler_options
-        return SchedulerOptions(
-            incremental=self.scheduler_incremental,
-            drift_margin=self.scheduler_drift_margin,
-            repack_scope=self.scheduler_repack_scope,
-            canvas_structure=self.canvas_structure,
-            admission_watermark=self.scheduler_admission_watermark,
-        )
+    #: Every online-scheduler knob (see :class:`~repro.core.options.
+    #: SchedulerOptions`); ``canvas_structure`` also selects the facade
+    #: solver's free-space structure.
+    scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
 
 
 class Tangram:
@@ -144,7 +115,7 @@ class Tangram:
         self.solver = PatchStitchingSolver(
             canvas_width=self.config.canvas_width,
             canvas_height=self.config.canvas_height,
-            canvas_structure=self.config.resolved_scheduler_options().canvas_structure,
+            canvas_structure=self.config.scheduler_options.canvas_structure,
         )
         self.estimator = LatencyEstimator(
             latency_model=self.latency_model,
@@ -228,5 +199,5 @@ class Tangram:
             model_memory_gb=self.config.model_memory_gb,
             canvas_memory_gb=self.config.canvas_memory_gb,
             streams=self.streams,
-            options=self.config.resolved_scheduler_options(),
+            options=self.config.scheduler_options,
         )

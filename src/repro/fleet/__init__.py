@@ -13,12 +13,13 @@ real fleet needs between frame capture and ``TangramScheduler``:
   over the lossy uplink mode of :mod:`repro.network.link`;
 * :mod:`repro.fleet.faults` -- seeded, deterministic fault plans
   (dropout, loss, jitter, burst) whose windows nest as intensity rises;
-* :mod:`repro.fleet.scenario` -- the wiring of all of the above into one
-  runnable, fully-counted fleet experiment;
-* :mod:`repro.fleet.shard` -- the sharded frontend: camera ownership
-  partitioned across N independent scheduler workers with consistent-hash
-  (or load-based) dispatch and clone-planned work stealing; ``shards=1``
-  is pinned byte-identical to :func:`run_fleet_scenario`.
+* :mod:`repro.fleet.scenario` -- the fleet run's config and fully-counted
+  result, and :func:`run_fleet_scenario`, the unsharded run;
+* :mod:`repro.fleet.shard` -- the one fleet runner, which wires all of
+  the above together: camera ownership partitioned across N independent
+  scheduler workers with consistent-hash (or load-based) dispatch and
+  clone-planned work stealing.  :func:`run_fleet_scenario` is its
+  ``shards=1`` run.
 """
 
 from repro.fleet.faults import FaultEvent, FaultFreePlan, FaultPlan
@@ -35,7 +36,6 @@ from repro.fleet.retry import ReliableSender, RetryPolicy, TransferStats
 from repro.fleet.scenario import (
     FleetRunResult,
     FleetScenarioConfig,
-    fleet_scenario_counters,
     run_fleet_scenario,
 )
 from repro.fleet.shard import (
@@ -45,7 +45,6 @@ from repro.fleet.shard import (
     ShardWorker,
     consistent_shard_assignment,
     run_sharded_scenario,
-    sharded_scenario_counters,
 )
 from repro.workloads.fleet import FleetWorkloadConfig, camera_ids
 
@@ -72,8 +71,6 @@ __all__ = [
     "ReliableSender",
     "RetryPolicy",
     "TransferStats",
-    "fleet_scenario_counters",
     "run_fleet_scenario",
     "run_sharded_scenario",
-    "sharded_scenario_counters",
 ]

@@ -70,7 +70,8 @@ class LivenessTracker:
         on_dead: Optional[Callable[[str], None]] = None,
         on_alive: Optional[Callable[[str], None]] = None,
     ) -> None:
-        if suspect_after <= 0 or dead_after <= 0 or reconnect_settle < 0:
+        # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
+        if not (suspect_after > 0 and dead_after > 0 and reconnect_settle >= 0):
             raise ValueError("liveness timeouts must be positive")
         if dead_after <= suspect_after:
             raise ValueError("dead_after must exceed suspect_after")

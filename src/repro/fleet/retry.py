@@ -44,13 +44,14 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_backoff_s < 0 or self.max_backoff_s < self.base_backoff_s:
+        # Each test is written so that NaN fails it too.
+        if not 0 <= self.base_backoff_s <= self.max_backoff_s:
             raise ValueError("backoff bounds must satisfy 0 <= base <= max")
-        if self.backoff_multiplier < 1.0:
+        if not self.backoff_multiplier >= 1.0:
             raise ValueError("backoff_multiplier must be >= 1")
         if not 0.0 <= self.jitter_fraction <= 1.0:
             raise ValueError("jitter_fraction must be in [0, 1]")
-        if self.attempt_timeout_s is not None and self.attempt_timeout_s <= 0:
+        if self.attempt_timeout_s is not None and not self.attempt_timeout_s > 0:
             raise ValueError("attempt_timeout_s must be positive when set")
 
     def backoff(self, attempt: int, seed: int, key: Any) -> float:

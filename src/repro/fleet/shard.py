@@ -1,12 +1,28 @@
-"""The sharded fleet frontend: camera ownership across N scheduler workers.
+"""The fleet runner: cameras -> retrying uplinks -> ingest -> N scheduler shards.
 
-One :class:`~repro.core.scheduler.TangramScheduler` owns one packing, one
-deadline heap, one consolidation engine — state that is deliberately
-*not* shared, which is exactly what makes scale-out routing rather than
-surgery: this module partitions the camera fleet across ``shards``
-independent workers, each wrapping its own scheduler behind its own
-:class:`~repro.fleet.ingest.FleetIngestor`, and routes every delivered
-patch to the worker that currently owns its camera.
+:func:`run_sharded_scenario` wires the whole fault-tolerant path together
+over the deterministic patch workload of :mod:`repro.workloads.fleet`:
+
+* each camera captures frames on its own phase-shifted grid, heartbeating
+  the liveness tracker with every capture (so a dropout window silences
+  both frames and heartbeats);
+* every patch rides a :class:`~repro.fleet.retry.ReliableSender` over a
+  per-camera :class:`~repro.network.link.Uplink` whose loss/jitter dials
+  are driven by the :class:`~repro.fleet.faults.FaultPlan`;
+* each delivery is routed to the worker that currently owns its camera,
+  whose :class:`~repro.fleet.ingest.FleetIngestor` expires stale
+  patches, bounds per-camera backlog, and feeds that worker's
+  :class:`~repro.core.scheduler.TangramScheduler` in deadline order;
+* burst fault events inject surplus patches tagged ``"fault:burst"``,
+  excluded from the delivered-fraction metric so they only *pressure* the
+  pipeline.
+
+One scheduler owns one packing, one deadline heap, one consolidation
+engine — state that is deliberately *not* shared, which is what makes
+scale-out routing rather than surgery: the camera fleet is partitioned
+across ``shards`` independent workers.  ``shards=1`` is the unsharded
+fleet, and :func:`~repro.fleet.scenario.run_fleet_scenario` is exactly
+that run.
 
 * **Dispatch** is a :mod:`repro.serverless.loadbalancer` policy
   (``"consistent_hash"`` by default — ownership is a pure function of
@@ -20,21 +36,17 @@ patch to the worker that currently owns its camera.
   colder than the source, and a stalled plan commits nothing.  Only
   **future** arrivals move — patches already queued on the hot shard
   drain where they are (they are mid-flight state, like a canvas's
-  residents).
-* **Faults** compose exactly as in the single-scheduler scenario: the
-  :class:`~repro.fleet.faults.FaultPlan` drives capture suppression,
-  uplink dials, and burst surplus per camera, so shard-targeted chaos is
-  just a plan over one shard's camera set
-  (:func:`consistent_shard_assignment` tells you which set that is).
+  residents).  Rebalance ticks are only scheduled for ``shards > 1``.
+* **Faults** compose per camera: the plan drives capture suppression,
+  uplink dials, and burst surplus, so shard-targeted chaos is just a
+  plan over one shard's camera set (:func:`consistent_shard_assignment`
+  tells you which set that is).
 
-``shards=1`` is pinned **byte-identical** to
-:func:`~repro.fleet.scenario.run_fleet_scenario`: shard 0 spawns the
-same named random streams, constructs the same objects with the same
-knobs, and schedules the same events in the same order (the shared
-:func:`~repro.workloads.fleet.capture_schedule` iteration); rebalance
-ticks are only scheduled for ``shards > 1``.  Every worker's scheduler
-is built by cloning one :class:`~repro.core.options.SchedulerOptions`
-record — the API this PR exists to consolidate.
+Every worker's scheduler is built from the one frozen
+:class:`~repro.core.options.SchedulerOptions` record of the base config.
+The result exposes every counter the chaos contracts compare: two runs
+with the same config and plan produce identical
+:meth:`ShardRunResult.counters`.
 """
 
 from __future__ import annotations
@@ -43,18 +55,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.latency import LatencyEstimator
-from repro.core.scheduler import TangramScheduler
+from repro.core.scheduler import BatchRecord, TangramScheduler
 from repro.core.stitching import PatchStitchingSolver
 from repro.fleet.faults import FaultFreePlan, FaultPlan
 from repro.fleet.ingest import FleetIngestor
 from repro.fleet.liveness import LivenessTracker
 from repro.fleet.retry import ReliableSender, TransferStats
-from repro.fleet.scenario import (
-    FleetRunResult,
-    FleetScenarioConfig,
-    _CountingFrontend,
-    batch_key,
-)
+from repro.fleet.scenario import FleetRunResult, FleetScenarioConfig
 from repro.network.encoding import FrameEncoder
 from repro.network.link import Uplink
 from repro.serverless.loadbalancer import BALANCER_POLICIES, make_balancer
@@ -76,8 +83,8 @@ class ShardScenarioConfig:
     """One sharded fleet run: the single-scheduler config plus routing."""
 
     #: Everything a single worker needs (workload, uplinks, ingest knobs,
-    #: scheduler options).  Worker schedulers are built by cloning
-    #: ``base.resolved_scheduler_options()``.
+    #: scheduler options).  Every worker's scheduler is built from
+    #: ``base.scheduler_options``.
     base: FleetScenarioConfig = field(default_factory=FleetScenarioConfig)
     #: Independent scheduler workers the cameras are partitioned across.
     shards: int = 4
@@ -105,9 +112,10 @@ class ShardScenarioConfig:
                 f"unknown dispatch policy {self.dispatch!r}; "
                 f"valid: {BALANCER_POLICIES}"
             )
-        if self.rebalance_interval <= 0:
+        # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
+        if not self.rebalance_interval > 0:
             raise ValueError("rebalance_interval must be positive")
-        if self.hot_factor < 1.0:
+        if not self.hot_factor >= 1.0:
             raise ValueError("hot_factor must be at least 1.0")
         if self.min_steal_gap < 1:
             raise ValueError("min_steal_gap must be at least 1")
@@ -115,14 +123,76 @@ class ShardScenarioConfig:
             raise ValueError("steal_fraction must be in (0, 1]")
 
 
+class _CountingFrontend:
+    """Scheduler facade that splits admissions by scene key.
+
+    The ingestor drains into this instead of the scheduler directly, so
+    the result can separate the base stream from burst-injected surplus
+    without threading tags through the scheduler itself.
+    """
+
+    def __init__(self, scheduler: TangramScheduler) -> None:
+        self.scheduler = scheduler
+        self.base = 0
+        self.burst = 0
+
+    @property
+    def estimator(self) -> LatencyEstimator:
+        return self.scheduler.estimator
+
+    @property
+    def pending_patches(self) -> int:
+        return self.scheduler.pending_patches
+
+    def receive_patch(self, patch) -> None:
+        if patch.scene_key == BURST_SCENE:
+            self.burst += 1
+        else:
+            self.base += 1
+        self.scheduler.receive_patch(patch)
+
+    def flush(self) -> None:
+        self.scheduler.flush()
+
+
+def batch_key(batch: BatchRecord) -> tuple:
+    """A run-independent identity for one completed batch.
+
+    ``patch_id`` is a process-global counter, so two separate runs of the
+    same scenario number their patches differently; outcome identities
+    are keyed by ``(camera, frame, scene, width, height)`` instead, which
+    is unique per patch slot of the deterministic fleet workload.  The
+    recorded byte-identity pins hash lists of these keys.
+    """
+    return (
+        batch.invoke_time,
+        batch.completion_time,
+        batch.execution_time,
+        batch.cost,
+        tuple(batch.canvas_efficiencies),
+        batch.placements,
+        tuple(
+            (
+                o.patch.camera_id,
+                o.patch.frame_index,
+                o.patch.scene_key,
+                o.patch.region.width,
+                o.patch.region.height,
+                o.completion_time,
+            )
+            for o in batch.outcomes
+        ),
+    )
+
+
 class ShardWorker:
     """One scheduler worker: its own solver, estimator, scheduler, and
     ingestor, plus the set of cameras it currently owns.
 
-    Shard 0 spawns the random-stream names of the unsharded scenario
-    (``"estimator"`` / ``"scheduler"``); higher shards suffix theirs.
-    Streams are name-keyed (order-independent), so this is all the
-    ``shards=1`` byte-identity pin needs from the construction side.
+    Shard 0 spawns the random streams ``"estimator"`` / ``"scheduler"``;
+    higher shards suffix theirs.  Streams are name-keyed
+    (order-independent), so adding shards leaves shard 0's draws as
+    they are.
     """
 
     def __init__(
@@ -137,7 +207,7 @@ class ShardWorker:
     ) -> None:
         self.shard_id = shard_id
         suffix = "" if shard_id == 0 else f"/shard-{shard_id}"
-        options = config.resolved_scheduler_options().replace()
+        options = config.scheduler_options
         solver = PatchStitchingSolver(
             canvas_width=config.canvas_size,
             canvas_height=config.canvas_size,
@@ -376,9 +446,8 @@ def run_sharded_scenario(
 ) -> ShardRunResult:
     """Run one seeded fleet scenario across N scheduler shards.
 
-    The wiring mirrors :func:`~repro.fleet.scenario.run_fleet_scenario`
-    exactly — same platform, same per-camera retrying uplinks, same
-    capture schedule — with deliveries routed to the owning shard's
+    All shards share one platform, the per-camera retrying uplinks and
+    the capture schedule; deliveries are routed to the owning shard's
     ingestor at delivery time (so a mid-run ownership migration redirects
     retransmissions too).
     """
@@ -494,8 +563,8 @@ def run_sharded_scenario(
 
         simulator.schedule_at(when, on_capture, name=f"{camera_id}:capture")
 
-    # Rebalance cadence: only when there is more than one shard, so the
-    # shards=1 event sequence stays byte-identical to the unsharded run.
+    # Rebalance cadence: only when there is more than one shard (with one
+    # shard there is nothing to steal, and no tick events are queued).
     if config.shards > 1 and config.steal_enabled:
         horizon = workload.duration_s + 1.0 / workload.fps + workload.slo
         tick = config.rebalance_interval
@@ -543,17 +612,10 @@ def run_sharded_scenario(
     result.ingest = merged_ingest
     compute = [worker.scheduler.compute_seconds for worker in workers]
     result.scheduler_compute_seconds = sum(compute)
-    merged = TransferStats()
+    result.transfers = TransferStats().as_dict()
     for sender in senders.values():
-        stats = sender.stats
-        merged.transfers += stats.transfers
-        merged.attempts += stats.attempts
-        merged.delivered += stats.delivered
-        merged.failed += stats.failed
-        merged.retries += stats.retries
-        merged.timeouts += stats.timeouts
-        merged.gave_up_deadline += stats.gave_up_deadline
-    result.transfers = merged.as_dict()
+        for key, value in sender.stats.as_dict().items():
+            result.transfers[key] += value
     if liveness is not None:
         result.liveness_transitions = dict(liveness.transitions)
     result.fault_summary = active_plan.describe()
@@ -571,20 +633,12 @@ def run_sharded_scenario(
     )
 
 
-def sharded_scenario_counters(
-    config: Optional[ShardScenarioConfig] = None,
-    plan: Optional[FaultPlan] = None,
-) -> Dict[str, int]:
-    """Convenience for determinism checks: run and return the counters."""
-    return run_sharded_scenario(config, plan).counters()
-
-
 __all__ = [
     "ShardRouter",
     "ShardRunResult",
     "ShardScenarioConfig",
     "ShardWorker",
+    "batch_key",
     "consistent_shard_assignment",
     "run_sharded_scenario",
-    "sharded_scenario_counters",
 ]

@@ -129,6 +129,17 @@ class SendOutcome:
         return self.record.total_delay
 
 
+def _check_link(bandwidth_mbps: float, propagation_delay: float) -> None:
+    """Reject a link that cannot carry bytes in non-negative time.
+
+    Written as ``not x > 0`` rather than ``x <= 0`` so that NaN fails too.
+    """
+    if not bandwidth_mbps > 0:
+        raise ValueError("bandwidth_mbps must be positive")
+    if not propagation_delay >= 0:
+        raise ValueError("propagation_delay must be non-negative")
+
+
 class NetworkLink:
     """Analytic link: converts sizes to times, no queueing state."""
 
@@ -139,10 +150,7 @@ class NetworkLink:
         jitter_cv: float = 0.0,
         streams: Optional[RandomStreams] = None,
     ) -> None:
-        if bandwidth_mbps <= 0:
-            raise ValueError("bandwidth_mbps must be positive")
-        if propagation_delay < 0:
-            raise ValueError("propagation_delay must be non-negative")
+        _check_link(bandwidth_mbps, propagation_delay)
         self.bandwidth_mbps = bandwidth_mbps
         self.propagation_delay = propagation_delay
         self.jitter_cv = jitter_cv
@@ -197,8 +205,7 @@ class Uplink:
         outages: Sequence[Tuple[float, float]] = (),
         fault_seed: int = 0,
     ) -> None:
-        if bandwidth_mbps <= 0:
-            raise ValueError("bandwidth_mbps must be positive")
+        _check_link(bandwidth_mbps, propagation_delay)
         self.simulator = simulator
         self.bandwidth_mbps = bandwidth_mbps
         self.propagation_delay = propagation_delay

@@ -30,7 +30,7 @@ from repro.core.options import SchedulerOptions
 from repro.core.partitioning import FramePartitioner
 from repro.core.scheduler import BaseScheduler, BatchRecord, PatchOutcome, TangramScheduler
 from repro.core.latency import LatencyEstimator
-from repro.core.stitching import CANVAS_STRUCTURES, PatchStitchingSolver
+from repro.core.stitching import PatchStitchingSolver
 from repro.network.encoding import FrameEncoder
 from repro.network.link import Uplink
 from repro.serverless.platform import ServerlessPlatform, ScalingPolicy
@@ -70,26 +70,10 @@ class EndToEndConfig:
     mark_batch_size: int = 8
     mark_timeout: float = 0.25
     clipper_initial_batch: int = 4
-    #: Tangram scheduler fast path: incremental stitching + heap-tracked
-    #: deadlines (see :class:`repro.core.scheduler.TangramScheduler`).
-    scheduler_incremental: bool = True
-    scheduler_drift_margin: float = 0.05
-    #: Overflow re-pack scope: ``"queue"`` (whole queue, PR-1 behaviour)
-    #: or ``"canvas"`` (only the least-efficient canvas — fleet scale).
-    scheduler_repack_scope: str = "queue"
-    #: Canvas free-space structure: ``"skyline"`` (default) or
-    #: ``"guillotine"`` (see :class:`repro.core.skyline.Skyline`).
-    canvas_structure: str = "skyline"
-    #: SLO-aware degradation: scheduler admission watermark (``None``
-    #: disables shedding; see :class:`repro.core.scheduler.
-    #: TangramScheduler`).  Plumbed exactly like the other scheduler
-    #: knobs so sweeps can dial it per point.
-    scheduler_admission_watermark: Optional[int] = None
-    #: One :class:`~repro.core.options.SchedulerOptions` carrying every
-    #: scheduler knob at once; when set it wins wholesale over the
-    #: per-knob ``scheduler_*`` fields (the back-compat layer), including
-    #: ``canvas_structure`` for the solver the scheduler is built around.
-    scheduler_options: Optional[SchedulerOptions] = None
+    #: Every Tangram scheduler knob (see :class:`~repro.core.options.
+    #: SchedulerOptions`), including ``canvas_structure`` for the solver
+    #: the scheduler is built around.
+    scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
     #: Lossy/jittery uplink mode (fleet fault experiments): per-send loss
     #: probability, propagation-jitter bound (seconds), and the seed of
     #: the counter-based draws.  The 0.0/0.0 default never touches the
@@ -108,29 +92,13 @@ class EndToEndConfig:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; valid: {STRATEGIES}"
             )
-        if self.bandwidth_mbps <= 0 or self.slo <= 0 or self.fps <= 0:
+        # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
+        if not (self.bandwidth_mbps > 0 and self.slo > 0 and self.fps > 0):
             raise ValueError("bandwidth_mbps, slo and fps must be positive")
         if not 0.0 <= self.uplink_loss_probability < 1.0:
             raise ValueError("uplink_loss_probability must be in [0, 1)")
-        if self.uplink_jitter_s < 0:
+        if not self.uplink_jitter_s >= 0:
             raise ValueError("uplink_jitter_s must be non-negative")
-        if self.canvas_structure not in CANVAS_STRUCTURES:
-            raise ValueError(
-                f"unknown canvas_structure {self.canvas_structure!r}; "
-                f"valid: {CANVAS_STRUCTURES}"
-            )
-
-    def resolved_scheduler_options(self) -> SchedulerOptions:
-        """The options record the Tangram scheduler is built from."""
-        if self.scheduler_options is not None:
-            return self.scheduler_options
-        return SchedulerOptions(
-            incremental=self.scheduler_incremental,
-            drift_margin=self.scheduler_drift_margin,
-            repack_scope=self.scheduler_repack_scope,
-            canvas_structure=self.canvas_structure,
-            admission_watermark=self.scheduler_admission_watermark,
-        )
 
 
 @dataclass
@@ -287,7 +255,7 @@ class EndToEndRunner:
     def _build_scheduler(self) -> BaseScheduler:
         config = self.config
         if config.strategy == "tangram":
-            options = config.resolved_scheduler_options()
+            options = config.scheduler_options
             solver = PatchStitchingSolver(
                 canvas_width=config.canvas_size,
                 canvas_height=config.canvas_size,

@@ -44,7 +44,8 @@ class FleetWorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_cameras < 1 or self.patches_per_frame < 1:
             raise ValueError("num_cameras and patches_per_frame must be >= 1")
-        if self.fps <= 0 or self.duration_s <= 0 or self.slo <= 0:
+        # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
+        if not (self.fps > 0 and self.duration_s > 0 and self.slo > 0):
             raise ValueError("fps, duration_s and slo must be positive")
         if not 0 < self.min_patch <= self.max_patch:
             raise ValueError("need 0 < min_patch <= max_patch")

@@ -44,7 +44,6 @@ FAULT_KNOBS = {
 def _config() -> FleetScenarioConfig:
     return FleetScenarioConfig(
         workload=FleetWorkloadConfig(num_cameras=6, fps=4.0, duration_s=DURATION, seed=7),
-        repack_scope="canvas",
         estimator_iterations=100,
     )
 

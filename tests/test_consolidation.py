@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core import consolidation
 from repro.core.consolidation import unpairable
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
@@ -83,9 +84,9 @@ def _crowded_mix(count: int, seed: int):
     return _make_crowded_patches(count, seed)
 
 
-def _stitcher(**kw) -> IncrementalStitcher:
-    kw.setdefault("repack_scope", "canvas")
-    return IncrementalStitcher(PatchStitchingSolver(), **kw)
+def _stitcher(**options) -> IncrementalStitcher:
+    options.setdefault("repack_scope", "canvas")
+    return IncrementalStitcher(PatchStitchingSolver(), options=SchedulerOptions(**options))
 
 
 def _envelope(canvas) -> tuple[float, float]:
@@ -200,17 +201,10 @@ class TestEngineMechanics:
 
     def test_unknown_policy_raises(self):
         """The repack scope is the one consolidation policy left to
-        choose; an unknown scope is rejected by the stitcher and by the
-        scheduler alike."""
-        from repro.core.scheduler import TangramScheduler
-        from repro.serverless.platform import ServerlessPlatform
-        from repro.simulation.engine import Simulator
-
+        choose; the options record, its only carrier, rejects an unknown
+        scope."""
         with pytest.raises(ValueError, match="repack_scope"):
-            IncrementalStitcher(PatchStitchingSolver(), repack_scope="turbo")
-        simulator = Simulator()
-        with pytest.raises(ValueError, match="repack_scope"):
-            TangramScheduler(simulator, ServerlessPlatform(simulator), repack_scope="turbo")
+            SchedulerOptions(repack_scope="turbo")
 
     def test_worst_slot_peek_does_not_consume_valid_entries(self):
         """Victim selection peeks the worst slots off the efficiency heap:
@@ -345,7 +339,7 @@ class TestStallPredictor:
         consults the engine, so the engine keeps its efficiency heap
         unmaintained there (no entry per arrival) and no pre-check ever
         fires."""
-        stitcher = IncrementalStitcher(PatchStitchingSolver(), repack_scope="queue")
+        stitcher = _stitcher(repack_scope="queue")
         for patch in _crowded_mix(256, seed=43):
             stitcher.add(patch)
         assert stitcher.stats["full_repacks"] > 0
@@ -362,9 +356,9 @@ class TestStallPredictor:
         solver = PatchStitchingSolver(canvas_width=100.0, canvas_height=100.0)
         stitcher = IncrementalStitcher(
             solver,
-            repack_scope="canvas",
-            max_partial_victims=2,
-            partial_patch_budget=5,
+            options=SchedulerOptions(
+                repack_scope="canvas", max_partial_victims=2, partial_patch_budget=5
+            ),
         )
         # Two victims, each 100x40 + 100x35 (a 100x25 strip left), plus
         # three near-full canvases keeping the victims at the heap root
@@ -402,16 +396,17 @@ def test_every_unrejected_attempt_runs_a_trial_pack(monkeypatch):
     queue re-tries victim pools that already failed — where skipping
     trials for remembered failures turns attempts away."""
     from repro.fleet import FaultPlan, FleetScenarioConfig, FleetWorkloadConfig, camera_ids
-    from repro.fleet import scenario
+    from repro.fleet import run_fleet_scenario, shard
 
     schedulers = []
 
-    class RecordingScheduler(scenario.TangramScheduler):
+    class RecordingScheduler(shard.TangramScheduler):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             schedulers.append(self)
 
-    monkeypatch.setattr(scenario, "TangramScheduler", RecordingScheduler)
+    # The shard workers build the schedulers, the unsharded run included.
+    monkeypatch.setattr(shard, "TangramScheduler", RecordingScheduler)
     workload = FleetWorkloadConfig(
         num_cameras=28, fps=4.0, duration_s=0.5, patches_per_frame=2, slo=1.0, seed=0
     )
@@ -425,7 +420,7 @@ def test_every_unrejected_attempt_runs_a_trial_pack(monkeypatch):
         burst_count=2,
         burst_multiplier=2.0,
     )
-    result = scenario.run_fleet_scenario(FleetScenarioConfig(workload=workload), plan)
+    result = run_fleet_scenario(FleetScenarioConfig(workload=workload), plan)
     assert result.errors == 0
     (scheduler,) = schedulers
     stats = scheduler.consolidation_stats
@@ -438,21 +433,22 @@ def test_every_unrejected_attempt_runs_a_trial_pack(monkeypatch):
 # --------------------------------------------------------------- plumbing
 class TestKnobPlumbing:
     def test_endtoend_config_validates_policy(self):
-        """The end-to-end config resolves its repack-scope policy
-        through the options record, which rejects unknown scopes."""
-        from repro.pipeline.endtoend import EndToEndConfig
+        """The end-to-end config carries its repack-scope policy in the
+        options record, which rejects unknown scopes."""
+        from repro.pipeline.endtoend import EndToEndConfig, EndToEndRunner
 
         with pytest.raises(ValueError, match="repack_scope"):
-            EndToEndConfig(scheduler_repack_scope="turbo").resolved_scheduler_options()
-        config = EndToEndConfig(scheduler_repack_scope="canvas")
-        assert config.resolved_scheduler_options().repack_scope == "canvas"
+            EndToEndConfig(scheduler_options=SchedulerOptions(repack_scope="turbo"))
+        config = EndToEndConfig(scheduler_options=SchedulerOptions(repack_scope="canvas"))
+        runner = EndToEndRunner(config, {"camera-0": []})
+        assert runner.scheduler._packer.repack_scope == "canvas"
 
     def test_tangram_config_reaches_the_stitcher(self):
         from repro.core.tangram import Tangram, TangramConfig
         from repro.serverless.platform import ServerlessPlatform
         from repro.simulation.engine import Simulator
 
-        config = TangramConfig(scheduler_repack_scope="canvas")
+        config = TangramConfig(scheduler_options=SchedulerOptions(repack_scope="canvas"))
         tangram = Tangram(config=config)
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
@@ -467,7 +463,9 @@ class TestKnobPlumbing:
 
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
-        scheduler = TangramScheduler(simulator, platform, repack_scope="canvas")
+        scheduler = TangramScheduler(
+            simulator, platform, options=SchedulerOptions(repack_scope="canvas")
+        )
         assert set(scheduler.consolidation_stats) == {
             "attempts",
             "trial_packs",

@@ -110,6 +110,9 @@ class TestValidation:
             LivenessTracker(Simulator(), suspect_after=0.0)
         with pytest.raises(ValueError):
             LivenessTracker(Simulator(), reconnect_settle=-1.0)
+        for name in ("suspect_after", "dead_after", "reconnect_settle"):
+            with pytest.raises(ValueError):
+                LivenessTracker(Simulator(), **{name: float("nan")})
 
     def test_rejects_dead_before_suspect(self):
         with pytest.raises(ValueError):

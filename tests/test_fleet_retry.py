@@ -48,6 +48,9 @@ class TestBackoff:
             RetryPolicy(jitter_fraction=1.5)
         with pytest.raises(ValueError):
             RetryPolicy(attempt_timeout_s=0.0)
+        for name in ("base_backoff_s", "max_backoff_s", "attempt_timeout_s"):
+            with pytest.raises(ValueError):
+                RetryPolicy(**{name: float("nan")})
 
 
 class TestReliableSender:

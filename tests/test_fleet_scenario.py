@@ -60,6 +60,9 @@ class TestWorkloadPurity:
             FleetWorkloadConfig(fps=0.0)
         with pytest.raises(ValueError):
             FleetWorkloadConfig(min_patch=300.0, max_patch=200.0)
+        for name in ("fps", "duration_s", "slo"):
+            with pytest.raises(ValueError):
+                FleetWorkloadConfig(**{name: float("nan")})
 
 
 class TestResultAccounting:

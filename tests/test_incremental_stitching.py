@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import (
     Canvas,
@@ -200,9 +201,15 @@ def test_free_rectangle_pool_never_contains_nested_rectangles():
                     assert not first.contains_box(second)
 
 
+def _canvas_scope(**options) -> IncrementalStitcher:
+    return IncrementalStitcher(
+        PatchStitchingSolver(), options=SchedulerOptions(repack_scope="canvas", **options)
+    )
+
+
 def test_negative_drift_margin_rejected():
     with pytest.raises(ValueError):
-        IncrementalStitcher(PatchStitchingSolver(), drift_margin=-0.1)
+        SchedulerOptions(drift_margin=-0.1)
 
 
 # ------------------------------------------------------------ partial re-pack
@@ -213,9 +220,7 @@ def test_partial_repack_invariants_hold(size_list):
     arrival, and every patch stays placed exactly once."""
     # A tiny budget pushes the queue past the whole-queue re-pack regime
     # quickly, so genuine partial (victim) re-packs get exercised.
-    stitcher = IncrementalStitcher(
-        PatchStitchingSolver(), repack_scope="canvas", partial_patch_budget=8
-    )
+    stitcher = _canvas_scope(partial_patch_budget=8)
     patches = _patches(size_list)
     for patch in patches:
         stitcher.add(patch)
@@ -227,9 +232,7 @@ def test_partial_repack_invariants_hold(size_list):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=40))
 def test_partial_repack_probe_predicts_committed_counts(size_list):
-    stitcher = IncrementalStitcher(
-        PatchStitchingSolver(), repack_scope="canvas", partial_patch_budget=8
-    )
+    stitcher = _canvas_scope(partial_patch_budget=8)
     for patch in _patches(size_list):
         plan = stitcher.probe(patch)
         stitcher.commit(plan)
@@ -249,9 +252,7 @@ def test_partial_repack_never_lowers_mean_efficiency_vs_no_repack(size_list):
     same state.  (The guarantee is per decision: two greedy runs that
     diverge early are not comparable end-to-end, so the no-re-pack
     alternative is evaluated on the identical packing state.)"""
-    stitcher = IncrementalStitcher(
-        PatchStitchingSolver(), repack_scope="canvas", partial_patch_budget=8
-    )
+    stitcher = _canvas_scope(partial_patch_budget=8)
     solver = stitcher.solver
     for patch in _patches(size_list):
         plan = stitcher.probe(patch)
@@ -277,9 +278,7 @@ def test_partial_repack_consolidates_on_fragmented_canvases():
     for block in range(30):
         rng_sizes.extend([(140.0 + block, 130.0)] * 5)
         rng_sizes.append((880.0, 900.0 - block))
-    stitcher = IncrementalStitcher(
-        PatchStitchingSolver(), repack_scope="canvas", partial_patch_budget=24
-    )
+    stitcher = _canvas_scope(partial_patch_budget=24)
     for patch in _patches(rng_sizes):
         stitcher.add(patch)
     assert stitcher.stats["partial_repacks"] >= 1
@@ -294,7 +293,7 @@ def test_canvas_scope_small_queue_repacks_whole_queue():
     the whole queue (budget-bounded), tracking the batch packer exactly."""
     small = [(120.0, 120.0)] * 30
     large = [(900.0, 900.0)] * 4
-    stitcher = IncrementalStitcher(PatchStitchingSolver(), repack_scope="canvas")
+    stitcher = _canvas_scope()
     for patch in _patches(small + large):
         stitcher.add(patch)
     assert stitcher.stats["full_repacks"] >= 1

@@ -91,6 +91,12 @@ class TestUplink:
         simulator = Simulator()
         with pytest.raises(ValueError):
             Uplink(simulator, bandwidth_mbps=0.0)
+        with pytest.raises(ValueError):
+            Uplink(simulator, bandwidth_mbps=float("nan"))
+        with pytest.raises(ValueError):
+            Uplink(simulator, bandwidth_mbps=10.0, propagation_delay=-1.0)
+        with pytest.raises(ValueError):
+            Uplink(simulator, bandwidth_mbps=10.0, propagation_delay=float("nan"))
         uplink = Uplink(simulator, bandwidth_mbps=10.0)
         with pytest.raises(ValueError):
             uplink.send(-1)

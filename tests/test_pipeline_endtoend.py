@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.options import SchedulerOptions
 from repro.pipeline.endtoend import EndToEndConfig, EndToEndRunner, run_end_to_end
 from repro.simulation.random_streams import RandomStreams
 from repro.workloads import build_camera_traces
@@ -33,6 +34,9 @@ class TestEndToEndConfig:
             EndToEndConfig(slo=0)
         with pytest.raises(ValueError):
             EndToEndConfig(fps=0)
+        for name in ("bandwidth_mbps", "slo", "fps"):
+            with pytest.raises(ValueError):
+                EndToEndConfig(**{name: float("nan")})
 
 
 class TestEndToEndRunner:
@@ -140,7 +144,7 @@ class TestFaultKnobs:
             uplink_loss_probability=0.0,
             uplink_jitter_s=0.0,
             uplink_fault_seed=77,
-            scheduler_admission_watermark=None,
+            scheduler_options=SchedulerOptions(admission_watermark=None),
         )
         assert knobbed.total_cost == baseline.total_cost
         assert knobbed.slo_violation_rate == baseline.slo_violation_rate
@@ -186,7 +190,7 @@ class TestFaultKnobs:
             strategy="tangram",
             bandwidth_mbps=40,
             slo=1.0,
-            scheduler_admission_watermark=10_000,
+            scheduler_options=SchedulerOptions(admission_watermark=10_000),
         )
         # A sky-high watermark never triggers; the run is simply valid.
         assert sum(batch.num_patches for batch in result.completed_batches) > 0

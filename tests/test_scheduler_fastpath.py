@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.latency import LatencyEstimator
+from repro.core.options import SchedulerOptions
 from repro.core.scheduler import TangramScheduler
 from repro.core.stitching import PatchStitchingSolver
 from repro.serverless.platform import ServerlessPlatform
@@ -28,7 +29,9 @@ from repro.vision.detector import DetectorLatencyModel
 from tests.conftest import make_patch, use_always_repack
 
 
-def _scheduler(simulator: Simulator, **kwargs) -> TangramScheduler:
+def _scheduler(
+    simulator: Simulator, incremental: bool = True, **kwargs
+) -> TangramScheduler:
     platform = ServerlessPlatform(simulator, cold_start_time=0.0)
     latency_model = DetectorLatencyModel.serverless()
     estimator = LatencyEstimator(
@@ -41,6 +44,7 @@ def _scheduler(simulator: Simulator, **kwargs) -> TangramScheduler:
         estimator=estimator,
         latency_model=latency_model,
         streams=RandomStreams(6),
+        options=SchedulerOptions(incremental=incremental),
         **kwargs,
     )
 

@@ -5,14 +5,14 @@ The contract of the redesign:
 * every knob keeps its historical default, so ``SchedulerOptions()`` is
   the status quo, and the record holds exactly the seven knobs the
   benchmark workloads exercise;
-* the legacy per-kwarg surface stays as a thin back-compat layer: an
-  explicitly passed kwarg overrides the matching ``options=`` field, and
-  a kwargs-built object is byte-identical to an options-built one;
-* removed knobs stay removed: ``use_index=`` is rejected, and the
-  always-re-pack mode lives on as a test oracle with the same meaning;
-* ``TangramConfig`` / ``EndToEndConfig`` resolve their scattered
-  ``scheduler_*`` fields into one options record (a provided
-  ``scheduler_options=`` wins wholesale).
+* the record is the only carrier: the per-knob kwargs on the scheduler
+  and stitcher and the per-knob config fields are gone, and passing one
+  fails loudly, as ``use_index=`` does;
+* the always-re-pack mode lives on as a test oracle with the same
+  meaning;
+* each runner config's ``scheduler_options`` record reaches the
+  scheduler it builds unchanged, and the fleet runners default to canvas
+  scope.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.options import REPACK_SCOPES, SchedulerOptions
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.core.tangram import TangramConfig
+from repro.fleet.scenario import FleetScenarioConfig
 from repro.pipeline.endtoend import EndToEndConfig
 from repro.video.geometry import Box
 
@@ -44,16 +45,6 @@ def _patches(count: int = 160, seed: int = 5) -> list[Patch]:
             rng.uniform(64.0, 512.0, size=count),
             rng.uniform(64.0, 512.0, size=count),
         )
-    ]
-
-
-def _placements(stitcher: IncrementalStitcher) -> list[tuple]:
-    # Keyed by geometry, not patch_id: the id counter is process-global,
-    # so the two equivalence arms' streams number their patches apart.
-    return [
-        (p.patch.region.width, p.patch.region.height, p.x, p.y)
-        for canvas in stitcher.canvases
-        for p in canvas.placements
     ]
 
 
@@ -97,60 +88,8 @@ class TestSchedulerOptionsRecord:
         with pytest.raises(AttributeError):
             SchedulerOptions().drift_margin = 0.2  # type: ignore[misc]
 
-    def test_replace_revalidates(self):
-        options = SchedulerOptions().replace(repack_scope="canvas")
-        assert options.repack_scope == "canvas"
-        with pytest.raises(ValueError):
-            options.replace(repack_scope="galaxy")
-
-    def test_merged_with_skips_unset_and_overrides_set(self):
-        from repro.core.options import UNSET
-
-        base = SchedulerOptions(repack_scope="canvas", drift_margin=0.1)
-        merged = base.merged_with(
-            repack_scope=UNSET, drift_margin=0.2, admission_watermark=UNSET
-        )
-        assert merged.repack_scope == "canvas"
-        assert merged.drift_margin == 0.2
-        assert merged.admission_watermark is None
-
-    def test_describe_is_json_friendly(self):
-        import json
-
-        # ``inf`` is the documented "never re-pack on overflow" setting:
-        # it validates, and describe() stringifies it.
-        payload = SchedulerOptions(drift_margin=float("inf")).describe()
-        decoded = json.loads(json.dumps(payload))
-        assert decoded["repack_scope"] in REPACK_SCOPES
-        assert decoded["drift_margin"] == "inf"
-
 
 class TestBackCompatEquivalence:
-    def test_stitcher_kwargs_equal_options(self):
-        kwargs = dict(
-            repack_scope="canvas",
-            max_partial_victims=4,
-            partial_patch_budget=32,
-        )
-        via_kwargs = IncrementalStitcher(PatchStitchingSolver(), **kwargs)
-        via_options = IncrementalStitcher(
-            PatchStitchingSolver(), options=SchedulerOptions(**kwargs)
-        )
-        for patch in _patches():
-            via_kwargs.add(patch)
-        for patch in _patches():
-            via_options.add(patch)
-        assert _placements(via_kwargs) == _placements(via_options)
-        assert via_kwargs.options == via_options.options
-
-    def test_explicit_kwarg_overrides_options_field(self):
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(repack_scope="queue"),
-            repack_scope="canvas",
-        )
-        assert stitcher.options.repack_scope == "canvas"
-
     def test_always_repack_maps_to_full_repack_equivalent(self):
         """The always-re-pack oracle the equivalence suites inject keeps
         what ``always_repack=True`` meant: under the same options, its
@@ -173,10 +112,57 @@ class TestBackCompatEquivalence:
         assert oracle.stats["full_repacks"] == len(queue)
 
 
+def _scheduler(**kwargs):
+    from repro.core.scheduler import TangramScheduler
+    from repro.serverless.platform import ServerlessPlatform
+    from repro.simulation.engine import Simulator
+
+    simulator = Simulator()
+    return TangramScheduler(simulator, ServerlessPlatform(simulator), **kwargs)
+
+
+def _stitcher(**kwargs):
+    return IncrementalStitcher(PatchStitchingSolver(), **kwargs)
+
+
+#: The per-knob kwargs ``TangramScheduler`` had.
+_SCHEDULER_KWARGS = {
+    "incremental": False,
+    "drift_margin": 0.2,
+    "repack_scope": "canvas",
+    "max_partial_victims": 4,
+    "partial_patch_budget": 32,
+    "canvas_structure": "guillotine",
+    "admission_watermark": 16,
+}
+#: ``IncrementalStitcher`` had four of them, and ``EndToEndConfig`` /
+#: ``TangramConfig`` five as fields, four of those ``scheduler_``-prefixed.
+_STITCHER_KWARGS = ("drift_margin", "repack_scope", "max_partial_victims", "partial_patch_budget")
+_CONFIG_FIELDS = {
+    ("" if knob == "canvas_structure" else "scheduler_") + knob: value
+    for knob, value in _SCHEDULER_KWARGS.items()
+    if knob not in ("max_partial_victims", "partial_patch_budget")
+}
+
+#: Every removed way of setting a knob next to the options record, plus
+#: ``use_index=``, whose deprecation cycle ended earlier.
+_REMOVED = {
+    "stitch": (
+        _stitcher,
+        {"use_index": False, **{knob: _SCHEDULER_KWARGS[knob] for knob in _STITCHER_KWARGS}},
+    ),
+    "sched": (_scheduler, _SCHEDULER_KWARGS),
+    "e2e": (EndToEndConfig, _CONFIG_FIELDS),
+    "tangram": (TangramConfig, _CONFIG_FIELDS),
+    "fleet": (FleetScenarioConfig, {"repack_scope": "queue", "admission_watermark": 16}),
+}
+
+
 class TestUseIndexDeprecation:
-    """``use_index=`` finished its deprecation cycle: the knob is gone
-    from every layer, so building through the options record has nothing
-    left to warn about and the old kwarg fails loudly."""
+    """``use_index=`` finished its deprecation cycle, and every other
+    per-knob kwarg and config field followed it: building through the
+    options record has nothing left to warn about, and each old
+    spelling fails loudly."""
 
     def test_options_path_does_not_warn(self):
         import warnings
@@ -189,43 +175,85 @@ class TestUseIndexDeprecation:
             for patch in _patches(count=16):
                 stitcher.add(patch)
         assert stitcher.options == SchedulerOptions(repack_scope="canvas")
+
+    @pytest.mark.parametrize(
+        "build, knob, value",
+        [
+            pytest.param(build, knob, value, id=f"{owner}-{knob.removeprefix('scheduler_')}")
+            for owner, (build, knobs) in _REMOVED.items()
+            for knob, value in knobs.items()
+        ],
+    )
+    def test_rejected(self, build, knob, value):
         with pytest.raises(TypeError):
-            IncrementalStitcher(PatchStitchingSolver(), use_index=False)
+            build(**{knob: value})
+
+
+def _online_parts():
+    from repro.serverless.platform import ServerlessPlatform
+    from repro.simulation.engine import Simulator
+
+    simulator = Simulator()
+    return simulator, ServerlessPlatform(simulator)
+
+
+def _assert_built_from(scheduler, record: SchedulerOptions) -> None:
+    assert scheduler.options is record
+    assert scheduler._packer.options is record
+    assert scheduler.admission_watermark == record.admission_watermark
 
 
 class TestConfigResolution:
-    def test_tangram_config_maps_scattered_fields(self):
-        config = TangramConfig(
-            scheduler_incremental=False,
-            scheduler_drift_margin=0.2,
-            scheduler_repack_scope="canvas",
-            canvas_structure="guillotine",
-            scheduler_admission_watermark=16,
-        )
-        options = config.resolved_scheduler_options()
-        assert options.incremental is False
-        assert options.drift_margin == 0.2
-        assert options.repack_scope == "canvas"
-        assert options.canvas_structure == "guillotine"
-        assert options.admission_watermark == 16
+    """Each runner config's ``scheduler_options`` record is the very
+    object its scheduler, and that scheduler's stitcher, is built from."""
 
     def test_tangram_config_options_win_wholesale(self):
-        record = SchedulerOptions(repack_scope="canvas", drift_margin=0.3)
-        config = TangramConfig(scheduler_repack_scope="queue", scheduler_options=record)
-        assert config.resolved_scheduler_options() is record
+        from repro.core.tangram import Tangram
 
-    def test_endtoend_config_maps_scattered_fields(self):
-        config = EndToEndConfig(
-            scheduler_repack_scope="canvas",
-            scheduler_drift_margin=0.2,
-            scheduler_admission_watermark=16,
+        record = SchedulerOptions(
+            repack_scope="canvas", drift_margin=0.3, admission_watermark=16
         )
-        options = config.resolved_scheduler_options()
-        assert options.repack_scope == "canvas"
-        assert options.drift_margin == 0.2
-        assert options.admission_watermark == 16
+        scheduler = Tangram(TangramConfig(scheduler_options=record)).build_online_scheduler(
+            *_online_parts()
+        )
+        _assert_built_from(scheduler, record)
 
     def test_endtoend_config_options_win_wholesale(self):
-        record = SchedulerOptions(repack_scope="canvas")
-        config = EndToEndConfig(scheduler_options=record)
-        assert config.resolved_scheduler_options() is record
+        from repro.pipeline.endtoend import EndToEndRunner
+
+        record = SchedulerOptions(
+            repack_scope="canvas", drift_margin=0.2, admission_watermark=16
+        )
+        runner = EndToEndRunner(EndToEndConfig(scheduler_options=record), {"camera-0": []})
+        _assert_built_from(runner.scheduler, record)
+
+    def test_fleet_config_record_reaches_every_shard(self):
+        from repro.fleet.shard import ShardWorker
+        from repro.simulation.random_streams import RandomStreams
+        from repro.vision.detector import DetectorLatencyModel
+
+        record = SchedulerOptions(
+            repack_scope="canvas", drift_margin=0.2, admission_watermark=16
+        )
+        simulator, platform = _online_parts()
+        fleet = FleetScenarioConfig(scheduler_options=record, estimator_iterations=10)
+        for shard_id in range(2):
+            worker = ShardWorker(
+                shard_id,
+                simulator,
+                platform,
+                DetectorLatencyModel.serverless(),
+                RandomStreams(0),
+                fleet,
+                None,
+            )
+            _assert_built_from(worker.scheduler, record)
+
+    def test_fleet_default_is_canvas_scope(self):
+        """Fleet runs default to canvas-scope re-packs; the end-to-end
+        runner and the facade keep ``SchedulerOptions()``."""
+        assert FleetScenarioConfig().scheduler_options == SchedulerOptions(
+            repack_scope="canvas"
+        )
+        assert EndToEndConfig().scheduler_options == SchedulerOptions()
+        assert TangramConfig().scheduler_options == SchedulerOptions()

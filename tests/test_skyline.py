@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.skyline import FreeRect, Skyline
 from repro.core.stitching import (
@@ -132,8 +133,7 @@ class TestSkylineInvariants:
     ):
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(canvas_structure="skyline"),
-            repack_scope="canvas",
-            partial_patch_budget=8,
+            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
         )
         for patch in _patches(size_list):
             stitcher.add(patch)
@@ -311,7 +311,7 @@ class TestStructureEquivalence:
         for structure in ("guillotine", "skyline"):
             stitcher = IncrementalStitcher(
                 PatchStitchingSolver(canvas_structure=structure),
-                repack_scope="canvas",
+                options=SchedulerOptions(repack_scope="canvas"),
             )
             for patch in patches:
                 stitcher.add(patch)
@@ -354,8 +354,7 @@ class TestEfficiencyHeap:
     def test_partial_repack_victims_match_reference_selection(self, size_list):
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(canvas_structure="skyline"),
-            repack_scope="canvas",
-            partial_patch_budget=8,
+            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
         )
         for patch in _patches(size_list):
             plan = stitcher.probe(patch)
@@ -373,8 +372,7 @@ class TestEfficiencyHeap:
         private heap/stamp lists)."""
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(canvas_structure="skyline"),
-            repack_scope="canvas",
-            partial_patch_budget=8,
+            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
         )
         for patch in _patches(size_list):
             stitcher.add(patch)
@@ -390,8 +388,7 @@ class TestEfficiencyHeap:
         must still be selectable by the next probe (entries pushed back)."""
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(canvas_structure="skyline"),
-            repack_scope="canvas",
-            partial_patch_budget=8,
+            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
         )
         sizes = [(300.0, 300.0)] * 20 + [(900.0, 900.0)] * 3
         for patch in _patches(sizes):
