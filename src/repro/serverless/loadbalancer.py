@@ -2,8 +2,7 @@
 
 The paper fronts its function instances with NGINX using the default
 policy (round robin).  A least-connections policy is also provided because
-it is the other policy practitioners commonly switch to, and the ablation
-benchmarks compare the two.
+it is the other policy practitioners commonly switch to.
 
 The sharded fleet frontend (:mod:`repro.fleet.shard`) routes *cameras to
 scheduler shards* through the same factory, which added the two

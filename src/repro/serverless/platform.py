@@ -3,8 +3,9 @@
 :class:`ServerlessPlatform` owns the pool of function instances, scales the
 pool out when every warm instance is busy (serverless functions scale in
 tens of milliseconds, so the default policy simply adds an instance rather
-than queueing), routes invocations through the configured load balancer,
-and aggregates billing across all instances.
+than queueing), routes each invocation through the configured load
+balancer to an idle instance whenever one exists, and aggregates billing
+across all instances.
 """
 
 from __future__ import annotations
@@ -84,11 +85,18 @@ class ServerlessPlatform:
     def _pick_instance(self) -> FunctionInstance:
         if not self.instances:
             return self._add_instance()
-        if self.scaling.scale_out_when_busy:
-            all_busy = all(instance.outstanding > 0 for instance in self.instances)
-            if all_busy and len(self.instances) < self.scaling.max_instances:
-                return self._add_instance()
-        return self.balancer.select(self.instances)
+        # Concurrency is one invocation per instance, so an idle instance
+        # always beats queueing behind a busy one; the balancer rotates
+        # among the idle instances and falls back to all of them only
+        # when every instance is busy and the pool cannot grow.
+        idle = [instance for instance in self.instances if instance.outstanding == 0]
+        if (
+            not idle
+            and self.scaling.scale_out_when_busy
+            and len(self.instances) < self.scaling.max_instances
+        ):
+            return self._add_instance()
+        return self.balancer.select(idle or self.instances)
 
     # ----------------------------------------------------------------- invoke
     def invoke(

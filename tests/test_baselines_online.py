@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.baselines.clipper import ClipperScheduler
 from repro.baselines.elf import ELFScheduler
 from repro.baselines.mark import MArkScheduler
+from repro.pipeline.endtoend import STRATEGIES, EndToEndConfig, run_end_to_end
 from repro.serverless.platform import ServerlessPlatform
 from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
+from repro.workloads import build_camera_traces
 from tests.conftest import make_patch
 
 
@@ -194,3 +198,51 @@ class TestClipperScheduler:
             ClipperScheduler(simulator, _platform(simulator), input_size=0.0)
         with pytest.raises(ValueError):
             ClipperScheduler(simulator, _platform(simulator), initial_batch_size=0)
+
+
+#: sha256 of each strategy's run on the pinned trace (see
+#: :func:`_run_digest`).  The baselines build their one-patch canvases
+#: with a bare ``Canvas``, so any change to its free-space bookkeeping
+#: that moved a placement would move these.
+PINNED_DIGESTS = {
+    "tangram": "b667154ba14fa150af124eebff62f6ee2960b512186d1310c53e2f741b4c0829",
+    "clipper": "5c53ffa24539f6be608e8d6f12226b66c26f0a2d0e80f7ec2d2ebae49db88b38",
+    "elf": "ffe8764940d843281a8004b55a8fddbba502322eea8ed8e18ffa209173cae8f1",
+    "mark": "359628eb4c9c135673b27b748b555faeac52a145f911317977327e0957a49fc7",
+}
+
+
+def _run_digest(result) -> str:
+    """Hash every batch's invoke time, patch and canvas counts, canvas
+    efficiencies, cost and canvas pixels, plus the sorted patch
+    latencies (exact float reprs)."""
+    digest = hashlib.sha256()
+    for batch in result.batches:
+        digest.update(
+            repr(
+                (
+                    batch.invoke_time,
+                    batch.num_patches,
+                    batch.num_canvases,
+                    tuple(batch.canvas_efficiencies),
+                    batch.cost,
+                    batch.total_canvas_pixels,
+                )
+            ).encode()
+        )
+    digest.update(repr(sorted(o.latency for o in result.outcomes)).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_traces():
+    return build_camera_traces(
+        num_cameras=3, frames_per_camera=12, seed=5, max_concurrent_objects=60
+    )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_strategy_run_matches_pinned_digest(pinned_traces, strategy):
+    result = run_end_to_end(EndToEndConfig(strategy=strategy), pinned_traces)
+    assert result.outcomes
+    assert _run_digest(result) == PINNED_DIGESTS[strategy]

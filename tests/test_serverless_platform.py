@@ -176,6 +176,26 @@ class TestServerlessPlatform:
         simulator.run()
         assert max(finishes) == pytest.approx(1.0)
 
+    def test_invocation_starts_on_the_idle_instance(self):
+        """Round robin rotates among idle instances only: with one warm
+        instance busy for a long invocation and the other idle, the next
+        invocation starts on the idle one at once instead of queueing."""
+        simulator = Simulator()
+        platform = ServerlessPlatform(simulator, cold_start_time=0.5, initial_instances=2)
+        records = []
+        simulator.schedule_at(0.0, lambda sim: platform.invoke(10.0))
+        simulator.schedule_at(0.1, lambda sim: platform.invoke(0.1))
+        simulator.schedule_at(
+            1.0, lambda sim: platform.invoke(0.2, on_complete=records.append)
+        )
+        simulator.run()
+        assert platform.num_instances == 2
+        (record,) = records
+        assert record.instance_id == "faas-1"
+        assert record.cold_start == 0.0
+        assert record.start_time == pytest.approx(record.submit_time)
+        assert record.submit_time == pytest.approx(1.0)
+
     def test_invalid_scaling_policy_rejected(self):
         with pytest.raises(ValueError):
             ScalingPolicy(max_instances=0)
