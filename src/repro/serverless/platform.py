@@ -53,6 +53,9 @@ class ServerlessPlatform:
     ) -> None:
         if initial_instances < 0:
             raise ValueError("initial_instances must be non-negative")
+        # ``not x >= 0`` rather than ``x < 0``, so NaN fails too.
+        if not cold_start_time >= 0:
+            raise ValueError("cold_start_time must be non-negative")
         self.simulator = simulator
         self.resources = resources or FunctionResources()
         self.cost_model = cost_model or AlibabaCostModel(resources=self.resources)
@@ -110,6 +113,10 @@ class ServerlessPlatform:
         Returns the instance the invocation was assigned to (useful for
         tests asserting scaling behaviour).
         """
+        # Checked before an instance is picked, so a bad call neither
+        # scales the pool nor advances the balancer.
+        if not execution_time >= 0:
+            raise ValueError("execution_time must be non-negative")
         instance = self._pick_instance()
         instance.invoke(execution_time, payload=payload, on_complete=on_complete)
         return instance

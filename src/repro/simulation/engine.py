@@ -17,6 +17,12 @@ class SimulationError(RuntimeError):
     """Raised when the simulator is used inconsistently."""
 
 
+def _check_start_time(start_time: float) -> None:
+    # ``not x >= 0`` rather than ``x < 0``, so NaN fails too.
+    if not start_time >= 0:
+        raise ValueError("start_time must be non-negative")
+
+
 class Simulator:
     """A deterministic single-threaded discrete-event simulator.
 
@@ -31,8 +37,7 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0, trace: bool = False) -> None:
-        if start_time < 0:
-            raise ValueError("start_time must be non-negative")
+        _check_start_time(start_time)
         self._now = float(start_time)
         self._queue = EventQueue()
         self._running = False
@@ -66,10 +71,12 @@ class Simulator:
         name: str = "",
     ) -> Event:
         """Schedule ``callback(simulator)`` at absolute time ``time``."""
-        if time < self._now:
+        # ``not x >= now`` rather than ``x < now``: a NaN time would
+        # corrupt the heap order.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event {name!r} at {time:.6f}, "
-                f"which is in the past (now={self._now:.6f})"
+                f"which is in the past or not a number (now={self._now:.6f})"
             )
         return self._queue.push(time, callback, priority=priority, name=name)
 
@@ -82,7 +89,7 @@ class Simulator:
         name: str = "",
     ) -> Event:
         """Schedule ``callback(simulator)`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(
             self._now + delay, callback, priority=priority, name=name
@@ -143,6 +150,7 @@ class Simulator:
 
     def reset(self, start_time: float = 0.0) -> None:
         """Discard all pending events and rewind the clock."""
+        _check_start_time(start_time)
         self._queue.clear()
         self._now = float(start_time)
         self._fired_events = 0

@@ -199,3 +199,29 @@ class TestServerlessPlatform:
     def test_invalid_scaling_policy_rejected(self):
         with pytest.raises(ValueError):
             ScalingPolicy(max_instances=0)
+
+
+NAN = float("nan")
+
+
+def _invoke_on_fresh_platform(execution_time):
+    platform = ServerlessPlatform(Simulator(), initial_instances=0)
+    try:
+        platform.invoke(execution_time)
+    finally:
+        # Rejected before an instance is picked or added.
+        assert platform.num_instances == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ServerlessPlatform(Simulator(), cold_start_time=NAN),
+        lambda: ServerlessPlatform(Simulator(), cold_start_time=-5.0),
+        lambda: _invoke_on_fresh_platform(NAN),
+    ],
+    ids=["cold_start-nan", "cold_start-negative", "invoke-nan"],
+)
+def test_malformed_inputs_rejected(call):
+    with pytest.raises(ValueError):
+        call()

@@ -121,3 +121,22 @@ def test_fired_events_counter():
 def test_negative_start_time_rejected():
     with pytest.raises(ValueError):
         Simulator(start_time=-1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: Simulator(start_time=NAN), ValueError),
+        (lambda: Simulator().reset(start_time=NAN), ValueError),
+        (lambda: Simulator().reset(start_time=-1.0), ValueError),
+        (lambda: Simulator().schedule_at(NAN, lambda sim: None), SimulationError),
+        (lambda: Simulator().schedule_in(NAN, lambda sim: None), SimulationError),
+    ],
+    ids=["init-nan", "reset-nan", "reset-negative", "schedule_at-nan", "schedule_in-nan"],
+)
+def test_malformed_times_rejected(call, error):
+    with pytest.raises(error):
+        call()
