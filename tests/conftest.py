@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.canvas import Placement
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher
 from repro.simulation.engine import Simulator
@@ -111,3 +112,101 @@ def use_always_repack(scheduler):
         options=scheduler.options,
     )
     return scheduler
+
+
+class GuillotineCanvas:
+    """One canvas of the :func:`guillotine_pack` oracle: its placements
+    and the guillotine free-rectangle list, which always partitions the
+    unused area into disjoint rectangles.  Quacks like
+    :class:`~repro.core.canvas.Canvas` for ``validate_packing`` and
+    ``mean_efficiency``."""
+
+    def __init__(
+        self, width: float, height: float, canvas_id: int, oversized: bool = False
+    ) -> None:
+        self.width = width
+        self.height = height
+        self.canvas_id = canvas_id
+        self.oversized = oversized
+        self.placements: list[Placement] = []
+        self.free_rectangles = [Box(0.0, 0.0, width, height)]
+
+    @property
+    def area(self) -> float:
+        return self.width * self.height
+
+    def recompute_used_area(self) -> float:
+        return sum(placement.patch.area for placement in self.placements)
+
+    used_area = property(recompute_used_area)
+
+    @property
+    def efficiency(self) -> float:
+        return self.used_area / self.area
+
+    def try_place(self, patch: Patch) -> bool:
+        """Best-short-side-fit into the free list (strict ``<``, first
+        rectangle wins ties), placed at the rectangle's origin, with the
+        leftover split along the shorter axis (Algorithm 2 line 32)."""
+        best_index = -1
+        best_score = float("inf")
+        for index, rect in enumerate(self.free_rectangles):
+            if rect.width >= patch.width and rect.height >= patch.height:
+                score = min(rect.width - patch.width, rect.height - patch.height)
+                if score < best_score:
+                    best_score = score
+                    best_index = index
+        if best_index < 0:
+            return False
+        rect = self.free_rectangles.pop(best_index)
+        self.placements.append(Placement(patch=patch, x=rect.x, y=rect.y))
+        leftover_w = rect.width - patch.width
+        leftover_h = rect.height - patch.height
+        if leftover_w <= leftover_h:
+            right = Box(rect.x + patch.width, rect.y, leftover_w, patch.height)
+            bottom = Box(rect.x, rect.y + patch.height, rect.width, leftover_h)
+        else:
+            right = Box(rect.x + patch.width, rect.y, leftover_w, rect.height)
+            bottom = Box(rect.x, rect.y + patch.height, patch.width, leftover_h)
+        for candidate in (right, bottom):
+            if candidate.width > 0.5 and candidate.height > 0.5:
+                self._add_free_rectangle(candidate)
+        return True
+
+    def _add_free_rectangle(self, candidate: Box) -> None:
+        """Insert a free rectangle, pruning by containment both ways."""
+        pool = self.free_rectangles
+        if any(rect.contains_box(candidate) for rect in pool):
+            return
+        pool[:] = [rect for rect in pool if not candidate.contains_box(rect)]
+        pool.append(candidate)
+
+
+def guillotine_pack(
+    patches, width: float = 1024.0, height: float = 1024.0
+) -> list[GuillotineCanvas]:
+    """Test oracle: the classic guillotine batch packer.
+
+    First-fit-decreasing by area over the open canvases, each a
+    :class:`GuillotineCanvas`; a patch larger than the canvas gets a
+    dedicated canvas of exactly its size.  The skyline packer's canvas
+    counts and efficiencies are checked against this reference.
+    """
+    ordered = sorted(patches, key=lambda patch: patch.area, reverse=True)
+    canvases: list[GuillotineCanvas] = []
+    open_canvases: list[GuillotineCanvas] = []
+    for patch in ordered:
+        if not patch.fits_on(width, height):
+            canvas = GuillotineCanvas(
+                patch.width, patch.height, len(canvases), oversized=True
+            )
+            canvas.try_place(patch)
+            canvases.append(canvas)
+            continue
+        if any(canvas.try_place(patch) for canvas in open_canvases):
+            continue
+        canvas = GuillotineCanvas(width, height, len(canvases))
+        canvas.try_place(patch)
+        canvases.append(canvas)
+        open_canvases.append(canvas)
+    return canvases
