@@ -85,16 +85,8 @@ def main(argv=None) -> int:
         "--min-efficiency-ratio",
         type=float,
         default=0.99,
-        help="--check fails when partial-re-pack (or skyline-stream) mean "
-        "canvas efficiency falls below this fraction of its reference "
-        "(default 0.99)",
-    )
-    parser.add_argument(
-        "--min-skyline-speedup",
-        type=float,
-        default=2.0,
-        help="--check fails when the skyline-vs-guillotine fleet re-pack "
-        "speedup at depth 4096 drops below this (default 2.0)",
+        help="--check fails when partial-re-pack mean canvas efficiency "
+        "falls below this fraction of the batch packer's (default 0.99)",
     )
     parser.add_argument(
         "--min-fleet-efficiency-ratio",
@@ -230,7 +222,6 @@ def main(argv=None) -> int:
             max_regression=args.max_regression,
             min_speedup=args.min_speedup,
             min_efficiency_ratio=args.min_efficiency_ratio,
-            min_skyline_speedup=args.min_skyline_speedup,
             min_fleet_efficiency_ratio=args.min_fleet_efficiency_ratio,
             max_fleet_overreaction=args.max_fleet_overreaction,
             min_sharded_speedup=args.min_sharded_speedup,

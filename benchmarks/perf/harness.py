@@ -28,16 +28,15 @@ ARRIVAL_QUEUE_DEPTH = 256
 
 #: Sections cheap enough for the ``--quick`` tier-1 smoke gate (see
 #: ``tests/test_perf_smoke.py``): the 256-depth workloads, the small
-#: end-to-end run, and the skyline-vs-guillotine batch-pack A/B (whose
-#: derived speedup gate is the PR-3 headline); the deep-queue arrival and
-#: fleet scenarios are full-run only.
+#: end-to-end run, and one batch pack of the 4096-patch fleet queue (the
+#: cost unit of one full re-pack); the deep-queue arrival and fleet
+#: scenarios are full-run only.
 QUICK_SECTIONS = [
     "stitching_batch_pack_256",
     "stitching_incremental_256",
     "validate_packing_1024",
     "scheduler_arrival_full_256",
     "scheduler_arrival_fast_256",
-    "stitching_fleet_repack_guillotine_4096",
     "stitching_fleet_repack_skyline_4096",
     "gmm_frame_loop",
     "end_to_end_small",
@@ -303,7 +302,6 @@ def _bench_deep_arrival(name: str, patches, options) -> BenchResult:
     meta: Dict[str, object] = {
         "queue_depth": len(patches),
         "pending_canvases": scheduler.pending_canvases,
-        "canvas_structure": options.canvas_structure,
         "scheduler_options": asdict(options),
         "packing_stats": scheduler.packing_stats,
     }
@@ -313,72 +311,37 @@ def _bench_deep_arrival(name: str, patches, options) -> BenchResult:
     return BenchResult(name, elapsed, meta)
 
 
-def bench_arrival_pr1_4096() -> BenchResult:
-    """The original arrival path at queue depth 4096: whole-queue
-    re-packs on wasteful overflow and guillotine canvases (the old
-    scaling wall; informational)."""
-    return _bench_deep_arrival(
-        "scheduler_arrival_pr1_4096",
-        _make_patches(4096, seed=19),
-        _options(repack_scope="queue", canvas_structure="guillotine"),
-    )
-
-
 def bench_arrival_fleet_4096() -> BenchResult:
-    """The fleet-scale arrival path at the same depth: budget-bounded
+    """The fleet-scale arrival path at queue depth 4096: budget-bounded
     partial re-packs on skyline canvases (informational)."""
     return _bench_deep_arrival(
         "scheduler_arrival_fleet_4096",
         _make_patches(4096, seed=19),
-        _options(repack_scope="canvas"),
+        _options(),
     )
 
 
-def bench_arrival_fleet_guillotine_4096() -> BenchResult:
-    """The fleet configuration on guillotine canvases: the structure arm
-    of the arrival-path A/B."""
-    return _bench_deep_arrival(
-        "scheduler_arrival_fleet_guillotine_4096",
-        _make_patches(4096, seed=19),
-        _options(repack_scope="canvas", canvas_structure="guillotine"),
-    )
-
-
-def _bench_fleet_repack(structure: str, name: str) -> BenchResult:
+def bench_fleet_repack_skyline() -> BenchResult:
     """One batch ``pack()`` of the 4096-patch fleet queue — the unit of
-    work every full re-pack (and ``IncrementalStitcher.reset``) pays.
-    The skyline/guillotine pair isolates the free-space structure: same
-    patches, same first-fit-decreasing loop, different ``Canvas``
-    internals."""
+    work every full re-pack (and ``IncrementalStitcher.reset``) pays."""
     from repro.core.stitching import PatchStitchingSolver
 
     patches = _make_patches(4096, seed=19)
-    solver = PatchStitchingSolver(canvas_structure=structure)
+    solver = PatchStitchingSolver()
     start = time.perf_counter()
     canvases = solver.pack(patches)
     elapsed = time.perf_counter() - start
     return BenchResult(
-        name,
+        "stitching_fleet_repack_skyline_4096",
         elapsed,
         {
             "patches": len(patches),
             "canvases": len(canvases),
-            "canvas_structure": structure,
             "mean_canvas_efficiency": round(
                 PatchStitchingSolver.mean_efficiency(canvases), 4
             ),
         },
     )
-
-
-def bench_fleet_repack_guillotine() -> BenchResult:
-    return _bench_fleet_repack(
-        "guillotine", "stitching_fleet_repack_guillotine_4096"
-    )
-
-
-def bench_fleet_repack_skyline() -> BenchResult:
-    return _bench_fleet_repack("skyline", "stitching_fleet_repack_skyline_4096")
 
 
 def bench_arrival_heavytail_1024() -> BenchResult:
@@ -388,7 +351,7 @@ def bench_arrival_heavytail_1024() -> BenchResult:
     return _bench_deep_arrival(
         "scheduler_arrival_heavytail_1024",
         _make_heavytail_patches(1024, seed=29),
-        _options(repack_scope="canvas"),
+        _options(),
     )
 
 
@@ -398,7 +361,7 @@ def _bench_scheduler_stream(name: str, options) -> BenchResult:
     queues flush at invocations, so this measures the packing quality
     each mode sustains in the operating regime — the committed evidence
     for the partial-re-pack efficiency criterion.  The depth matters: the
-    canvas-scope run must exercise genuine victim consolidation
+    fast-path run must exercise genuine victim consolidation
     (``partial_repacks`` in its meta stays well above zero), not just the
     small-queue whole-queue re-pack."""
     patches = _make_timed_trace(2048, seed=31)
@@ -425,7 +388,6 @@ def _bench_scheduler_stream(name: str, options) -> BenchResult:
         {
             "patches": len(patches),
             "batches": len(scheduler.completed_batches),
-            "canvas_structure": options.canvas_structure,
             "mean_canvas_efficiency": round(mean_efficiency, 4),
             "packing_stats": scheduler.packing_stats,
         },
@@ -441,19 +403,9 @@ def bench_stream_batch_packer_2048() -> BenchResult:
 
 
 def bench_stream_partial_repack_2048() -> BenchResult:
-    """The same stream under canvas-scope (partial) re-packs."""
-    return _bench_scheduler_stream(
-        "scheduler_stream_partial_2048", _options(repack_scope="canvas")
-    )
-
-
-def bench_stream_partial_guillotine_2048() -> BenchResult:
-    """The canvas-scope stream on guillotine canvases: the structure arm
-    of the stream-efficiency A/B (gated at >= 0.99 by ``--check``)."""
-    return _bench_scheduler_stream(
-        "scheduler_stream_partial_guillotine_2048",
-        _options(repack_scope="canvas", canvas_structure="guillotine"),
-    )
+    """The same stream on the incremental fast path (budget-bounded
+    re-packs and partial consolidation)."""
+    return _bench_scheduler_stream("scheduler_stream_partial_2048", _options())
 
 
 def bench_gmm_frame_loop() -> BenchResult:
@@ -512,9 +464,9 @@ _FLEET_TRACES = None
 
 
 def bench_end_to_end_fleet() -> BenchResult:
-    """A 64-camera fleet sharing one fat uplink, running the fleet-scale
-    scheduler configuration (canvas-scope re-packs).
-    Trace generation is untimed and cached across repeats."""
+    """A 64-camera fleet sharing one fat uplink, with the default
+    scheduler options.  Trace generation is untimed and cached across
+    repeats."""
     from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
     from repro.simulation.random_streams import RandomStreams
     from repro.workloads import build_camera_traces
@@ -524,12 +476,7 @@ def bench_end_to_end_fleet() -> BenchResult:
         _FLEET_TRACES = build_camera_traces(
             num_cameras=64, frames_per_camera=2, seed=4096, max_concurrent_objects=60
         )
-    config = EndToEndConfig(
-        strategy="tangram",
-        bandwidth_mbps=400.0,
-        slo=2.0,
-        scheduler_options=_options(repack_scope="canvas"),
-    )
+    config = EndToEndConfig(strategy="tangram", bandwidth_mbps=400.0, slo=2.0)
     start = time.perf_counter()
     result = run_end_to_end(config, _FLEET_TRACES, streams=RandomStreams(77))
     elapsed = time.perf_counter() - start
@@ -715,15 +662,11 @@ SECTIONS: Dict[str, Callable[[], BenchResult]] = {
     "validate_packing_1024": bench_validate_packing,
     "scheduler_arrival_full_256": bench_scheduler_arrival_full,
     "scheduler_arrival_fast_256": bench_scheduler_arrival_fast,
-    "scheduler_arrival_pr1_4096": bench_arrival_pr1_4096,
     "scheduler_arrival_fleet_4096": bench_arrival_fleet_4096,
-    "scheduler_arrival_fleet_guillotine_4096": bench_arrival_fleet_guillotine_4096,
-    "stitching_fleet_repack_guillotine_4096": bench_fleet_repack_guillotine,
     "stitching_fleet_repack_skyline_4096": bench_fleet_repack_skyline,
     "scheduler_arrival_heavytail_1024": bench_arrival_heavytail_1024,
     "scheduler_stream_batchpack_2048": bench_stream_batch_packer_2048,
     "scheduler_stream_partial_2048": bench_stream_partial_repack_2048,
-    "scheduler_stream_partial_guillotine_2048": bench_stream_partial_guillotine_2048,
     "gmm_frame_loop": bench_gmm_frame_loop,
     "end_to_end_small": bench_end_to_end,
     "end_to_end_fleet_64": bench_end_to_end_fleet,
@@ -750,12 +693,10 @@ def profile_arrival(depth: int = 4096, mix: str = "fleet") -> Dict[str, object]:
     """
     if mix == "fleet":
         patches = _make_patches(depth, seed=19)
-        options = _options(repack_scope="canvas")
+        options = _options()
     elif mix == "crowded":
         patches = _make_crowded_patches(depth, seed=43)
-        options = _options(
-            repack_scope="canvas", max_partial_victims=32, partial_patch_budget=96
-        )
+        options = _options(max_partial_victims=32, partial_patch_budget=96)
     else:
         raise ValueError(f"unknown profile mix {mix!r} (use 'fleet' or 'crowded')")
     _simulator, scheduler = _build_scheduler(options)
@@ -856,12 +797,6 @@ def _derive(sections: Dict[str, Dict[str, object]]) -> Dict[str, float]:
     speedup = _ratio("scheduler_arrival_full_256", "scheduler_arrival_fast_256")
     if speedup is not None:
         derived["scheduler_arrival_speedup"] = speedup
-    skyline_pack = _ratio(
-        "stitching_fleet_repack_guillotine_4096",
-        "stitching_fleet_repack_skyline_4096",
-    )
-    if skyline_pack is not None:
-        derived["skyline_pack_speedup_4096"] = skyline_pack
     batch = sections.get("scheduler_stream_batchpack_2048")
     partial = sections.get("scheduler_stream_partial_2048")
     if batch and partial:
@@ -870,16 +805,6 @@ def _derive(sections: Dict[str, Dict[str, object]]) -> Dict[str, float]:
         if batch_eff > 0:
             derived["partial_repack_efficiency_ratio"] = round(
                 partial_eff / batch_eff, 4
-            )
-    guillotine_stream = sections.get("scheduler_stream_partial_guillotine_2048")
-    if partial and guillotine_stream:
-        skyline_eff = float(partial["meta"].get("mean_canvas_efficiency", 0.0))
-        guillotine_eff = float(
-            guillotine_stream["meta"].get("mean_canvas_efficiency", 0.0)
-        )
-        if guillotine_eff > 0:
-            derived["skyline_stream_efficiency_ratio"] = round(
-                skyline_eff / guillotine_eff, 4
             )
     faultfree = sections.get("fleet_faultfree_1024")
     churn = sections.get("fleet_churn_1024")
@@ -942,7 +867,6 @@ def check_against_baseline(
     max_regression: float = 2.0,
     min_speedup: float = 5.0,
     min_efficiency_ratio: float = 0.99,
-    min_skyline_speedup: float = 2.0,
     min_fleet_efficiency_ratio: float = 0.95,
     max_fleet_overreaction: float = 0.05,
     min_sharded_speedup: float = 1.5,
@@ -982,8 +906,6 @@ def check_against_baseline(
     gates = [
         ("scheduler_arrival_speedup", min_speedup, "x"),
         ("partial_repack_efficiency_ratio", min_efficiency_ratio, ""),
-        ("skyline_pack_speedup_4096", min_skyline_speedup, "x"),
-        ("skyline_stream_efficiency_ratio", min_efficiency_ratio, ""),
         ("fleet_stream_efficiency_ratio", min_fleet_efficiency_ratio, ""),
         ("sharded_throughput_speedup", min_sharded_speedup, "x"),
     ]

@@ -10,11 +10,10 @@
   incremental stitcher whose probe is one linear best-short-side-fit
   scan over the live canvases.
 * :mod:`repro.core.canvas` -- the canvas itself: the fixed-size packing
-  surface with its pluggable free-space bookkeeping.
-* :mod:`repro.core.skyline` -- the skyline free-space structure (occupied
-  silhouette as x-sorted segments plus recycled waste rectangles) the
-  solver's canvases use by default; ``canvas_structure="guillotine"``
-  selects the classic free-rectangle list instead.
+  surface and its free-space bookkeeping.
+* :mod:`repro.core.skyline` -- the skyline free-space structure every
+  canvas keeps (occupied silhouette as x-sorted segments plus recycled
+  waste rectangles).
 * :mod:`repro.core.consolidation` -- the overflow-consolidation
   subsystem: the victim efficiency heap, the retry backoff, and the
   trial re-pack behind two exact pre-checks.
@@ -34,10 +33,9 @@
 from repro.core.patches import Patch
 from repro.core.partitioning import FramePartitioner, partition_rois
 from repro.core.consolidation import ConsolidationEngine
-from repro.core.options import REPACK_SCOPES, SchedulerOptions
+from repro.core.options import SchedulerOptions
 from repro.core.skyline import FreeRect, Skyline
 from repro.core.stitching import (
-    CANVAS_STRUCTURES,
     Canvas,
     IncrementalStitcher,
     Placement,
@@ -52,7 +50,6 @@ __all__ = [
     "Patch",
     "FramePartitioner",
     "partition_rois",
-    "CANVAS_STRUCTURES",
     "Canvas",
     "ConsolidationEngine",
     "FreeRect",
@@ -63,7 +60,6 @@ __all__ = [
     "PatchStitchingSolver",
     "LatencyEstimator",
     "LatencyProfile",
-    "REPACK_SCOPES",
     "SchedulerOptions",
     "BatchRecord",
     "TangramScheduler",

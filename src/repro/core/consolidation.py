@@ -88,10 +88,6 @@ class ConsolidationEngine:
     def touch(self, index: int) -> None:
         """Record a mutation of canvas slot ``index``: invalidate its old
         heap entries and push one with the current efficiency."""
-        if self.stitcher.repack_scope != "canvas":
-            # Only consolidation reads the heap; don't grow it by one
-            # tuple per arrival on configurations that never consult it.
-            return
         stamps = self._stamps
         while len(stamps) <= index:
             stamps.append(0)

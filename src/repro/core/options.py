@@ -8,18 +8,18 @@ is frozen, so the sharded fleet frontend (:mod:`repro.fleet.shard`)
 hands the same instance to all *N* of its schedulers; build a changed
 copy with :func:`dataclasses.replace`, which re-runs the validation.
 
-Each runner config keeps its own default record:
-
-* :class:`repro.pipeline.endtoend.EndToEndConfig` and
-  :class:`repro.core.tangram.TangramConfig`: ``SchedulerOptions()``
-  (queue scope);
-* :class:`repro.fleet.scenario.FleetScenarioConfig` (and with it the
-  sharded frontend): ``SchedulerOptions(repack_scope="canvas")``.
+Every runner config (:class:`repro.pipeline.endtoend.EndToEndConfig`,
+:class:`repro.core.tangram.TangramConfig` and
+:class:`repro.fleet.scenario.FleetScenarioConfig`, and with it the
+sharded frontend) defaults to the same ``SchedulerOptions()``.
 
 Each decision the options do not name has exactly one production path:
-the probe is the linear per-canvas scan, consolidation is the trial
-re-pack behind the failed-attempt backoff, and ``incremental=False`` is
-the one route to the literal Algorithm 2.
+canvases keep their free space in a skyline, the probe is the linear
+per-canvas scan, a wasteful overflow re-packs the whole queue while it
+fits ``partial_patch_budget`` and otherwise consolidates the
+least-efficient canvases through the trial re-pack behind the
+failed-attempt backoff, and ``incremental=False`` is the one route to
+the literal Algorithm 2.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.core.canvas import CANVAS_STRUCTURES
-
-#: Overflow re-pack scopes of the incremental stitcher.
-REPACK_SCOPES = ("queue", "canvas")
 
 
 @dataclass(frozen=True)
@@ -53,31 +48,19 @@ class SchedulerOptions:
     #: triggers a re-pack.  Smaller values re-pack more often and track
     #: the batch packer more tightly; ``inf`` never re-packs on overflow.
     drift_margin: float = 0.05
-    #: Fast path, what a wasteful overflow re-packs.  ``"queue"``: the
-    #: whole queue -- best packing quality, but O(queue) per re-pack.
-    #: ``"canvas"``: only the few least-efficient live canvases plus the
-    #: incoming patch, through a trial re-pack that is adopted only when
-    #: it saves a canvas (so it never lowers mean canvas efficiency versus
-    #: not re-packing) -- O(a few canvases) per overflow, which keeps the
-    #: overflow path flat at fleet-scale queue depths (see
-    #: :mod:`repro.core.consolidation`).
-    repack_scope: str = "queue"
-    #: ``repack_scope="canvas"``: how many of the least-efficient canvases
+    #: Fast path, consolidation: how many of the least-efficient canvases
     #: one consolidation may dissolve at once.  Larger values consolidate
     #: harder (tracking the batch packer more closely) at a per-overflow
     #: cost that grows with the victims' patch count.
     max_partial_victims: int = 8
-    #: ``repack_scope="canvas"``: cap on the pooled patch count one
-    #: consolidation may re-pack (the trial re-pack's cost bound).  While
-    #: the whole queue fits it, an overflow re-packs the whole queue and
-    #: tracks the batch packer; on deep queues it keeps the overflow path
-    #: O(1)-ish.
+    #: Fast path: cap on the pooled patch count one re-pack may pack.
+    #: While the whole queue plus the arriving patch fits it, a wasteful
+    #: overflow re-packs the whole queue and tracks the batch packer;
+    #: past that, it consolidates only the few least-efficient canvases
+    #: through a trial re-pack that is adopted only when it saves a
+    #: canvas (see :mod:`repro.core.consolidation`), which keeps the
+    #: overflow path O(a few canvases) at fleet-scale queue depths.
     partial_patch_budget: int = 48
-    #: Canvas free-space structure: ``"skyline"`` or ``"guillotine"`` (see
-    #: :class:`repro.core.skyline.Skyline`).  Applies when the owner builds
-    #: its own solver; an explicit ``solver=`` brings its own structure
-    #: and wins.
-    canvas_structure: str = "skyline"
     #: SLO-aware graceful degradation: once the pending queue holds at
     #: least this many patches, arrivals that can no longer meet their SLO
     #: even if served at once (remaining slack below the single-canvas
@@ -91,16 +74,6 @@ class SchedulerOptions:
     def __post_init__(self) -> None:
         if math.isnan(self.drift_margin) or self.drift_margin < 0:
             raise ValueError("drift_margin must be non-negative (inf allowed)")
-        if self.repack_scope not in REPACK_SCOPES:
-            raise ValueError(
-                f"repack_scope must be one of {REPACK_SCOPES}, "
-                f"got {self.repack_scope!r}"
-            )
-        if self.canvas_structure not in CANVAS_STRUCTURES:
-            raise ValueError(
-                f"canvas_structure must be one of {CANVAS_STRUCTURES}, "
-                f"got {self.canvas_structure!r}"
-            )
         if self.max_partial_victims < 1:
             raise ValueError("max_partial_victims must be at least 1")
         if self.partial_patch_budget < 2:
@@ -109,4 +82,4 @@ class SchedulerOptions:
             raise ValueError("admission_watermark must be at least 1")
 
 
-__all__ = ["REPACK_SCOPES", "SchedulerOptions"]
+__all__ = ["SchedulerOptions"]

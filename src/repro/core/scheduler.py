@@ -228,11 +228,9 @@ class TangramScheduler(BaseScheduler):
         GPU memory one canvas occupies during inference (``w``).
     options:
         The :class:`~repro.core.options.SchedulerOptions` record carrying
-        every scheduler knob (fast path, re-pack scope and its tuning,
-        canvas structure, admission watermark); see its fields for each
-        knob's meaning.  ``options.canvas_structure`` applies when the
-        scheduler builds its own solver; a ``solver`` passed in brings
-        its own structure and wins.  Exposed as :attr:`options`.
+        every scheduler knob (fast path, re-pack tuning, admission
+        watermark); see its fields for each knob's meaning.  Exposed as
+        :attr:`options`.
     record_placements:
         Capture each batch's per-canvas placement tuples on its
         :class:`BatchRecord` at invoke time (run-independent patch
@@ -264,9 +262,7 @@ class TangramScheduler(BaseScheduler):
             name="tangram",
             record_placements=record_placements,
         )
-        self.solver = solver or PatchStitchingSolver(
-            canvas_structure=options.canvas_structure
-        )
+        self.solver = solver or PatchStitchingSolver()
         self.estimator = estimator or LatencyEstimator(
             latency_model=latency_model,
             canvas_width=self.solver.canvas_width,

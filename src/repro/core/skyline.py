@@ -1,13 +1,14 @@
 """Skyline free-space structure for :class:`~repro.core.stitching.Canvas`.
 
-The guillotine free-rectangle list PR 2 left inside ``Canvas`` pays two
+A guillotine free-rectangle list (Algorithm 2 line 32's split) pays two
 costs per placement: the best-short-side-fit scan walks a pool that grows
-with every split, and ``_add_free_rectangle`` prunes contained rectangles
-with an O(pool) ``Box.contains_box`` sweep (profiled at ~15% of the
-fleet arrival path).  This module replaces the pool with a *skyline*: the
-canvas's occupied silhouette kept as an x-sorted run of ``(x, y, width)``
-segments covering ``[0, canvas_width)``, where ``y`` is the top of the
-tallest placement over that x-interval (0 where the canvas floor shows).
+with every split, and inserting a split remainder prunes contained
+rectangles with an O(pool) ``Box.contains_box`` sweep (profiled at ~15%
+of the fleet arrival path).  Every :class:`~repro.core.canvas.Canvas`
+keeps a *skyline* instead: the canvas's occupied silhouette kept as an
+x-sorted run of ``(x, y, width)`` segments covering ``[0, canvas_width)``,
+where ``y`` is the top of the tallest placement over that x-interval (0
+where the canvas floor shows).
 
 Free space is offered to the packers as a single candidate list with two
 kinds of entries, in one canonical ``rect_index`` order:
@@ -44,11 +45,12 @@ Two further ideas make the structure fast:
   complexity, not its placement count.
 
 Scoring stays plain best-short-side-fit over the candidate's
-``(width, height)`` — the same score the guillotine scan computes — so
-skyline canvases plug into the incremental stitcher's global-BSSF probe
-unchanged.  The randomized
-equivalence suite (``tests/test_skyline.py``) plus the benchmark A/B pin
-the packing metrics within 1% of the guillotine path.
+``(width, height)`` — the same score Algorithm 2's scan over free
+rectangles computes — so scores compare across canvases in the
+incremental stitcher's global-BSSF probe.  The randomized suite in
+``tests/test_skyline.py`` pins the batch packer's canvas counts and
+efficiencies against a guillotine test oracle (``guillotine_pack`` in
+``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import List, Optional, Tuple
 __all__ = ["FreeRect", "Skyline"]
 
 #: Slivers thinner than this (either axis) are never offered as candidates,
-#: matching the guillotine pool's 0.5 px sliver rule.
+#: the 0.5 px sliver rule of the guillotine split.
 _SLIVER = 0.5
 
 
@@ -196,7 +198,7 @@ class Skyline:
     ) -> Optional[Tuple[int, float]]:
         """Best-short-side-fit ``(candidate_index, score)`` or ``None``.
 
-        Same contract as the guillotine scan in :meth:`Canvas.best_fit`:
+        Same contract as a naive scan over :attr:`Canvas.free_rectangles`:
         lower score is better, strict ``<`` keeps the lowest index on
         ties, and the score is comparable across canvases (the global
         probe relies on that).

@@ -18,11 +18,10 @@ The module holds the two packers:
   packing alive across arrivals (probe/commit, global best-short-side-
   fit over all live pools, consolidation on wasteful overflow).
 
-Their substrates live in sibling modules: the canvas itself (free-space
-bookkeeping, both the skyline and guillotine structures) in
-:mod:`repro.core.canvas`, and the overflow-consolidation subsystem
-(victim heap, retry backoff, trial re-pack) in
-:mod:`repro.core.consolidation`.
+Their substrates live in sibling modules: the canvas itself (its
+skyline free-space bookkeeping) in :mod:`repro.core.canvas`, and the
+overflow-consolidation subsystem (victim heap, retry backoff, trial
+re-pack) in :mod:`repro.core.consolidation`.
 
 Patches are never resized, padded, rotated, or overlapped -- that is the
 point of the design (resizing costs accuracy, padding costs compute).
@@ -38,7 +37,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 # Re-exported for backwards compatibility: the canvas moved to its own
 # module when the consolidation subsystem was extracted, but
 # ``repro.core.stitching.Canvas`` remains the documented import path.
-from repro.core.canvas import CANVAS_STRUCTURES, Canvas, Placement  # noqa: F401
+from repro.core.canvas import Canvas, Placement  # noqa: F401
 from repro.core.consolidation import ConsolidationEngine
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
@@ -64,16 +63,9 @@ class PatchStitchingSolver:
         When a patch exceeds the canvas dimensions, open a dedicated canvas
         of exactly the patch's size instead of failing.  Coarse partition
         granularities (2 x 2 on a 4K frame) can produce such patches.
-    canvas_structure:
-        Free-space structure of the canvases this solver opens:
-        ``"skyline"`` (default — silhouette segments plus recycled waste
-        rectangles, see :mod:`repro.core.skyline`) or ``"guillotine"``
-        (the PR-2 free-rectangle list with containment pruning).  The
-        skyline's exact O(log n) per-canvas fitness test turns the
-        first-fit scan over full canvases into a bisect, which is where
-        the batch packer's depth-4096 speedup comes from; packing
-        metrics stay within 1% of guillotine (pinned by
-        ``tests/test_skyline.py`` and the benchmark A/B).
+
+    Each canvas's exact O(log n) skyline fitness test turns the first-fit
+    scan over full canvases into a bisect (see :mod:`repro.core.skyline`).
     """
 
     def __init__(
@@ -82,22 +74,15 @@ class PatchStitchingSolver:
         canvas_height: float = 1024.0,
         sort_patches: bool = True,
         allow_oversized: bool = True,
-        canvas_structure: str = "skyline",
     ) -> None:
         if not (math.isfinite(canvas_width) and math.isfinite(canvas_height)):
             raise ValueError("canvas dimensions must be finite")
         if canvas_width <= 0 or canvas_height <= 0:
             raise ValueError("canvas dimensions must be positive")
-        if canvas_structure not in CANVAS_STRUCTURES:
-            raise ValueError(
-                f"canvas_structure must be one of {CANVAS_STRUCTURES}, "
-                f"got {canvas_structure!r}"
-            )
         self.canvas_width = canvas_width
         self.canvas_height = canvas_height
         self.sort_patches = sort_patches
         self.allow_oversized = allow_oversized
-        self.canvas_structure = canvas_structure
 
     @property
     def canvas_area(self) -> float:
@@ -136,12 +121,10 @@ class PatchStitchingSolver:
         if self.sort_patches:
             ordered.sort(key=lambda patch: patch.area, reverse=True)
 
-        structure = self.canvas_structure
         canvases: List[Canvas] = []
-        #: Skyline packing keeps the open (non-oversized) canvases' fitness
-        #: profiles in parallel lists so the first-fit loop can reject a
-        #: full canvas with one bisect and two list indexings — no method
-        #: call, no scan.  ``skylines``/``profiles`` track ``open_list``.
+        #: The open (non-oversized) canvases and, in parallel, their
+        #: skylines, so the first-fit loop can reject a full canvas with
+        #: one bisect and two list indexings -- no method call, no scan.
         open_list: List[Canvas] = []
         skylines: List[Skyline] = []
         next_id = 0
@@ -162,7 +145,6 @@ class PatchStitchingSolver:
                     height=patch.height,
                     canvas_id=next_id,
                     oversized=True,
-                    structure=structure,
                 )
                 next_id += 1
                 oversized.try_place(patch)
@@ -170,24 +152,18 @@ class PatchStitchingSolver:
                 continue
 
             placed = False
-            if structure == "skyline":
-                patch_w = patch.width
-                patch_h = patch.height
-                for index, sky in enumerate(skylines):
-                    heights = sky.fit_heights
-                    cut = bisect_left(heights, patch_h)
-                    if cut == len(heights) or sky.fit_maxw[cut] < patch_w:
-                        continue
-                    fit = sky.best_fit(patch_w, patch_h)
-                    assert fit is not None  # the profile test is exact
-                    open_list[index].place(patch, fit[0])
-                    placed = True
-                    break
-            else:
-                for canvas in open_list:
-                    if canvas.try_place(patch) is not None:
-                        placed = True
-                        break
+            patch_w = patch.width
+            patch_h = patch.height
+            for index, sky in enumerate(skylines):
+                heights = sky.fit_heights
+                cut = bisect_left(heights, patch_h)
+                if cut == len(heights) or sky.fit_maxw[cut] < patch_w:
+                    continue
+                fit = sky.best_fit(patch_w, patch_h)
+                assert fit is not None  # the profile test is exact
+                open_list[index].place(patch, fit[0])
+                placed = True
+                break
             if not placed:
                 if max_canvases is not None and len(canvases) >= max_canvases:
                     return None
@@ -195,15 +171,13 @@ class PatchStitchingSolver:
                     width=self.canvas_width,
                     height=self.canvas_height,
                     canvas_id=next_id,
-                    structure=structure,
                 )
                 next_id += 1
                 if canvas.try_place(patch) is None:  # pragma: no cover - cannot happen
                     raise RuntimeError("fresh canvas failed to accept a fitting patch")
                 canvases.append(canvas)
                 open_list.append(canvas)
-                if canvas.skyline is not None:
-                    skylines.append(canvas.skyline)
+                skylines.append(canvas.skyline)
         return canvases
 
     # ------------------------------------------------------------- statistics
@@ -327,9 +301,8 @@ class IncrementalStitcher:
     The batch :class:`PatchStitchingSolver` re-packs the whole queue on
     every arrival, which makes the online scheduler's hot path
     O(n * canvases * free-rects) per patch.  This class instead keeps the
-    canvases and their free-space pools (skyline or guillotine, per the
-    solver's ``canvas_structure``) alive and places each
-    new patch with a *global* best-short-side-fit over all live pools
+    canvases and their skylines alive and places each new patch with a
+    *global* best-short-side-fit over all live canvases
     (:meth:`linear_best_fit`).
 
     Packing patches in arrival order is worse than the batch solver's
@@ -339,11 +312,12 @@ class IncrementalStitcher:
     patch is about to open a canvas even though the existing canvases still
     hold more than ``(1 + drift_margin) * patch.area`` of free space — the
     signature of ordering/fragmentation loss rather than genuine overflow —
-    it falls back to a full decreasing-area re-pack of the queue.  A
-    growth gate (the queue must have grown ~25% since the last re-pack)
-    keeps the re-packs geometrically spaced, so their total cost stays
-    amortised-constant per arrival while mean canvas efficiency tracks the
-    batch packer within a few percent.
+    it re-packs, bounded by ``partial_patch_budget``: while the whole
+    queue plus the patch fits the budget it re-packs the whole queue in
+    decreasing-area order (tracking the batch packer exactly); past that
+    it consolidates only the least-efficient canvases through the trial
+    re-pack of :mod:`repro.core.consolidation`, which keeps the overflow
+    path O(a few canvases) at fleet-scale queue depths.
 
     Parameters
     ----------
@@ -357,9 +331,9 @@ class IncrementalStitcher:
         Must be positive and finite.
     options:
         The :class:`~repro.core.options.SchedulerOptions` record; the
-        stitcher reads ``drift_margin``, ``repack_scope``,
-        ``max_partial_victims`` and ``partial_patch_budget`` (see its
-        fields for each knob's meaning).  Exposed as :attr:`options`.
+        stitcher reads ``drift_margin``, ``max_partial_victims`` and
+        ``partial_patch_budget`` (see its fields for each knob's
+        meaning).  Exposed as :attr:`options`.
     """
 
     def __init__(
@@ -371,7 +345,6 @@ class IncrementalStitcher:
         self.options = options
         self.solver = solver or PatchStitchingSolver()
         self.drift_margin = options.drift_margin
-        self.repack_scope = options.repack_scope
         self.max_partial_victims = options.max_partial_victims
         self.partial_patch_budget = options.partial_patch_budget
         self.equivalent_canvas_pixels = (
@@ -403,9 +376,6 @@ class IncrementalStitcher:
         #: Total patch area on non-oversized canvases (drift bookkeeping).
         self._active_used = 0.0
         self._active_count = 0
-        #: Queue size at the last full re-pack; the growth gate spaces
-        #: re-packs geometrically so their cost amortises.
-        self._last_repack_size = 0
 
     # ------------------------------------------------------------------ state
     @property
@@ -482,18 +452,15 @@ class IncrementalStitcher:
                 rect_index=best_rect,
             )
         if self._should_repack_on_overflow(patch):
-            if self.repack_scope == "canvas":
-                # Canvas scope bounds re-pack work by the patch budget:
-                # when the whole queue fits it, a full re-pack *is* the
-                # bounded operation (and tracks the batch packer exactly);
-                # past that, consolidate only the worst canvases.
-                if len(self._patches) + 1 <= self.partial_patch_budget:
-                    return self._full_repack_plan(patch)
-                plan = self._consolidation.plan(patch)
-                if plan is not None:
-                    return plan
-            else:
+            # Re-pack work is bounded by the patch budget: when the whole
+            # queue fits it, a full re-pack *is* the bounded operation
+            # (and tracks the batch packer exactly); past that,
+            # consolidate only the worst canvases.
+            if len(self._patches) + 1 <= self.partial_patch_budget:
                 return self._full_repack_plan(patch)
+            plan = self._consolidation.plan(patch)
+            if plan is not None:
+                return plan
         return PlacementPlan(
             patch=patch,
             kind="new",
@@ -541,20 +508,15 @@ class IncrementalStitcher:
         return best_canvas, best_rect, best_score
 
     def _should_repack_on_overflow(self, patch: Patch) -> bool:
-        """Opening a canvas despite ample free space signals drift."""
+        """Opening a canvas despite ample free space signals drift.
+
+        Every re-pack is bounded by the patch budget, so it needs no
+        geometric spacing: intervene on every wasteful overflow.
+        """
         if self._active_count == 0:
             return False
         free = self._active_count * self.solver.canvas_area - self._active_used
-        if free < (1.0 + self.drift_margin) * patch.area:
-            return False  # the live canvases are genuinely full
-        if self.repack_scope == "canvas":
-            # A consolidation costs O(a few canvases), so it needs no
-            # geometric spacing — intervene on every wasteful overflow.
-            return True
-        # Growth gate: re-pack only once the queue grew ~25% beyond the
-        # last re-pack, keeping total re-pack cost amortised O(1)/arrival.
-        grown = len(self._patches) + 1 - self._last_repack_size
-        return grown >= max(1, self._last_repack_size // 4)
+        return free >= (1.0 + self.drift_margin) * patch.area
 
     def commit(self, plan: PlacementPlan) -> List[Canvas]:
         """Apply a plan produced by :meth:`probe`.
@@ -577,7 +539,6 @@ class IncrementalStitcher:
                 height=patch.height,
                 canvas_id=self._next_id,
                 oversized=True,
-                structure=self.solver.canvas_structure,
             )
             self._next_id += 1
             canvas.try_place(patch)
@@ -591,7 +552,6 @@ class IncrementalStitcher:
                 width=self.solver.canvas_width,
                 height=self.solver.canvas_height,
                 canvas_id=self._next_id,
-                structure=self.solver.canvas_structure,
             )
             self._next_id += 1
             if canvas.try_place(patch) is None:  # pragma: no cover - cannot happen
@@ -663,5 +623,4 @@ class IncrementalStitcher:
             canvas.used_area for canvas in canvases if not canvas.oversized
         )
         self._active_count = sum(1 for canvas in canvases if not canvas.oversized)
-        self._last_repack_size = len(self._patches)
         self._consolidation.rebuild()

@@ -82,8 +82,7 @@ class TangramConfig:
     canvas_memory_gb: float = 0.35
     latency_profile_iterations: int = 300
     #: Every online-scheduler knob (see :class:`~repro.core.options.
-    #: SchedulerOptions`); ``canvas_structure`` also selects the facade
-    #: solver's free-space structure.
+    #: SchedulerOptions`).
     scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
 
 
@@ -115,7 +114,6 @@ class Tangram:
         self.solver = PatchStitchingSolver(
             canvas_width=self.config.canvas_width,
             canvas_height=self.config.canvas_height,
-            canvas_structure=self.config.scheduler_options.canvas_structure,
         )
         self.estimator = LatencyEstimator(
             latency_model=self.latency_model,

@@ -61,9 +61,8 @@ class FleetScenarioConfig:
     #: grow with fleet size (the regime the sharded bench measures).
     gpu_memory_gb: float = 6.0
     #: Every scheduler knob; the sharded frontend hands this one frozen
-    #: record to each worker.  Fleet runs default to canvas-scope
-    #: re-packs, which keep the overflow path flat at fleet queue depths.
-    scheduler_options: SchedulerOptions = SchedulerOptions(repack_scope="canvas")
+    #: record to each worker.
+    scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
     #: Capture per-batch placement tuples for the byte-identity pins
     #: (fills :attr:`FleetRunResult.batch_keys`; off by default).
     record_placements: bool = False

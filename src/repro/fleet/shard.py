@@ -211,7 +211,6 @@ class ShardWorker:
         solver = PatchStitchingSolver(
             canvas_width=config.canvas_size,
             canvas_height=config.canvas_size,
-            canvas_structure=options.canvas_structure,
         )
         estimator = LatencyEstimator(
             latency_model=latency_model,

@@ -71,8 +71,7 @@ class EndToEndConfig:
     mark_timeout: float = 0.25
     clipper_initial_batch: int = 4
     #: Every Tangram scheduler knob (see :class:`~repro.core.options.
-    #: SchedulerOptions`), including ``canvas_structure`` for the solver
-    #: the scheduler is built around.
+    #: SchedulerOptions`).
     scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
     #: Lossy/jittery uplink mode (fleet fault experiments): per-send loss
     #: probability, propagation-jitter bound (seconds), and the seed of
@@ -259,7 +258,6 @@ class EndToEndRunner:
             solver = PatchStitchingSolver(
                 canvas_width=config.canvas_size,
                 canvas_height=config.canvas_size,
-                canvas_structure=options.canvas_structure,
             )
             estimator = LatencyEstimator(
                 latency_model=self.latency_model,

@@ -205,7 +205,7 @@ class TestClipperScheduler:
 #: with a bare ``Canvas``, so any change to its free-space bookkeeping
 #: that moved a placement would move these.
 PINNED_DIGESTS = {
-    "tangram": "b667154ba14fa150af124eebff62f6ee2960b512186d1310c53e2f741b4c0829",
+    "tangram": "7c975f3690ce83ad5395c95e8874fd53f4ea61c8680a3a5279200a62e79cb7c8",
     "clipper": "5c53ffa24539f6be608e8d6f12226b66c26f0a2d0e80f7ec2d2ebae49db88b38",
     "elf": "ffe8764940d843281a8004b55a8fddbba502322eea8ed8e18ffa209173cae8f1",
     "mark": "359628eb4c9c135673b27b748b555faeac52a145f911317977327e0957a49fc7",

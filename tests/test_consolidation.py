@@ -85,7 +85,6 @@ def _crowded_mix(count: int, seed: int):
 
 
 def _stitcher(**options) -> IncrementalStitcher:
-    options.setdefault("repack_scope", "canvas")
     return IncrementalStitcher(PatchStitchingSolver(), options=SchedulerOptions(**options))
 
 
@@ -198,13 +197,6 @@ class TestEngineMechanics:
         assert plan.kind == "new"
         assert stitcher.consolidation_stats["unpairable_rejects"] == before + 1
         assert _reference_partial_plan(stitcher, probe_patch) is None
-
-    def test_unknown_policy_raises(self):
-        """The repack scope is the one consolidation policy left to
-        choose; the options record, its only carrier, rejects an unknown
-        scope."""
-        with pytest.raises(ValueError, match="repack_scope"):
-            SchedulerOptions(repack_scope="turbo")
 
     def test_worst_slot_peek_does_not_consume_valid_entries(self):
         """Victim selection peeks the worst slots off the efficiency heap:
@@ -334,18 +326,6 @@ class TestStallPredictor:
             stitcher.commit(plan)
         assert checked > 0, "workload never fired a pre-check"
 
-    def test_predictor_stands_down_without_maintained_summaries(self):
-        """Queue scope re-packs the whole queue on overflow and never
-        consults the engine, so the engine keeps its efficiency heap
-        unmaintained there (no entry per arrival) and no pre-check ever
-        fires."""
-        stitcher = _stitcher(repack_scope="queue")
-        for patch in _crowded_mix(256, seed=43):
-            stitcher.add(patch)
-        assert stitcher.stats["full_repacks"] > 0
-        assert set(stitcher.consolidation_stats.values()) == {0}
-        assert len(stitcher.consolidation_engine.heap_entries()) <= stitcher.num_canvases
-
     def test_max_free_extent_precheck_is_unsound(self):
         """A constructed counterexample to a tempting pre-check: an
         incoming patch *taller than every victim's max free extent* whose
@@ -356,9 +336,7 @@ class TestStallPredictor:
         solver = PatchStitchingSolver(canvas_width=100.0, canvas_height=100.0)
         stitcher = IncrementalStitcher(
             solver,
-            options=SchedulerOptions(
-                repack_scope="canvas", max_partial_victims=2, partial_patch_budget=5
-            ),
+            options=SchedulerOptions(max_partial_victims=2, partial_patch_budget=5),
         )
         # Two victims, each 100x40 + 100x35 (a 100x25 strip left), plus
         # three near-full canvases keeping the victims at the heap root
@@ -433,27 +411,29 @@ def test_every_unrejected_attempt_runs_a_trial_pack(monkeypatch):
 # --------------------------------------------------------------- plumbing
 class TestKnobPlumbing:
     def test_endtoend_config_validates_policy(self):
-        """The end-to-end config carries its repack-scope policy in the
-        options record, which rejects unknown scopes."""
+        """The end-to-end config carries its consolidation budgets in the
+        options record, which rejects an impossible budget and hands a
+        valid one to the stitcher."""
         from repro.pipeline.endtoend import EndToEndConfig, EndToEndRunner
 
-        with pytest.raises(ValueError, match="repack_scope"):
-            EndToEndConfig(scheduler_options=SchedulerOptions(repack_scope="turbo"))
-        config = EndToEndConfig(scheduler_options=SchedulerOptions(repack_scope="canvas"))
-        runner = EndToEndRunner(config, {"camera-0": []})
-        assert runner.scheduler._packer.repack_scope == "canvas"
+        with pytest.raises(ValueError, match="max_partial_victims"):
+            EndToEndConfig(scheduler_options=SchedulerOptions(max_partial_victims=0))
+        options = SchedulerOptions(max_partial_victims=4, partial_patch_budget=32)
+        runner = EndToEndRunner(EndToEndConfig(scheduler_options=options), {"camera-0": []})
+        packer = runner.scheduler._packer
+        assert (packer.max_partial_victims, packer.partial_patch_budget) == (4, 32)
 
     def test_tangram_config_reaches_the_stitcher(self):
         from repro.core.tangram import Tangram, TangramConfig
         from repro.serverless.platform import ServerlessPlatform
         from repro.simulation.engine import Simulator
 
-        config = TangramConfig(scheduler_options=SchedulerOptions(repack_scope="canvas"))
+        config = TangramConfig(scheduler_options=SchedulerOptions(max_partial_victims=4))
         tangram = Tangram(config=config)
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
         scheduler = tangram.build_online_scheduler(simulator, platform)
-        assert scheduler._packer.repack_scope == "canvas"
+        assert scheduler._packer.max_partial_victims == 4
         assert scheduler._packer.consolidation_engine.stitcher is scheduler._packer
 
     def test_scheduler_exposes_consolidation_stats(self):
@@ -463,9 +443,7 @@ class TestKnobPlumbing:
 
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
-        scheduler = TangramScheduler(
-            simulator, platform, options=SchedulerOptions(repack_scope="canvas")
-        )
+        scheduler = TangramScheduler(simulator, platform)
         assert set(scheduler.consolidation_stats) == {
             "attempts",
             "trial_packs",

@@ -201,10 +201,8 @@ def test_free_rectangle_pool_never_contains_nested_rectangles():
                     assert not first.contains_box(second)
 
 
-def _canvas_scope(**options) -> IncrementalStitcher:
-    return IncrementalStitcher(
-        PatchStitchingSolver(), options=SchedulerOptions(repack_scope="canvas", **options)
-    )
+def _stitcher(**options) -> IncrementalStitcher:
+    return IncrementalStitcher(PatchStitchingSolver(), options=SchedulerOptions(**options))
 
 
 def test_negative_drift_margin_rejected():
@@ -216,11 +214,11 @@ def test_negative_drift_margin_rejected():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=40))
 def test_partial_repack_invariants_hold(size_list):
-    """Canvas-scope re-packs preserve every packing invariant after every
+    """Overflow re-packs preserve every packing invariant after every
     arrival, and every patch stays placed exactly once."""
     # A tiny budget pushes the queue past the whole-queue re-pack regime
     # quickly, so genuine partial (victim) re-packs get exercised.
-    stitcher = _canvas_scope(partial_patch_budget=8)
+    stitcher = _stitcher(partial_patch_budget=8)
     patches = _patches(size_list)
     for patch in patches:
         stitcher.add(patch)
@@ -232,7 +230,7 @@ def test_partial_repack_invariants_hold(size_list):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=40))
 def test_partial_repack_probe_predicts_committed_counts(size_list):
-    stitcher = _canvas_scope(partial_patch_budget=8)
+    stitcher = _stitcher(partial_patch_budget=8)
     for patch in _patches(size_list):
         plan = stitcher.probe(patch)
         stitcher.commit(plan)
@@ -252,7 +250,7 @@ def test_partial_repack_never_lowers_mean_efficiency_vs_no_repack(size_list):
     same state.  (The guarantee is per decision: two greedy runs that
     diverge early are not comparable end-to-end, so the no-re-pack
     alternative is evaluated on the identical packing state.)"""
-    stitcher = _canvas_scope(partial_patch_budget=8)
+    stitcher = _stitcher(partial_patch_budget=8)
     solver = stitcher.solver
     for patch in _patches(size_list):
         plan = stitcher.probe(patch)
@@ -271,14 +269,13 @@ def test_partial_repack_never_lowers_mean_efficiency_vs_no_repack(size_list):
 
 def test_partial_repack_consolidates_on_fragmented_canvases():
     """Interleaving small and large patches fragments the live canvases;
-    canvas scope must consolidate via partial re-packs once the queue
-    outgrows the whole-queue re-pack budget, without ever re-packing the
-    whole queue."""
+    the stitcher must consolidate via partial re-packs once the queue
+    outgrows the whole-queue re-pack budget."""
     rng_sizes = []
     for block in range(30):
         rng_sizes.extend([(140.0 + block, 130.0)] * 5)
         rng_sizes.append((880.0, 900.0 - block))
-    stitcher = _canvas_scope(partial_patch_budget=24)
+    stitcher = _stitcher(partial_patch_budget=24)
     for patch in _patches(rng_sizes):
         stitcher.add(patch)
     assert stitcher.stats["partial_repacks"] >= 1
@@ -293,16 +290,10 @@ def test_canvas_scope_small_queue_repacks_whole_queue():
     the whole queue (budget-bounded), tracking the batch packer exactly."""
     small = [(120.0, 120.0)] * 30
     large = [(900.0, 900.0)] * 4
-    stitcher = _canvas_scope()
+    stitcher = _stitcher()
     for patch in _patches(small + large):
         stitcher.add(patch)
     assert stitcher.stats["full_repacks"] >= 1
     batch = PatchStitchingSolver().pack(stitcher.patches)
     assert stitcher.num_canvases <= len(batch) + 1
 
-
-def test_queue_scope_unchanged_by_default():
-    """The default scope stays "queue" everywhere (PR-1 behaviour)."""
-    stitcher = IncrementalStitcher(PatchStitchingSolver())
-    assert stitcher.repack_scope == "queue"
-    assert stitcher.stats["partial_repacks"] == 0

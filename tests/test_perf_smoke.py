@@ -11,7 +11,7 @@ from a different machine entirely (the README warns absolute timings are
 machine-dependent): sections may be up to 10x the baseline before the
 gate fires, and the arrival-speedup ratio gate — which compares two
 sections of the *same* run and is therefore largely load-insensitive —
-is lowered to 4x (baseline: ~23x).  This is a gross-regression tripwire,
+is lowered to 4x (baseline: ~11x).  This is a gross-regression tripwire,
 not a precision benchmark; run the harness manually for real numbers.
 """
 

@@ -2,17 +2,16 @@
 
 The contract of the redesign:
 
-* every knob keeps its historical default, so ``SchedulerOptions()`` is
-  the status quo, and the record holds exactly the seven knobs the
-  benchmark workloads exercise;
+* every knob keeps its historical default, and the record holds exactly
+  the five knobs the benchmark workloads exercise;
 * the record is the only carrier: the per-knob kwargs on the scheduler
   and stitcher and the per-knob config fields are gone, and passing one
   fails loudly, as ``use_index=`` does;
 * the always-re-pack mode lives on as a test oracle with the same
   meaning;
 * each runner config's ``scheduler_options`` record reaches the
-  scheduler it builds unchanged, and the fleet runners default to canvas
-  scope.
+  scheduler it builds unchanged, and every runner config defaults to
+  the same ``SchedulerOptions()``.
 """
 
 from __future__ import annotations
@@ -54,18 +53,14 @@ class TestSchedulerOptionsRecord:
         assert [field.name for field in dataclasses.fields(options)] == [
             "incremental",
             "drift_margin",
-            "repack_scope",
             "max_partial_victims",
             "partial_patch_budget",
-            "canvas_structure",
             "admission_watermark",
         ]
         assert options.incremental is True
         assert options.drift_margin == 0.05
-        assert options.repack_scope == "queue"
         assert options.max_partial_victims == 8
         assert options.partial_patch_budget == 48
-        assert options.canvas_structure == "skyline"
         assert options.admission_watermark is None
 
     @pytest.mark.parametrize(
@@ -73,8 +68,6 @@ class TestSchedulerOptionsRecord:
         [
             {"drift_margin": -0.1},
             {"drift_margin": float("nan")},
-            {"repack_scope": "galaxy"},
-            {"canvas_structure": "voronoi"},
             {"max_partial_victims": 0},
             {"partial_patch_budget": 1},
             {"admission_watermark": 0},
@@ -101,7 +94,7 @@ class TestBackCompatEquivalence:
             return [(p.patch.patch_id, p.x, p.y) for c in canvases for p in c.placements]
 
         solver = PatchStitchingSolver()
-        options = SchedulerOptions(repack_scope="canvas", partial_patch_budget=8)
+        options = SchedulerOptions(partial_patch_budget=8)
         oracle = AlwaysRepackStitcher(solver, options=options)
         queue: list[Patch] = []
         for patch in _patches(count=40):
@@ -125,7 +118,8 @@ def _stitcher(**kwargs):
     return IncrementalStitcher(PatchStitchingSolver(), **kwargs)
 
 
-#: The per-knob kwargs ``TangramScheduler`` had.
+#: The per-knob kwargs ``TangramScheduler`` had (``repack_scope`` and
+#: ``canvas_structure`` later left the options record too).
 _SCHEDULER_KWARGS = {
     "incremental": False,
     "drift_margin": 0.2,
@@ -170,11 +164,11 @@ class TestUseIndexDeprecation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             stitcher = IncrementalStitcher(
-                PatchStitchingSolver(), options=SchedulerOptions(repack_scope="canvas")
+                PatchStitchingSolver(), options=SchedulerOptions(partial_patch_budget=8)
             )
             for patch in _patches(count=16):
                 stitcher.add(patch)
-        assert stitcher.options == SchedulerOptions(repack_scope="canvas")
+        assert stitcher.options == SchedulerOptions(partial_patch_budget=8)
 
     @pytest.mark.parametrize(
         "build, knob, value",
@@ -210,9 +204,7 @@ class TestConfigResolution:
     def test_tangram_config_options_win_wholesale(self):
         from repro.core.tangram import Tangram
 
-        record = SchedulerOptions(
-            repack_scope="canvas", drift_margin=0.3, admission_watermark=16
-        )
+        record = SchedulerOptions(drift_margin=0.3, admission_watermark=16)
         scheduler = Tangram(TangramConfig(scheduler_options=record)).build_online_scheduler(
             *_online_parts()
         )
@@ -221,9 +213,7 @@ class TestConfigResolution:
     def test_endtoend_config_options_win_wholesale(self):
         from repro.pipeline.endtoend import EndToEndRunner
 
-        record = SchedulerOptions(
-            repack_scope="canvas", drift_margin=0.2, admission_watermark=16
-        )
+        record = SchedulerOptions(drift_margin=0.2, admission_watermark=16)
         runner = EndToEndRunner(EndToEndConfig(scheduler_options=record), {"camera-0": []})
         _assert_built_from(runner.scheduler, record)
 
@@ -232,9 +222,7 @@ class TestConfigResolution:
         from repro.simulation.random_streams import RandomStreams
         from repro.vision.detector import DetectorLatencyModel
 
-        record = SchedulerOptions(
-            repack_scope="canvas", drift_margin=0.2, admission_watermark=16
-        )
+        record = SchedulerOptions(drift_margin=0.2, admission_watermark=16)
         simulator, platform = _online_parts()
         fleet = FleetScenarioConfig(scheduler_options=record, estimator_iterations=10)
         for shard_id in range(2):
@@ -250,10 +238,8 @@ class TestConfigResolution:
             _assert_built_from(worker.scheduler, record)
 
     def test_fleet_default_is_canvas_scope(self):
-        """Fleet runs default to canvas-scope re-packs; the end-to-end
-        runner and the facade keep ``SchedulerOptions()``."""
-        assert FleetScenarioConfig().scheduler_options == SchedulerOptions(
-            repack_scope="canvas"
-        )
-        assert EndToEndConfig().scheduler_options == SchedulerOptions()
-        assert TangramConfig().scheduler_options == SchedulerOptions()
+        """Every runner config defaults to the same ``SchedulerOptions()``,
+        the one record the fleet runs, the end-to-end runner and the
+        facade all consolidate with."""
+        for config in (FleetScenarioConfig(), EndToEndConfig(), TangramConfig()):
+            assert config.scheduler_options == SchedulerOptions()

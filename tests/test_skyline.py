@@ -6,10 +6,10 @@ Four pins:
   the canvas; surface candidates are maximal; waste rectangles stay
   disjoint and below the silhouette (``Skyline.check_invariants``), and
   every packing invariant of the batch solver holds on skyline canvases.
-* **Equivalence on packing metrics** — randomized skyline-vs-guillotine
-  comparisons of canvas count and per-canvas efficiency, up to queue
-  depth 4096 (the benchmark A/B's gate lives in ``benchmarks/perf``;
-  these are the always-on pins).
+* **Packing metrics against the guillotine oracle** — randomized
+  comparisons of the batch packer's canvas count and mean canvas
+  efficiency with :func:`tests.conftest.guillotine_pack` (Algorithm 2's
+  guillotine split), up to queue depth 4096.
 * **Best-fit exactness** — ``Skyline.best_fit``'s bisect fast-reject and
   tuple scan return exactly what a naive scan over ``free_rectangles``
   would, and the stitcher's global probe picks the canvas a naive scan
@@ -36,6 +36,7 @@ from repro.core.stitching import (
     PatchStitchingSolver,
 )
 from repro.video.geometry import Box
+from tests.conftest import guillotine_pack
 
 patch_sizes = st.tuples(
     st.floats(min_value=10.0, max_value=1500.0, allow_nan=False),
@@ -119,7 +120,7 @@ class TestSkylineInvariants:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(patch_sizes, min_size=1, max_size=40))
     def test_skyline_packing_invariants_hold(self, size_list):
-        solver = PatchStitchingSolver(canvas_structure="skyline")
+        solver = PatchStitchingSolver()
         canvases = solver.pack(_patches(size_list))
         PatchStitchingSolver.validate_packing(canvases, strict=True)
         for canvas in canvases:
@@ -132,8 +133,8 @@ class TestSkylineInvariants:
         self, size_list
     ):
         stitcher = IncrementalStitcher(
-            PatchStitchingSolver(canvas_structure="skyline"),
-            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
+            PatchStitchingSolver(),
+            options=SchedulerOptions(partial_patch_budget=8),
         )
         for patch in _patches(size_list):
             stitcher.add(patch)
@@ -143,41 +144,30 @@ class TestSkylineInvariants:
                     canvas.skyline.check_invariants()
 
     def test_oversized_patch_gets_skyline_canvas_too(self):
-        solver = PatchStitchingSolver(canvas_structure="skyline")
+        """A dedicated oversized canvas is a skyline canvas like any
+        other: the patch sits at the origin and covers it, so no
+        candidate is left."""
+        solver = PatchStitchingSolver()
         canvases = solver.pack(_patches([(2048.0, 1100.0), (100.0, 100.0)]))
         oversized = [c for c in canvases if c.oversized]
         assert len(oversized) == 1
-        assert oversized[0].structure == "skyline"
+        (placement,) = oversized[0].placements
+        assert (placement.x, placement.y) == (0.0, 0.0)
+        assert oversized[0].skyline.segments == [(0.0, 1100.0, 2048.0)]
+        assert oversized[0].free_rectangles == []
+        oversized[0].skyline.check_invariants()
         PatchStitchingSolver.validate_packing(canvases, strict=True)
 
-    def test_canvas_default_structure_stays_guillotine(self):
-        """Direct ``Canvas()`` construction keeps the PR-2 structure; only
-        the solver (and everything above it) defaults to skyline."""
-        assert Canvas(width=100, height=100).structure == "guillotine"
-        assert PatchStitchingSolver().canvas_structure == "skyline"
-
-    def test_unknown_structure_rejected(self):
-        with pytest.raises(ValueError):
-            Canvas(width=100, height=100, structure="quadtree")
-        with pytest.raises(ValueError):
-            PatchStitchingSolver(canvas_structure="quadtree")
-
-    def test_skyline_canvas_must_start_empty(self):
-        from repro.core.stitching import Placement
-
-        rogue = Placement(patch=_patches([(10.0, 10.0)])[0], x=0.0, y=0.0)
-        with pytest.raises(ValueError):
-            Canvas(width=100, height=100, placements=[rogue], structure="skyline")
-
     def test_skyline_canvas_rejects_free_rectangles_writes(self):
-        """The skyline is the source of truth; assigning the derived list
-        would silently desync reads from placement decisions."""
-        canvas = Canvas(width=100, height=100, structure="skyline")
-        with pytest.raises(ValueError):
+        """The skyline is the source of truth: ``free_rectangles`` is a
+        read-only view of its candidates, so a write cannot desync reads
+        from placement decisions."""
+        canvas = Canvas(width=100, height=100)
+        with pytest.raises(AttributeError):
             canvas.free_rectangles = [Box(0.0, 0.0, 50.0, 50.0)]
-        guillotine = Canvas(width=100, height=100)
-        guillotine.free_rectangles = [Box(0.0, 0.0, 50.0, 50.0)]
-        assert guillotine.free_rectangles == [Box(0.0, 0.0, 50.0, 50.0)]
+        assert canvas.free_rectangles == [FreeRect(0.0, 0.0, 100.0, 100.0)]
+        canvas.try_place(_patches([(60.0, 40.0)])[0])
+        assert canvas.free_rectangles == canvas.skyline.free_rects()
 
     def test_free_rect_quacks_like_box(self):
         rect = FreeRect(10.0, 20.0, 30.0, 40.0)
@@ -214,7 +204,7 @@ class TestBestFitExactness:
         st.lists(fitting_sizes, min_size=1, max_size=10),
     )
     def test_skyline_best_fit_matches_naive_scan(self, placed, probes):
-        canvas = Canvas(width=1024, height=1024, structure="skyline")
+        canvas = Canvas(width=1024, height=1024)
         for patch in _patches(placed):
             canvas.try_place(patch)
         for probe in _patches(probes):
@@ -226,7 +216,7 @@ class TestBestFitExactness:
         st.lists(fitting_sizes, min_size=1, max_size=10),
     )
     def test_fits_profile_is_exact(self, placed, probes):
-        canvas = Canvas(width=1024, height=1024, structure="skyline")
+        canvas = Canvas(width=1024, height=1024)
         for patch in _patches(placed):
             canvas.try_place(patch)
         sky = canvas.skyline
@@ -245,7 +235,7 @@ class TestBestFitExactness:
         picks equal a naive global scan of every live skyline canvas's
         ``free_rectangles`` (first canvas wins ties): the per-canvas
         bisect fast-reject never hides the global best short-side fit."""
-        stitcher = IncrementalStitcher(PatchStitchingSolver(canvas_structure="skyline"))
+        stitcher = IncrementalStitcher(PatchStitchingSolver())
         for patch in _patches(size_list):
             expected = None
             for index, canvas in enumerate(stitcher.canvases):
@@ -263,33 +253,41 @@ class TestBestFitExactness:
             stitcher.commit(plan)
 
 
-# ------------------------------------------- skyline vs guillotine metrics
-def _pack_metrics(patches, structure):
-    solver = PatchStitchingSolver(canvas_structure=structure)
-    canvases = solver.pack(patches)
+# ----------------------------------------- skyline vs the guillotine oracle
+def _pack_metrics(patches, pack):
+    canvases = pack(patches)
     PatchStitchingSolver.validate_packing(canvases, strict=True)
     efficiency = PatchStitchingSolver.mean_efficiency(canvases)
     return len(canvases), efficiency
 
 
+def _skyline_metrics(patches):
+    return _pack_metrics(patches, PatchStitchingSolver().pack)
+
+
+def _guillotine_metrics(patches):
+    return _pack_metrics(patches, guillotine_pack)
+
+
 class TestStructureEquivalence:
+    """The skyline batch packer against the guillotine oracle."""
+
     @pytest.mark.parametrize(
         "depth,seed", [(64, 3), (64, 11), (256, 5), (256, 23), (1024, 7)]
     )
     def test_randomized_batch_pack_metrics_match(self, depth, seed):
         patches = _rng_patches(depth, seed)
-        g_count, g_eff = _pack_metrics(patches, "guillotine")
-        s_count, s_eff = _pack_metrics(patches, "skyline")
+        g_count, g_eff = _guillotine_metrics(patches)
+        s_count, s_eff = _skyline_metrics(patches)
         # Canvas counts within 4% (plus one canvas of slack on small runs).
         assert abs(s_count - g_count) <= max(1, math.ceil(0.04 * g_count))
         assert s_eff >= 0.97 * g_eff
 
     def test_batch_pack_metrics_match_at_depth_4096(self):
-        """The acceptance-criterion depth: the equivalence must hold on
-        the fleet-scale queue the benchmark A/B gates."""
+        """The equivalence holds on a fleet-scale 4096-patch queue."""
         patches = _rng_patches(4096, seed=19)
-        g_count, g_eff = _pack_metrics(patches, "guillotine")
-        s_count, s_eff = _pack_metrics(patches, "skyline")
+        g_count, g_eff = _guillotine_metrics(patches)
+        s_count, s_eff = _skyline_metrics(patches)
         assert s_count <= math.ceil(1.03 * g_count)
         assert s_eff >= 0.98 * g_eff
 
@@ -298,32 +296,10 @@ class TestStructureEquivalence:
         widths = np.clip(rng.lognormal(4.8, 0.8, size=512), 32.0, 1000.0)
         heights = np.clip(rng.lognormal(4.8, 0.8, size=512), 32.0, 1000.0)
         patches = _patches(zip(map(float, widths), map(float, heights)))
-        g_count, g_eff = _pack_metrics(patches, "guillotine")
-        s_count, s_eff = _pack_metrics(patches, "skyline")
+        g_count, g_eff = _guillotine_metrics(patches)
+        s_count, s_eff = _skyline_metrics(patches)
         assert abs(s_count - g_count) <= max(1, math.ceil(0.05 * g_count))
         assert s_eff >= 0.96 * g_eff
-
-    def test_incremental_stream_metrics_match_at_depth_1024(self):
-        """Arrival-order (incremental) packing: live canvas count and mean
-        canvas efficiency of the two structures track each other."""
-        patches = _rng_patches(1024, seed=13)
-        results = {}
-        for structure in ("guillotine", "skyline"):
-            stitcher = IncrementalStitcher(
-                PatchStitchingSolver(canvas_structure=structure),
-                options=SchedulerOptions(repack_scope="canvas"),
-            )
-            for patch in patches:
-                stitcher.add(patch)
-            PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
-            results[structure] = (
-                stitcher.num_canvases,
-                stitcher.mean_canvas_efficiency,
-            )
-        g_count, g_eff = results["guillotine"]
-        s_count, s_eff = results["skyline"]
-        assert abs(s_count - g_count) <= max(1, math.ceil(0.05 * g_count))
-        assert s_eff >= 0.97 * g_eff
 
 
 # ------------------------------------------------- efficiency-heap victims
@@ -353,8 +329,8 @@ class TestEfficiencyHeap:
     @given(st.lists(fitting_sizes, min_size=4, max_size=50))
     def test_partial_repack_victims_match_reference_selection(self, size_list):
         stitcher = IncrementalStitcher(
-            PatchStitchingSolver(canvas_structure="skyline"),
-            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
+            PatchStitchingSolver(),
+            options=SchedulerOptions(partial_patch_budget=8),
         )
         for patch in _patches(size_list):
             plan = stitcher.probe(patch)
@@ -371,8 +347,8 @@ class TestEfficiencyHeap:
         (read through the engine's introspection surface, not its
         private heap/stamp lists)."""
         stitcher = IncrementalStitcher(
-            PatchStitchingSolver(canvas_structure="skyline"),
-            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
+            PatchStitchingSolver(),
+            options=SchedulerOptions(partial_patch_budget=8),
         )
         for patch in _patches(size_list):
             stitcher.add(patch)
@@ -387,8 +363,8 @@ class TestEfficiencyHeap:
         """A probe pops heap entries while planning; every live canvas
         must still be selectable by the next probe (entries pushed back)."""
         stitcher = IncrementalStitcher(
-            PatchStitchingSolver(canvas_structure="skyline"),
-            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
+            PatchStitchingSolver(),
+            options=SchedulerOptions(partial_patch_budget=8),
         )
         sizes = [(300.0, 300.0)] * 20 + [(900.0, 900.0)] * 3
         for patch in _patches(sizes):
@@ -410,7 +386,7 @@ class TestPackWithin:
         st.integers(min_value=1, max_value=6),
     )
     def test_pack_within_matches_full_pack(self, size_list, limit):
-        solver = PatchStitchingSolver(canvas_structure="skyline")
+        solver = PatchStitchingSolver()
         patches = _patches(size_list)
         full = solver.pack(patches)
         bounded = solver.pack_within(patches, limit)
@@ -425,9 +401,7 @@ class TestPackWithin:
     def test_pack_within_counts_oversized_canvases_against_the_cap(self):
         """A dedicated oversized canvas breaches the cap exactly like a
         regular one (pack-then-reject semantics count both)."""
-        solver = PatchStitchingSolver(
-            canvas_width=100.0, canvas_height=100.0, canvas_structure="skyline"
-        )
+        solver = PatchStitchingSolver(canvas_width=100.0, canvas_height=100.0)
         pool = _patches([(90.0, 90.0), (90.0, 90.0), (200.0, 20.0)])
         assert len(solver.pack(pool)) == 3
         assert solver.pack_within(pool, 2) is None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.stitching import Canvas, IncrementalStitcher, PatchStitchingSolver
+from repro.video.geometry import Box
 from tests.conftest import make_patch
 
 NAN = float("nan")
@@ -45,10 +46,15 @@ class TestCanvas:
         assert placement is not None
         assert placement.x == 0.0 and placement.y == 0.0
         assert canvas.used_area == 400 * 300
-        # Guillotine split produces two free rectangles.
-        assert len(canvas.free_rectangles) == 2
-        free_area = sum(rect.area for rect in canvas.free_rectangles)
-        assert free_area == pytest.approx(1024 * 1024 - 400 * 300)
+        # The skyline offers one maximal candidate per silhouette level:
+        # above the patch (spanning the full width) and beside it.
+        above, beside = (Box(*rect.as_tuple()) for rect in canvas.free_rectangles)
+        assert above == Box(0.0, 300.0, 1024.0, 724.0)
+        assert beside == Box(400.0, 0.0, 624.0, 1024.0)
+        assert above.intersection_area(placement.box) == 0.0
+        assert beside.intersection_area(placement.box) == 0.0
+        # The candidates overlap; their union is exactly the free area.
+        assert above.union_area(beside) == pytest.approx(1024 * 1024 - 400 * 300)
 
     def test_patch_larger_than_canvas_not_placed(self):
         canvas = Canvas(width=100, height=100)
@@ -70,10 +76,10 @@ class TestCanvas:
         canvas = Canvas(width=1000, height=1000)
         # Create two free rectangles by placing a first patch.
         canvas.try_place(make_patch(600, 900))
-        # Free rects now: (600..1000 x 0..900) = 400x900 and (0..1000 x 900..1000) = 1000x100.
-        # A 380x80 patch fits both; best short side fit is the 400x900 one
-        # (short side slack 20 vs the 1000x100 one's slack 20 as well --
-        # min(400-380, 900-80)=20 vs min(1000-380,100-80)=20; tie keeps first).
+        # Free rects now: (0..1000 x 900..1000) = 1000x100 and
+        # (600..1000 x 0..1000) = 400x1000.  A 380x80 patch fits both with
+        # the same short-side slack, min(1000-380, 100-80) = 20 and
+        # min(400-380, 1000-80) = 20; the tie keeps the first.
         index = canvas.find_free_rectangle(make_patch(380, 80))
         assert index is not None
         chosen = canvas.free_rectangles[index]
