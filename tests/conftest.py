@@ -138,7 +138,9 @@ class GuillotineCanvas:
     def recompute_used_area(self) -> float:
         return sum(placement.patch.area for placement in self.placements)
 
-    used_area = property(recompute_used_area)
+    @property
+    def used_area(self) -> float:
+        return self.recompute_used_area()
 
     @property
     def efficiency(self) -> float:
