@@ -143,7 +143,7 @@ def _make_timed_trace(count: int, seed: int, slo: float = 2.0, spacing: float = 
     """Patches with increasing generation times and a realistic SLO, so a
     scheduler run flushes its queue the way production traffic does.  The
     default arrival rate and SLO hold roughly 100 patches in flight, deep
-    enough that canvas-scope runs exercise genuine victim consolidation
+    enough that fast-path runs exercise genuine victim consolidation
     (not just the small-queue whole-queue re-pack)."""
     from repro.core.patches import Patch
     from repro.video.geometry import Box
