@@ -41,10 +41,9 @@ class Canvas:
     """A fixed-size canvas being filled with patches.
 
     Free space lives in :attr:`skyline`; :attr:`free_rectangles` is the
-    derived candidate list, materialised lazily from the skyline's tuples
-    when someone actually reads it (the hot paths scan the tuples
-    directly).  ``best_fit``/``place`` address candidates by the same
-    ``rect_index``.
+    derived candidate list, built from the skyline's tuples on each read
+    (the hot paths scan the tuples directly).  ``best_fit``/``place``
+    address candidates by the same ``rect_index``.
     """
 
     __slots__ = (
@@ -54,8 +53,6 @@ class Canvas:
         "oversized",
         "placements",
         "skyline",
-        "_free_rectangles",
-        "_free_stale",
         "_used_area",
         "_used_count",
     )
@@ -81,8 +78,6 @@ class Canvas:
         self.placements: List[Placement] = []
         #: The free-space structure -- also the packers' fast-reject handle.
         self.skyline = Skyline(width, height)
-        self._free_rectangles: List[FreeRect] = []
-        self._free_stale = True
         #: Cached sum of placed patch areas, maintained by :meth:`place` so
         #: the scheduler's hot path never recomputes ``sum(...)`` over
         #: placements.  ``_used_count`` detects out-of-band mutation of
@@ -102,16 +97,11 @@ class Canvas:
     def free_rectangles(self) -> List[FreeRect]:
         """The skyline's candidate rectangles, in ``rect_index`` order.
 
-        Read-only: the skyline is the source of truth.  Materialised from
-        :attr:`Skyline.candidates` on first read after a mutation (the
-        scheduler's hot paths never read it -- they scan the skyline's
-        tuples -- so the object list is only built for the test suite and
-        other readers of the list).
+        Read-only: the skyline is the source of truth.  Built from
+        :attr:`Skyline.candidates` on each read; the scheduler's hot paths
+        never read it (they scan the skyline's tuples).
         """
-        if self._free_stale:
-            self._free_rectangles = self.skyline.free_rects()
-            self._free_stale = False
-        return self._free_rectangles
+        return self.skyline.free_rects()
 
     # ---------------------------------------------------------------- metrics
     @property
@@ -193,7 +183,6 @@ class Canvas:
         self.placements.append(placement)
         self._used_area += patch.area
         self._used_count += 1
-        self._free_stale = True
         return placement
 
     def try_place(self, patch: Patch) -> Optional[Placement]:
