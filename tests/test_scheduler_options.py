@@ -68,6 +68,8 @@ class TestSchedulerOptionsRecord:
         [
             {"drift_margin": -0.1},
             {"drift_margin": float("nan")},
+            {"drift_margin": float("-inf")},
+            {"max_partial_victims": -1},
             {"max_partial_victims": 0},
             {"partial_patch_budget": 1},
             {"admission_watermark": 0},
