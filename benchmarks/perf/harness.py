@@ -9,6 +9,7 @@ across PRs — change them only together with ``--update-baseline``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -27,10 +28,10 @@ SCHEMA_VERSION = 2
 ARRIVAL_QUEUE_DEPTH = 256
 
 #: Sections cheap enough for the ``--quick`` tier-1 smoke gate (see
-#: ``tests/test_perf_smoke.py``): the 256-depth workloads, the small
-#: end-to-end run, and one batch pack of the 4096-patch fleet queue (the
-#: cost unit of one full re-pack); the deep-queue arrival and fleet
-#: scenarios are full-run only.
+#: ``tests/test_perf_smoke.py``): the 256-depth workloads, the edge stage
+#: of one 4K camera, the small end-to-end run, and one batch pack of the
+#: 4096-patch fleet queue (the cost unit of one full re-pack); the
+#: deep-queue arrival and fleet scenarios are full-run only.
 QUICK_SECTIONS = [
     "stitching_batch_pack_256",
     "stitching_incremental_256",
@@ -39,6 +40,7 @@ QUICK_SECTIONS = [
     "scheduler_arrival_fast_256",
     "stitching_fleet_repack_skyline_4096",
     "gmm_frame_loop",
+    "edge_extract_partition_40",
     "end_to_end_small",
 ]
 
@@ -436,6 +438,47 @@ def bench_gmm_frame_loop() -> BenchResult:
     )
 
 
+_EDGE_FRAMES = None
+
+
+def bench_edge_extract_partition() -> BenchResult:
+    """The edge stage of one PANDA-like 4K camera over 40 frames: the
+    analytic GMM extractor's RoIs, then Algorithm 1's 4x4 partitioning.
+    Trace generation is untimed and cached across repeats; the meta's
+    digest of the patch regions shows any change of a partition."""
+    from repro.core.partitioning import FramePartitioner
+    from repro.simulation.random_streams import RandomStreams
+    from repro.vision.roi_extractors import make_extractor
+    from repro.workloads import build_camera_traces
+
+    global _EDGE_FRAMES
+    if _EDGE_FRAMES is None:
+        (_EDGE_FRAMES,) = build_camera_traces(
+            num_cameras=1, frames_per_camera=40, seed=2024, max_concurrent_objects=100
+        ).values()
+    extractor = make_extractor("gmm", streams=RandomStreams(77))
+    partitioner = FramePartitioner(4, 4, roi_extractor=extractor)
+    rois = 0
+    patches = []
+    start = time.perf_counter()
+    for frame in _EDGE_FRAMES:
+        frame_rois = extractor.extract(frame)
+        rois += len(frame_rois)
+        patches.extend(partitioner.partition(frame, 0.0, 1.0, rois=frame_rois))
+    elapsed = time.perf_counter() - start
+    regions = repr([patch.region.as_tuple() for patch in patches])
+    return BenchResult(
+        "edge_extract_partition_40",
+        elapsed,
+        {
+            "frames": len(_EDGE_FRAMES),
+            "rois": rois,
+            "patches": len(patches),
+            "regions_sha256": hashlib.sha256(regions.encode()).hexdigest(),
+        },
+    )
+
+
 def bench_end_to_end() -> BenchResult:
     """A small multi-camera end-to-end run with the default (fast) path."""
     from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
@@ -668,6 +711,7 @@ SECTIONS: Dict[str, Callable[[], BenchResult]] = {
     "scheduler_stream_batchpack_2048": bench_stream_batch_packer_2048,
     "scheduler_stream_partial_2048": bench_stream_partial_repack_2048,
     "gmm_frame_loop": bench_gmm_frame_loop,
+    "edge_extract_partition_40": bench_edge_extract_partition,
     "end_to_end_small": bench_end_to_end,
     "end_to_end_fleet_64": bench_end_to_end_fleet,
     "fleet_faultfree_1024": bench_fleet_faultfree_1024,

@@ -26,8 +26,10 @@ def make_zones(frame_width: float, frame_height: float, zones_x: int, zones_y: i
     """
     if zones_x < 1 or zones_y < 1:
         raise ValueError("zone counts must be at least 1")
-    if frame_width <= 0 or frame_height <= 0:
-        raise ValueError("frame dimensions must be positive")
+    if not frame_width > 0 or not frame_height > 0:
+        raise ValueError(
+            f"frame dimensions must be positive, got {frame_width} x {frame_height}"
+        )
     zone_width = frame_width / zones_x
     zone_height = frame_height / zones_y
     zones: List[Box] = []
@@ -122,8 +124,12 @@ class FramePartitioner:
     ) -> None:
         if roi_extractor is None:
             raise ValueError("roi_extractor must be provided")
+        if not zones_x >= 1 or not zones_y >= 1:
+            raise ValueError(f"zone counts must be at least 1, got {zones_x} x {zones_y}")
         if not 0 < object_coverage_threshold <= 1:
             raise ValueError("object_coverage_threshold must be in (0, 1]")
+        if not min_patch_area >= 0:
+            raise ValueError(f"min_patch_area must be non-negative, got {min_patch_area}")
         self.zones_x = zones_x
         self.zones_y = zones_y
         self.roi_extractor = roi_extractor

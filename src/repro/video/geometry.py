@@ -26,7 +26,7 @@ class Box:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width < 0 or self.height < 0:
+        if not self.width >= 0 or not self.height >= 0:
             raise ValueError(
                 "box dimensions must be non-negative, got "
                 f"width={self.width}, height={self.height}"
@@ -99,18 +99,35 @@ class Box:
         return Box(left, top, right - left, bottom - top)
 
     def intersection_area(self, other: "Box") -> float:
-        overlap = self.intersection(other)
-        return 0.0 if overlap is None else overlap.area
+        """Area of :meth:`intersection`, ``0.0`` if disjoint, without
+        building the overlap box."""
+        # The conditionals are max() and min() as the builtins evaluate
+        # them (the second operand wins only a strict comparison, so NaN
+        # operands resolve the same way): intersection()'s edges exactly.
+        x, other_x = self.x, other.x
+        left = other_x if other_x > x else x
+        y, other_y = self.y, other.y
+        top = other_y if other_y > y else y
+        right, other_right = x + self.width, other_x + other.width
+        if other_right < right:
+            right = other_right
+        bottom, other_bottom = y + self.height, other_y + other.height
+        if other_bottom < bottom:
+            bottom = other_bottom
+        if right <= left or bottom <= top:
+            return 0.0
+        return (right - left) * (bottom - top)
 
     def union_area(self, other: "Box") -> float:
         return self.area + other.area - self.intersection_area(other)
 
     def iou(self, other: "Box") -> float:
         """Intersection over union, the matching criterion for AP@0.5."""
-        union = self.union_area(other)
+        overlap = self.intersection_area(other)
+        union = self.area + other.area - overlap
         if union <= 0:
             return 0.0
-        return self.intersection_area(other) / union
+        return overlap / union
 
     def enclosing(self, other: "Box") -> "Box":
         """Smallest box containing both boxes."""
@@ -126,8 +143,8 @@ class Box:
     def scale(self, factor: float) -> "Box":
         """Scale the box (position and size) by ``factor``, e.g. for
         converting between frame resolutions."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not factor > 0:
+            raise ValueError(f"scale factor must be positive, got {factor}")
         return Box(
             self.x * factor, self.y * factor, self.width * factor, self.height * factor
         )
@@ -170,32 +187,50 @@ def total_area(boxes: Iterable[Box]) -> float:
 
 
 def merge_overlapping(boxes: Sequence[Box], iou_threshold: float = 0.0) -> list[Box]:
-    """Greedily merge boxes whose IoU exceeds ``iou_threshold`` (or that
-    touch, when the threshold is 0) into their enclosing rectangles.
+    """Merge every pair of boxes that overlap with an IoU of at least
+    ``iou_threshold`` into their enclosing rectangle, until no pair does.
+
+    A pair overlaps when its intersection area is positive, so touching
+    boxes stay apart.  The result is the list the greedy that restarts from
+    the first pair after every merge returns: it scans pairs ``(row, col)``
+    with ``row < col`` in order, replaces ``row`` by the enclosing
+    rectangle of the first overlapping pair and drops ``col``.
 
     Background-subtraction masks frequently fragment one object into several
     blobs; this post-processing step mirrors the connected-component merge
     OpenCV users apply before treating blobs as RoIs.
     """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     merged = list(boxes)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                first, second = merged[i], merged[j]
-                overlapping = (
-                    first.intersection_area(second) > 0
-                    and first.iou(second) >= iou_threshold
-                )
-                if overlapping:
-                    # Replace the pair with its enclosing rectangle and
-                    # restart; merging can create new overlaps with boxes
-                    # already visited, so a single pass is not enough.
-                    merged[i] = first.enclosing(second)
-                    merged.pop(j)
-                    changed = True
+    row = 0
+    while row < len(merged):
+        for col in range(row + 1, len(merged)):
+            if _overlapping(merged[row], merged[col], iou_threshold):
+                break
+        else:
+            row += 1
+            continue
+        # Before each merge no row above ``row`` overlaps any box, and only
+        # ``merged[row]`` grows, so the restarting greedy would next merge
+        # the first earlier row that overlaps the grown box, or else rescan
+        # ``row`` itself.
+        while True:
+            merged[row] = merged[row].enclosing(merged.pop(col))
+            for earlier in range(row):
+                if _overlapping(merged[earlier], merged[row], iou_threshold):
+                    row, col = earlier, row
                     break
-            if changed:
+            else:
                 break
     return merged
+
+
+def _overlapping(first: Box, second: Box, iou_threshold: float) -> bool:
+    """Whether :func:`merge_overlapping` merges ``first`` and ``second``:
+    a positive intersection and ``first.iou(second) >= iou_threshold``."""
+    overlap = first.intersection_area(second)
+    if not overlap > 0:
+        return False
+    union = first.area + second.area - overlap
+    return (0.0 if union <= 0 else overlap / union) >= iou_threshold

@@ -161,7 +161,7 @@ class AnalyticRoIExtractor:
         if obj.motion < profile.motion_threshold:
             motion_term = profile.stationary_recall
         probability = profile.base_recall * height_term * contrast_term * motion_term
-        return float(np.clip(probability, 0.0, 1.0))
+        return float(min(max(probability, 0.0), 1.0))
 
     # ---------------------------------------------------------------- extract
     def extract(self, frame: Frame) -> List[Box]:

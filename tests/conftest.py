@@ -212,3 +212,35 @@ def guillotine_pack(
         canvases.append(canvas)
         open_canvases.append(canvas)
     return canvases
+
+
+def restart_merge_overlapping(boxes, iou_threshold: float = 0.0) -> list[Box]:
+    """Test oracle: the merge greedy that restarts from the first pair.
+
+    Each pass scans the pairs ``(i, j)`` with ``i < j`` in order, replaces
+    box ``i`` by the enclosing rectangle of the first pair that overlaps
+    with an IoU of at least ``iou_threshold``, drops box ``j``, and starts
+    over.  ``merge_overlapping`` must return exactly this list.
+    """
+    merged = list(boxes)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(merged)):
+            for j in range(i + 1, len(merged)):
+                first, second = merged[i], merged[j]
+                overlapping = (
+                    first.intersection_area(second) > 0
+                    and first.iou(second) >= iou_threshold
+                )
+                if overlapping:
+                    # Replace the pair with its enclosing rectangle and
+                    # restart; merging can create new overlaps with boxes
+                    # already visited, so a single pass is not enough.
+                    merged[i] = first.enclosing(second)
+                    merged.pop(j)
+                    changed = True
+                    break
+            if changed:
+                break
+    return merged

@@ -21,6 +21,10 @@ def test_basic_properties():
 def test_negative_dimensions_rejected():
     with pytest.raises(ValueError):
         Box(0, 0, -1, 5)
+    with pytest.raises(ValueError):
+        Box(0, 0, math.nan, 5)
+    with pytest.raises(ValueError):
+        Box(0, 0, 5, math.nan)
 
 
 def test_intersection_of_overlapping_boxes():
@@ -84,6 +88,8 @@ def test_translate_and_scale():
     assert scaled == Box(5, 5, 10, 10)
     with pytest.raises(ValueError):
         box.scale(0)
+    with pytest.raises(ValueError):
+        box.scale(math.nan)
 
 
 def test_clip_to_frame():
@@ -138,3 +144,11 @@ def test_merge_overlapping_merges_touching_boxes():
 def test_merge_overlapping_keeps_disjoint_boxes():
     boxes = [Box(0, 0, 5, 5), Box(100, 100, 5, 5)]
     assert len(merge_overlapping(boxes)) == 2
+
+
+@pytest.mark.parametrize(
+    "threshold", [math.nan, 1.5, -0.1], ids=["nan", "above-one", "negative"]
+)
+def test_merge_overlapping_rejects_malformed_threshold(threshold):
+    with pytest.raises(ValueError):
+        merge_overlapping([Box(0, 0, 10, 10), Box(5, 5, 10, 10)], iou_threshold=threshold)

@@ -24,6 +24,10 @@ class TestMakeZones:
             make_zones(100, 100, 0, 2)
         with pytest.raises(ValueError):
             make_zones(0, 100, 2, 2)
+        with pytest.raises(ValueError):
+            make_zones(float("nan"), 100, 2, 2)
+        with pytest.raises(ValueError):
+            make_zones(100, float("nan"), 2, 2)
 
 
 class TestPartitionRoIs:
@@ -110,6 +114,20 @@ class TestFramePartitioner:
     def test_requires_extractor(self):
         with pytest.raises(ValueError):
             FramePartitioner(roi_extractor=None)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"min_patch_area": float("nan")},
+            {"min_patch_area": -1.0},
+            {"zones_x": 0},
+            {"zones_y": 0},
+        ],
+        ids=["min_patch_area-nan", "min_patch_area-negative", "zones_x-zero", "zones_y-zero"],
+    )
+    def test_malformed_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            FramePartitioner(roi_extractor=lambda frame: [], **kwargs)
 
     def test_partition_produces_patches_with_metadata(self, scene01_frames):
         partitioner = self._partitioner()

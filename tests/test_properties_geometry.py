@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import os
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.video.geometry import Box, enclosing_box, merge_overlapping
+from tests.conftest import restart_merge_overlapping
+
+#: Tier-1 keeps the oracle search to a few seconds; ``RUN_CHAOS=1`` runs
+#: a deeper one.
+CHAOS = bool(os.environ.get("RUN_CHAOS"))
+ORACLE_EXAMPLES = 1000 if CHAOS else 60
+ORACLE_MAX_BOXES = 70 if CHAOS else 20
 
 coordinates = st.floats(min_value=0.0, max_value=4000.0, allow_nan=False, allow_infinity=False)
 sizes = st.floats(min_value=0.5, max_value=2000.0, allow_nan=False, allow_infinity=False)
@@ -90,3 +101,84 @@ def test_merged_boxes_are_pairwise_disjoint(box_list):
     for i in range(len(merged)):
         for j in range(i + 1, len(merged)):
             assert merged[i].intersection_area(merged[j]) < 1e-6
+
+
+# ------------------------------------------------ merge and overlap oracles
+@st.composite
+def grid_boxes(draw) -> Box:
+    """Boxes on a small integer grid, so edges touch and merges chain;
+    zero widths and heights included."""
+    return Box(
+        float(draw(st.integers(0, 24))),
+        float(draw(st.integers(0, 24))),
+        float(draw(st.integers(0, 12))),
+        float(draw(st.integers(0, 12))),
+    )
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(
+    st.lists(grid_boxes(), max_size=ORACLE_MAX_BOXES),
+    st.sampled_from([0.0, 0.1, 0.5]),
+)
+def test_merge_overlapping_equals_restarting_greedy(box_list, threshold):
+    assert merge_overlapping(box_list, threshold) == restart_merge_overlapping(
+        box_list, threshold
+    )
+
+
+def test_merge_looks_back_at_earlier_rows():
+    # Only the last two boxes overlap; their enclosing box then overlaps
+    # the first, which a scan resuming at the merged row never revisits.
+    boxes = [Box(0, 0, 10, 10), Box(5, 12, 10, 10), Box(12, 5, 10, 10)]
+    assert merge_overlapping(boxes) == [Box(0, 0, 22, 22)]
+    assert restart_merge_overlapping(boxes) == [Box(0, 0, 22, 22)]
+
+
+def _same(actual: float, expected: float) -> bool:
+    return math.isnan(expected) if math.isnan(actual) else actual == expected
+
+
+def _overlap_area(a: Box, b: Box) -> float:
+    """``a.intersection(b).area``, or ``0.0`` when disjoint.  A NaN edge
+    gives an overlap of NaN width or height, which ``Box`` rejects; its
+    area is NaN."""
+    try:
+        overlap = a.intersection(b)
+    except ValueError:
+        return math.nan
+    return 0.0 if overlap is None else overlap.area
+
+
+def _union_iou(a: Box, b: Box) -> float:
+    """IoU as ``union_area`` and ``intersection_area`` define it, with the
+    overlap taken again for the numerator."""
+    union = a.union_area(b)
+    if union <= 0:
+        return 0.0
+    return a.intersection_area(b) / union
+
+
+@given(st.one_of(boxes(), grid_boxes()), st.one_of(boxes(), grid_boxes()))
+def test_intersection_area_is_area_of_intersection(a: Box, b: Box):
+    assert a.intersection_area(b) == _overlap_area(a, b)
+    assert a.iou(b) == _union_iou(a, b)
+
+
+NONFINITE_BOXES = [
+    Box(math.nan, 0.0, 10.0, 10.0),
+    Box(0.0, math.nan, 10.0, 10.0),
+    Box(math.inf, 0.0, 10.0, 10.0),
+    Box(-math.inf, 0.0, 10.0, 10.0),
+    Box(0.0, -math.inf, 10.0, math.inf),
+    Box(-math.inf, -math.inf, math.inf, math.inf),
+    Box(0.0, 0.0, math.inf, 10.0),
+    Box(5.0, 5.0, 10.0, 10.0),
+    Box(0.0, 0.0, 0.0, 10.0),
+]
+
+
+def test_nonfinite_positions_keep_overlap_and_iou():
+    for a, b in itertools.product(NONFINITE_BOXES, repeat=2):
+        assert _same(a.intersection_area(b), _overlap_area(a, b)), (a, b)
+        assert _same(a.iou(b), _union_iou(a, b)), (a, b)
