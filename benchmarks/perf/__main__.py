@@ -100,7 +100,7 @@ def main(argv=None) -> int:
         "--max-fleet-overreaction",
         type=float,
         default=0.05,
-        help="--check fails when the churn run sheds/expires more than "
+        help="--check fails when the churn run expires more than "
         "the injected-fault fraction plus this margin (default 0.05)",
     )
     parser.add_argument(

@@ -555,12 +555,12 @@ def _fleet_scenario_config():
 
 def _bench_fleet_scenario(name: str, with_faults: bool) -> BenchResult:
     """One 64-camera / 1024-base-patch fleet run through the full
-    fault-tolerant path (retrying uplinks -> bounded ingest -> scheduler).
+    fault-tolerant path (retrying uplinks -> ingest filter -> scheduler).
     The churn arm injects the ISSUE's cocktail — 10% camera churn, 2%
     uplink loss, and a burst window — and its meta carries the fractions
     the robustness gates are stated over (zero escaped errors, delivered
-    stream efficiency >= 0.95 of fault-free, shed+expired bounded by the
-    injected-fault fraction + 5%)."""
+    stream efficiency >= 0.95 of fault-free, ingest expiry bounded by
+    the injected-fault fraction + 5%)."""
     from repro.fleet import FaultPlan, camera_ids, run_fleet_scenario
 
     config = _fleet_scenario_config()
@@ -732,15 +732,15 @@ def profile_arrival(depth: int = 4096, mix: str = "fleet") -> Dict[str, object]:
 
     ``mix`` selects the workload: ``"fleet"`` (the uniform 64-640 mix of
     ``scheduler_arrival_fleet_4096``, default) or ``"crowded"`` (the
-    crowded-fleet mix under a hard-consolidating budget of 32 victims /
-    96 pooled patches, where trial re-packs keep failing).
+    crowded-fleet mix under a hard-consolidating budget of 96 pooled
+    patches, where trial re-packs keep failing).
     """
     if mix == "fleet":
         patches = _make_patches(depth, seed=19)
         options = _options()
     elif mix == "crowded":
         patches = _make_crowded_patches(depth, seed=43)
-        options = _options(max_partial_victims=32, partial_patch_budget=96)
+        options = _options(partial_patch_budget=96)
     else:
         raise ValueError(f"unknown profile mix {mix!r} (use 'fleet' or 'crowded')")
     _simulator, scheduler = _build_scheduler(options)
@@ -860,8 +860,8 @@ def _derive(sections: Dict[str, Dict[str, object]]) -> Dict[str, float]:
                 churn_delivered / faultfree_delivered, 4
             )
         # How much load the pipeline lost *beyond* what the faults took
-        # away: negative or small-positive means the degradation machinery
-        # only shed what the fault plan forced it to.
+        # away: negative or small-positive means the ingest only expired
+        # what the fault plan forced it to.
         derived["fleet_fault_overreaction"] = round(
             float(churn["meta"].get("shed_expired_fraction", 0.0))
             - float(churn["meta"].get("injected_fault_fraction", 0.0)),
@@ -961,8 +961,8 @@ def check_against_baseline(
                 f"required {minimum:.2f}{unit}"
             )
     # The fleet robustness pair also carries two *maximum*-style gates:
-    # zero escaped exceptions, and shedding bounded by the injected-fault
-    # fraction plus the allowed margin.
+    # zero escaped exceptions, and ingest expiry bounded by the
+    # injected-fault fraction plus the allowed margin.
     errors = derived.get("fleet_errors")
     if errors is not None and int(errors) > 0:
         failures.append(
@@ -973,7 +973,7 @@ def check_against_baseline(
     if overreaction is not None and float(overreaction) > max_fleet_overreaction:
         failures.append(
             f"fleet_fault_overreaction {float(overreaction):.4f} exceeds the "
-            f"allowed margin {max_fleet_overreaction:.4f} (the pipeline shed "
+            f"allowed margin {max_fleet_overreaction:.4f} (the pipeline expired "
             "more than the injected faults account for)"
         )
     sharded_errors = derived.get("sharded_fleet_errors")

@@ -3,14 +3,14 @@
 
 A 64-camera fleet streams patches over lossy uplinks while a seeded
 fault plan takes 10% of the cameras offline partway through the run
-(camera *churn*).  The fault-tolerant path -- bounded ingest queues,
-liveness tracking, retry/backoff, and SLO-aware shedding -- keeps the
-scheduler healthy: the run finishes with zero escaped exceptions and
-every lost patch lands in an explicit counter instead of silently
-vanishing.
+(camera *churn*).  The fault-tolerant path -- liveness tracking,
+retry/backoff, and expiry of dead-camera and stale deliveries at ingest
+-- keeps the scheduler healthy: the run finishes with zero escaped
+exceptions and every lost patch lands in an explicit counter instead of
+silently vanishing.
 
 The example prints a side-by-side of the fault-free run and the churn
-run (delivered stream efficiency, shed/expired accounting, liveness
+run (delivered stream efficiency, expiry accounting, liveness
 transitions), then re-runs the churn scenario to demonstrate that the
 whole cascade is byte-for-byte deterministic given the seed.
 
@@ -105,7 +105,6 @@ def main() -> None:
                 result.suppressed_base,
                 result.transfers["failed"],
                 result.ingest["expired_dead"] + result.ingest["expired_stale"],
-                result.ingest["shed_degraded"] + result.shed_scheduler_base,
                 result.liveness_transitions.get("dead", 0),
                 result.errors,
             ]
@@ -114,7 +113,7 @@ def main() -> None:
     print(
         format_table(
             ["run", "delivered (%)", "suppressed", "xfer failed",
-             "expired", "shed", "cams dead", "errors"],
+             "expired", "cams dead", "errors"],
             rows,
             title=f"{args.cameras}-camera fleet under {100 * args.dropout:.0f}% camera churn",
             float_format="{:.2f}",
@@ -127,7 +126,7 @@ def main() -> None:
     identical = replay.counters() == churn.counters()
     print(f"\nReplay with the same seed identical: {identical}")
     print("Every undelivered patch is accounted: suppressed at capture, "
-          "failed in transfer, expired/shed at ingest, or shed by the scheduler.")
+          "failed in transfer, or expired at ingest.")
 
 
 if __name__ == "__main__":

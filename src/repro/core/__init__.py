@@ -15,15 +15,17 @@
   canvas keeps (occupied silhouette as x-sorted segments plus recycled
   waste rectangles).
 * :mod:`repro.core.consolidation` -- the overflow-consolidation
-  subsystem: the victim efficiency heap, the retry backoff, and the
-  trial re-pack behind two exact pre-checks.
+  subsystem: the victim efficiency heap (at most
+  ``MAX_PARTIAL_VICTIMS`` victims), the retry backoff, and the trial
+  re-pack behind two exact pre-checks.
 * :mod:`repro.core.options` -- :class:`SchedulerOptions`, the frozen
-  record carrying every scheduler/stitcher knob (the only way to set
-  one).
+  record carrying the two scheduler knobs, ``incremental`` and
+  ``partial_patch_budget`` (the only way to set one).
 * :mod:`repro.core.latency` -- the latency estimator (offline profiling,
   slack = mean + 3 sigma).
 * :mod:`repro.core.scheduler` -- the online SLO-aware batching invoker that
-  decides when to trigger the serverless function;
+  batches every arriving patch and decides when to trigger the
+  serverless function;
   ``SchedulerOptions(incremental=False)`` runs the literal Algorithm 2
   (a full re-pack per arrival).
 * :mod:`repro.core.tangram` -- the plug-and-play facade mirroring the

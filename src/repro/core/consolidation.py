@@ -30,14 +30,20 @@ from repro.core.patches import Patch
 if TYPE_CHECKING:  # pragma: no cover - stitching imports this module
     from repro.core.stitching import IncrementalStitcher, PlacementPlan
 
-__all__ = ["ConsolidationEngine", "unpairable"]
+__all__ = ["ConsolidationEngine", "MAX_PARTIAL_VICTIMS", "unpairable"]
+
+#: Most canvases one consolidation may dissolve at once.  No victim set
+#: on the four end-to-end benchmark workloads exceeds it (the
+#: stitcher's ``partial_patch_budget`` binds first); a stream of small
+#: patches can reach it.
+MAX_PARTIAL_VICTIMS = 8
 
 
 class ConsolidationEngine:
     """Consolidation state and planning for one stitcher.
 
     The engine reads the live canvas list, the batch solver, and the
-    victim budgets straight from its owner (they are one object split
+    patch budget straight from its owner (they are one object split
     across two modules, not an abstraction boundary) and keeps
     everything only consolidation needs: the efficiency heap, the
     version stamps, and the backoff.
@@ -158,7 +164,7 @@ class ConsolidationEngine:
         Victims come off the heap in ascending ``(efficiency,
         canvas_index)`` order — the same order the former per-overflow
         rescan-and-sort produced (pinned by ``tests/test_skyline.py``) —
-        bounded by the stitcher's ``max_partial_victims`` and by its
+        bounded by :data:`MAX_PARTIAL_VICTIMS` and by the stitcher's
         ``partial_patch_budget`` pooled patches.  Stale heap entries are
         dropped for good; valid ones popped here are pushed back before
         returning, because a probe must not consume state.
@@ -176,7 +182,7 @@ class ConsolidationEngine:
         pool_used = 0.0
         victim_indices: List[int] = []
         popped: List[Tuple[float, int, int]] = []
-        while heap and len(victim_indices) < stitcher.max_partial_victims:
+        while heap and len(victim_indices) < MAX_PARTIAL_VICTIMS:
             if len(pool) >= budget:
                 # Every canvas holds at least one patch, so no remaining
                 # candidate can fit the budget — same decisions as

@@ -25,6 +25,7 @@ the baseline scheduling policies (Clipper, MArk, ELF) in
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -228,9 +229,8 @@ class TangramScheduler(BaseScheduler):
         GPU memory one canvas occupies during inference (``w``).
     options:
         The :class:`~repro.core.options.SchedulerOptions` record carrying
-        every scheduler knob (fast path, re-pack tuning, admission
-        watermark); see its fields for each knob's meaning.  Exposed as
-        :attr:`options`.
+        both scheduler knobs (the fast path and its re-pack budget); see
+        its fields for each knob's meaning.  Exposed as :attr:`options`.
     record_placements:
         Capture each batch's per-canvas placement tuples on its
         :class:`BatchRecord` at invoke time (run-independent patch
@@ -269,8 +269,13 @@ class TangramScheduler(BaseScheduler):
             canvas_height=self.solver.canvas_height,
             iterations=200,
         )
-        if gpu_memory_gb <= model_memory_gb:
-            raise ValueError("gpu_memory_gb must exceed model_memory_gb")
+        # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
+        if not model_memory_gb >= 0:
+            raise ValueError("model_memory_gb must be non-negative")
+        if not canvas_memory_gb > 0:
+            raise ValueError("canvas_memory_gb must be positive")
+        if not model_memory_gb < gpu_memory_gb < math.inf:
+            raise ValueError("gpu_memory_gb must be finite and exceed model_memory_gb")
         self.gpu_memory_gb = gpu_memory_gb
         self.model_memory_gb = model_memory_gb
         self.canvas_memory_gb = canvas_memory_gb
@@ -284,10 +289,11 @@ class TangramScheduler(BaseScheduler):
             if options.incremental
             else None
         )
-        self.admission_watermark = options.admission_watermark
-        #: Patches shed by the admission watermark (SLO-aware degradation).
+        #: Always empty: every arriving patch is batched.  Kept because the
+        #: end-to-end benchmark (``benchmarks/e2e/measure.py`` and
+        #: ``tracing.py``) reads it; it goes with that benchmark's next
+        #: revision.
         self.shed: List[Patch] = []
-        self._min_feasible_latency: Optional[float] = None
         self._queue: List[Patch] = []
         self._deadline_heap: List[float] = []
         self._canvases: List[Canvas] = []
@@ -303,32 +309,6 @@ class TangramScheduler(BaseScheduler):
     def _memory_exceeded(self, canvases: Sequence[Canvas]) -> bool:
         return len(canvases) > self.max_canvases
 
-    # ------------------------------------------------------------ degradation
-    def _should_shed(self, patch: Patch) -> bool:
-        """SLO-aware shedding: past the watermark, drop arrivals that are
-        already doomed (their remaining slack is below the single-canvas
-        execution floor, so serving them could only produce a violation
-        while delaying everything queued behind them)."""
-        if (
-            self.admission_watermark is None
-            or len(self._queue) < self.admission_watermark
-        ):
-            return False
-        if self._min_feasible_latency is None:
-            self._min_feasible_latency = self.estimator.slack_time(1)
-        if patch.deadline - self.simulator.now >= self._min_feasible_latency:
-            return False
-        self.shed.append(patch)
-        return True
-
-    @property
-    def degradation_stats(self) -> dict:
-        """Shed-vs-violation accounting of the admission watermark."""
-        return {
-            "shed": len(self.shed),
-            "slo_violations": sum(1 for o in self.all_outcomes if o.violated),
-        }
-
     # ---------------------------------------------------------------- arrival
     def receive_patch(self, patch: Patch) -> None:
         """Algorithm 2, lines 4-18: handle one arriving patch."""
@@ -339,8 +319,6 @@ class TangramScheduler(BaseScheduler):
             self.compute_seconds += time.perf_counter() - start
 
     def _handle_arrival(self, patch: Patch) -> None:
-        if self._should_shed(patch):
-            return
         if self._packer is not None:
             self._receive_patch_fast(patch)
             return

@@ -310,14 +310,16 @@ class IncrementalStitcher:
     at the moment a *new canvas opens* (placing into an existing canvas
     always raises fill).  So the stitcher intervenes exactly there: when a
     patch is about to open a canvas even though the existing canvases still
-    hold more than ``(1 + drift_margin) * patch.area`` of free space — the
-    signature of ordering/fragmentation loss rather than genuine overflow —
-    it re-packs, bounded by ``partial_patch_budget``: while the whole
-    queue plus the patch fits the budget it re-packs the whole queue in
+    hold at least ``1.05 * patch.area`` of free space — the signature of
+    ordering/fragmentation loss rather than genuine overflow — it
+    re-packs, bounded by ``partial_patch_budget``: while the whole queue
+    plus the patch fits the budget it re-packs the whole queue in
     decreasing-area order (tracking the batch packer exactly); past that
-    it consolidates only the least-efficient canvases through the trial
-    re-pack of :mod:`repro.core.consolidation`, which keeps the overflow
-    path O(a few canvases) at fleet-scale queue depths.
+    it consolidates at most
+    :data:`~repro.core.consolidation.MAX_PARTIAL_VICTIMS` of the
+    least-efficient canvases through the trial re-pack of
+    :mod:`repro.core.consolidation`, which keeps the overflow path O(a
+    few canvases) at fleet-scale queue depths.
 
     Parameters
     ----------
@@ -331,9 +333,8 @@ class IncrementalStitcher:
         Must be positive and finite.
     options:
         The :class:`~repro.core.options.SchedulerOptions` record; the
-        stitcher reads ``drift_margin``, ``max_partial_victims`` and
-        ``partial_patch_budget`` (see its fields for each knob's
-        meaning).  Exposed as :attr:`options`.
+        stitcher reads ``partial_patch_budget``.  Exposed as
+        :attr:`options`.
     """
 
     def __init__(
@@ -344,8 +345,6 @@ class IncrementalStitcher:
     ) -> None:
         self.options = options
         self.solver = solver or PatchStitchingSolver()
-        self.drift_margin = options.drift_margin
-        self.max_partial_victims = options.max_partial_victims
         self.partial_patch_budget = options.partial_patch_budget
         self.equivalent_canvas_pixels = (
             self.solver.canvas_area
@@ -508,7 +507,8 @@ class IncrementalStitcher:
         return best_canvas, best_rect, best_score
 
     def _should_repack_on_overflow(self, patch: Patch) -> bool:
-        """Opening a canvas despite ample free space signals drift.
+        """Opening a canvas despite ample free space (at least 1.05 times
+        the patch's area) signals drift.
 
         Every re-pack is bounded by the patch budget, so it needs no
         geometric spacing: intervene on every wasteful overflow.
@@ -516,7 +516,7 @@ class IncrementalStitcher:
         if self._active_count == 0:
             return False
         free = self._active_count * self.solver.canvas_area - self._active_used
-        return free >= (1.0 + self.drift_margin) * patch.area
+        return free >= 1.05 * patch.area
 
     def commit(self, plan: PlacementPlan) -> List[Canvas]:
         """Apply a plan produced by :meth:`probe`.

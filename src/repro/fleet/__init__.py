@@ -4,9 +4,9 @@ The paper's end-to-end story assumes cameras that never disconnect and
 uplinks that never drop a byte.  This package is the robustness layer a
 real fleet needs between frame capture and ``TangramScheduler``:
 
-* :mod:`repro.fleet.ingest` -- bounded per-camera queues with drop-newest
-  backpressure, deadline-ordered draining, stale expiry before the packer
-  sees a patch, and watermark degradation with hysteresis;
+* :mod:`repro.fleet.ingest` -- the admission filter: it sweeps liveness,
+  expires deliveries from dead cameras and stale ones before the packer
+  sees them, and hands every other delivery straight to the scheduler;
 * :mod:`repro.fleet.liveness` -- heartbeat liveness with the
   alive/suspect/dead/reconnecting state machine;
 * :mod:`repro.fleet.retry` -- exponential backoff + jitter retransmission
@@ -18,7 +18,7 @@ real fleet needs between frame capture and ``TangramScheduler``:
 * :mod:`repro.fleet.shard` -- the one fleet runner, which wires all of
   the above together: camera ownership partitioned across N independent
   scheduler workers with consistent-hash (or load-based) dispatch and
-  clone-planned work stealing.  :func:`run_fleet_scenario` is its
+  work stealing.  :func:`run_fleet_scenario` is its
   ``shards=1`` run.
 """
 

@@ -23,6 +23,7 @@ statistical:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -56,7 +57,8 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; valid: {FAULT_KINDS}")
-        if self.end < self.start:
+        # ``not start <= end`` rather than ``end < start``, so NaN fails too.
+        if not self.start <= self.end:
             raise ValueError("fault window must have end >= start")
 
     def active(self, now: float) -> bool:
@@ -101,8 +103,21 @@ class FaultPlan:
         skeleton below is drawn *before* the dial is applied, so plans of
         the same seed nest as the dial rises.
         """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        # Every check is written so that NaN fails it too.
+        if not 0.0 < duration < math.inf:
+            raise ValueError("duration must be positive and finite")
+        for name, value in (
+            ("dropout_duration", dropout_duration),
+            ("burst_duration", burst_duration),
+        ):
+            if value is not None and not value > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 <= jitter_s < math.inf:
+            raise ValueError("jitter_s must be non-negative and finite")
+        if not 1.0 <= burst_multiplier < math.inf:
+            raise ValueError("burst_multiplier must be at least 1 and finite")
+        if not burst_count >= 0:
+            raise ValueError("burst_count must be non-negative")
         if not 0.0 <= intensity <= 1.0:
             raise ValueError("intensity must be in [0, 1]")
         if not 0.0 <= dropout_fraction <= 1.0:

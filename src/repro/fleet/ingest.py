@@ -1,276 +1,73 @@
-"""Bounded, deadline-ordered fleet ingestion in front of the scheduler.
+"""The fleet's admission filter in front of the scheduler.
 
 :class:`FleetIngestor` sits between the per-camera uplinks and a
-scheduler (``receive_patch``/``pending_patches``/``flush``) and gives the
-single-scheduler path the properties a fleet needs to survive faults:
+scheduler (anything with ``receive_patch``) and decides, for each
+delivered patch, whether the scheduler gets it:
 
-* **bounded per-camera queues with drop-newest backpressure** -- one
-  misbehaving (bursting, retransmitting) camera can fill only its own
-  allotment of the ingest queue; once a camera's depth hits the bound,
-  *new* arrivals from it are dropped (the queued, older patches have the
-  earlier deadlines and therefore the better chance of being served);
-* **deadline-ordered draining** -- admitted patches leave for the
-  scheduler in global earliest-deadline order via a single min-heap, so a
-  slow camera cannot starve urgent patches behind it;
+* **liveness** -- every delivery first sweeps the liveness tracker, so
+  camera silence ages into state transitions on the ingest's own
+  activity;
+* **dead-camera expiry** -- a late delivery from a camera the tracker
+  has declared dead is counted as ``expired_dead``: the rest of its
+  frames will never come;
 * **stale expiry before the packer sees the patch** -- a patch whose
-  deadline passed while it was queued (or in flight) is counted as
-  ``expired_stale`` and never reaches ``IncrementalStitcher.probe``,
-  instead of burning a probe to produce a guaranteed SLO miss;
-* **dead-camera expiry** -- when the liveness tracker declares a camera
-  dead, its queued patches are expired in O(1) (epoch bump; heap entries
-  are discarded lazily on pop) rather than blocking the heap;
-* **watermark degradation with hysteresis** -- when the scheduler's own
-  queue grows past ``high_watermark`` the ingestor enters degraded mode:
-  it holds the backlog, sheds patches that are already doomed (remaining
-  slack below the single-canvas service floor), and resumes draining once
-  the scheduler falls back under ``low_watermark``.  Every decision is
-  counted, so shed/expired/dropped are always separable from genuine
-  scheduler-side SLO violations.
+  deadline passed in flight is counted as ``expired_stale`` and never
+  reaches ``IncrementalStitcher.probe``, instead of burning a probe to
+  produce a guaranteed SLO miss;
+* every other delivery goes straight to the scheduler and is counted
+  as ``admitted``.
 
-The drain loop is event-driven but *lazy*: a re-drain tick is scheduled
-only while the ingestor is actually holding patches in degraded mode, so
-the simulator's event queue stays finite and runs terminate.
+The ingestor holds nothing: each delivery is decided before
+:meth:`FleetIngestor.offer` returns, and every decision is counted, so
+expiry is always separable from genuine scheduler-side SLO violations.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.core.patches import Patch
 from repro.fleet.liveness import LivenessTracker
 from repro.simulation.engine import Simulator
-from repro.simulation.events import Event
-
-#: Heap entry: (deadline, seq, camera_id, epoch, patch).  The seq breaks
-#: deadline ties deterministically before any Patch comparison happens.
-_Entry = Tuple[float, int, str, int, Patch]
 
 
 class FleetIngestor:
-    """Fault-tolerant admission layer between uplinks and one scheduler."""
+    """Admission filter between the uplinks and one scheduler."""
 
     def __init__(
         self,
         simulator: Simulator,
         scheduler,
-        queue_capacity: int = 64,
-        high_watermark: Optional[int] = None,
-        low_watermark: Optional[int] = None,
         liveness: Optional[LivenessTracker] = None,
-        drain_interval: float = 0.05,
-        service_floor: Optional[float] = None,
     ) -> None:
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be at least 1")
-        if drain_interval <= 0:
-            raise ValueError("drain_interval must be positive")
-        if high_watermark is not None:
-            if high_watermark < 1:
-                raise ValueError("high_watermark must be at least 1")
-            if low_watermark is None:
-                low_watermark = high_watermark // 2
-            if not 0 <= low_watermark <= high_watermark:
-                raise ValueError("need 0 <= low_watermark <= high_watermark")
-        elif low_watermark is not None:
-            raise ValueError("low_watermark requires high_watermark")
         self.simulator = simulator
         self.scheduler = scheduler
-        self.queue_capacity = queue_capacity
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.liveness = liveness
-        self.drain_interval = drain_interval
-        self._service_floor = service_floor
-
-        self._heap: List[_Entry] = []
-        self._seq = itertools.count()
-        self._depth: Dict[str, int] = {}
-        self._epoch: Dict[str, int] = {}
-        self._pending = 0
-        self._max_pending = 0
-        self._degraded = False
-        self._tick: Optional[Event] = None
-
         self.admitted = 0
-        self.dropped_backpressure = 0
         self.expired_stale = 0
         self.expired_dead = 0
-        self.shed_degraded = 0
-        self.degraded_entries = 0
 
-        if liveness is not None:
-            # Chain rather than replace: the scenario may also want the
-            # dead-camera notification for its own accounting.
-            previous = liveness.on_dead
-
-            def _on_dead(camera_id: str) -> None:
-                self.expire_camera(camera_id)
-                if previous is not None:
-                    previous(camera_id)
-
-            liveness.on_dead = _on_dead
-
-    # -------------------------------------------------------------- admission
     def offer(self, patch: Patch) -> str:
-        """Admit one delivered patch; returns the verdict for tests.
+        """Decide one delivered patch; returns the verdict for tests.
 
-        Verdicts: ``"queued"``, ``"expired_stale"``, ``"expired_dead"``,
-        ``"dropped"`` (backpressure).
+        Verdicts: ``"expired_dead"``, ``"expired_stale"``, ``"admitted"``.
         """
         if self.liveness is not None:
             self.liveness.sweep()
             if self.liveness.is_dead(patch.camera_id):
-                # A late delivery from a camera already declared dead: the
-                # rest of its frames will never come, expire it with them.
                 self.expired_dead += 1
                 return "expired_dead"
-        now = self.simulator.now
-        if patch.deadline <= now:
+        if patch.deadline <= self.simulator.now:
             self.expired_stale += 1
-            self._drain()
             return "expired_stale"
-        depth = self._depth.get(patch.camera_id, 0)
-        if depth >= self.queue_capacity:
-            self.dropped_backpressure += 1
-            self._drain()
-            return "dropped"
-        entry: _Entry = (
-            patch.deadline,
-            next(self._seq),
-            patch.camera_id,
-            self._epoch.get(patch.camera_id, 0),
-            patch,
-        )
-        heapq.heappush(self._heap, entry)
-        self._depth[patch.camera_id] = depth + 1
-        self._pending += 1
-        if self._pending > self._max_pending:
-            self._max_pending = self._pending
-        self._drain()
-        return "queued"
-
-    # ---------------------------------------------------------- dead cameras
-    def expire_camera(self, camera_id: str) -> int:
-        """Expire every queued patch of ``camera_id`` (liveness said dead).
-
-        O(1): bump the camera's epoch and fix the counters now; the heap
-        entries are discarded lazily when they surface.  Returns the
-        number of patches expired.
-        """
-        depth = self._depth.get(camera_id, 0)
-        self._epoch[camera_id] = self._epoch.get(camera_id, 0) + 1
-        if depth:
-            self.expired_dead += depth
-            self._pending -= depth
-            self._depth[camera_id] = 0
-        return depth
-
-    # ------------------------------------------------------------------ drain
-    def _service_floor_value(self) -> float:
-        if self._service_floor is None:
-            estimator = getattr(self.scheduler, "estimator", None)
-            self._service_floor = (
-                estimator.slack_time(1) if estimator is not None else 0.0
-            )
-        return self._service_floor
-
-    def _update_degraded(self) -> None:
-        if self.high_watermark is None:
-            return
-        backlog = self.scheduler.pending_patches
-        if not self._degraded and backlog >= self.high_watermark:
-            self._degraded = True
-            self.degraded_entries += 1
-        elif self._degraded and backlog <= self.low_watermark:
-            self._degraded = False
-
-    def _drain(self, force: bool = False) -> None:
-        now = self.simulator.now
-        while self._heap:
-            deadline, _seq, camera_id, epoch, patch = self._heap[0]
-            if epoch != self._epoch.get(camera_id, 0):
-                # Entry belongs to a camera generation declared dead; its
-                # counters were fixed in expire_camera.
-                heapq.heappop(self._heap)
-                continue
-            if deadline <= now:
-                heapq.heappop(self._heap)
-                self._depth[camera_id] -= 1
-                self._pending -= 1
-                self.expired_stale += 1
-                continue
-            self._update_degraded()
-            if self._degraded and not force:
-                if deadline - now < self._service_floor_value():
-                    # Doomed: even an immediate solo invocation would
-                    # finish past the deadline.  Shed it instead of
-                    # feeding the overload.
-                    heapq.heappop(self._heap)
-                    self._depth[camera_id] -= 1
-                    self._pending -= 1
-                    self.shed_degraded += 1
-                    continue
-                self._schedule_tick()
-                return
-            heapq.heappop(self._heap)
-            self._depth[camera_id] -= 1
-            self._pending -= 1
-            self.scheduler.receive_patch(patch)
-            self.admitted += 1
-        self._cancel_tick()
-
-    def _schedule_tick(self) -> None:
-        if self._tick is not None:
-            return
-
-        def fire(_sim: Simulator) -> None:
-            self._tick = None
-            if self.liveness is not None:
-                self.liveness.sweep()
-            self._drain()
-
-        self._tick = self.simulator.schedule_in(
-            self.drain_interval, fire, name="fleet:drain"
-        )
-
-    def _cancel_tick(self) -> None:
-        if self._tick is not None:
-            self._tick.cancel()
-            self._tick = None
-
-    def flush(self, force: bool = True) -> None:
-        """Drain everything still held (end of run); stale/dead still expire."""
-        if self.liveness is not None:
-            self.liveness.sweep()
-        self._drain(force=force)
-        self._cancel_tick()
-
-    # ------------------------------------------------------------------ state
-    @property
-    def pending(self) -> int:
-        """Patches currently queued (excluding lazily-discarded entries)."""
-        return self._pending
-
-    def camera_depth(self, camera_id: str) -> int:
-        """Live queue depth of one camera (the shard router's steal
-        planner ranks a hot shard's cameras by this)."""
-        return self._depth.get(camera_id, 0)
-
-    @property
-    def degraded(self) -> bool:
-        return self._degraded
+        self.scheduler.receive_patch(patch)
+        self.admitted += 1
+        return "admitted"
 
     @property
     def stats(self) -> dict:
         return {
             "admitted": self.admitted,
-            "dropped_backpressure": self.dropped_backpressure,
             "expired_stale": self.expired_stale,
             "expired_dead": self.expired_dead,
-            "shed_degraded": self.shed_degraded,
-            "degraded_entries": self.degraded_entries,
-            "pending": self._pending,
-            "max_pending": self._max_pending,
         }

@@ -1,9 +1,9 @@
 """Heartbeat-based camera liveness tracking.
 
-A fleet frontend cannot block its deadline heap on a camera that silently
-went away: patches queued from a dead camera will never be joined by the
-rest of their frame, and expiring them eagerly frees queue capacity for
-cameras that are still talking.  The tracker implements the dropout /
+A fleet frontend should not spend scheduler work on a camera that
+silently went away: a late delivery from a dead camera will never be
+joined by the rest of its frame, so the ingest filter expires it (see
+:mod:`repro.fleet.ingest`).  The tracker implements the dropout /
 reconnect state machine
 
     ALIVE -> SUSPECT -> DEAD -> RECONNECTING -> ALIVE
@@ -19,7 +19,7 @@ discrete-event queue finite and the runs deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.simulation.engine import Simulator
 
@@ -51,9 +51,8 @@ class LivenessTracker:
         Seconds of silence before an ``alive`` camera becomes ``suspect``.
     dead_after:
         Seconds of silence before a ``suspect`` camera is declared
-        ``dead`` (must exceed ``suspect_after``).  ``on_dead`` fires at
-        the sweep that makes the transition, so the ingest layer can
-        expire the camera's queued patches.
+        ``dead`` (must exceed ``suspect_after``), at the first sweep
+        after that much silence.
     reconnect_settle:
         A heartbeat from a ``dead`` camera moves it to ``reconnecting``;
         it is promoted back to ``alive`` once heartbeats have kept coming
@@ -67,8 +66,6 @@ class LivenessTracker:
         suspect_after: float = 2.0,
         dead_after: float = 5.0,
         reconnect_settle: float = 1.0,
-        on_dead: Optional[Callable[[str], None]] = None,
-        on_alive: Optional[Callable[[str], None]] = None,
     ) -> None:
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (suspect_after > 0 and dead_after > 0 and reconnect_settle >= 0):
@@ -79,8 +76,6 @@ class LivenessTracker:
         self.suspect_after = suspect_after
         self.dead_after = dead_after
         self.reconnect_settle = reconnect_settle
-        self.on_dead = on_dead
-        self.on_alive = on_alive
         self._cameras: Dict[str, CameraHealth] = {}
         self.transitions = {state: 0 for state in LIVENESS_STATES}
 
@@ -113,10 +108,6 @@ class LivenessTracker:
         health.state = state
         health.state_since = self.simulator.now
         self.transitions[state] += 1
-        if state == DEAD and self.on_dead is not None:
-            self.on_dead(health.camera_id)
-        if state == ALIVE and self.on_alive is not None:
-            self.on_alive(health.camera_id)
 
     def heartbeat(self, camera_id: str) -> str:
         """Record a heartbeat and return the camera's (new) state."""

@@ -4,9 +4,10 @@ A fleet run wires the whole fault-tolerant path together over the
 deterministic patch workload of :mod:`repro.workloads.fleet`: cameras
 capture on phase-shifted grids and heartbeat the liveness tracker, every
 patch rides a retrying per-camera uplink whose loss/jitter dials the
-:class:`~repro.fleet.faults.FaultPlan` drives, and deliveries land in a
-:class:`~repro.fleet.ingest.FleetIngestor` that feeds the
-:class:`~repro.core.scheduler.TangramScheduler` in deadline order.  The
+:class:`~repro.fleet.faults.FaultPlan` drives, and deliveries pass a
+:class:`~repro.fleet.ingest.FleetIngestor`, which expires dead-camera and
+stale deliveries and hands every other one straight to the
+:class:`~repro.core.scheduler.TangramScheduler`.  The
 one runner that does this wiring is
 :func:`~repro.fleet.shard.run_sharded_scenario`;
 :func:`run_fleet_scenario` is its ``shards=1`` case -- one scheduler
@@ -39,11 +40,6 @@ class FleetScenarioConfig:
     bandwidth_mbps: float = 40.0
     propagation_delay: float = 0.005
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Ingest knobs (see :class:`repro.fleet.ingest.FleetIngestor`).
-    queue_capacity: int = 64
-    high_watermark: Optional[int] = None
-    low_watermark: Optional[int] = None
-    drain_interval: float = 0.05
     #: Liveness knobs; ``track_liveness=False`` disables the tracker.
     track_liveness: bool = True
     suspect_after_s: float = 0.75
@@ -80,8 +76,6 @@ class FleetRunResult:
     failed_burst: int = 0
     admitted_base: int = 0
     admitted_burst: int = 0
-    shed_scheduler_base: int = 0
-    shed_scheduler_burst: int = 0
     slo_violations: int = 0
     completed_patches: int = 0
     num_batches: int = 0
@@ -109,8 +103,8 @@ class FleetRunResult:
     # ---------------------------------------------------------------- derived
     @property
     def delivered_base(self) -> int:
-        """Base patches the scheduler actually accepted (post-shedding)."""
-        return self.admitted_base - self.shed_scheduler_base
+        """Base patches the scheduler accepted: every admitted one."""
+        return self.admitted_base
 
     @property
     def delivered_fraction(self) -> float:
@@ -136,19 +130,12 @@ class FleetRunResult:
 
     @property
     def shed_expired_fraction(self) -> float:
-        """Fraction of offered load lost *inside* the pipeline (ingest
-        drops/expiry plus watermark shedding at either layer)."""
+        """Fraction of offered load lost *inside* the pipeline: the
+        ingest's dead-camera and stale expiry (nothing is shed)."""
         offered = self.expected_base + self.burst_sent
         if offered == 0:
             return 0.0
-        lost = (
-            self.ingest.get("dropped_backpressure", 0)
-            + self.ingest.get("expired_stale", 0)
-            + self.ingest.get("expired_dead", 0)
-            + self.ingest.get("shed_degraded", 0)
-            + self.shed_scheduler_base
-            + self.shed_scheduler_burst
-        )
+        lost = self.ingest.get("expired_stale", 0) + self.ingest.get("expired_dead", 0)
         return lost / offered
 
     def counters(self) -> Dict[str, int]:
@@ -162,8 +149,6 @@ class FleetRunResult:
             "failed_burst": self.failed_burst,
             "admitted_base": self.admitted_base,
             "admitted_burst": self.admitted_burst,
-            "shed_scheduler_base": self.shed_scheduler_base,
-            "shed_scheduler_burst": self.shed_scheduler_burst,
             "slo_violations": self.slo_violations,
             "completed_patches": self.completed_patches,
             "num_batches": self.num_batches,

@@ -10,9 +10,9 @@ over the deterministic patch workload of :mod:`repro.workloads.fleet`:
   per-camera :class:`~repro.network.link.Uplink` whose loss/jitter dials
   are driven by the :class:`~repro.fleet.faults.FaultPlan`;
 * each delivery is routed to the worker that currently owns its camera,
-  whose :class:`~repro.fleet.ingest.FleetIngestor` expires stale
-  patches, bounds per-camera backlog, and feeds that worker's
-  :class:`~repro.core.scheduler.TangramScheduler` in deadline order;
+  whose :class:`~repro.fleet.ingest.FleetIngestor` expires dead-camera
+  and stale deliveries and hands every other one straight to that
+  worker's :class:`~repro.core.scheduler.TangramScheduler`;
 * burst fault events inject surplus patches tagged ``"fault:burst"``,
   excluded from the delivered-fraction metric so they only *pressure* the
   pipeline.
@@ -29,14 +29,12 @@ that run.
   the camera id and the shard count; ``"least_loaded"`` balances by
   owned-camera count at registration and by live backlog afterwards).
 * **Work stealing**: on a fixed rebalance cadence the router compares
-  shard backlogs; when one shard runs hot it plans a camera-ownership
-  migration to the coldest shard.  The trial plans on copies and
-  commits only if it helps: planned loads are mutated on *copies*, a
-  migrant is adopted only while the plan leaves the target strictly
-  colder than the source, and a stalled plan commits nothing.  Only
-  **future** arrivals move — patches already queued on the hot shard
-  drain where they are (they are mid-flight state, like a canvas's
-  residents).  Rebalance ticks are only scheduled for ``shards > 1``.
+  shard backlogs (each scheduler's queue); when one shard runs hot it
+  moves the ownership of up to ``steal_fraction`` of its cameras, in
+  camera-id order, to the coldest shard.  Only **future** arrivals move
+  — patches already queued on the hot shard's scheduler stay there
+  (they are mid-flight state, like a canvas's residents).  Rebalance
+  ticks are only scheduled for ``shards > 1``.
 * **Faults** compose per camera: the plan drives capture suppression,
   uplink dials, and burst surplus, so shard-targeted chaos is just a
   plan over one shard's camera set (:func:`consistent_shard_assignment`
@@ -82,7 +80,7 @@ from repro.workloads.fleet import (
 class ShardScenarioConfig:
     """One sharded fleet run: the single-scheduler config plus routing."""
 
-    #: Everything a single worker needs (workload, uplinks, ingest knobs,
+    #: Everything a single worker needs (workload, uplinks, liveness,
     #: scheduler options).  Every worker's scheduler is built from
     #: ``base.scheduler_options``.
     base: FleetScenarioConfig = field(default_factory=FleetScenarioConfig)
@@ -126,7 +124,7 @@ class ShardScenarioConfig:
 class _CountingFrontend:
     """Scheduler facade that splits admissions by scene key.
 
-    The ingestor drains into this instead of the scheduler directly, so
+    The ingestor admits into this instead of the scheduler directly, so
     the result can separate the base stream from burst-injected surplus
     without threading tags through the scheduler itself.
     """
@@ -135,14 +133,6 @@ class _CountingFrontend:
         self.scheduler = scheduler
         self.base = 0
         self.burst = 0
-
-    @property
-    def estimator(self) -> LatencyEstimator:
-        return self.scheduler.estimator
-
-    @property
-    def pending_patches(self) -> int:
-        return self.scheduler.pending_patches
 
     def receive_patch(self, patch) -> None:
         if patch.scene_key == BURST_SCENE:
@@ -231,23 +221,15 @@ class ShardWorker:
             gpu_memory_gb=config.gpu_memory_gb,
         )
         self.frontend = _CountingFrontend(self.scheduler)
-        self.ingestor = FleetIngestor(
-            simulator,
-            self.frontend,
-            queue_capacity=config.queue_capacity,
-            high_watermark=config.high_watermark,
-            low_watermark=config.low_watermark,
-            liveness=liveness,
-            drain_interval=config.drain_interval,
-        )
+        self.ingestor = FleetIngestor(simulator, self.frontend, liveness=liveness)
         self.cameras: set = set()
 
     # ------------------------------------------------------------------ load
     @property
     def backlog(self) -> int:
-        """Patches queued ahead of this worker's packer (ingest + queue);
-        the quantity the work-stealing planner compares."""
-        return self.ingestor.pending + self.scheduler.pending_patches
+        """Patches in this worker's scheduler queue; the quantity the
+        work-stealing planner compares."""
+        return self.scheduler.pending_patches
 
     @property
     def load(self) -> int:
@@ -310,11 +292,9 @@ class ShardRouter:
     def rebalance(self) -> int:
         """One work-stealing pass; returns the number of cameras moved.
 
-        The migration trial mutates *copies* of the two shard loads, each
-        candidate migrant is adopted only while the planned move keeps
-        the target strictly colder than the source (the shard-level
-        "adopt only if it saves" rule), and a plan that stalls before
-        adopting anything commits nothing.
+        When a shard runs hot, the first ``steal_fraction`` of its
+        cameras in id order (at least one) move to the coldest shard.
+        A hot shard that owns no camera commits nothing.
         """
         self.counters["rebalances"] += 1
         count = len(self.workers)
@@ -331,28 +311,10 @@ class ShardRouter:
             or backlogs[hot_index] - backlogs[cold_index] < self.min_steal_gap
         ):
             return 0
-        # Deepest producers first: moving their *future* arrivals sheds
-        # the most imminent load (their queued patches stay and drain on
-        # the hot shard, like a drained canvas's unmovable residents).
-        candidates = sorted(
-            hot.cameras,
-            key=lambda camera_id: (-hot.ingestor.camera_depth(camera_id), camera_id),
-        )
-        quota = max(1, int(len(candidates) * self.steal_fraction))
-        planned_hot, planned_cold = backlogs[hot_index], backlogs[cold_index]
-        moved: List[str] = []
-        for camera_id in candidates:
-            if len(moved) >= quota:
-                break
-            depth = hot.ingestor.camera_depth(camera_id)
-            if planned_cold + depth >= planned_hot - depth:
-                # Adopting this migrant would not leave the target
-                # strictly colder than the source; a deeper candidate
-                # failing does not doom a shallower one, so keep scanning.
-                continue
-            planned_hot -= depth
-            planned_cold += depth
-            moved.append(camera_id)
+        # Only the cameras' *future* arrivals move: their queued patches
+        # stay on the hot shard, like a drained canvas's residents.
+        candidates = sorted(hot.cameras)
+        moved = candidates[: max(1, int(len(candidates) * self.steal_fraction))]
         if not moved:
             self.counters["steals_aborted"] += 1
             return 0
@@ -574,8 +536,11 @@ def run_sharded_scenario(
             tick += config.rebalance_interval
 
     simulator.run()
+    # End of run: one last sweep of the shared tracker, then every
+    # scheduler ships what it still holds.
+    if liveness is not None:
+        liveness.sweep()
     for worker in workers:
-        worker.ingestor.flush(force=True)
         worker.frontend.flush()
     simulator.run()
 
@@ -588,11 +553,6 @@ def run_sharded_scenario(
         result.admitted_base += worker.frontend.base
         result.admitted_burst += worker.frontend.burst
         shard_admitted.append(worker.ingestor.admitted)
-        for patch in worker.scheduler.shed:
-            if patch.scene_key == BURST_SCENE:
-                result.shed_scheduler_burst += 1
-            else:
-                result.shed_scheduler_base += 1
         completed = [b for b in worker.scheduler.batches if b.outcomes]
         shard_batches.append(len(completed))
         result.num_batches += len(completed)

@@ -7,7 +7,7 @@ For each fault class the contracts are:
   seed fixed, so fault windows nest; see :mod:`repro.fleet.faults`) never
   *increases* the delivered fraction of the base stream;
 * **determinism** -- two runs with the same config and plan produce
-  identical shed/expired/SLO counters.
+  identical expiry/transfer/SLO counters.
 
 Tier-1 stays fault-free: this suite only runs when ``RUN_CHAOS=1`` (the
 CI ``chaos`` job sets it; locally ``RUN_CHAOS=1 pytest tests/chaos``).
@@ -80,7 +80,7 @@ def test_completes_and_degrades_monotonically(fault):
         assert result.errors == 0
         # Conservation: the delivered, suppressed, and retry-exhausted
         # buckets are disjoint subsets of the base stream (the remainder
-        # sits in the ingest drop/expiry counters, which also absorb
+        # sits in the ingest expiry counters, which also absorb
         # burst surplus and so are bounded separately).
         accounted = result.delivered_base + result.suppressed_base + result.failed_base
         assert accounted <= result.expected_base

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import consolidation
-from repro.core.consolidation import unpairable
+from repro.core.consolidation import MAX_PARTIAL_VICTIMS, unpairable
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
@@ -117,7 +117,7 @@ def _reference_partial_plan(stitcher: IncrementalStitcher, patch: Patch):
     pool_used = 0.0
     victims: list[int] = []
     for _eff, index in candidates:
-        if len(victims) >= stitcher.max_partial_victims:
+        if len(victims) >= MAX_PARTIAL_VICTIMS:
             break
         if len(pool) >= stitcher.partial_patch_budget:
             break
@@ -336,11 +336,12 @@ class TestStallPredictor:
         solver = PatchStitchingSolver(canvas_width=100.0, canvas_height=100.0)
         stitcher = IncrementalStitcher(
             solver,
-            options=SchedulerOptions(max_partial_victims=2, partial_patch_budget=5),
+            options=SchedulerOptions(partial_patch_budget=5),
         )
         # Two victims, each 100x40 + 100x35 (a 100x25 strip left), plus
         # three near-full canvases keeping the victims at the heap root
-        # and the queue past the patch budget.
+        # and the queue past the patch budget, whose 5 pooled patches
+        # stop the victim set at two.
         for width, height in [
             (100.0, 40.0),
             (100.0, 35.0),
@@ -411,29 +412,28 @@ def test_every_unrejected_attempt_runs_a_trial_pack(monkeypatch):
 # --------------------------------------------------------------- plumbing
 class TestKnobPlumbing:
     def test_endtoend_config_validates_policy(self):
-        """The end-to-end config carries its consolidation budgets in the
+        """The end-to-end config carries its consolidation budget in the
         options record, which rejects an impossible budget and hands a
         valid one to the stitcher."""
         from repro.pipeline.endtoend import EndToEndConfig, EndToEndRunner
 
-        with pytest.raises(ValueError, match="max_partial_victims"):
-            EndToEndConfig(scheduler_options=SchedulerOptions(max_partial_victims=0))
-        options = SchedulerOptions(max_partial_victims=4, partial_patch_budget=32)
+        with pytest.raises(ValueError, match="partial_patch_budget"):
+            EndToEndConfig(scheduler_options=SchedulerOptions(partial_patch_budget=1))
+        options = SchedulerOptions(partial_patch_budget=32)
         runner = EndToEndRunner(EndToEndConfig(scheduler_options=options), {"camera-0": []})
-        packer = runner.scheduler._packer
-        assert (packer.max_partial_victims, packer.partial_patch_budget) == (4, 32)
+        assert runner.scheduler._packer.partial_patch_budget == 32
 
     def test_tangram_config_reaches_the_stitcher(self):
         from repro.core.tangram import Tangram, TangramConfig
         from repro.serverless.platform import ServerlessPlatform
         from repro.simulation.engine import Simulator
 
-        config = TangramConfig(scheduler_options=SchedulerOptions(max_partial_victims=4))
+        config = TangramConfig(scheduler_options=SchedulerOptions(partial_patch_budget=32))
         tangram = Tangram(config=config)
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
         scheduler = tangram.build_online_scheduler(simulator, platform)
-        assert scheduler._packer.max_partial_victims == 4
+        assert scheduler._packer.partial_patch_budget == 32
         assert scheduler._packer.consolidation_engine.stitcher is scheduler._packer
 
     def test_scheduler_exposes_consolidation_stats(self):

@@ -17,7 +17,11 @@ from repro.fleet.faults import (
 CAMERAS = [f"cam-{i:03d}" for i in range(16)]
 
 
-def _plan(intensity=1.0, seed=29, **kwargs):
+_NAN = float("nan")
+_INF = float("inf")
+
+
+def _plan(intensity=1.0, seed=29, duration=10.0, **kwargs):
     defaults = dict(
         dropout_fraction=0.5,
         loss_probability=0.2,
@@ -27,7 +31,7 @@ def _plan(intensity=1.0, seed=29, **kwargs):
     )
     defaults.update(kwargs)
     return FaultPlan.generate(
-        seed=seed, camera_ids=CAMERAS, duration=10.0, intensity=intensity, **defaults
+        seed=seed, camera_ids=CAMERAS, duration=duration, intensity=intensity, **defaults
     )
 
 
@@ -80,6 +84,28 @@ class TestGeneration:
             FaultEvent(kind="meteor", start=0.0, end=1.0)
         with pytest.raises(ValueError):
             FaultEvent(kind=DROPOUT, start=2.0, end=1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # Each was accepted: it either built NaN or infinite windows
+            # or silently dropped the fault.
+            pytest.param(lambda: _plan(duration=_NAN), id="duration-nan"),
+            pytest.param(lambda: _plan(duration=_INF), id="duration-inf"),
+            pytest.param(lambda: _plan(dropout_duration=_NAN), id="dropout_duration-nan"),
+            pytest.param(lambda: _plan(burst_duration=_NAN), id="burst_duration-nan"),
+            pytest.param(lambda: _plan(jitter_s=-0.1), id="jitter-negative"),
+            pytest.param(lambda: _plan(jitter_s=_NAN), id="jitter-nan"),
+            pytest.param(lambda: _plan(burst_multiplier=0.5), id="burst_multiplier-below-one"),
+            pytest.param(lambda: _plan(burst_multiplier=_NAN), id="burst_multiplier-nan"),
+            pytest.param(lambda: _plan(burst_count=-1), id="burst_count-negative"),
+            pytest.param(lambda: FaultEvent(kind=DROPOUT, start=_NAN, end=1.0), id="start-nan"),
+            pytest.param(lambda: FaultEvent(kind=DROPOUT, start=0.0, end=_NAN), id="end-nan"),
+        ],
+    )
+    def test_malformed_plans_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestQueries:

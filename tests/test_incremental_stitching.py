@@ -205,11 +205,6 @@ def _stitcher(**options) -> IncrementalStitcher:
     return IncrementalStitcher(PatchStitchingSolver(), options=SchedulerOptions(**options))
 
 
-def test_negative_drift_margin_rejected():
-    with pytest.raises(ValueError):
-        SchedulerOptions(drift_margin=-0.1)
-
-
 # ------------------------------------------------------------ partial re-pack
 @settings(max_examples=60, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=40))

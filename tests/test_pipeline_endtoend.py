@@ -126,7 +126,7 @@ class TestEndToEndRunner:
 
 
 class TestFaultKnobs:
-    """PR-6 plumbing: lossy uplinks, ingest expiry, admission watermark."""
+    """PR-6 plumbing: lossy uplinks and ingest expiry."""
 
     def test_invalid_fault_knobs_rejected(self):
         with pytest.raises(ValueError):
@@ -144,7 +144,7 @@ class TestFaultKnobs:
             uplink_loss_probability=0.0,
             uplink_jitter_s=0.0,
             uplink_fault_seed=77,
-            scheduler_options=SchedulerOptions(admission_watermark=None),
+            scheduler_options=SchedulerOptions(),
         )
         assert knobbed.total_cost == baseline.total_cost
         assert knobbed.slo_violation_rate == baseline.slo_violation_rate
@@ -183,14 +183,3 @@ class TestFaultKnobs:
         assert starved.expired_at_ingest > 0
         served = sum(batch.num_patches for batch in starved.completed_batches)
         assert served == starved.num_patches - starved.expired_at_ingest
-
-    def test_admission_watermark_knob_plumbs_through(self, traces):
-        result = _run(
-            traces,
-            strategy="tangram",
-            bandwidth_mbps=40,
-            slo=1.0,
-            scheduler_options=SchedulerOptions(admission_watermark=10_000),
-        )
-        # A sky-high watermark never triggers; the run is simply valid.
-        assert sum(batch.num_patches for batch in result.completed_batches) > 0

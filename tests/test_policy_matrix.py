@@ -29,7 +29,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
@@ -108,9 +107,9 @@ def test_matrix_metric_contracts(reprobe):
 
 # --------------------------------------------------------------------------
 # Fault-free fleet-ingest pin: routing arrivals through the PR-6
-# FleetIngestor (no watermarks, no liveness, nothing stale) must be
-# byte-identical to handing them straight to the scheduler -- the fleet
-# layer is pure plumbing until a fault actually fires.
+# FleetIngestor (no liveness, nothing stale) must be byte-identical to
+# handing them straight to the scheduler -- the fleet layer is pure
+# plumbing until a fault actually fires.
 
 
 def _timed_patches():
@@ -168,14 +167,12 @@ def _timed_run(via_ingestor: bool):
     for patch in _timed_patches():
         simulator.schedule_at(patch.generation_time, lambda _sim, patch=patch: deliver(patch))
     simulator.run()
-    if ingestor is not None:
-        ingestor.flush()
     scheduler.flush()
     simulator.run()
     if ingestor is not None:
         stats = ingestor.stats
         assert stats["admitted"] == len(_timed_patches())
-        assert stats["expired_stale"] == stats["dropped_backpressure"] == 0
+        assert stats["expired_stale"] == stats["expired_dead"] == 0
     return [
         (
             batch.invoke_time,

@@ -166,6 +166,32 @@ def test_invalid_memory_configuration_rejected():
         TangramScheduler(simulator, platform, gpu_memory_gb=2.0, model_memory_gb=2.5)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        # Each was accepted and only went wrong later: a batch cap of 1
+        # or 20 canvases, or a NaN/zero/inf error at the first cap read.
+        {"canvas_memory_gb": -1.0},
+        {"model_memory_gb": -1.0},
+        {"canvas_memory_gb": 0.0},
+        {"gpu_memory_gb": _NAN},
+        {"model_memory_gb": _NAN},
+        {"canvas_memory_gb": _NAN},
+        {"gpu_memory_gb": float("inf")},
+    ],
+    ids=["canvas-negative", "model-negative", "canvas-zero", "gpu-nan", "model-nan",
+         "canvas-nan", "gpu-inf"],
+)
+def test_bad_memory_sizes_rejected_at_construction(sizes):
+    simulator = Simulator()
+    platform = ServerlessPlatform(simulator, cold_start_time=0.0)
+    with pytest.raises(ValueError):
+        TangramScheduler(simulator, platform, **sizes)
+
+
 def test_invoke_canvases_with_empty_list_is_noop():
     simulator = Simulator()
     scheduler = _scheduler(simulator)

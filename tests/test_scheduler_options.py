@@ -3,7 +3,7 @@
 The contract of the redesign:
 
 * every knob keeps its historical default, and the record holds exactly
-  the five knobs the benchmark workloads exercise;
+  the two knobs that move a decision on the benchmark workloads;
 * the record is the only carrier: the per-knob kwargs on the scheduler
   and stitcher and the per-knob config fields are gone, and passing one
   fails loudly, as ``use_index=`` does;
@@ -52,27 +52,23 @@ class TestSchedulerOptionsRecord:
         options = SchedulerOptions()
         assert [field.name for field in dataclasses.fields(options)] == [
             "incremental",
-            "drift_margin",
-            "max_partial_victims",
             "partial_patch_budget",
-            "admission_watermark",
         ]
         assert options.incremental is True
-        assert options.drift_margin == 0.05
-        assert options.max_partial_victims == 8
         assert options.partial_patch_budget == 48
-        assert options.admission_watermark is None
 
+    # Row order keeps the test ids stable: ``overrides5`` is still the
+    # budget's lower bound, and the budget's new rows fill the other slots.
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"drift_margin": -0.1},
-            {"drift_margin": float("nan")},
-            {"drift_margin": float("-inf")},
-            {"max_partial_victims": -1},
-            {"max_partial_victims": 0},
+            {"partial_patch_budget": float("nan")},
+            {"partial_patch_budget": float("inf")},
+            {"partial_patch_budget": 2.5},
+            {"partial_patch_budget": -1},
+            {"partial_patch_budget": 0},
             {"partial_patch_budget": 1},
-            {"admission_watermark": 0},
+            {"partial_patch_budget": 48.0},
         ],
     )
     def test_validation(self, overrides):
@@ -81,7 +77,7 @@ class TestSchedulerOptionsRecord:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            SchedulerOptions().drift_margin = 0.2  # type: ignore[misc]
+            SchedulerOptions().partial_patch_budget = 32  # type: ignore[misc]
 
 
 class TestBackCompatEquivalence:
@@ -141,8 +137,14 @@ _CONFIG_FIELDS = {
 }
 
 #: Every removed way of setting a knob next to the options record, plus
-#: ``use_index=``, whose deprecation cycle ended earlier.
+#: ``use_index=``, whose deprecation cycle ended earlier; the record's
+#: own fields that always decided as constants or never acted; and the
+#: fleet config's ingest knobs, which left with the ingest queue.
 _REMOVED = {
+    "options": (
+        SchedulerOptions,
+        {"drift_margin": 0.05, "max_partial_victims": 8, "admission_watermark": 16},
+    ),
     "stitch": (
         _stitcher,
         {"use_index": False, **{knob: _SCHEDULER_KWARGS[knob] for knob in _STITCHER_KWARGS}},
@@ -150,7 +152,17 @@ _REMOVED = {
     "sched": (_scheduler, _SCHEDULER_KWARGS),
     "e2e": (EndToEndConfig, _CONFIG_FIELDS),
     "tangram": (TangramConfig, _CONFIG_FIELDS),
-    "fleet": (FleetScenarioConfig, {"repack_scope": "queue", "admission_watermark": 16}),
+    "fleet": (
+        FleetScenarioConfig,
+        {
+            "repack_scope": "queue",
+            "admission_watermark": 16,
+            "queue_capacity": 64,
+            "high_watermark": 128,
+            "low_watermark": 64,
+            "drain_interval": 0.05,
+        },
+    ),
 }
 
 
@@ -196,7 +208,7 @@ def _online_parts():
 def _assert_built_from(scheduler, record: SchedulerOptions) -> None:
     assert scheduler.options is record
     assert scheduler._packer.options is record
-    assert scheduler.admission_watermark == record.admission_watermark
+    assert scheduler._packer.partial_patch_budget == record.partial_patch_budget
 
 
 class TestConfigResolution:
@@ -206,7 +218,7 @@ class TestConfigResolution:
     def test_tangram_config_options_win_wholesale(self):
         from repro.core.tangram import Tangram
 
-        record = SchedulerOptions(drift_margin=0.3, admission_watermark=16)
+        record = SchedulerOptions(partial_patch_budget=24)
         scheduler = Tangram(TangramConfig(scheduler_options=record)).build_online_scheduler(
             *_online_parts()
         )
@@ -215,7 +227,7 @@ class TestConfigResolution:
     def test_endtoend_config_options_win_wholesale(self):
         from repro.pipeline.endtoend import EndToEndRunner
 
-        record = SchedulerOptions(drift_margin=0.2, admission_watermark=16)
+        record = SchedulerOptions(partial_patch_budget=32)
         runner = EndToEndRunner(EndToEndConfig(scheduler_options=record), {"camera-0": []})
         _assert_built_from(runner.scheduler, record)
 
@@ -224,7 +236,7 @@ class TestConfigResolution:
         from repro.simulation.random_streams import RandomStreams
         from repro.vision.detector import DetectorLatencyModel
 
-        record = SchedulerOptions(drift_margin=0.2, admission_watermark=16)
+        record = SchedulerOptions(partial_patch_budget=32)
         simulator, platform = _online_parts()
         fleet = FleetScenarioConfig(scheduler_options=record, estimator_iterations=10)
         for shard_id in range(2):

@@ -5,9 +5,9 @@ The tentpole contracts (ISSUE 8):
 * the extended balancer policies (``consistent_hash``, ``least_loaded``)
   behave as dispatchers: sticky, deterministic, and stable under target
   addition (consistent hashing moves only a minority of keys);
-* the router's work-stealing trial follows the merge policy's clone-based
-  planning shape: it commits only migrations whose planned loads leave
-  the target strictly colder than the source, and never overshoots;
+* the router's work stealing moves the first ``steal_fraction`` of a hot
+  shard's cameras, in id order, to the coldest shard, and commits
+  nothing when the hot shard owns no camera;
 * ``shards=1`` -- which is what ``run_fleet_scenario`` runs -- matches
   the per-batch keys (times, cost, efficiencies, placements, outcomes)
   and counters recorded from the standalone single-scheduler runner
@@ -97,23 +97,13 @@ class TestBalancerPolicies:
 
 
 # --------------------------------------------------------------------- router
-class _FakeIngestor:
-    def __init__(self, depths):
-        self.depths = depths
-
-    def camera_depth(self, camera_id):
-        return self.depths.get(camera_id, 0)
-
-
 class _FakeWorker:
-    def __init__(self, shard_id, depths):
-        self.shard_id = shard_id
-        self.ingestor = _FakeIngestor(depths)
-        self.cameras = set(depths)
+    """A shard with a fixed scheduler backlog and a set of cameras."""
 
-    @property
-    def backlog(self):
-        return sum(self.ingestor.depths.get(c, 0) for c in self.cameras)
+    def __init__(self, shard_id, cameras=(), backlog=0):
+        self.shard_id = shard_id
+        self.cameras = set(cameras)
+        self.backlog = backlog
 
     @property
     def load(self):
@@ -122,7 +112,7 @@ class _FakeWorker:
 
 class TestShardRouter:
     def test_assignment_is_sticky(self):
-        workers = [_FakeWorker(i, {}) for i in range(4)]
+        workers = [_FakeWorker(i) for i in range(4)]
         router = ShardRouter(workers)
         first = router.assign("cam-000")
         assert router.assign("cam-000") is first
@@ -130,43 +120,39 @@ class TestShardRouter:
         assert router.counters["assignments"] == 1
 
     def test_steal_commits_and_respects_plan(self):
-        hot = _FakeWorker(0, {f"cam-{i:03d}": 8 for i in range(8)})
-        cold = _FakeWorker(1, {})
+        cameras = [f"cam-{i:03d}" for i in (5, 2, 7, 0, 3, 6, 1, 4)]
+        hot = _FakeWorker(0, cameras, backlog=64)
+        cold = _FakeWorker(1)
         router = ShardRouter(
             [hot, cold], hot_factor=1.5, min_steal_gap=4, steal_fraction=0.5
         )
-        for worker in (hot, cold):
-            for camera in worker.cameras:
-                router._owner[camera] = worker
-        moved = router.rebalance()
-        assert 0 < moved <= 4  # the quota: half of the 8 hot cameras
+        for camera in cameras:
+            router._owner[camera] = hot
+        # The quota is half of the 8 hot cameras, taken in id order.
+        assert router.rebalance() == 4
         assert router.counters["steals_committed"] == 1
-        assert router.counters["cameras_moved"] == moved
+        assert router.counters["cameras_moved"] == 4
+        assert cold.cameras == {f"cam-{i:03d}" for i in range(4)}
+        assert hot.cameras == {f"cam-{i:03d}" for i in range(4, 8)}
         for camera in cold.cameras:
             assert router.owner(camera) is cold
-        # The clone-based plan must not overshoot: the planned loads it
-        # committed leave the target no hotter than the source.
-        hot_depths = sum(8 for _ in hot.cameras)
-        cold_depths = sum(8 for _ in cold.cameras)
-        assert cold_depths < hot_depths
 
     def test_steal_aborts_when_no_migrant_helps(self):
-        # One camera carries the whole backlog: moving it would just swap
-        # which shard is hot, so the plan must commit nothing.
-        hot = _FakeWorker(0, {"cam-000": 40})
-        cold = _FakeWorker(1, {})
+        # The hot shard's backlog outlived its cameras (all moved away
+        # earlier): there is no migrant, so the pass commits nothing.
+        hot = _FakeWorker(0, backlog=40)
+        cold = _FakeWorker(1, ["cam-000"])
         router = ShardRouter([hot, cold], hot_factor=1.5, min_steal_gap=4)
-        router._owner["cam-000"] = hot
+        router._owner["cam-000"] = cold
         assert router.rebalance() == 0
         assert router.counters["steals_aborted"] == 1
-        assert router.owner("cam-000") is hot
+        assert router.counters["steals_committed"] == 0
+        assert router.owner("cam-000") is cold
 
     def test_steal_quota_caps_migration(self):
-        # Eight depth-1 cameras with a 25% quota: the plan would happily
-        # move until the loads meet in the middle, but the quota stops it
-        # at two migrants.
-        hot = _FakeWorker(0, {f"cam-{i:03d}": 1 for i in range(8)})
-        cold = _FakeWorker(1, {})
+        # Eight cameras with a 25% quota: the pass stops at two migrants.
+        hot = _FakeWorker(0, [f"cam-{i:03d}" for i in range(8)], backlog=8)
+        cold = _FakeWorker(1)
         router = ShardRouter(
             [hot, cold], hot_factor=1.5, min_steal_gap=4, steal_fraction=0.25
         )
@@ -175,7 +161,7 @@ class TestShardRouter:
         assert router.rebalance() == 2
 
     def test_owner_assigns_unknown_camera(self):
-        router = ShardRouter([_FakeWorker(i, {}) for i in range(2)])
+        router = ShardRouter([_FakeWorker(i) for i in range(2)])
         worker = router.owner("cam-new")
         assert "cam-new" in worker.cameras
 
@@ -184,7 +170,9 @@ class TestShardRouter:
             ShardRouter([])
 
     def test_balanced_shards_do_not_steal(self):
-        workers = [_FakeWorker(i, {f"cam-{i}{j}": 2 for j in range(4)}) for i in range(4)]
+        workers = [
+            _FakeWorker(i, [f"cam-{i}{j}" for j in range(4)], backlog=8) for i in range(4)
+        ]
         router = ShardRouter(workers)
         assert router.rebalance() == 0
         assert router.counters["steals_committed"] == 0

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.consolidation import MAX_PARTIAL_VICTIMS
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.skyline import FreeRect, Skyline
@@ -314,7 +315,7 @@ def _reference_victims(stitcher: IncrementalStitcher, patch: Patch):
     pool = 1
     victims: list[int] = []
     for _, index in candidates:
-        if len(victims) >= stitcher.max_partial_victims:
+        if len(victims) >= MAX_PARTIAL_VICTIMS:
             break
         canvas = stitcher.canvases[index]
         if pool + canvas.num_patches > stitcher.partial_patch_budget:
