@@ -28,15 +28,18 @@
   serverless function;
   ``SchedulerOptions(incremental=False)`` runs the literal Algorithm 2
   (a full re-pack per arrival).
-* :mod:`repro.core.tangram` -- the plug-and-play facade mirroring the
-  paper's public API (``partition`` / ``receive_patch`` / ``invoke``).
+* :mod:`repro.core.tangram` -- the offline facade mirroring the paper's
+  edge API: ``partition``, ``stitch`` and ``process_frame_offline`` (one
+  request per frame, Figs. 8 and 9).  The online API, ``receive_patch``
+  plus SLO-aware batching, is
+  :class:`~repro.core.scheduler.TangramScheduler`.
 """
 
 from repro.core.patches import Patch
 from repro.core.partitioning import FramePartitioner, partition_rois
 from repro.core.consolidation import ConsolidationEngine
 from repro.core.options import SchedulerOptions
-from repro.core.skyline import FreeRect, Skyline
+from repro.core.skyline import Skyline
 from repro.core.stitching import (
     Canvas,
     IncrementalStitcher,
@@ -54,7 +57,6 @@ __all__ = [
     "partition_rois",
     "Canvas",
     "ConsolidationEngine",
-    "FreeRect",
     "Skyline",
     "IncrementalStitcher",
     "Placement",

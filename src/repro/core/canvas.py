@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.patches import Patch
-from repro.core.skyline import FreeRect, Skyline
+from repro.core.skyline import Skyline
 from repro.video.geometry import Box
 
 
@@ -40,10 +40,9 @@ class Placement:
 class Canvas:
     """A fixed-size canvas being filled with patches.
 
-    Free space lives in :attr:`skyline`; :attr:`free_rectangles` is the
-    derived candidate list, built from the skyline's tuples on each read
-    (the hot paths scan the tuples directly).  ``best_fit``/``place``
-    address candidates by the same ``rect_index``.
+    Free space lives in :attr:`skyline`, whose ``candidates`` tuples are
+    the free rectangles; ``best_fit``/``place`` address them by their
+    ``rect_index`` in that list.
     """
 
     __slots__ = (
@@ -92,16 +91,6 @@ class Canvas:
             f"canvas_id={self.canvas_id!r}, oversized={self.oversized!r}, "
             f"num_patches={self.num_patches})"
         )
-
-    @property
-    def free_rectangles(self) -> List[FreeRect]:
-        """The skyline's candidate rectangles, in ``rect_index`` order.
-
-        Read-only: the skyline is the source of truth.  Built from
-        :attr:`Skyline.candidates` on each read; the scheduler's hot paths
-        never read it (they scan the skyline's tuples).
-        """
-        return self.skyline.free_rects()
 
     # ---------------------------------------------------------------- metrics
     @property
@@ -163,8 +152,8 @@ class Canvas:
         ``None`` when no free rectangle fits.  Lower scores are better;
         the incremental packer compares scores across canvases.
 
-        Answered by :meth:`Skyline.best_fit`: a scan over the
-        ``free_rectangles`` order behind an exact O(log n) fast-reject.
+        Answered by :meth:`Skyline.best_fit`: a scan over the skyline's
+        candidates in order, behind an exact O(log n) fast-reject.
         """
         return self.skyline.best_fit(patch.width, patch.height)
 

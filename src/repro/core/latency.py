@@ -54,25 +54,18 @@ class LatencyEstimator:
     canvas_width, canvas_height:
         Canvas size the profile is valid for.
     iterations:
-        Profiling iterations per batch size (the paper uses 1000).
-    max_batch_size:
-        Largest batch size profiled eagerly; larger batches extend the
-        profile lazily on first use.
+        Profiling iterations per batch size (the paper uses 1000).  Each
+        batch size is profiled lazily, on its first use.
     sigma_multiplier:
         The number of standard deviations added to the mean.  The paper
         uses 3; SLO-critical deployments can raise it (Section V-B).
-    pixel_bucket:
-        Bucket width (in pixels) for the :meth:`estimate` memo key; 0 (the
-        default) uses one standard canvas of pixels per bucket.
     """
 
     latency_model: DetectorLatencyModel
     canvas_width: float = 1024.0
     canvas_height: float = 1024.0
     iterations: int = 1000
-    max_batch_size: int = 16
     sigma_multiplier: float = 3.0
-    pixel_bucket: float = 0.0
     streams: Optional[RandomStreams] = None
     _profiles: Dict[int, LatencyProfile] = field(default_factory=dict)
     _estimate_cache: Dict[Tuple[int, int, int], float] = field(default_factory=dict)
@@ -80,8 +73,6 @@ class LatencyEstimator:
     def __post_init__(self) -> None:
         if self.iterations < 2:
             raise ValueError("iterations must be at least 2")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
         if self.streams is None:
             self.streams = RandomStreams(101)
         self._rng = self.streams.get("latency-estimator/profiling")
@@ -114,12 +105,6 @@ class LatencyEstimator:
             )
         return self._profiles[batch_size]
 
-    def profile_all(self) -> Dict[int, LatencyProfile]:
-        """Eagerly profile batch sizes 1..max_batch_size (offline stage)."""
-        for batch_size in range(1, self.max_batch_size + 1):
-            self.profile(batch_size)
-        return dict(self._profiles)
-
     # ---------------------------------------------------------------- queries
     def slack_time(self, batch_size: int) -> float:
         """T_slack for a batch of ``batch_size`` canvases."""
@@ -135,15 +120,15 @@ class LatencyEstimator:
         are charged as the equivalent number of standard canvases, rounded
         up, which keeps the estimate conservative.
 
-        Results are memoized on ``(num_canvases, bucketed total pixels,
-        equivalent canvases)``; repeated queue states short-circuit to the
-        cached slack.  (Per-batch-size profiles are themselves cached in
-        ``_profiles``, so the memo is a fast path over the profile lookup,
-        not what prevents re-profiling.)  Including the equivalent-canvas
-        count keeps the memo exact even when several oversized canvases
-        share a pixel bucket, so ``estimate`` always returns the same value
-        as :meth:`slack_time` on the equivalent batch size — the identity
-        the scheduler's fast path relies on.
+        Results are memoized on ``(num_canvases, total pixels in whole
+        standard canvases, equivalent canvases)``; repeated queue states
+        short-circuit to the cached slack.  (Per-batch-size profiles are
+        themselves cached in ``_profiles``, so the memo is a fast path over
+        the profile lookup, not what prevents re-profiling.)  Including
+        the equivalent-canvas count keeps the memo exact even when several
+        oversized canvases share a pixel bucket, so ``estimate`` always
+        returns the same value as :meth:`slack_time` on the equivalent
+        batch size — the identity the scheduler's fast path relies on.
         """
         if not canvases:
             return 0.0
@@ -152,23 +137,11 @@ class LatencyEstimator:
         for canvas in canvases:
             num_canvases += 1
             total_pixels += canvas.area
-        bucket = self.pixel_bucket if self.pixel_bucket > 0 else self.canvas_pixels
         equivalent = equivalent_canvases(canvases, self.canvas_pixels)
-        key = (num_canvases, int(total_pixels / bucket), equivalent)
+        key = (num_canvases, int(total_pixels / self.canvas_pixels), equivalent)
         cached = self._estimate_cache.get(key)
         if cached is not None:
             return cached
         slack = self.slack_time(max(1, equivalent))
         self._estimate_cache[key] = slack
         return slack
-
-    def clear_estimate_cache(self) -> None:
-        """Drop the :meth:`estimate` memo (e.g. after re-profiling)."""
-        self._estimate_cache.clear()
-
-    def expected_execution_time(self, canvases: Sequence[Canvas]) -> float:
-        """Mean (not slack) execution time for the given canvases."""
-        if not canvases:
-            return 0.0
-        total_pixels = sum(canvas.area for canvas in canvases)
-        return self.latency_model.mean_latency(len(canvases), total_pixels)

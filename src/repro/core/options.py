@@ -8,10 +8,9 @@ is frozen, so the sharded fleet frontend (:mod:`repro.fleet.shard`)
 hands the same instance to all *N* of its schedulers; build a changed
 copy with :func:`dataclasses.replace`, which re-runs the validation.
 
-Every runner config (:class:`repro.pipeline.endtoend.EndToEndConfig`,
-:class:`repro.core.tangram.TangramConfig` and
-:class:`repro.fleet.scenario.FleetScenarioConfig`, and with it the
-sharded frontend) defaults to the same ``SchedulerOptions()``.
+Both runner configs (:class:`repro.pipeline.endtoend.EndToEndConfig`
+and :class:`repro.fleet.scenario.FleetScenarioConfig`, and with it the
+sharded frontend) default to the same ``SchedulerOptions()``.
 
 Each decision the options do not name has exactly one production path:
 canvases keep their free space in a skyline, the probe is the linear

@@ -190,11 +190,3 @@ class FramePartitioner:
                 )
             )
         return patches
-
-    def partition_area(self, frame: Frame, rois: Optional[Sequence[Box]] = None) -> float:
-        """Total pixel area of the patches for ``frame`` (bandwidth studies)."""
-        extracted = list(rois) if rois is not None else self.extract_rois(frame)
-        regions = partition_rois(
-            frame.width, frame.height, self.zones_x, self.zones_y, extracted
-        )
-        return sum(region.area for region in regions if region.area >= self.min_patch_area)

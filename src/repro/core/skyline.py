@@ -50,7 +50,8 @@ rectangles computes — so scores compare across canvases in the
 incremental stitcher's global-BSSF probe.  The randomized suite in
 ``tests/test_skyline.py`` pins the batch packer's canvas counts and
 efficiencies against a guillotine test oracle (``guillotine_pack`` in
-``tests/conftest.py``).
+``tests/conftest.py``), and asserts the structure's invariants after
+every placement (``check_invariants``, also in ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -58,73 +59,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
-__all__ = ["FreeRect", "Skyline"]
+__all__ = ["Skyline"]
 
 #: Slivers thinner than this (either axis) are never offered as candidates,
 #: the 0.5 px sliver rule of the guillotine split.
 _SLIVER = 0.5
-
-
-class FreeRect:
-    """A lightweight, `Box`-compatible view of one candidate rectangle.
-
-    The skyline regenerates its candidate list on every commit, so these
-    are built in bulk on the hot path; a ``__slots__`` class with a plain
-    ``__init__`` keeps that cheap while still quacking like
-    :class:`repro.video.geometry.Box` for the consumers that only read
-    geometry (the best-short-side-fit scans and the test suite's
-    containment checks).
-    """
-
-    __slots__ = ("x", "y", "width", "height")
-
-    def __init__(self, x: float, y: float, width: float, height: float) -> None:
-        self.x = x
-        self.y = y
-        self.width = width
-        self.height = height
-
-    @property
-    def x2(self) -> float:
-        return self.x + self.width
-
-    @property
-    def y2(self) -> float:
-        return self.y + self.height
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.x, self.y, self.width, self.height)
-
-    def contains_box(self, other, tolerance: float = 1e-6) -> bool:
-        """Mirror of :meth:`repro.video.geometry.Box.contains_box`."""
-        return (
-            other.x >= self.x - tolerance
-            and other.y >= self.y - tolerance
-            and other.x + other.width <= self.x + self.width + tolerance
-            and other.y + other.height <= self.y + self.height + tolerance
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeRect)
-            and self.x == other.x
-            and self.y == other.y
-            and self.width == other.width
-            and self.height == other.height
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.width, self.height))
-
-    def __repr__(self) -> str:
-        return (
-            f"FreeRect(x={self.x!r}, y={self.y!r}, "
-            f"width={self.width!r}, height={self.height!r})"
-        )
 
 
 class Skyline:
@@ -176,16 +115,6 @@ class Skyline:
         self.fit_maxw: List[float] = [width]
 
     # -------------------------------------------------------------- queries
-    @property
-    def segments(self) -> List[Tuple[float, float, float]]:
-        """The silhouette as ``(x, y, width)`` runs (for tests/debugging)."""
-        xs, ys = self.xs, self.ys
-        out = []
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            end = xs[i + 1] if i + 1 < len(xs) else self.width
-            out.append((x, y, end - x))
-        return out
-
     def fits(self, patch_width: float, patch_height: float) -> bool:
         """Exact: does any candidate admit a ``patch_width x patch_height``
         patch?  One bisect over the height-sorted profile."""
@@ -198,10 +127,10 @@ class Skyline:
     ) -> Optional[Tuple[int, float]]:
         """Best-short-side-fit ``(candidate_index, score)`` or ``None``.
 
-        Same contract as a naive scan over :attr:`Canvas.free_rectangles`:
-        lower score is better, strict ``<`` keeps the lowest index on
-        ties, and the score is comparable across canvases (the global
-        probe relies on that).
+        Same contract as a naive best-short-side-fit scan over
+        :attr:`candidates` in order: lower score is better, strict ``<``
+        keeps the lowest index on ties, and the score is comparable across
+        canvases (the global probe relies on that).
         """
         if not self.fits(patch_width, patch_height):
             return None
@@ -218,11 +147,6 @@ class Skyline:
         if best_index < 0:  # pragma: no cover - fits() is exact
             return None
         return best_index, best_score
-
-    def free_rects(self) -> List[FreeRect]:
-        """The candidates as :class:`FreeRect` objects (``Canvas.
-        free_rectangles`` view), in canonical candidate order."""
-        return [FreeRect(x, y, w, h) for x, y, w, h in self.candidates]
 
     # ------------------------------------------------------------ mutation
     def place(
@@ -379,61 +303,3 @@ class Skyline:
             fit_maxw[pos] = running
         self.fit_heights = fit_heights
         self.fit_maxw = fit_maxw
-
-    # ---------------------------------------------------------- validation
-    def check_invariants(self) -> None:
-        """Assert the structural invariants (used by the property tests):
-        segments cover ``[0, width)`` in strictly increasing x order,
-        heights stay within the canvas, adjacent heights differ, surface
-        candidates are maximal empty rectangles of the silhouette, and
-        waste rectangles stay below the silhouette and disjoint.
-        """
-        xs, ys = self.xs, self.ys
-        assert len(xs) == len(ys) and xs, "segment run must be non-empty"
-        assert xs[0] == 0.0, "first segment must start at the canvas origin"
-        for i in range(1, len(xs)):
-            assert xs[i] > xs[i - 1], "segment starts must strictly increase"
-            assert ys[i] != ys[i - 1], "adjacent segments must be merged"
-        assert xs[-1] < self.width + 1e-9, "segments must not start past the edge"
-        for y in ys:
-            assert -1e-9 <= y <= self.height + 1e-9, "height outside the canvas"
-        ends = xs[1:] + [self.width]
-        assert self.candidates[self.num_surface :] == self.waste
-        for x, y, w, h in self.candidates[: self.num_surface]:
-            assert h == self.height - y, "surface candidate must reach the top"
-            assert w > _SLIVER and h > _SLIVER, "sliver candidate"
-            start = xs.index(x)
-            covered = x
-            stop = start
-            while covered < x + w - 1e-9:
-                assert ys[stop] <= y + 1e-9, "candidate floats over a taller segment"
-                covered = ends[stop]
-                stop += 1
-            assert abs(covered - (x + w)) < 1e-6, "span must end on a boundary"
-            assert any(
-                abs(ys[k] - y) < 1e-12 for k in range(start, stop)
-            ), "candidate level must rest on a segment top"
-            # Maximality: the neighbours just outside the span are taller
-            # (or the span touches a canvas edge).
-            if start > 0:
-                assert ys[start - 1] > y, "candidate extendable to the left"
-            if stop < len(xs):
-                assert ys[stop] > y, "candidate extendable to the right"
-        for index, (x, y, w, h) in enumerate(self.waste):
-            assert w > _SLIVER and h > _SLIVER, "sliver waste rectangle"
-            assert x >= -1e-9 and y >= -1e-9, "waste outside the canvas"
-            assert x + w <= self.width + 1e-9 and y + h <= self.height + 1e-9
-            # Below the silhouette: every covered segment tops it.
-            seg = bisect_right(xs, x) - 1
-            covered = x
-            while covered < x + w - 1e-9:
-                assert ys[seg] >= y + h - 1e-6, "waste rectangle pokes above"
-                covered = ends[seg]
-                seg += 1
-            for other_index in range(index + 1, len(self.waste)):
-                ox, oy, ow, oh = self.waste[other_index]
-                overlap_w = min(x + w, ox + ow) - max(x, ox)
-                overlap_h = min(y + h, oy + oh) - max(y, oy)
-                assert (
-                    overlap_w <= 1e-6 or overlap_h <= 1e-6
-                ), "waste rectangles must stay disjoint"

@@ -9,32 +9,26 @@ Section IV of the paper describes the public API a deployment implements:
   ``invoke(canvases)`` when the scheduler decides to trigger the serverless
   function.
 
-:class:`Tangram` mirrors that shape on top of the simulation substrates.
-It can run in two modes:
-
-* **offline / per-frame** (:meth:`process_frame_offline`): every frame's
-  patches are stitched and invoked as a single request -- the configuration
-  used for the cost/bandwidth comparison of Fig. 8 and Fig. 9
-  ("Tangram 4x4");
-* **online** (:meth:`build_online_scheduler`): the full SLO-aware batching
-  scheduler used by the end-to-end experiments (Fig. 12-14).
+:class:`Tangram` is the offline, per-frame side of that shape:
+:meth:`partition` is the edge call, :meth:`stitch` packs patches onto
+canvases, and :meth:`process_frame_offline` stitches and invokes one
+frame's patches as a single request -- the configuration used for the
+cost/bandwidth comparison of Fig. 8 and Fig. 9 ("Tangram 4x4").  The
+online side, ``receive_patch`` plus SLO-aware batching, is
+:class:`~repro.core.scheduler.TangramScheduler`, which the end-to-end
+runners (Fig. 12-14) build directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.latency import LatencyEstimator
-from repro.core.options import SchedulerOptions
 from repro.core.partitioning import FramePartitioner
 from repro.core.patches import Patch
-from repro.core.scheduler import TangramScheduler
 from repro.core.stitching import Canvas, PatchStitchingSolver
 from repro.network.encoding import FrameEncoder
 from repro.serverless.cost import AlibabaCostModel
-from repro.serverless.platform import ServerlessPlatform
-from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
 from repro.video.frames import Frame
 from repro.vision.detector import DetectorLatencyModel
@@ -69,7 +63,7 @@ class FrameResult:
 
 @dataclass
 class TangramConfig:
-    """Knobs of a Tangram deployment (defaults follow the paper)."""
+    """Knobs of the offline facade (defaults follow the paper)."""
 
     zones_x: int = 4
     zones_y: int = 4
@@ -77,17 +71,10 @@ class TangramConfig:
     canvas_height: float = 1024.0
     slo: float = 1.0
     roi_method: str = "gmm"
-    gpu_memory_gb: float = 6.0
-    model_memory_gb: float = 2.5
-    canvas_memory_gb: float = 0.35
-    latency_profile_iterations: int = 300
-    #: Every online-scheduler knob (see :class:`~repro.core.options.
-    #: SchedulerOptions`).
-    scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
 
 
 class Tangram:
-    """High-level facade combining partitioning, stitching, and scheduling."""
+    """Offline facade combining partitioning, stitching, and invocation."""
 
     def __init__(
         self,
@@ -115,13 +102,6 @@ class Tangram:
             canvas_width=self.config.canvas_width,
             canvas_height=self.config.canvas_height,
         )
-        self.estimator = LatencyEstimator(
-            latency_model=self.latency_model,
-            canvas_width=self.config.canvas_width,
-            canvas_height=self.config.canvas_height,
-            iterations=self.config.latency_profile_iterations,
-            streams=self.streams,
-        )
         self._execution_rng = self.streams.get("tangram/offline-execution")
 
     # ----------------------------------------------------------------- edge
@@ -140,7 +120,7 @@ class Tangram:
             camera_id=camera_id,
         )
 
-    # --------------------------------------------------------------- offline
+    # ---------------------------------------------------------------- cloud
     def stitch(self, patches: Sequence[Patch]) -> List[Canvas]:
         """Pack patches onto canvases (the cloud-side stitching step)."""
         return self.solver.pack(patches)
@@ -172,30 +152,4 @@ class Tangram:
             execution_time=execution,
             cost=cost,
             uploaded_bytes=uploaded,
-        )
-
-    def process_sequence_offline(
-        self, frames: Sequence[Frame], camera_id: str = "camera-0"
-    ) -> List[FrameResult]:
-        """Offline mode over a frame sequence (one invocation per frame)."""
-        return [self.process_frame_offline(frame, camera_id=camera_id) for frame in frames]
-
-    # ----------------------------------------------------------------- online
-    def build_online_scheduler(
-        self,
-        simulator: Simulator,
-        platform: ServerlessPlatform,
-    ) -> TangramScheduler:
-        """Construct the online SLO-aware scheduler bound to a simulator."""
-        return TangramScheduler(
-            simulator=simulator,
-            platform=platform,
-            solver=self.solver,
-            estimator=self.estimator,
-            latency_model=self.latency_model,
-            gpu_memory_gb=self.config.gpu_memory_gb,
-            model_memory_gb=self.config.model_memory_gb,
-            canvas_memory_gb=self.config.canvas_memory_gb,
-            streams=self.streams,
-            options=self.config.scheduler_options,
         )

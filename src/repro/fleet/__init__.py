@@ -43,7 +43,6 @@ from repro.fleet.shard import (
     ShardRunResult,
     ShardScenarioConfig,
     ShardWorker,
-    consistent_shard_assignment,
     run_sharded_scenario,
 )
 from repro.workloads.fleet import FleetWorkloadConfig, camera_ids
@@ -67,7 +66,6 @@ __all__ = [
     "ShardScenarioConfig",
     "ShardWorker",
     "camera_ids",
-    "consistent_shard_assignment",
     "ReliableSender",
     "RetryPolicy",
     "TransferStats",

@@ -45,7 +45,8 @@ class FleetScenarioConfig:
     suspect_after_s: float = 0.75
     dead_after_s: float = 2.0
     reconnect_settle_s: float = 0.5
-    #: Scheduler knobs (subset of :class:`repro.core.tangram.TangramConfig`).
+    #: Canvas size, seed, platform and estimator settings of each worker's
+    #: scheduler.
     canvas_size: float = 1024.0
     seed: int = 0
     max_instances: int = 32

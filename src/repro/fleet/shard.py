@@ -37,8 +37,8 @@ that run.
   ticks are only scheduled for ``shards > 1``.
 * **Faults** compose per camera: the plan drives capture suppression,
   uplink dials, and burst surplus, so shard-targeted chaos is just a
-  plan over one shard's camera set (:func:`consistent_shard_assignment`
-  tells you which set that is).
+  plan over one shard's camera set (under ``"consistent_hash"`` that set
+  is a pure function of the camera ids and the shard count).
 
 Every worker's scheduler is built from the one frozen
 :class:`~repro.core.options.SchedulerOptions` record of the base config.
@@ -49,6 +49,7 @@ with the same config and plan produce identical
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -103,8 +104,10 @@ class ShardScenarioConfig:
     steal_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
+        # NaN and fractional counts pass ``< 1`` and would only fail in
+        # ``range()`` mid-run, so they fail here.
+        if not isinstance(self.shards, numbers.Integral) or self.shards < 1:
+            raise ValueError("shards must be an integer of at least 1")
         if self.dispatch not in BALANCER_POLICIES:
             raise ValueError(
                 f"unknown dispatch policy {self.dispatch!r}; "
@@ -384,23 +387,6 @@ class ShardRunResult:
         return flat
 
 
-def consistent_shard_assignment(
-    cameras: Sequence[str], shards: int
-) -> Dict[str, int]:
-    """The static camera->shard map of the ``"consistent_hash"`` dispatch.
-
-    Ownership under consistent hashing is a pure function of the camera
-    id and the shard count, so chaos suites can compute one shard's
-    camera set *before* the run and aim a :class:`~repro.fleet.faults.
-    FaultPlan` at exactly that set.
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    balancer = make_balancer("consistent_hash")
-    targets = list(range(shards))
-    return {camera_id: balancer.select(targets, key=camera_id) for camera_id in cameras}
-
-
 def run_sharded_scenario(
     config: Optional[ShardScenarioConfig] = None,
     plan: Optional[FaultPlan] = None,
@@ -598,6 +584,5 @@ __all__ = [
     "ShardScenarioConfig",
     "ShardWorker",
     "batch_key",
-    "consistent_shard_assignment",
     "run_sharded_scenario",
 ]

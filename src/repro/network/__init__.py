@@ -9,12 +9,11 @@ link, including FIFO queueing when several patches share one uplink.
 """
 
 from repro.network.encoding import FrameEncoder, EncodingModel
-from repro.network.link import NetworkLink, Uplink, TransmissionRecord
+from repro.network.link import Uplink, TransmissionRecord
 
 __all__ = [
     "FrameEncoder",
     "EncodingModel",
-    "NetworkLink",
     "Uplink",
     "TransmissionRecord",
 ]

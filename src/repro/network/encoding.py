@@ -109,11 +109,3 @@ class FrameEncoder:
             + masked_area * self.model.bits_per_pixel_masked
         ) / 8.0
         return payload + self.model.header_bytes
-
-    # ----------------------------------------------------------------- timing
-    @staticmethod
-    def transmission_time(size_bytes: float, bandwidth_mbps: float) -> float:
-        """Serialisation time of ``size_bytes`` over ``bandwidth_mbps``."""
-        if bandwidth_mbps <= 0:
-            raise ValueError("bandwidth_mbps must be positive")
-        return size_bytes * 8.0 / (bandwidth_mbps * 1e6)

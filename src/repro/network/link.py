@@ -1,15 +1,11 @@
-"""Bandwidth-limited network links.
+"""The bandwidth-limited uplink.
 
-Two flavours are provided:
-
-* :class:`NetworkLink` -- an analytic helper that converts byte counts to
-  transfer times, used by the offline (per-frame) experiments that do not
-  need queueing.
-* :class:`Uplink` -- an event-driven FIFO link built on the simulation
-  :class:`~repro.simulation.resources.Resource`, used by the end-to-end
-  experiments where patches from a camera share one uplink and queue behind
-  each other, which is exactly what produces the "arrival speed" effect the
-  paper dials via bandwidth.
+:class:`Uplink` is an event-driven FIFO link built on the simulation
+:class:`~repro.simulation.resources.Resource`, and the one model of how
+long bytes take on the wire.  Every end-to-end runner sends through it:
+patches from the cameras share one uplink and queue behind each other,
+which is exactly what produces the "arrival speed" effect the paper dials
+via bandwidth.
 
 The uplink additionally supports a **lossy / jittery mode** for the fleet
 fault-injection experiments: a per-send loss probability (the bytes occupy
@@ -40,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.simulation.engine import Simulator
-from repro.simulation.random_streams import RandomStreams
 from repro.simulation.resources import Resource, ResourceJob
 
 #: A time-varying fault dial: either a constant or a ``f(now) -> value``
@@ -138,37 +133,6 @@ def _check_link(bandwidth_mbps: float, propagation_delay: float) -> None:
         raise ValueError("bandwidth_mbps must be positive")
     if not propagation_delay >= 0:
         raise ValueError("propagation_delay must be non-negative")
-
-
-class NetworkLink:
-    """Analytic link: converts sizes to times, no queueing state."""
-
-    def __init__(
-        self,
-        bandwidth_mbps: float,
-        propagation_delay: float = 0.005,
-        jitter_cv: float = 0.0,
-        streams: Optional[RandomStreams] = None,
-    ) -> None:
-        _check_link(bandwidth_mbps, propagation_delay)
-        self.bandwidth_mbps = bandwidth_mbps
-        self.propagation_delay = propagation_delay
-        self.jitter_cv = jitter_cv
-        self._rng = (streams or RandomStreams(3)).get("network/jitter")
-        self._bytes_per_second = bandwidth_mbps * 1e6 / 8.0
-
-    @property
-    def bytes_per_second(self) -> float:
-        return self._bytes_per_second
-
-    def transfer_time(self, size_bytes: float) -> float:
-        """Serialisation + propagation time for ``size_bytes``."""
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be non-negative")
-        base = size_bytes / self._bytes_per_second + self.propagation_delay
-        if self.jitter_cv > 0:
-            base *= max(0.2, float(self._rng.normal(1.0, self.jitter_cv)))
-        return base
 
 
 class Uplink:

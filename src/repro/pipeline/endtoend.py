@@ -6,9 +6,9 @@ Event-driven flow for every camera:
 2. the edge runs the adaptive frame partitioning filter (a small, fixed
    processing latency) and produces the frame's patches, each stamped with
    the capture time as its generation time and carrying the frame's SLO;
-3. the patches are serialised over the camera's bandwidth-limited uplink,
-   one after another (this is how the paper's bandwidth knob controls the
-   "arrival speed of patches" at the cloud);
+3. the patches are serialised over the one bandwidth-limited uplink all
+   cameras share, one after another (this is how the paper's bandwidth
+   knob controls the "arrival speed of patches" at the cloud);
 4. on arrival the cloud scheduler (Tangram, Clipper, ELF, or MArk) decides
    when to batch and invoke the serverless function;
 5. when an invocation completes, every patch it carried gets its
@@ -52,11 +52,6 @@ class EndToEndConfig:
     bandwidth_mbps: float = 40.0
     slo: float = 1.0
     fps: float = 1.0
-    #: When true (the paper's setup), all cameras share one edge-to-cloud
-    #: uplink of ``bandwidth_mbps``, so the bandwidth dial controls how fast
-    #: patches arrive at the scheduler; when false, each camera gets its own
-    #: uplink of that bandwidth.
-    shared_uplink: bool = True
     zones_x: int = 4
     zones_y: int = 4
     canvas_size: float = 1024.0
@@ -73,18 +68,6 @@ class EndToEndConfig:
     #: Every Tangram scheduler knob (see :class:`~repro.core.options.
     #: SchedulerOptions`).
     scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
-    #: Lossy/jittery uplink mode (fleet fault experiments): per-send loss
-    #: probability, propagation-jitter bound (seconds), and the seed of
-    #: the counter-based draws.  The 0.0/0.0 default never touches the
-    #: hash path and stays byte-identical to the loss-free pipeline.
-    uplink_loss_probability: float = 0.0
-    uplink_jitter_s: float = 0.0
-    uplink_fault_seed: int = 0
-    #: Expire patches whose deadline already passed when they arrive at
-    #: the cloud, *before* they reach the stitcher -- counted in
-    #: :attr:`EndToEndResult.expired_at_ingest`, separately from
-    #: scheduler-side SLO misses.
-    expire_stale_at_ingest: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -94,10 +77,6 @@ class EndToEndConfig:
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (self.bandwidth_mbps > 0 and self.slo > 0 and self.fps > 0):
             raise ValueError("bandwidth_mbps, slo and fps must be positive")
-        if not 0.0 <= self.uplink_loss_probability < 1.0:
-            raise ValueError("uplink_loss_probability must be in [0, 1)")
-        if not self.uplink_jitter_s >= 0:
-            raise ValueError("uplink_jitter_s must be non-negative")
 
 
 @dataclass
@@ -111,11 +90,13 @@ class EndToEndResult:
     total_uploaded_bytes: float = 0.0
     total_transmission_time: float = 0.0
     simulated_duration: float = 0.0
-    #: Patches that arrived past their deadline and were expired at the
-    #: cloud ingress, before burning a stitcher probe (only populated when
-    #: ``config.expire_stale_at_ingest`` is set).
+    #: Always 0: this runner hands every delivered patch to the scheduler
+    #: (stale expiry is the fleet ingest's rule).  Kept because the
+    #: end-to-end benchmark's accounting reads it.
     expired_at_ingest: int = 0
-    #: Transmissions the lossy uplink mode dropped (loss or outage).
+    #: Transmissions the uplink dropped; 0 on the lossless uplink this
+    #: runner builds.  Kept because the end-to-end benchmark's accounting
+    #: reads it.
     dropped_transmissions: int = 0
 
     # ----------------------------------------------------------------- basics
@@ -223,32 +204,14 @@ class EndToEndRunner:
             )
             for camera_id in frames_by_camera
         }
-        fault_knobs = dict(
-            loss_probability=config.uplink_loss_probability,
-            jitter_s=config.uplink_jitter_s,
-            fault_seed=config.uplink_fault_seed,
+        #: The paper's setup: every camera shares one edge-to-cloud uplink
+        #: of ``bandwidth_mbps``, so the bandwidth dial controls how fast
+        #: patches arrive at the scheduler.
+        self.uplink = Uplink(
+            self.simulator, bandwidth_mbps=config.bandwidth_mbps, name="uplink/shared"
         )
-        if config.shared_uplink:
-            shared = Uplink(
-                self.simulator,
-                bandwidth_mbps=config.bandwidth_mbps,
-                name="uplink/shared",
-                **fault_knobs,
-            )
-            self.uplinks = {camera_id: shared for camera_id in frames_by_camera}
-        else:
-            self.uplinks = {
-                camera_id: Uplink(
-                    self.simulator,
-                    bandwidth_mbps=config.bandwidth_mbps,
-                    name=f"uplink/{camera_id}",
-                    **fault_knobs,
-                )
-                for camera_id in frames_by_camera
-            }
         self._num_frames = sum(len(frames) for frames in frames_by_camera.values())
         self._num_patches = 0
-        self._expired_at_ingest = 0
 
     # -------------------------------------------------------------- scheduler
     def _build_scheduler(self) -> BaseScheduler:
@@ -301,26 +264,14 @@ class EndToEndRunner:
             streams=self.streams.spawn("scheduler"),
         )
 
-    # --------------------------------------------------------------- delivery
-    def _deliver(self, patch) -> None:
-        """Cloud ingress: expire stale arrivals before the stitcher probes."""
-        if (
-            self.config.expire_stale_at_ingest
-            and patch.deadline <= self.simulator.now
-        ):
-            self._expired_at_ingest += 1
-            return
-        self.scheduler.receive_patch(patch)
-
     # ------------------------------------------------------------------- run
     def run(self) -> EndToEndResult:
         """Schedule every camera's frames and run the simulation to the end."""
         config = self.config
-        total_uploaded = 0.0
+        uplink = self.uplink
 
         for camera_id, frames in self.frames_by_camera.items():
             partitioner = self.partitioners[camera_id]
-            uplink = self.uplinks[camera_id]
             frame_interval = 1.0 / config.fps
             for order, frame in enumerate(frames):
                 capture_time = order * frame_interval
@@ -331,7 +282,6 @@ class EndToEndRunner:
                     capture_time: float = capture_time,
                     camera_id: str = camera_id,
                     partitioner: FramePartitioner = partitioner,
-                    uplink: Uplink = uplink,
                 ) -> None:
                     patches = partitioner.partition(
                         frame,
@@ -346,7 +296,7 @@ class EndToEndRunner:
                             size,
                             payload=patch,
                             on_delivered=lambda record, patch=patch: (
-                                self._deliver(patch)
+                                self.scheduler.receive_patch(patch)
                             ),
                         )
 
@@ -360,27 +310,17 @@ class EndToEndRunner:
         self.scheduler.flush()
         self.simulator.run()
 
-        unique_uplinks = {id(uplink): uplink for uplink in self.uplinks.values()}
-        for uplink in unique_uplinks.values():
-            total_uploaded += uplink.total_bytes
-        total_transmission = sum(
-            record.transfer_time
-            for uplink in unique_uplinks.values()
-            for record in uplink.records
-        )
-
         return EndToEndResult(
             config=config,
             num_frames=self._num_frames,
             num_patches=self._num_patches,
             batches=list(self.scheduler.batches),
-            total_uploaded_bytes=total_uploaded,
-            total_transmission_time=total_transmission,
-            simulated_duration=self.simulator.now,
-            expired_at_ingest=self._expired_at_ingest,
-            dropped_transmissions=sum(
-                len(uplink.drops) for uplink in unique_uplinks.values()
+            total_uploaded_bytes=uplink.total_bytes,
+            total_transmission_time=sum(
+                record.transfer_time for record in uplink.records
             ),
+            simulated_duration=self.simulator.now,
+            dropped_transmissions=len(uplink.drops),
         )
 
 

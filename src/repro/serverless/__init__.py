@@ -14,7 +14,6 @@ from repro.serverless.function import FunctionInstance, InvocationRecord
 from repro.serverless.loadbalancer import (
     BALANCER_POLICIES,
     ConsistentHashBalancer,
-    LeastConnectionsBalancer,
     LeastLoadedBalancer,
     RoundRobinBalancer,
     make_balancer,
@@ -29,7 +28,6 @@ __all__ = [
     "InvocationRecord",
     "BALANCER_POLICIES",
     "RoundRobinBalancer",
-    "LeastConnectionsBalancer",
     "LeastLoadedBalancer",
     "ConsistentHashBalancer",
     "make_balancer",

@@ -1,8 +1,7 @@
 """Load-balancing policies over function instances (and shard workers).
 
 The paper fronts its function instances with NGINX using the default
-policy (round robin).  A least-connections policy is also provided because
-it is the other policy practitioners commonly switch to.
+policy (round robin).
 
 The sharded fleet frontend (:mod:`repro.fleet.shard`) routes *cameras to
 scheduler shards* through the same factory, which added the two
@@ -69,17 +68,6 @@ class RoundRobinBalancer:
         return instance
 
 
-class LeastConnectionsBalancer:
-    """Route to the instance with the fewest outstanding invocations."""
-
-    def select(
-        self, instances: Sequence[FunctionInstance], key: Optional[Hashable] = None
-    ) -> FunctionInstance:
-        if not instances:
-            raise ValueError("no instances available to balance across")
-        return min(instances, key=lambda instance: instance.outstanding)
-
-
 def _target_load(target, position: int) -> Tuple[float, int]:
     """Deterministic load key: ``load`` if the target exposes one (shard
     workers do), else ``outstanding`` (function instances), else 0."""
@@ -92,12 +80,12 @@ def _target_load(target, position: int) -> Tuple[float, int]:
 class LeastLoadedBalancer:
     """Assign to the currently least-loaded target, first index on ties.
 
-    Unlike :class:`LeastConnectionsBalancer` this understands the shard
-    workers' aggregate ``load`` (ingest backlog + scheduler queue), and
-    its tie-break is positional, so camera placement is deterministic
-    even when every target is idle (the common state at registration
-    time — the effect is then a balanced round-robin-by-count whenever
-    the caller assigns sticky keys one at a time).
+    It understands the shard workers' aggregate ``load`` (scheduler
+    backlog plus owned cameras), and its tie-break is positional, so
+    camera placement is deterministic even when every target is idle
+    (the common state at registration time — the effect is then a
+    balanced round-robin-by-count whenever the caller assigns sticky
+    keys one at a time).
     """
 
     def select(
@@ -161,7 +149,6 @@ class ConsistentHashBalancer:
 #: Policy names accepted by :func:`make_balancer`.
 BALANCER_POLICIES = (
     "round_robin",
-    "least_connections",
     "least_loaded",
     "consistent_hash",
 )
@@ -171,7 +158,6 @@ def make_balancer(name: str) -> LoadBalancer:
     """Factory used by experiment configs (see :data:`BALANCER_POLICIES`)."""
     policies = {
         "round_robin": RoundRobinBalancer,
-        "least_connections": LeastConnectionsBalancer,
         "least_loaded": LeastLoadedBalancer,
         "consistent_hash": ConsistentHashBalancer,
     }

@@ -15,8 +15,7 @@ Public surface:
   calibrated scenes.
 * :class:`~repro.video.generator.SceneGenerator` -- produces ground-truth
   annotated frames for a scene.
-* :class:`~repro.video.frames.Frame` / :class:`~repro.video.frames.Camera`
-  -- the frame record and a camera that emits frames at a fixed rate.
+* :class:`~repro.video.frames.Frame` -- the annotated frame record.
 * :class:`~repro.video.renderer.FrameRenderer` -- rasterises frames to
   low-resolution numpy arrays for the pixel-level vision algorithms.
 * :func:`~repro.video.dataset.build_panda4k` -- assemble the train/eval
@@ -24,7 +23,7 @@ Public surface:
 """
 
 from repro.video.geometry import Box
-from repro.video.frames import Frame, Camera
+from repro.video.frames import Frame
 from repro.video.scenes import SceneProfile, PANDA4K_SCENES, get_scene
 from repro.video.generator import SceneGenerator
 from repro.video.renderer import FrameRenderer
@@ -33,7 +32,6 @@ from repro.video.dataset import PandaDataset, build_panda4k
 __all__ = [
     "Box",
     "Frame",
-    "Camera",
     "SceneProfile",
     "PANDA4K_SCENES",
     "get_scene",

@@ -1,16 +1,13 @@
-"""Frame and camera records.
+"""Frame records.
 
 A :class:`Frame` carries the ground-truth object boxes that the synthetic
-scene generator produced for one time step; a :class:`Camera` wraps a frame
-sequence and emits frames at a fixed rate inside the discrete-event
-simulation (the paper's edge devices capture and process frames in real
-time before uploading patches).
+scene generator produced for one time step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List
 
 from repro.video.geometry import Box
 
@@ -37,7 +34,7 @@ class Frame:
     The pixel payload is not stored here -- the analytic pipeline only needs
     geometry.  :class:`~repro.video.renderer.FrameRenderer` rasterises a
     frame on demand when a pixel-level algorithm (the GMM background
-    subtractor, the optical-flow extractor) needs actual image data.
+    subtractor) needs actual image data.
     """
 
     scene_key: str
@@ -72,60 +69,3 @@ class Frame:
     @property
     def num_objects(self) -> int:
         return len(self.objects)
-
-
-@dataclass
-class Camera:
-    """An edge camera that replays a frame sequence at a fixed rate.
-
-    Parameters
-    ----------
-    camera_id:
-        Identifier used in patch metadata and metrics.
-    frames:
-        The pre-generated frame sequence for this camera's scene.
-    fps:
-        Frame rate at which the camera emits frames into the pipeline.
-    start_offset:
-        Capture time of the first frame, letting multi-camera experiments
-        desynchronise their sources as real deployments are.
-    """
-
-    camera_id: str
-    frames: Sequence[Frame]
-    fps: float = 2.0
-    start_offset: float = 0.0
-    _cursor: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
-
-    @property
-    def frame_interval(self) -> float:
-        return 1.0 / self.fps
-
-    @property
-    def num_frames(self) -> int:
-        return len(self.frames)
-
-    def capture_time(self, frame_index: int) -> float:
-        """Wall-clock capture time of frame ``frame_index``."""
-        return self.start_offset + frame_index * self.frame_interval
-
-    def __iter__(self) -> Iterator[tuple[float, Frame]]:
-        """Yield ``(capture_time, frame)`` pairs in order."""
-        for index, frame in enumerate(self.frames):
-            yield self.capture_time(index), frame
-
-    def next_frame(self) -> Optional[tuple[float, Frame]]:
-        """Sequential access used by the event-driven pipeline."""
-        if self._cursor >= len(self.frames):
-            return None
-        frame = self.frames[self._cursor]
-        capture = self.capture_time(self._cursor)
-        self._cursor += 1
-        return capture, frame
-
-    def reset(self) -> None:
-        self._cursor = 0

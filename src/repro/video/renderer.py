@@ -1,18 +1,16 @@
 """Rasterisation of annotated frames into numpy images.
 
-The pixel-level substrates (the Stauffer-Grimson background subtractor and
-the block-matching optical-flow extractor) need actual image data.  The
-renderer draws each annotated frame at a configurable, usually reduced,
-resolution: a static textured background plus per-object rectangles whose
-intensity offset is controlled by the object's ``contrast`` attribute, plus
-sensor noise.  That is enough signal for background modelling to behave the
-way it does on real footage -- high-contrast moving objects segment well,
-small or low-contrast ones get missed.
+The pixel-level substrate (the Stauffer-Grimson background subtractor)
+needs actual image data.  The renderer draws each annotated frame at a
+configurable, usually reduced, resolution: a static textured background
+plus per-object rectangles whose intensity offset is controlled by the
+object's ``contrast`` attribute, plus sensor noise.  That is enough signal
+for background modelling to behave the way it does on real footage --
+high-contrast moving objects segment well, small or low-contrast ones get
+missed.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -130,10 +128,3 @@ class FrameRenderer:
             rng = self._streams.get("sensor-noise")
             image = image + rng.normal(0.0, self.noise_std, size=image.shape)
         return np.clip(image, 0.0, 255.0).astype(np.float32)
-
-    def render_sequence(
-        self, frames: list[Frame], noise: bool = True, limit: Optional[int] = None
-    ) -> list[np.ndarray]:
-        """Render a list of frames (optionally only the first ``limit``)."""
-        subset = frames if limit is None else frames[:limit]
-        return [self.render(frame, noise=noise) for frame in subset]

@@ -6,8 +6,6 @@ nor the pretrained models are available here, so this package provides:
 
 * a from-scratch Stauffer-Grimson adaptive Gaussian-mixture background
   subtractor operating on rendered frames (:mod:`repro.vision.gmm`);
-* a block-matching optical-flow RoI extractor
-  (:mod:`repro.vision.optical_flow`);
 * analytic RoI extractors that emulate the recall/precision profiles of the
   four extraction methods compared in Table IV
   (:mod:`repro.vision.roi_extractors`);
@@ -19,7 +17,6 @@ nor the pretrained models are available here, so this package provides:
 """
 
 from repro.vision.gmm import GaussianMixtureBackgroundSubtractor, mask_to_boxes
-from repro.vision.optical_flow import BlockMatchingFlowExtractor
 from repro.vision.roi_extractors import (
     AnalyticRoIExtractor,
     ExtractorProfile,
@@ -36,7 +33,6 @@ from repro.vision.metrics import Detection, average_precision, match_detections,
 __all__ = [
     "GaussianMixtureBackgroundSubtractor",
     "mask_to_boxes",
-    "BlockMatchingFlowExtractor",
     "AnalyticRoIExtractor",
     "ExtractorProfile",
     "EXTRACTOR_PROFILES",

@@ -248,14 +248,6 @@ class GaussianMixtureBackgroundSubtractor:
         self.frames_seen += 1
         return foreground
 
-    def background_image(self) -> np.ndarray:
-        """Return the current most-probable background estimate."""
-        if not self.is_initialised:
-            raise RuntimeError("background model has not seen any frame yet")
-        assert self._weights is not None and self._means is not None
-        best = np.argmax(self._weights, axis=0)
-        return np.take_along_axis(self._means, best[None, :, :], axis=0)[0]
-
 
 def mask_to_boxes(
     mask: np.ndarray,

@@ -141,18 +141,6 @@ def average_precision(
     return float(np.sum(np.diff(recall)[recall_change] * precision[1:][recall_change]))
 
 
-def recall_at_iou(
-    detections: Sequence[Detection],
-    ground_truth: Sequence[Tuple[int, Box]],
-    iou_threshold: float = 0.5,
-) -> float:
-    """Fraction of ground-truth boxes claimed by any detection."""
-    if not ground_truth:
-        return 1.0
-    match = match_detections(detections, ground_truth, iou_threshold)
-    return float(np.sum(match.true_positives)) / match.num_ground_truth
-
-
 def boxes_recall(
     proposed: Sequence[Box],
     ground_truth: Sequence[Box],

@@ -17,12 +17,7 @@ from repro.workloads.fleet import (
     make_patch,
     patch_dimensions,
 )
-from repro.workloads.sweeps import (
-    SLO_GRID_BY_BANDWIDTH,
-    SweepPoint,
-    end_to_end_sweep,
-    fig12_sweep,
-)
+from repro.workloads.sweeps import SLO_GRID_BY_BANDWIDTH, SweepPoint
 
 __all__ = [
     "BASE_SCENE",
@@ -36,6 +31,4 @@ __all__ = [
     "patch_dimensions",
     "SweepPoint",
     "SLO_GRID_BY_BANDWIDTH",
-    "end_to_end_sweep",
-    "fig12_sweep",
 ]

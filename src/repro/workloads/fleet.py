@@ -13,6 +13,8 @@ exactly as it was.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -42,13 +44,21 @@ class FleetWorkloadConfig:
     max_patch: float = 256.0
 
     def __post_init__(self) -> None:
-        if self.num_cameras < 1 or self.patches_per_frame < 1:
-            raise ValueError("num_cameras and patches_per_frame must be >= 1")
+        # NaN and fractional counts pass ``< 1`` and would only fail in
+        # ``range()`` mid-run, so they fail here.
+        for name in ("num_cameras", "patches_per_frame"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (self.fps > 0 and self.duration_s > 0 and self.slo > 0):
             raise ValueError("fps, duration_s and slo must be positive")
-        if not 0 < self.min_patch <= self.max_patch:
-            raise ValueError("need 0 < min_patch <= max_patch")
+        # An infinite rate or duration has no frame count, and an
+        # infinite patch never finishes its transfer.
+        if not (math.isfinite(self.fps) and math.isfinite(self.duration_s)):
+            raise ValueError("fps and duration_s must be finite")
+        if not 0 < self.min_patch <= self.max_patch < math.inf:
+            raise ValueError("need 0 < min_patch <= max_patch < inf")
 
     @property
     def frames_per_camera(self) -> int:

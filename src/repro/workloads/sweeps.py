@@ -9,17 +9,16 @@ transmission takes less of the budget):
 * 80 Mbps -> SLO in {0.6, 0.7, 0.8, 0.9, 1.0} s
 
 Fig. 13(d) fixes SLO = 1.0 s and varies the bandwidth; Fig. 14 does the
-same.  The helpers below generate those grids as lists of
-:class:`SweepPoint`, each convertible to an
+same.  Each cell is a :class:`SweepPoint`, convertible to an
 :class:`~repro.pipeline.endtoend.EndToEndConfig`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.pipeline.endtoend import EndToEndConfig, STRATEGIES
+from repro.pipeline.endtoend import EndToEndConfig
 
 #: The per-bandwidth SLO grids of Fig. 12 (seconds).
 SLO_GRID_BY_BANDWIDTH: Dict[float, Tuple[float, ...]] = {
@@ -53,44 +52,3 @@ class SweepPoint:
                 self.bandwidth_mbps, base.mark_timeout
             ),
         )
-
-
-def fig12_sweep(
-    strategies: Sequence[str] = STRATEGIES,
-    bandwidths: Optional[Iterable[float]] = None,
-    slos_per_bandwidth: Optional[Dict[float, Sequence[float]]] = None,
-) -> List[SweepPoint]:
-    """The full Fig. 12 grid: every strategy at every (bandwidth, SLO)."""
-    grid = slos_per_bandwidth or SLO_GRID_BY_BANDWIDTH
-    selected_bandwidths = list(bandwidths) if bandwidths is not None else sorted(grid)
-    points: List[SweepPoint] = []
-    for bandwidth in selected_bandwidths:
-        if bandwidth not in grid:
-            raise KeyError(f"no SLO grid defined for bandwidth {bandwidth}")
-        for slo in grid[bandwidth]:
-            for strategy in strategies:
-                if strategy not in STRATEGIES:
-                    raise KeyError(f"unknown strategy {strategy!r}")
-                points.append(
-                    SweepPoint(strategy=strategy, bandwidth_mbps=bandwidth, slo=slo)
-                )
-    return points
-
-
-def end_to_end_sweep(
-    strategies: Sequence[str] = ("tangram",),
-    bandwidths: Sequence[float] = (20.0, 40.0, 80.0),
-    slos: Sequence[float] = (1.0,),
-) -> List[SweepPoint]:
-    """A rectangular sweep (used by Fig. 13(d) / Fig. 14: SLO fixed, vary
-    bandwidth)."""
-    points: List[SweepPoint] = []
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            raise KeyError(f"unknown strategy {strategy!r}")
-        for bandwidth in bandwidths:
-            for slo in slos:
-                points.append(
-                    SweepPoint(strategy=strategy, bandwidth_mbps=bandwidth, slo=slo)
-                )
-    return points

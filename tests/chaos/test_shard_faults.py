@@ -3,7 +3,7 @@
 One shard's cameras all drop and reconnect while the other shards run
 clean.  Because ownership under ``consistent_hash`` dispatch is a pure
 function of the camera id and the shard count
-(:func:`repro.fleet.shard.consistent_shard_assignment`), the fault plan
+(``consistent_shard_assignment`` in ``tests/conftest.py``), the fault plan
 can be aimed at exactly the victim shard's camera set before the run.
 
 Contracts (the fault-matrix contracts, restated per shard):
@@ -31,12 +31,9 @@ import pytest
 
 from repro.fleet import FaultPlan
 from repro.fleet.scenario import FleetScenarioConfig
-from repro.fleet.shard import (
-    ShardScenarioConfig,
-    consistent_shard_assignment,
-    run_sharded_scenario,
-)
+from repro.fleet.shard import ShardScenarioConfig, run_sharded_scenario
 from repro.workloads.fleet import FleetWorkloadConfig, camera_ids
+from tests.conftest import consistent_shard_assignment
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("RUN_CHAOS"),

@@ -7,11 +7,16 @@ All fixtures are deterministic (fixed seeds) so test failures reproduce.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from typing import Dict, List, Sequence, Tuple
+
 import pytest
 
 from repro.core.canvas import Placement
 from repro.core.patches import Patch
+from repro.core.skyline import _SLIVER
 from repro.core.stitching import IncrementalStitcher
+from repro.serverless.loadbalancer import make_balancer
 from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
 from repro.video.dataset import build_panda4k
@@ -212,6 +217,154 @@ def guillotine_pack(
         canvases.append(canvas)
         open_canvases.append(canvas)
     return canvases
+
+
+class FreeRect:
+    """A `Box`-compatible view of one skyline candidate rectangle, for
+    the tests that read free space as geometry (the naive
+    best-short-side-fit scans and the containment checks)."""
+
+    __slots__ = ("x", "y", "width", "height")
+
+    def __init__(self, x: float, y: float, width: float, height: float) -> None:
+        self.x = x
+        self.y = y
+        self.width = width
+        self.height = height
+
+    @property
+    def x2(self) -> float:
+        return self.x + self.width
+
+    @property
+    def y2(self) -> float:
+        return self.y + self.height
+
+    @property
+    def area(self) -> float:
+        return self.width * self.height
+
+    def as_tuple(self) -> Tuple[float, float, float, float]:
+        return (self.x, self.y, self.width, self.height)
+
+    def contains_box(self, other, tolerance: float = 1e-6) -> bool:
+        """Mirror of :meth:`repro.video.geometry.Box.contains_box`."""
+        return (
+            other.x >= self.x - tolerance
+            and other.y >= self.y - tolerance
+            and other.x + other.width <= self.x + self.width + tolerance
+            and other.y + other.height <= self.y + self.height + tolerance
+        )
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FreeRect)
+            and self.x == other.x
+            and self.y == other.y
+            and self.width == other.width
+            and self.height == other.height
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.width, self.height))
+
+    def __repr__(self) -> str:
+        return (
+            f"FreeRect(x={self.x!r}, y={self.y!r}, "
+            f"width={self.width!r}, height={self.height!r})"
+        )
+
+
+def free_rectangles(canvas) -> List[FreeRect]:
+    """A canvas's free rectangles: its skyline's candidates as
+    :class:`FreeRect` objects, in the ``rect_index`` order
+    ``Canvas.best_fit`` and ``Canvas.place`` use."""
+    return [FreeRect(x, y, w, h) for x, y, w, h in canvas.skyline.candidates]
+
+
+def segments(skyline) -> List[Tuple[float, float, float]]:
+    """The skyline's silhouette as ``(x, y, width)`` runs."""
+    xs, ys = skyline.xs, skyline.ys
+    out = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        end = xs[i + 1] if i + 1 < len(xs) else skyline.width
+        out.append((x, y, end - x))
+    return out
+
+
+def check_invariants(skyline) -> None:
+    """Assert the skyline's structural invariants: segments cover
+    ``[0, width)`` in strictly increasing x order, heights stay within
+    the canvas, adjacent heights differ, surface candidates are maximal
+    empty rectangles of the silhouette, and waste rectangles stay below
+    the silhouette and disjoint.
+    """
+    xs, ys = skyline.xs, skyline.ys
+    assert len(xs) == len(ys) and xs, "segment run must be non-empty"
+    assert xs[0] == 0.0, "first segment must start at the canvas origin"
+    for i in range(1, len(xs)):
+        assert xs[i] > xs[i - 1], "segment starts must strictly increase"
+        assert ys[i] != ys[i - 1], "adjacent segments must be merged"
+    assert xs[-1] < skyline.width + 1e-9, "segments must not start past the edge"
+    for y in ys:
+        assert -1e-9 <= y <= skyline.height + 1e-9, "height outside the canvas"
+    ends = xs[1:] + [skyline.width]
+    assert skyline.candidates[skyline.num_surface :] == skyline.waste
+    for x, y, w, h in skyline.candidates[: skyline.num_surface]:
+        assert h == skyline.height - y, "surface candidate must reach the top"
+        assert w > _SLIVER and h > _SLIVER, "sliver candidate"
+        start = xs.index(x)
+        covered = x
+        stop = start
+        while covered < x + w - 1e-9:
+            assert ys[stop] <= y + 1e-9, "candidate floats over a taller segment"
+            covered = ends[stop]
+            stop += 1
+        assert abs(covered - (x + w)) < 1e-6, "span must end on a boundary"
+        assert any(
+            abs(ys[k] - y) < 1e-12 for k in range(start, stop)
+        ), "candidate level must rest on a segment top"
+        # Maximality: the neighbours just outside the span are taller
+        # (or the span touches a canvas edge).
+        if start > 0:
+            assert ys[start - 1] > y, "candidate extendable to the left"
+        if stop < len(xs):
+            assert ys[stop] > y, "candidate extendable to the right"
+    for index, (x, y, w, h) in enumerate(skyline.waste):
+        assert w > _SLIVER and h > _SLIVER, "sliver waste rectangle"
+        assert x >= -1e-9 and y >= -1e-9, "waste outside the canvas"
+        assert x + w <= skyline.width + 1e-9 and y + h <= skyline.height + 1e-9
+        # Below the silhouette: every covered segment tops it.
+        seg = bisect_right(xs, x) - 1
+        covered = x
+        while covered < x + w - 1e-9:
+            assert ys[seg] >= y + h - 1e-6, "waste rectangle pokes above"
+            covered = ends[seg]
+            seg += 1
+        for other_index in range(index + 1, len(skyline.waste)):
+            ox, oy, ow, oh = skyline.waste[other_index]
+            overlap_w = min(x + w, ox + ow) - max(x, ox)
+            overlap_h = min(y + h, oy + oh) - max(y, oy)
+            assert (
+                overlap_w <= 1e-6 or overlap_h <= 1e-6
+            ), "waste rectangles must stay disjoint"
+
+
+def consistent_shard_assignment(
+    cameras: Sequence[str], shards: int
+) -> Dict[str, int]:
+    """The static camera->shard map of the ``"consistent_hash"`` dispatch.
+
+    Ownership under consistent hashing is a pure function of the camera
+    id and the shard count, so chaos suites can compute one shard's
+    camera set *before* the run and aim a :class:`~repro.fleet.faults.
+    FaultPlan` at exactly that set.
+    """
+    if shards < 1:
+        raise ValueError("shards must be at least 1")
+    balancer = make_balancer("consistent_hash")
+    targets = list(range(shards))
+    return {camera_id: balancer.select(targets, key=camera_id) for camera_id in cameras}
 
 
 def restart_merge_overlapping(boxes, iou_threshold: float = 0.0) -> list[Box]:

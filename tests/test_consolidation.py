@@ -31,6 +31,7 @@ from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
+from tests.conftest import free_rectangles
 
 fitting_sizes = st.tuples(
     st.floats(min_value=10.0, max_value=1000.0, allow_nan=False),
@@ -91,7 +92,7 @@ def _stitcher(**options) -> IncrementalStitcher:
 def _envelope(canvas) -> tuple[float, float]:
     """The canvas's max free extent ``(max_w, max_h)``: the widest and
     the tallest free rectangle, possibly two different ones."""
-    rects = canvas.free_rectangles
+    rects = free_rectangles(canvas)
     return (
         max((rect.width for rect in rects), default=0.0),
         max((rect.height for rect in rects), default=0.0),
@@ -422,19 +423,6 @@ class TestKnobPlumbing:
         options = SchedulerOptions(partial_patch_budget=32)
         runner = EndToEndRunner(EndToEndConfig(scheduler_options=options), {"camera-0": []})
         assert runner.scheduler._packer.partial_patch_budget == 32
-
-    def test_tangram_config_reaches_the_stitcher(self):
-        from repro.core.tangram import Tangram, TangramConfig
-        from repro.serverless.platform import ServerlessPlatform
-        from repro.simulation.engine import Simulator
-
-        config = TangramConfig(scheduler_options=SchedulerOptions(partial_patch_budget=32))
-        tangram = Tangram(config=config)
-        simulator = Simulator()
-        platform = ServerlessPlatform(simulator)
-        scheduler = tangram.build_online_scheduler(simulator, platform)
-        assert scheduler._packer.partial_patch_budget == 32
-        assert scheduler._packer.consolidation_engine.stitcher is scheduler._packer
 
     def test_scheduler_exposes_consolidation_stats(self):
         from repro.core.scheduler import TangramScheduler

@@ -66,16 +66,6 @@ def test_patches_cheaper_than_full_frame_when_rois_sparse():
     assert encoder.patches_bytes(patches) < 0.5 * encoder.full_frame_bytes(frame)
 
 
-def test_transmission_time_matches_bandwidth():
-    # 1 MB over 8 Mbps is exactly one second.
-    assert FrameEncoder.transmission_time(1_000_000, 8.0) == pytest.approx(1.0)
-
-
-def test_transmission_time_invalid_bandwidth():
-    with pytest.raises(ValueError):
-        FrameEncoder.transmission_time(1000, 0.0)
-
-
 def test_negative_area_rejected():
     with pytest.raises(ValueError):
         FrameEncoder().region_bytes(-1)

@@ -1,18 +1,22 @@
-"""Tier-1 smoke test for the fleet churn example.
+"""Tier-1 smoke tests for the examples.
 
 Runs ``examples/fleet_churn.py`` in-process on a small fleet so the
 example stays executable (imports, knob plumbing, result fields) and its
-headline claims hold on a real end-to-end run.
+headline claims hold on a real end-to-end run, and runs every other
+example as a subprocess at a small size so each one keeps exiting 0.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +45,36 @@ def test_fleet_churn_headline_claims_hold_on_a_small_fleet(fleet_churn):
     from repro.fleet import run_fleet_scenario
 
     assert run_fleet_scenario(config, plan).counters() == churn.counters()
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        pytest.param("quickstart.py", [], id="quickstart"),
+        pytest.param("pixel_gmm_pipeline.py", [], id="pixel_gmm_pipeline"),
+        pytest.param(
+            "bandwidth_accuracy_tradeoff.py",
+            ["--frames", "3"],
+            id="bandwidth_accuracy_tradeoff",
+        ),
+        pytest.param(
+            "multi_camera_slo.py",
+            ["--cameras", "2", "--frames", "4"],
+            id="multi_camera_slo",
+        ),
+    ],
+)
+def test_example_exits_cleanly(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if path
+    )
+    completed = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / script), *args],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr

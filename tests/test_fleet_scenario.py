@@ -63,6 +63,15 @@ class TestWorkloadPurity:
         for name in ("fps", "duration_s", "slo"):
             with pytest.raises(ValueError):
                 FleetWorkloadConfig(**{name: float("nan")})
+        for overrides in (
+            {"num_cameras": 2.5},
+            {"patches_per_frame": float("nan")},
+            {"fps": float("inf")},
+            {"duration_s": float("inf")},
+            {"max_patch": float("inf")},
+        ):
+            with pytest.raises(ValueError):
+                FleetWorkloadConfig(**overrides)
 
 
 class TestResultAccounting:

@@ -1,11 +1,11 @@
-"""Tests for Frame/Camera records and dataset assembly."""
+"""Tests for Frame records and dataset assembly."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.video.dataset import build_panda4k, build_scene_split
-from repro.video.frames import Camera, Frame, GroundTruthObject
+from repro.video.frames import Frame, GroundTruthObject
 from repro.video.geometry import Box
 from repro.video.scenes import get_scene
 
@@ -40,35 +40,6 @@ class TestFrame:
         frame = _frame(num_objects=3)
         assert len(frame.boxes) == 3
         assert all(isinstance(box, Box) for box in frame.boxes)
-
-
-class TestCamera:
-    def test_capture_times_follow_fps(self):
-        camera = Camera(camera_id="cam", frames=[_frame(index=i) for i in range(4)], fps=2.0)
-        times = [time for time, _ in camera]
-        assert times == [0.0, 0.5, 1.0, 1.5]
-
-    def test_start_offset_shifts_capture_times(self):
-        camera = Camera(
-            camera_id="cam",
-            frames=[_frame(index=i) for i in range(2)],
-            fps=1.0,
-            start_offset=0.25,
-        )
-        assert camera.capture_time(0) == 0.25
-        assert camera.capture_time(1) == 1.25
-
-    def test_next_frame_iterates_then_returns_none(self):
-        camera = Camera(camera_id="cam", frames=[_frame(index=i) for i in range(2)], fps=1.0)
-        assert camera.next_frame() is not None
-        assert camera.next_frame() is not None
-        assert camera.next_frame() is None
-        camera.reset()
-        assert camera.next_frame() is not None
-
-    def test_invalid_fps_rejected(self):
-        with pytest.raises(ValueError):
-            Camera(camera_id="cam", frames=[], fps=0.0)
 
 
 class TestDataset:

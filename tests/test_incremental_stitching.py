@@ -23,7 +23,7 @@ from repro.core.stitching import (
     equivalent_canvases,
 )
 from repro.video.geometry import Box
-from tests.conftest import AlwaysRepackStitcher
+from tests.conftest import AlwaysRepackStitcher, free_rectangles
 
 patch_sizes = st.tuples(
     st.floats(min_value=10.0, max_value=1500.0, allow_nan=False),
@@ -120,10 +120,10 @@ def test_probe_does_not_mutate_state(size_list):
     for patch in patches[:-1]:
         stitcher.add(patch)
     before = _placement_key(stitcher.canvases)
-    free_before = [list(c.free_rectangles) for c in stitcher.canvases]
+    free_before = [free_rectangles(c) for c in stitcher.canvases]
     stitcher.probe(patches[-1])
     assert _placement_key(stitcher.canvases) == before
-    assert [list(c.free_rectangles) for c in stitcher.canvases] == free_before
+    assert [free_rectangles(c) for c in stitcher.canvases] == free_before
 
 
 def test_reset_starts_a_fresh_queue():
@@ -194,7 +194,7 @@ def test_free_rectangle_pool_never_contains_nested_rectangles():
     for patch in _patches([(400.0, 300.0), (200.0, 600.0), (700.0, 150.0), (90.0, 80.0)]):
         stitcher.add(patch)
     for canvas in stitcher.canvases:
-        rects = canvas.free_rectangles
+        rects = free_rectangles(canvas)
         for i, first in enumerate(rects):
             for j, second in enumerate(rects):
                 if i != j:

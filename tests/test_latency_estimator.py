@@ -79,20 +79,6 @@ def test_oversized_canvas_charged_as_multiple_canvases():
     assert estimator.estimate([oversized]) == pytest.approx(estimator.slack_time(3))
 
 
-def test_expected_execution_time_uses_mean_model():
-    estimator = _estimator()
-    canvases = _canvases(2)
-    expected = DetectorLatencyModel.serverless().mean_latency(2, 2 * 1024 * 1024)
-    assert estimator.expected_execution_time(canvases) == pytest.approx(expected)
-    assert estimator.expected_execution_time([]) == 0.0
-
-
-def test_profile_all_covers_range():
-    estimator = _estimator(max_batch_size=4)
-    profiles = estimator.profile_all()
-    assert sorted(profiles) == [1, 2, 3, 4]
-
-
 def test_sigma_multiplier_is_configurable():
     cautious = _estimator(sigma_multiplier=5.0)
     standard = _estimator(sigma_multiplier=3.0)
@@ -102,8 +88,6 @@ def test_sigma_multiplier_is_configurable():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         _estimator(iterations=1)
-    with pytest.raises(ValueError):
-        _estimator(max_batch_size=0)
     with pytest.raises(ValueError):
         _estimator().profile(0)
 

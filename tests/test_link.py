@@ -4,38 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.link import NetworkLink, Uplink
+from repro.network.link import Uplink
 from repro.simulation.engine import Simulator
-
-
-class TestNetworkLink:
-    def test_transfer_time_scales_with_size(self):
-        link = NetworkLink(bandwidth_mbps=8.0, propagation_delay=0.0)
-        assert link.transfer_time(1_000_000) == pytest.approx(1.0)
-        assert link.transfer_time(2_000_000) == pytest.approx(2.0)
-
-    def test_propagation_delay_added(self):
-        link = NetworkLink(bandwidth_mbps=8.0, propagation_delay=0.01)
-        assert link.transfer_time(0) == pytest.approx(0.01)
-
-    def test_higher_bandwidth_is_faster(self):
-        slow = NetworkLink(bandwidth_mbps=20.0, propagation_delay=0.0)
-        fast = NetworkLink(bandwidth_mbps=80.0, propagation_delay=0.0)
-        assert fast.transfer_time(1_000_000) < slow.transfer_time(1_000_000)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkLink(bandwidth_mbps=0.0)
-        with pytest.raises(ValueError):
-            NetworkLink(bandwidth_mbps=10.0, propagation_delay=-1.0)
-        with pytest.raises(ValueError):
-            NetworkLink(10.0).transfer_time(-5)
-
-    def test_jitter_perturbs_but_preserves_scale(self):
-        link = NetworkLink(bandwidth_mbps=8.0, propagation_delay=0.0, jitter_cv=0.1)
-        times = [link.transfer_time(1_000_000) for _ in range(200)]
-        assert min(times) != max(times)
-        assert 0.7 < sum(times) / len(times) < 1.3
 
 
 class TestUplink:
@@ -243,8 +213,9 @@ class TestLossyUplink:
         simulator = Simulator()
         uplink = Uplink(simulator, bandwidth_mbps=16.0)
         assert uplink.bytes_per_second == pytest.approx(16.0 * 1e6 / 8.0)
-        link = NetworkLink(bandwidth_mbps=16.0)
-        assert link.bytes_per_second == pytest.approx(uplink.bytes_per_second)
-        assert link.transfer_time(2_000_000) == pytest.approx(
-            2_000_000 / link.bytes_per_second + link.propagation_delay
+        delivered = []
+        uplink.send(2_000_000, on_delivered=delivered.append)
+        simulator.run()
+        assert delivered[0].finish_time == pytest.approx(
+            2_000_000 / uplink.bytes_per_second + uplink.propagation_delay
         )

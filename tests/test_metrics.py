@@ -11,7 +11,6 @@ from repro.vision.metrics import (
     boxes_recall,
     match_detections,
     precision_recall,
-    recall_at_iou,
 )
 
 
@@ -95,13 +94,6 @@ def test_precision_recall_curve_shapes():
     assert len(precision) == len(recall) == 3
     assert recall[-1] == pytest.approx(1.0)
     assert precision[0] == pytest.approx(1.0)
-
-
-def test_recall_at_iou():
-    ground_truth = [(0, Box(0, 0, 10, 10)), (0, Box(50, 50, 10, 10))]
-    detections = [_det(Box(0, 0, 10, 10), 0.9)]
-    assert recall_at_iou(detections, ground_truth) == pytest.approx(0.5)
-    assert recall_at_iou([], []) == 1.0
 
 
 def test_boxes_recall_counts_coverage():

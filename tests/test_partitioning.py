@@ -187,14 +187,6 @@ class TestFramePartitioner:
         )
         assert partitioner.partition(frame, 0.0, 1.0) == []
 
-    def test_partition_area_matches_sum_of_patch_areas(self, scene01_frames):
-        frame = scene01_frames[2]
-        rois = [obj.box for obj in frame.objects]
-        partitioner = self._partitioner()
-        area = partitioner.partition_area(frame, rois=rois)
-        patches = partitioner.partition(frame, 0.0, 1.0, rois=rois)
-        assert area == pytest.approx(sum(p.area for p in patches))
-
     def test_coarser_partition_keeps_more_objects(self, scene01_frames):
         """Table III: accuracy (object coverage) drops as zones get finer."""
         frame_subset = scene01_frames[5:15]

@@ -126,13 +126,9 @@ class TestEndToEndRunner:
 
 
 class TestFaultKnobs:
-    """PR-6 plumbing: lossy uplinks and ingest expiry."""
-
-    def test_invalid_fault_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            EndToEndConfig(uplink_loss_probability=1.0)
-        with pytest.raises(ValueError):
-            EndToEndConfig(uplink_jitter_s=-0.1)
+    """The runner's one uplink is lossless and it expires nothing: the
+    fault knobs live on the fleet runner, and the two result fields the
+    benchmark reads stay 0."""
 
     def test_default_knobs_do_not_change_the_run(self, traces):
         baseline = _run(traces, strategy="tangram", bandwidth_mbps=40, slo=1.0)
@@ -141,45 +137,9 @@ class TestFaultKnobs:
             strategy="tangram",
             bandwidth_mbps=40,
             slo=1.0,
-            uplink_loss_probability=0.0,
-            uplink_jitter_s=0.0,
-            uplink_fault_seed=77,
             scheduler_options=SchedulerOptions(),
         )
         assert knobbed.total_cost == baseline.total_cost
         assert knobbed.slo_violation_rate == baseline.slo_violation_rate
         assert knobbed.expired_at_ingest == 0
         assert knobbed.dropped_transmissions == 0
-
-    def test_lossy_uplink_drops_are_counted_and_deterministic(self, traces):
-        def run():
-            return _run(
-                traces,
-                strategy="tangram",
-                bandwidth_mbps=40,
-                slo=1.0,
-                uplink_loss_probability=0.3,
-                uplink_fault_seed=13,
-            )
-
-        first, second = run(), run()
-        assert first.dropped_transmissions > 0
-        served = sum(batch.num_patches for batch in first.completed_batches)
-        assert served == first.num_patches - first.dropped_transmissions
-        assert first.dropped_transmissions == second.dropped_transmissions
-        assert first.total_cost == second.total_cost
-
-    def test_stale_arrivals_expired_at_ingest_not_probed(self, traces):
-        # A starved uplink makes patches arrive long past their deadline;
-        # with the knob on they are expired at ingress instead of being
-        # stitched, invoked, and counted as scheduler SLO misses.
-        starved = _run(
-            traces,
-            strategy="tangram",
-            bandwidth_mbps=2.0,
-            slo=0.3,
-            expire_stale_at_ingest=True,
-        )
-        assert starved.expired_at_ingest > 0
-        served = sum(batch.num_patches for batch in starved.completed_batches)
-        assert served == starved.num_patches - starved.expired_at_ingest

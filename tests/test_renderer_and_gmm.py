@@ -53,11 +53,6 @@ class TestFrameRenderer:
         with pytest.raises(ValueError):
             FrameRenderer(render_width=0, render_height=10)
 
-    def test_render_sequence_limit(self):
-        renderer = FrameRenderer(render_width=80, render_height=45)
-        frames = [_static_background_frame() for _ in range(5)]
-        assert len(renderer.render_sequence(frames, limit=3)) == 3
-
 
 class TestGaussianMixtureBackgroundSubtractor:
     def test_first_frame_produces_empty_mask(self):
@@ -94,17 +89,6 @@ class TestGaussianMixtureBackgroundSubtractor:
         for _ in range(60):
             mask = gmm.apply(scene)
         assert mask[7:13, 7:13].mean() < 0.3
-
-    def test_background_image_reflects_dominant_mode(self):
-        gmm = GaussianMixtureBackgroundSubtractor()
-        frame = np.full((10, 10), 77.0)
-        for _ in range(5):
-            gmm.apply(frame)
-        assert np.allclose(gmm.background_image(), 77.0, atol=2.0)
-
-    def test_background_image_before_init_raises(self):
-        with pytest.raises(RuntimeError):
-            GaussianMixtureBackgroundSubtractor().background_image()
 
     def test_non_grayscale_input_rejected(self):
         gmm = GaussianMixtureBackgroundSubtractor()

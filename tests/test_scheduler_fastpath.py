@@ -241,7 +241,7 @@ def test_estimate_memoisation_returns_identical_slack():
     first = estimator.estimate(canvases)
     assert estimator.estimate(canvases) == first  # cache hit
     assert first == pytest.approx(estimator.slack_time(len(canvases)))
-    estimator.clear_estimate_cache()
+    estimator._estimate_cache.clear()
     assert estimator.estimate(canvases) == first
 
 

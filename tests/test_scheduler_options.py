@@ -116,6 +116,13 @@ def _stitcher(**kwargs):
     return IncrementalStitcher(PatchStitchingSolver(), **kwargs)
 
 
+def _estimator(**kwargs):
+    from repro.core.latency import LatencyEstimator
+    from repro.vision.detector import DetectorLatencyModel
+
+    return LatencyEstimator(DetectorLatencyModel.serverless(), **kwargs)
+
+
 #: The per-knob kwargs ``TangramScheduler`` had (``repack_scope`` and
 #: ``canvas_structure`` later left the options record too).
 _SCHEDULER_KWARGS = {
@@ -138,8 +145,12 @@ _CONFIG_FIELDS = {
 
 #: Every removed way of setting a knob next to the options record, plus
 #: ``use_index=``, whose deprecation cycle ended earlier; the record's
-#: own fields that always decided as constants or never acted; and the
-#: fleet config's ingest knobs, which left with the ingest queue.
+#: own fields that always decided as constants or never acted; the
+#: fleet config's ingest knobs, which left with the ingest queue; and
+#: the fields no runner set: the offline facade's online-scheduler
+#: wiring, the end-to-end runner's uplink fault knobs, ingest expiry and
+#: per-camera uplinks, and the estimator's eager-profiling bound and
+#: memo bucket.
 _REMOVED = {
     "options": (
         SchedulerOptions,
@@ -150,8 +161,28 @@ _REMOVED = {
         {"use_index": False, **{knob: _SCHEDULER_KWARGS[knob] for knob in _STITCHER_KWARGS}},
     ),
     "sched": (_scheduler, _SCHEDULER_KWARGS),
-    "e2e": (EndToEndConfig, _CONFIG_FIELDS),
-    "tangram": (TangramConfig, _CONFIG_FIELDS),
+    "e2e": (
+        EndToEndConfig,
+        {
+            **_CONFIG_FIELDS,
+            "uplink_loss_probability": 0.02,
+            "uplink_jitter_s": 0.01,
+            "uplink_fault_seed": 7,
+            "expire_stale_at_ingest": True,
+            "shared_uplink": False,
+        },
+    ),
+    "tangram": (
+        TangramConfig,
+        {
+            **_CONFIG_FIELDS,
+            "gpu_memory_gb": 6.0,
+            "model_memory_gb": 2.5,
+            "canvas_memory_gb": 0.35,
+            "latency_profile_iterations": 300,
+            "scheduler_options": SchedulerOptions(),
+        },
+    ),
     "fleet": (
         FleetScenarioConfig,
         {
@@ -163,6 +194,7 @@ _REMOVED = {
             "drain_interval": 0.05,
         },
     ),
+    "estimator": (_estimator, {"max_batch_size": 16, "pixel_bucket": 0.0}),
 }
 
 
@@ -215,15 +247,6 @@ class TestConfigResolution:
     """Each runner config's ``scheduler_options`` record is the very
     object its scheduler, and that scheduler's stitcher, is built from."""
 
-    def test_tangram_config_options_win_wholesale(self):
-        from repro.core.tangram import Tangram
-
-        record = SchedulerOptions(partial_patch_budget=24)
-        scheduler = Tangram(TangramConfig(scheduler_options=record)).build_online_scheduler(
-            *_online_parts()
-        )
-        _assert_built_from(scheduler, record)
-
     def test_endtoend_config_options_win_wholesale(self):
         from repro.pipeline.endtoend import EndToEndRunner
 
@@ -252,8 +275,8 @@ class TestConfigResolution:
             _assert_built_from(worker.scheduler, record)
 
     def test_fleet_default_is_canvas_scope(self):
-        """Every runner config defaults to the same ``SchedulerOptions()``,
-        the one record the fleet runs, the end-to-end runner and the
-        facade all consolidate with."""
-        for config in (FleetScenarioConfig(), EndToEndConfig(), TangramConfig()):
+        """Both runner configs default to the same ``SchedulerOptions()``,
+        the one record the fleet runs and the end-to-end runner
+        consolidate with."""
+        for config in (FleetScenarioConfig(), EndToEndConfig()):
             assert config.scheduler_options == SchedulerOptions()

@@ -6,7 +6,8 @@ import pytest
 
 from repro.serverless.function import FunctionInstance
 from repro.serverless.loadbalancer import (
-    LeastConnectionsBalancer,
+    ConsistentHashBalancer,
+    LeastLoadedBalancer,
     RoundRobinBalancer,
     make_balancer,
 )
@@ -81,25 +82,22 @@ class TestLoadBalancers:
         picks = [balancer.select(instances).instance_id for _ in range(6)]
         assert picks == ["fn-0", "fn-1", "fn-2", "fn-0", "fn-1", "fn-2"]
 
-    def test_least_connections_prefers_idle_instance(self):
-        simulator = Simulator()
-        instances = self._instances(simulator)
-        instances[0].invoke(10.0)
-        instances[1].invoke(10.0)
-        balancer = LeastConnectionsBalancer()
-        assert balancer.select(instances).instance_id == "fn-2"
-
     def test_empty_instance_list_rejected(self):
-        with pytest.raises(ValueError):
-            RoundRobinBalancer().select([])
-        with pytest.raises(ValueError):
-            LeastConnectionsBalancer().select([])
+        for balancer in (
+            RoundRobinBalancer(),
+            LeastLoadedBalancer(),
+            ConsistentHashBalancer(),
+        ):
+            with pytest.raises(ValueError):
+                balancer.select([])
 
     def test_make_balancer_factory(self):
         assert isinstance(make_balancer("round_robin"), RoundRobinBalancer)
-        assert isinstance(make_balancer("least_connections"), LeastConnectionsBalancer)
-        with pytest.raises(KeyError):
-            make_balancer("random")
+        assert isinstance(make_balancer("least_loaded"), LeastLoadedBalancer)
+        assert isinstance(make_balancer("consistent_hash"), ConsistentHashBalancer)
+        for name in ("random", "least_connections"):
+            with pytest.raises(KeyError):
+                make_balancer(name)
 
 
 class TestServerlessPlatform:

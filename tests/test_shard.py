@@ -24,12 +24,7 @@ from collections import Counter
 import pytest
 
 from repro.fleet.scenario import FleetScenarioConfig, run_fleet_scenario
-from repro.fleet.shard import (
-    ShardRouter,
-    ShardScenarioConfig,
-    consistent_shard_assignment,
-    run_sharded_scenario,
-)
+from repro.fleet.shard import ShardRouter, ShardScenarioConfig, run_sharded_scenario
 from repro.serverless.loadbalancer import (
     BALANCER_POLICIES,
     ConsistentHashBalancer,
@@ -37,6 +32,7 @@ from repro.serverless.loadbalancer import (
     make_balancer,
 )
 from repro.workloads.fleet import FleetWorkloadConfig, camera_ids
+from tests.conftest import consistent_shard_assignment
 
 
 def _base(num_cameras: int = 12, **overrides) -> FleetScenarioConfig:
@@ -194,6 +190,9 @@ class TestShardScenarioConfig:
             {"rebalance_interval": float("nan")},
             {"hot_factor": float("nan")},
             {"steal_fraction": float("nan")},
+            {"dispatch": "least_connections"},
+            {"shards": 2.5},
+            {"shards": float("nan")},
         ],
     )
     def test_validation(self, overrides):

@@ -4,7 +4,7 @@ Four pins:
 
 * **Structural invariants** — segments stay x-sorted, merged, and within
   the canvas; surface candidates are maximal; waste rectangles stay
-  disjoint and below the silhouette (``Skyline.check_invariants``), and
+  disjoint and below the silhouette (``check_invariants``), and
   every packing invariant of the batch solver holds on skyline canvases.
 * **Packing metrics against the guillotine oracle** — randomized
   comparisons of the batch packer's canvas count and mean canvas
@@ -12,8 +12,9 @@ Four pins:
   guillotine split), up to queue depth 4096.
 * **Best-fit exactness** — ``Skyline.best_fit``'s bisect fast-reject and
   tuple scan return exactly what a naive scan over ``free_rectangles``
-  would, and the stitcher's global probe picks the canvas a naive scan
-  of every live skyline canvas would.
+  (the skyline's candidates as geometry) would, and the stitcher's
+  global probe picks the canvas a naive scan of every live skyline
+  canvas would.
 * **Efficiency-heap selection** — ``_plan_partial_repack``'s running
   min-heap picks exactly the victims the former sort-per-overflow did.
 """
@@ -30,14 +31,20 @@ from hypothesis import strategies as st
 from repro.core.consolidation import MAX_PARTIAL_VICTIMS
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
-from repro.core.skyline import FreeRect, Skyline
+from repro.core.skyline import Skyline
 from repro.core.stitching import (
     Canvas,
     IncrementalStitcher,
     PatchStitchingSolver,
 )
 from repro.video.geometry import Box
-from tests.conftest import guillotine_pack
+from tests.conftest import (
+    FreeRect,
+    check_invariants,
+    free_rectangles,
+    guillotine_pack,
+    segments,
+)
 
 patch_sizes = st.tuples(
     st.floats(min_value=10.0, max_value=1500.0, allow_nan=False),
@@ -77,17 +84,17 @@ def _rng_patches(count: int, seed: int, lo: float = 64.0, hi: float = 640.0):
 class TestSkylineInvariants:
     def test_fresh_skyline_is_one_floor_segment_and_one_candidate(self):
         sky = Skyline(1024.0, 768.0)
-        assert sky.segments == [(0.0, 0.0, 1024.0)]
+        assert segments(sky) == [(0.0, 0.0, 1024.0)]
         assert sky.candidates == [(0.0, 0.0, 1024.0, 768.0)]
         assert sky.num_surface == 1
-        sky.check_invariants()
+        check_invariants(sky)
 
     def test_place_raises_silhouette_and_splits_segments(self):
         sky = Skyline(1000.0, 1000.0)
         x, y = sky.place(0, 400.0, 300.0)
         assert (x, y) == (0.0, 0.0)
-        assert sky.segments == [(0.0, 300.0, 400.0), (400.0, 0.0, 600.0)]
-        sky.check_invariants()
+        assert segments(sky) == [(0.0, 300.0, 400.0), (400.0, 0.0, 600.0)]
+        check_invariants(sky)
 
     def test_equal_height_neighbours_merge_on_commit(self):
         sky = Skyline(1000.0, 1000.0)
@@ -99,8 +106,8 @@ class TestSkylineInvariants:
         )
         x, y = sky.place(floor, 600.0, 300.0)
         assert (x, y) == (400.0, 0.0)
-        assert sky.segments == [(0.0, 300.0, 1000.0)]
-        sky.check_invariants()
+        assert segments(sky) == [(0.0, 300.0, 1000.0)]
+        check_invariants(sky)
 
     def test_bridging_placement_records_waste(self):
         sky = Skyline(1000.0, 1000.0)
@@ -111,12 +118,12 @@ class TestSkylineInvariants:
         x, y = sky.place(level, 900.0, 200.0)
         assert (x, y) == (0.0, 300.0)
         assert sky.waste == [(400.0, 0.0, 500.0, 300.0)]
-        sky.check_invariants()
+        check_invariants(sky)
         # The waste rectangle is offered as a candidate and is usable.
         waste_index = sky.candidates.index((400.0, 0.0, 500.0, 300.0))
         wx, wy = sky.place(waste_index, 500.0, 300.0)
         assert (wx, wy) == (400.0, 0.0)
-        sky.check_invariants()
+        check_invariants(sky)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(patch_sizes, min_size=1, max_size=40))
@@ -126,7 +133,7 @@ class TestSkylineInvariants:
         PatchStitchingSolver.validate_packing(canvases, strict=True)
         for canvas in canvases:
             assert canvas.skyline is not None
-            canvas.skyline.check_invariants()
+            check_invariants(canvas.skyline)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(patch_sizes, min_size=1, max_size=40))
@@ -142,7 +149,7 @@ class TestSkylineInvariants:
             PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
             for canvas in stitcher.canvases:
                 if canvas.skyline is not None:
-                    canvas.skyline.check_invariants()
+                    check_invariants(canvas.skyline)
 
     def test_oversized_patch_gets_skyline_canvas_too(self):
         """A dedicated oversized canvas is a skyline canvas like any
@@ -154,21 +161,25 @@ class TestSkylineInvariants:
         assert len(oversized) == 1
         (placement,) = oversized[0].placements
         assert (placement.x, placement.y) == (0.0, 0.0)
-        assert oversized[0].skyline.segments == [(0.0, 1100.0, 2048.0)]
-        assert oversized[0].free_rectangles == []
-        oversized[0].skyline.check_invariants()
+        assert segments(oversized[0].skyline) == [(0.0, 1100.0, 2048.0)]
+        assert free_rectangles(oversized[0]) == []
+        check_invariants(oversized[0].skyline)
         PatchStitchingSolver.validate_packing(canvases, strict=True)
 
     def test_skyline_canvas_rejects_free_rectangles_writes(self):
-        """The skyline is the source of truth: ``free_rectangles`` is a
-        read-only view of its candidates, so a write cannot desync reads
-        from placement decisions."""
+        """The skyline is the source of truth: a canvas has no free
+        rectangle list of its own to write, so a write cannot desync
+        reads from placement decisions, and its free rectangles are
+        exactly the skyline's candidates."""
         canvas = Canvas(width=100, height=100)
         with pytest.raises(AttributeError):
             canvas.free_rectangles = [Box(0.0, 0.0, 50.0, 50.0)]
-        assert canvas.free_rectangles == [FreeRect(0.0, 0.0, 100.0, 100.0)]
+        assert free_rectangles(canvas) == [FreeRect(0.0, 0.0, 100.0, 100.0)]
         canvas.try_place(_patches([(60.0, 40.0)])[0])
-        assert canvas.free_rectangles == canvas.skyline.free_rects()
+        assert free_rectangles(canvas) == [
+            FreeRect(0.0, 40.0, 100.0, 60.0),
+            FreeRect(60.0, 0.0, 40.0, 100.0),
+        ]
 
     def test_free_rect_quacks_like_box(self):
         rect = FreeRect(10.0, 20.0, 30.0, 40.0)
@@ -187,7 +198,7 @@ def _naive_best_fit(canvas: Canvas, patch: Patch):
     """The reference scan: strict ``<`` over ``free_rectangles`` order."""
     best_index = -1
     best_score = float("inf")
-    for index, rect in enumerate(canvas.free_rectangles):
+    for index, rect in enumerate(free_rectangles(canvas)):
         if rect.width >= patch.width and rect.height >= patch.height:
             score = min(rect.width - patch.width, rect.height - patch.height)
             if score < best_score:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.stitching import Canvas, IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
-from tests.conftest import make_patch
+from tests.conftest import free_rectangles, make_patch
 
 NAN = float("nan")
 INF = float("inf")
@@ -36,8 +36,8 @@ def test_geometry_constructors_reject_non_finite(build):
 class TestCanvas:
     def test_fresh_canvas_has_single_free_rectangle(self):
         canvas = Canvas(width=1024, height=1024)
-        assert len(canvas.free_rectangles) == 1
-        assert canvas.free_rectangles[0].area == 1024 * 1024
+        assert len(free_rectangles(canvas)) == 1
+        assert free_rectangles(canvas)[0].area == 1024 * 1024
         assert canvas.efficiency == 0.0
 
     def test_place_reduces_free_space(self):
@@ -48,7 +48,7 @@ class TestCanvas:
         assert canvas.used_area == 400 * 300
         # The skyline offers one maximal candidate per silhouette level:
         # above the patch (spanning the full width) and beside it.
-        above, beside = (Box(*rect.as_tuple()) for rect in canvas.free_rectangles)
+        above, beside = (Box(*rect.as_tuple()) for rect in free_rectangles(canvas))
         assert above == Box(0.0, 300.0, 1024.0, 724.0)
         assert beside == Box(400.0, 0.0, 624.0, 1024.0)
         assert above.intersection_area(placement.box) == 0.0
@@ -82,7 +82,7 @@ class TestCanvas:
         # min(400-380, 1000-80) = 20; the tie keeps the first.
         index = canvas.find_free_rectangle(make_patch(380, 80))
         assert index is not None
-        chosen = canvas.free_rectangles[index]
+        chosen = free_rectangles(canvas)[index]
         assert chosen.width >= 380 and chosen.height >= 80
 
     def test_invalid_canvas_dimensions_rejected(self):

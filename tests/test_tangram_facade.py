@@ -1,21 +1,16 @@
-"""Tests for the Tangram facade (Section IV public API)."""
+"""Tests for the offline Tangram facade (Section IV public API)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.tangram import Tangram, TangramConfig
-from repro.serverless.platform import ServerlessPlatform
-from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
 
 
 @pytest.fixture(scope="module")
 def tangram() -> Tangram:
-    return Tangram(
-        config=TangramConfig(latency_profile_iterations=100),
-        streams=RandomStreams(21),
-    )
+    return Tangram(config=TangramConfig(), streams=RandomStreams(21))
 
 
 def test_partition_returns_patches_with_default_slo(tangram, scene01_frames):
@@ -48,12 +43,6 @@ def test_process_frame_offline_produces_cost_and_bytes(tangram, scene01_frames):
     assert 0 < result.mean_canvas_efficiency <= 1.0
 
 
-def test_process_sequence_offline_length(tangram, scene01_frames):
-    results = tangram.process_sequence_offline(scene01_frames[:5])
-    assert len(results) == 5
-    assert [r.frame_index for r in results] == [f.frame_index for f in scene01_frames[:5]]
-
-
 def test_offline_cost_cheaper_than_per_patch_invocations(tangram, scene01_frames):
     """Stitching several patches into one request beats invoking per patch
     (the Fig. 8 Tangram-vs-ELF gap)."""
@@ -68,21 +57,12 @@ def test_offline_cost_cheaper_than_per_patch_invocations(tangram, scene01_frames
     assert result.cost < per_patch_cost
 
 
-def test_build_online_scheduler_wires_config(tangram):
-    simulator = Simulator()
-    platform = ServerlessPlatform(simulator, cold_start_time=0.0)
-    scheduler = tangram.build_online_scheduler(simulator, platform)
-    assert scheduler.solver is tangram.solver
-    assert scheduler.estimator is tangram.estimator
-    assert scheduler.max_canvases >= 1
-
-
 def test_config_defaults_follow_paper():
     config = TangramConfig()
     assert config.zones_x == 4 and config.zones_y == 4
     assert config.canvas_width == 1024 and config.canvas_height == 1024
     assert config.slo == 1.0
-    assert config.gpu_memory_gb == 6.0
+    assert config.roi_method == "gmm"
 
 
 def test_empty_frame_offline_result_is_free(tangram, scene01_frames):
