@@ -23,6 +23,7 @@ from typing import Any, Callable, Optional
 
 from repro.network.link import SendOutcome, TransmissionRecord, Uplink, counter_uniform
 from repro.simulation.engine import Simulator
+from repro.simulation.events import Event
 
 
 @dataclass(frozen=True)
@@ -122,79 +123,157 @@ class ReliableSender:
         receives the terminal reason: ``"attempts"``, ``"deadline"``, or
         ``"outage"``/``"loss"``-derived exhaustion.
         """
-        policy = self.policy
         self.stats.transfers += 1
         if key is None:
             key = ("transfer", self.stats.transfers)
-        # One mutable cell per transfer: bumping the generation abandons
-        # every callback captured by earlier attempts.
-        state = {"generation": 0, "resolved": False}
+        transfer = _Transfer(self, size_bytes, payload, key, deadline, on_delivered, on_failed)
+        transfer.launch(1)
 
-        def fail(reason: str) -> None:
-            state["resolved"] = True
-            self.stats.failed += 1
-            if on_failed is not None:
-                on_failed(reason)
 
-        def launch(attempt: int) -> None:
-            if state["resolved"]:
-                return
-            generation = state["generation"]
-            self.stats.attempts += 1
+class _Transfer:
+    """One payload's retransmission loop.
 
-            def still_current() -> bool:
-                return not state["resolved"] and generation == state["generation"]
+    It and its :class:`_Attempt` objects are ``__slots__`` records whose
+    bound methods are the uplink and event callbacks, so a transfer
+    allocates no closures, and nothing refers to it once it has settled.
+    """
 
-            def delivered(record: TransmissionRecord) -> None:
-                if not still_current():
-                    return
-                state["resolved"] = True
-                self.stats.delivered += 1
-                if on_delivered is not None:
-                    on_delivered(record)
+    __slots__ = (
+        "sender",
+        "size_bytes",
+        "payload",
+        "key",
+        "deadline",
+        "on_delivered",
+        "on_failed",
+        "attempt",
+        "generation",
+        "resolved",
+    )
 
-            def dropped(record: TransmissionRecord) -> None:
-                if not still_current():
-                    return
-                retry_or_fail(attempt, record.drop_reason or "drop")
+    def __init__(
+        self,
+        sender: ReliableSender,
+        size_bytes: float,
+        payload: Any,
+        key: Any,
+        deadline: Optional[float],
+        on_delivered: Optional[Callable[[TransmissionRecord], None]],
+        on_failed: Optional[Callable[[str], None]],
+    ) -> None:
+        self.sender = sender
+        self.size_bytes = size_bytes
+        self.payload = payload
+        self.key = key
+        self.deadline = deadline
+        self.on_delivered = on_delivered
+        self.on_failed = on_failed
+        #: Number of the latest attempt (1-based).
+        self.attempt = 0
+        #: Bumping the generation abandons every callback of earlier
+        #: attempts.
+        self.generation = 0
+        self.resolved = False
 
-            outcome: SendOutcome = self.uplink.send(
-                size_bytes,
-                payload=payload,
-                on_delivered=delivered,
-                on_dropped=dropped,
-                loss_key=(key, attempt),
+    def fail(self, reason: str) -> None:
+        self.resolved = True
+        self.sender.stats.failed += 1
+        if self.on_failed is not None:
+            self.on_failed(reason)
+
+    def launch(self, attempt: int) -> None:
+        if self.resolved:
+            return
+        sender = self.sender
+        sender.stats.attempts += 1
+        self.attempt = attempt
+        current = _Attempt(self)
+        outcome = sender.uplink.send(
+            self.size_bytes,
+            payload=self.payload,
+            on_delivered=current.delivered,
+            on_dropped=current.dropped,
+            loss_key=(self.key, attempt),
+        )
+        timeout_s = sender.policy.attempt_timeout_s
+        if timeout_s is not None and outcome.pending:
+            current.outcome = outcome
+            current.timeout = sender.simulator.schedule_in(
+                timeout_s,
+                current.timed_out,
+                name=f"{sender.uplink.name}:attempt-timeout",
             )
-            if policy.attempt_timeout_s is not None and outcome.pending:
 
-                def timed_out(_sim: Simulator) -> None:
-                    if not still_current() or not outcome.pending:
-                        return
-                    self.stats.timeouts += 1
-                    retry_or_fail(attempt, "timeout")
+    def relaunch(self, _sim: Simulator) -> None:
+        self.launch(self.attempt + 1)
 
-                self.simulator.schedule_in(
-                    policy.attempt_timeout_s,
-                    timed_out,
-                    name=f"{self.uplink.name}:attempt-timeout",
-                )
+    def retry_or_fail(self, reason: str) -> None:
+        """Retry or give up after the latest attempt failed."""
+        # Abandon the attempt's remaining callbacks before rescheduling.
+        self.generation += 1
+        sender = self.sender
+        policy = sender.policy
+        if self.attempt >= policy.max_attempts:
+            self.fail(reason)
+            return
+        simulator = sender.simulator
+        delay = policy.backoff(self.attempt, sender.uplink.fault_seed, self.key)
+        if self.deadline is not None and simulator.now + delay >= self.deadline:
+            sender.stats.gave_up_deadline += 1
+            self.fail("deadline")
+            return
+        sender.stats.retries += 1
+        simulator.schedule_in(
+            delay, self.relaunch, name=f"{sender.uplink.name}:retry"
+        )
 
-        def retry_or_fail(attempt: int, reason: str) -> None:
-            # Abandon the attempt's remaining callbacks before rescheduling.
-            state["generation"] += 1
-            if attempt >= policy.max_attempts:
-                fail(reason)
-                return
-            delay = policy.backoff(attempt, self.uplink.fault_seed, key)
-            if deadline is not None and self.simulator.now + delay >= deadline:
-                self.stats.gave_up_deadline += 1
-                fail("deadline")
-                return
-            self.stats.retries += 1
-            self.simulator.schedule_in(
-                delay,
-                lambda _sim: launch(attempt + 1),
-                name=f"{self.uplink.name}:retry",
-            )
 
-        launch(1)
+class _Attempt:
+    """One transmission of a :class:`_Transfer` and its timeout.
+
+    The timeout is cancelled as soon as the attempt resolves, delivered
+    or dropped: from then on it could only be a no-op, and a live event
+    would keep the whole transfer reachable for ``attempt_timeout_s``.
+    """
+
+    __slots__ = ("transfer", "generation", "outcome", "timeout")
+
+    def __init__(self, transfer: _Transfer) -> None:
+        self.transfer = transfer
+        self.generation = transfer.generation
+        self.outcome: Optional[SendOutcome] = None
+        self.timeout: Optional[Event] = None
+
+    def still_current(self) -> bool:
+        """Whether this is the transfer's latest attempt and it is open."""
+        transfer = self.transfer
+        return not transfer.resolved and self.generation == transfer.generation
+
+    def cancel_timeout(self) -> None:
+        if self.timeout is not None:
+            self.timeout.cancel()
+            self.timeout = None
+
+    def delivered(self, record: TransmissionRecord) -> None:
+        self.cancel_timeout()
+        if not self.still_current():
+            return
+        transfer = self.transfer
+        transfer.resolved = True
+        transfer.sender.stats.delivered += 1
+        if transfer.on_delivered is not None:
+            transfer.on_delivered(record)
+
+    def dropped(self, record: TransmissionRecord) -> None:
+        self.cancel_timeout()
+        if not self.still_current():
+            return
+        self.transfer.retry_or_fail(record.drop_reason or "drop")
+
+    def timed_out(self, _sim: Simulator) -> None:
+        # The event has fired; let go of it, since it refers back here.
+        self.timeout = None
+        if not self.still_current() or not self.outcome.pending:
+            return
+        self.transfer.sender.stats.timeouts += 1
+        self.transfer.retry_or_fail("timeout")

@@ -89,6 +89,10 @@ class FleetRunResult:
     transfers: Dict[str, int] = field(default_factory=dict)
     liveness_transitions: Dict[str, int] = field(default_factory=dict)
     fault_summary: Dict[str, object] = field(default_factory=dict)
+    #: Simulated time at which the run ended: the firing time of the last
+    #: event that fired, the final flush's batches included.  A retry
+    #: attempt's timeout is cancelled once the attempt resolves, so no
+    #: no-op timeout stretches the run past its last real work.
     simulated_duration: float = 0.0
     #: Wall-clock seconds the scheduler(s) spent inside their own entry
     #: points (see :attr:`repro.core.scheduler.BaseScheduler.

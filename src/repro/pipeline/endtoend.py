@@ -18,6 +18,8 @@ Event-driven flow for every camera:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -77,6 +79,18 @@ class EndToEndConfig:
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (self.bandwidth_mbps > 0 and self.slo > 0 and self.fps > 0):
             raise ValueError("bandwidth_mbps, slo and fps must be positive")
+        # Fractional or NaN counts pass ``< 1`` and would only fail in
+        # ``range()`` mid-run (or not at all), so they fail here.
+        for name in ("zones_x", "zones_y", "max_instances"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
+        # A negative or NaN edge delay, or a NaN MArk timeout, would only
+        # surface as a SimulationError at the first event that uses it.
+        if not (math.isfinite(self.edge_latency) and self.edge_latency >= 0):
+            raise ValueError("edge_latency must be finite and non-negative")
+        if not (math.isfinite(self.mark_timeout) and self.mark_timeout > 0):
+            raise ValueError("mark_timeout must be finite and positive")
 
 
 @dataclass

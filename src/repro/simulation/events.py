@@ -42,8 +42,14 @@ class Event:
     cancelled: bool = field(default=False, compare=False)
 
     def cancel(self) -> None:
-        """Mark the event so the queue discards it instead of firing it."""
+        """Mark the event so the queue discards it instead of firing it.
+
+        Cancellation is lazy: the event stays in the heap until it reaches
+        the top.  Dropping the callback here lets whatever it captured be
+        freed now rather than when the dead entry is finally popped.
+        """
         self.cancelled = True
+        self.callback = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "cancelled" if self.cancelled else "pending"
@@ -55,18 +61,21 @@ class EventQueue:
 
     The queue is a thin wrapper over :mod:`heapq` that also assigns the
     monotonically increasing sequence numbers used for deterministic
-    tie-breaking and supports lazy cancellation.
+    tie-breaking and supports lazy cancellation.  Heap entries are
+    ``(time, priority, sequence, event)`` tuples, so sifts compare tuples
+    natively; ``sequence`` is unique, so the event itself is never
+    compared and the order is exactly :class:`Event`'s.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __bool__(self) -> bool:
-        return any(not event.cancelled for event in self._heap)
+        return any(not entry[3].cancelled for entry in self._heap)
 
     def push(
         self,
@@ -79,14 +88,15 @@ class EventQueue:
         """Schedule ``callback`` at absolute ``time`` and return the event."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
+        sequence = next(self._counter)
         event = Event(
             time=time,
             priority=priority,
-            sequence=next(self._counter),
+            sequence=sequence,
             callback=callback,
             name=name,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def pop(self) -> Event:
@@ -98,18 +108,18 @@ class EventQueue:
             If the queue contains no live events.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if not event.cancelled:
                 return event
         raise IndexError("pop from an empty EventQueue")
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event."""

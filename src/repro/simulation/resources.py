@@ -10,7 +10,7 @@ them in order, and reports per-job waiting/service/completion times.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional
 
 from repro.simulation.engine import Simulator
@@ -47,7 +47,6 @@ class ResourceStats:
     busy_time: float = 0.0
     total_waiting_time: float = 0.0
     total_service_time: float = 0.0
-    completed_jobs: list[ResourceJob] = field(default_factory=list)
 
     def utilisation(self, elapsed: float, capacity: int) -> float:
         """Fraction of capacity-seconds spent serving jobs."""
@@ -73,10 +72,11 @@ class Resource:
         Number of jobs that may be in service simultaneously.
     name:
         Label used in event names and error messages.
-    keep_completed_jobs:
-        When true, finished :class:`ResourceJob` records are retained in
-        :attr:`stats` for post-hoc analysis (the benchmark harness uses
-        this); disable for very long runs to save memory.
+
+    A finished job is handed to its ``on_complete`` callback and then
+    dropped: :attr:`stats` keeps only aggregates, so a long run holds no
+    per-job history (and no callback a job captured).  Callers that need
+    a job's timings keep the :class:`ResourceJob` :meth:`submit` returns.
     """
 
     def __init__(
@@ -84,14 +84,12 @@ class Resource:
         simulator: Simulator,
         capacity: int = 1,
         name: str = "resource",
-        keep_completed_jobs: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.simulator = simulator
         self.capacity = capacity
         self.name = name
-        self.keep_completed_jobs = keep_completed_jobs
         self._queue: Deque[ResourceJob] = deque()
         self._in_service = 0
         self.stats = ResourceStats()
@@ -155,8 +153,6 @@ class Resource:
         self.stats.jobs_completed += 1
         self.stats.busy_time += job.service_time
         self.stats.total_service_time += job.service_time
-        if self.keep_completed_jobs:
-            self.stats.completed_jobs.append(job)
         if job.on_complete is not None:
             job.on_complete(job)
         self._try_start_next()

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from repro.video.geometry import Box, merge_overlapping
 
@@ -262,6 +261,10 @@ def mask_to_boxes(
     blobs, as morphological post-processing does in real pipelines).
     Components smaller than ``min_area`` pixels are discarded as noise.
     """
+    # Imported here, its one use: the runners never label pixel masks, and
+    # scipy would otherwise double their import time and resident memory.
+    from scipy import ndimage
+
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError("mask must be two-dimensional")

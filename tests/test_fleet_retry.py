@@ -64,6 +64,42 @@ class TestReliableSender:
         assert sender.stats.attempts == 1
         assert sender.stats.retries == 0
 
+    def test_resolved_attempt_leaves_no_live_event(self):
+        # The attempt's timeout is cancelled as soon as the attempt
+        # resolves, so nothing is left to keep the run (or the transfer)
+        # alive past the delivery.
+        simulator = Simulator()
+        sender = _sender(simulator)
+        pending = []
+        sender.send(
+            7_000,
+            key="k",
+            on_delivered=lambda record: pending.append(simulator.pending_events),
+        )
+        simulator.run()
+        assert pending == [0]
+        assert simulator.now == pytest.approx(0.007)
+
+    def test_attempt_delivered_on_retry_leaves_no_live_event(self):
+        # Attempt 1 is lost (its timeout goes with the drop); attempt 2
+        # delivers and takes its own timeout with it.
+        simulator = Simulator()
+        sender = _sender(
+            simulator,
+            policy=RetryPolicy(base_backoff_s=0.02, jitter_fraction=0.0),
+            loss_probability=lambda now: 1.0 if now < 0.005 else 0.0,
+        )
+        pending = []
+        sender.send(
+            7_000,
+            key="k",
+            on_delivered=lambda record: pending.append(simulator.pending_events),
+        )
+        simulator.run()
+        assert sender.stats.attempts == 2
+        assert pending == [0]
+        assert simulator.now == pytest.approx(0.007 + 0.02 + 0.007)
+
     def test_retries_through_loss_until_delivered(self):
         # Full loss for the first second, then a clean link: the transfer
         # must survive on retries alone.

@@ -38,6 +38,30 @@ class TestEndToEndConfig:
             with pytest.raises(ValueError):
                 EndToEndConfig(**{name: float("nan")})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"zones_x": 2.5},
+            {"zones_y": 2.5},
+            {"zones_x": 0},
+            {"zones_y": float("nan")},
+            {"max_instances": 2.5},
+            {"max_instances": 0},
+            {"edge_latency": -0.1},
+            {"edge_latency": float("nan")},
+            {"edge_latency": float("inf")},
+            {"mark_timeout": float("nan")},
+            {"mark_timeout": 0.0},
+            {"mark_timeout": float("inf")},
+        ],
+        ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+    )
+    def test_malformed_fields_rejected_at_construction(self, overrides):
+        # Each of these used to be accepted and then crash mid-run (or,
+        # for a fractional instance cap, run silently).
+        with pytest.raises(ValueError):
+            EndToEndConfig(**overrides)
+
 
 class TestEndToEndRunner:
     def test_empty_camera_map_rejected(self):

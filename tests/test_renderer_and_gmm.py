@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.simulation.random_streams import RandomStreams
 from repro.video.frames import Frame, GroundTruthObject
 from repro.video.generator import SceneGenerator
@@ -157,3 +163,26 @@ class TestMaskToBoxes:
     def test_non_2d_mask_rejected(self):
         with pytest.raises(ValueError):
             mask_to_boxes(np.zeros((4, 4, 2), dtype=bool))
+
+    def test_runners_import_without_scipy(self):
+        # scipy is loaded by mask_to_boxes alone, so a process that only
+        # imports the two end-to-end runners never pays for it.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (src, env.get("PYTHONPATH")) if path
+        )
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.fleet, repro.pipeline.endtoend; "
+                "print('scipy' in sys.modules)",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.events import Event, EventQueue
 
@@ -85,3 +89,57 @@ def test_event_ordering_dataclass():
     early = Event(time=1.0, priority=0, sequence=0)
     late = Event(time=2.0, priority=0, sequence=1)
     assert early < late
+
+
+def test_cancel_releases_the_callback():
+    # Cancellation is lazy, so the event stays queued until it is popped;
+    # what its callback captured must not stay alive with it.
+    class Callback:
+        def __call__(self, sim):
+            pass
+
+    queue = EventQueue()
+    callback = Callback()
+    captured = weakref.ref(callback)
+    event = queue.push(1.0, callback)
+    queue.push(2.0, lambda sim: None, name="kept")
+    del callback
+    event.cancel()
+    assert event.callback is None
+    assert captured() is None
+    assert queue.pop().name == "kept"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.sampled_from([-1, 0, 1]),
+            st.booleans(),
+        ),
+        max_size=40,
+    )
+)
+def test_pop_order_matches_sorted_reference(draws):
+    # Times on a coarse grid so that ties occur; live events must pop in
+    # (time, priority, push index) order, cancelled ones never.
+    queue = EventQueue()
+    events = [
+        queue.push(grid * 0.5, lambda sim: None, priority=priority, name=str(index))
+        for index, (grid, priority, _cancel) in enumerate(draws)
+    ]
+    for event, (_grid, _priority, cancel) in zip(events, draws):
+        if cancel:
+            event.cancel()
+    expected = sorted(
+        (grid * 0.5, priority, index)
+        for index, (grid, priority, cancel) in enumerate(draws)
+        if not cancel
+    )
+    popped = []
+    while queue:
+        event = queue.pop()
+        popped.append((event.time, event.priority, int(event.name)))
+    assert popped == expected
+    assert queue.peek_time() is None

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simulation.engine import Simulator
@@ -112,10 +115,13 @@ def test_backlog_time_counts_only_queued_jobs():
     assert resource.is_idle
 
 
-def test_keep_completed_jobs_flag():
+def test_finished_job_is_not_retained():
+    # A finished job (and the callback it pins) must be garbage once the
+    # caller lets go of it: the resource keeps aggregates only.
     simulator = Simulator()
-    resource = Resource(simulator, capacity=1, keep_completed_jobs=False)
-    resource.submit(1.0)
+    resource = Resource(simulator, capacity=1)
+    job = weakref.ref(resource.submit(1.0, on_complete=lambda job: None))
     simulator.run()
-    assert resource.stats.completed_jobs == []
+    gc.collect()
+    assert job() is None
     assert resource.stats.jobs_completed == 1
