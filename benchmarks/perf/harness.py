@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -166,18 +166,12 @@ def _make_timed_trace(count: int, seed: int, slo: float = 2.0, spacing: float = 
     ]
 
 
-def _options(**fields):
-    """A :class:`~repro.core.options.SchedulerOptions` record (imported
-    here, like every ``repro`` import of this module)."""
-    from repro.core.options import SchedulerOptions
-
-    return SchedulerOptions(**fields)
-
-
-def _build_scheduler(options, unconstrained: bool = True, **scheduler_kwargs):
-    """A scheduler configured by ``options`` (a :class:`~repro.core.
-    options.SchedulerOptions`); ``scheduler_kwargs`` are constructor
-    arguments such as ``gpu_memory_gb``."""
+def _build_scheduler(literal: bool = False, unconstrained: bool = True, **scheduler_kwargs):
+    """A scheduler on its production stitcher or, with ``literal=True``,
+    on the always-re-pack oracle of ``tests/oracles.py``, which makes the
+    literal Algorithm 2's decisions (a full re-pack per arrival);
+    ``scheduler_kwargs`` are constructor arguments such as
+    ``gpu_memory_gb``."""
     from repro.core.latency import LatencyEstimator
     from repro.core.scheduler import TangramScheduler
     from repro.serverless.platform import ServerlessPlatform
@@ -203,9 +197,12 @@ def _build_scheduler(options, unconstrained: bool = True, **scheduler_kwargs):
         streams=RandomStreams(6),
         model_memory_gb=2.5,
         canvas_memory_gb=0.35,
-        options=options,
         **scheduler_kwargs,
     )
+    if literal:
+        from tests.oracles import use_always_repack
+
+        use_always_repack(scheduler)
     return simulator, scheduler
 
 
@@ -266,9 +263,9 @@ def bench_validate_packing() -> BenchResult:
     )
 
 
-def _bench_scheduler_arrival(incremental: bool, name: str) -> BenchResult:
+def _bench_scheduler_arrival(literal: bool, name: str) -> BenchResult:
     patches = _make_patches(ARRIVAL_QUEUE_DEPTH, seed=17)
-    simulator, scheduler = _build_scheduler(_options(incremental=incremental))
+    simulator, scheduler = _build_scheduler(literal)
     start = time.perf_counter()
     for patch in patches:
         scheduler.receive_patch(patch)
@@ -276,27 +273,27 @@ def _bench_scheduler_arrival(incremental: bool, name: str) -> BenchResult:
     meta: Dict[str, object] = {
         "queue_depth": ARRIVAL_QUEUE_DEPTH,
         "pending_canvases": scheduler.pending_canvases,
+        "packing_stats": scheduler.packing_stats,
     }
-    if incremental:
-        meta["packing_stats"] = scheduler.packing_stats
     return BenchResult(name, elapsed, meta)
 
 
 def bench_scheduler_arrival_full() -> BenchResult:
-    """The literal Algorithm 2 arrival path: full re-pack per arrival."""
-    return _bench_scheduler_arrival(False, "scheduler_arrival_full_256")
+    """The literal Algorithm 2 arrival path (the always-re-pack oracle):
+    full re-pack per arrival."""
+    return _bench_scheduler_arrival(True, "scheduler_arrival_full_256")
 
 
 def bench_scheduler_arrival_fast() -> BenchResult:
     """The incremental fast path at the same queue depth."""
-    return _bench_scheduler_arrival(True, "scheduler_arrival_fast_256")
+    return _bench_scheduler_arrival(False, "scheduler_arrival_fast_256")
 
 
-def _bench_deep_arrival(name: str, patches, options) -> BenchResult:
+def _bench_deep_arrival(name: str, patches) -> BenchResult:
     """Deep-queue arrival microbenchmark: push every patch through
     ``receive_patch`` with a huge SLO and unconstrained memory so the
     queue only grows, and time the arrival path alone."""
-    simulator, scheduler = _build_scheduler(options)
+    simulator, scheduler = _build_scheduler()
     start = time.perf_counter()
     for patch in patches:
         scheduler.receive_patch(patch)
@@ -304,7 +301,6 @@ def _bench_deep_arrival(name: str, patches, options) -> BenchResult:
     meta: Dict[str, object] = {
         "queue_depth": len(patches),
         "pending_canvases": scheduler.pending_canvases,
-        "scheduler_options": asdict(options),
         "packing_stats": scheduler.packing_stats,
     }
     consolidation_stats = scheduler.consolidation_stats
@@ -316,11 +312,7 @@ def _bench_deep_arrival(name: str, patches, options) -> BenchResult:
 def bench_arrival_fleet_4096() -> BenchResult:
     """The fleet-scale arrival path at queue depth 4096: budget-bounded
     partial re-packs on skyline canvases (informational)."""
-    return _bench_deep_arrival(
-        "scheduler_arrival_fleet_4096",
-        _make_patches(4096, seed=19),
-        _options(),
-    )
+    return _bench_deep_arrival("scheduler_arrival_fleet_4096", _make_patches(4096, seed=19))
 
 
 def bench_fleet_repack_skyline() -> BenchResult:
@@ -351,13 +343,11 @@ def bench_arrival_heavytail_1024() -> BenchResult:
     giants) stress the partial re-pack's patch budget (tiny patches pile
     up dozens per canvas)."""
     return _bench_deep_arrival(
-        "scheduler_arrival_heavytail_1024",
-        _make_heavytail_patches(1024, seed=29),
-        _options(),
+        "scheduler_arrival_heavytail_1024", _make_heavytail_patches(1024, seed=29)
     )
 
 
-def _bench_scheduler_stream(name: str, options) -> BenchResult:
+def _bench_scheduler_stream(name: str, literal: bool) -> BenchResult:
     """A realistic 2048-patch stream (timed arrivals, 2 s SLO, a larger
     GPU instance so queues run ~100 patches deep) through the scheduler:
     queues flush at invocations, so this measures the packing quality
@@ -367,7 +357,7 @@ def _bench_scheduler_stream(name: str, options) -> BenchResult:
     (``partial_repacks`` in its meta stays well above zero), not just the
     small-queue whole-queue re-pack."""
     patches = _make_timed_trace(2048, seed=31)
-    simulator, scheduler = _build_scheduler(options, unconstrained=False, gpu_memory_gb=60.0)
+    simulator, scheduler = _build_scheduler(literal, unconstrained=False, gpu_memory_gb=60.0)
     for patch in patches:
         simulator.schedule_at(
             patch.generation_time + 0.02,
@@ -397,17 +387,15 @@ def _bench_scheduler_stream(name: str, options) -> BenchResult:
 
 
 def bench_stream_batch_packer_2048() -> BenchResult:
-    """The batch packer reference: the literal Algorithm 2
-    (``incremental=False``) re-packs the whole queue on every arrival."""
-    return _bench_scheduler_stream(
-        "scheduler_stream_batchpack_2048", _options(incremental=False)
-    )
+    """The batch packer reference: the literal Algorithm 2 (the
+    always-re-pack oracle) re-packs the whole queue on every arrival."""
+    return _bench_scheduler_stream("scheduler_stream_batchpack_2048", literal=True)
 
 
 def bench_stream_partial_repack_2048() -> BenchResult:
     """The same stream on the incremental fast path (budget-bounded
     re-packs and partial consolidation)."""
-    return _bench_scheduler_stream("scheduler_stream_partial_2048", _options())
+    return _bench_scheduler_stream("scheduler_stream_partial_2048", literal=False)
 
 
 def bench_gmm_frame_loop() -> BenchResult:
@@ -511,9 +499,8 @@ _FLEET_TRACES = None
 
 
 def bench_end_to_end_fleet() -> BenchResult:
-    """A 64-camera fleet sharing one fat uplink, with the default
-    scheduler options.  Trace generation is untimed and cached across
-    repeats."""
+    """A 64-camera fleet sharing one fat uplink through the Tangram
+    scheduler.  Trace generation is untimed and cached across repeats."""
     from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
     from repro.simulation.random_streams import RandomStreams
     from repro.workloads import build_camera_traces
@@ -741,14 +728,14 @@ def profile_arrival(depth: int = 4096, mix: str = "fleet") -> Dict[str, object]:
     """
     if mix == "fleet":
         patches = _make_patches(depth, seed=19)
-        options = _options()
     elif mix == "crowded":
         patches = _make_crowded_patches(depth, seed=43)
-        options = _options(partial_patch_budget=96)
     else:
         raise ValueError(f"unknown profile mix {mix!r} (use 'fleet' or 'crowded')")
-    _simulator, scheduler = _build_scheduler(options)
+    _simulator, scheduler = _build_scheduler()
     packer = scheduler._packer
+    if mix == "crowded":
+        packer.partial_patch_budget = 96
     engine = packer._consolidation
     times = {"probe": 0.0, "commit": 0.0, "consolidation": 0.0}
 

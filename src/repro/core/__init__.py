@@ -16,18 +16,15 @@
   waste rectangles).
 * :mod:`repro.core.consolidation` -- the overflow-consolidation
   subsystem: the victim efficiency heap (at most
-  ``MAX_PARTIAL_VICTIMS`` victims), the retry backoff, and the trial
-  re-pack behind two exact pre-checks.
-* :mod:`repro.core.options` -- :class:`SchedulerOptions`, the frozen
-  record carrying the two scheduler knobs, ``incremental`` and
-  ``partial_patch_budget`` (the only way to set one).
+  ``MAX_PARTIAL_VICTIMS`` victims and ``PARTIAL_PATCH_BUDGET`` pooled
+  patches), the retry backoff, and the trial re-pack behind two exact
+  pre-checks.
 * :mod:`repro.core.latency` -- the latency estimator (offline profiling,
   slack = mean + 3 sigma).
 * :mod:`repro.core.scheduler` -- the online SLO-aware batching invoker that
   batches every arriving patch and decides when to trigger the
-  serverless function;
-  ``SchedulerOptions(incremental=False)`` runs the literal Algorithm 2
-  (a full re-pack per arrival).
+  serverless function, with the queue's packing kept alive across
+  arrivals by the incremental stitcher.
 * :mod:`repro.core.tangram` -- the offline facade mirroring the paper's
   edge API: ``partition``, ``stitch`` and ``process_frame_offline`` (one
   request per frame, Figs. 8 and 9).  The online API, ``receive_patch``
@@ -38,7 +35,6 @@
 from repro.core.patches import Patch
 from repro.core.partitioning import FramePartitioner, partition_rois
 from repro.core.consolidation import ConsolidationEngine
-from repro.core.options import SchedulerOptions
 from repro.core.skyline import Skyline
 from repro.core.stitching import (
     Canvas,
@@ -64,7 +60,6 @@ __all__ = [
     "PatchStitchingSolver",
     "LatencyEstimator",
     "LatencyProfile",
-    "SchedulerOptions",
     "BatchRecord",
     "TangramScheduler",
     "Tangram",

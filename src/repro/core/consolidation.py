@@ -30,13 +30,24 @@ from repro.core.patches import Patch
 if TYPE_CHECKING:  # pragma: no cover - stitching imports this module
     from repro.core.stitching import IncrementalStitcher, PlacementPlan
 
-__all__ = ["ConsolidationEngine", "MAX_PARTIAL_VICTIMS", "unpairable"]
+__all__ = [
+    "ConsolidationEngine",
+    "MAX_PARTIAL_VICTIMS",
+    "PARTIAL_PATCH_BUDGET",
+    "unpairable",
+]
 
 #: Most canvases one consolidation may dissolve at once.  No victim set
-#: on the four end-to-end benchmark workloads exceeds it (the
-#: stitcher's ``partial_patch_budget`` binds first); a stream of small
-#: patches can reach it.
+#: on the four end-to-end benchmark workloads exceeds it (the patch
+#: budget binds first); a stream of small patches can reach it.
 MAX_PARTIAL_VICTIMS = 8
+
+#: Most patches one overflow re-pack may pool.  While the whole queue
+#: plus the arriving patch fits it, a wasteful overflow re-packs the
+#: whole queue; past that, it consolidates the least-efficient canvases
+#: with at most this many pooled patches.  Each stitcher copies it to
+#: its ``partial_patch_budget`` attribute.
+PARTIAL_PATCH_BUDGET = 48
 
 
 class ConsolidationEngine:

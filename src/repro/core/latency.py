@@ -16,12 +16,13 @@ appear in any online metric.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.stitching import Canvas, equivalent_canvases
 from repro.simulation.random_streams import RandomStreams
 from repro.vision.detector import DetectorLatencyModel
 
@@ -34,11 +35,6 @@ class LatencyProfile:
     mean: float
     std: float
     samples: int
-
-    @property
-    def slack(self) -> float:
-        """The conservative estimate used online."""
-        return self.mean + 3.0 * self.std
 
 
 @dataclass
@@ -54,11 +50,13 @@ class LatencyEstimator:
     canvas_width, canvas_height:
         Canvas size the profile is valid for.
     iterations:
-        Profiling iterations per batch size (the paper uses 1000).  Each
-        batch size is profiled lazily, on its first use.
+        Profiling iterations per batch size, an integer of at least 2
+        (the paper uses 1000).  Each batch size is profiled lazily, on
+        its first use.
     sigma_multiplier:
-        The number of standard deviations added to the mean.  The paper
-        uses 3; SLO-critical deployments can raise it (Section V-B).
+        The number of standard deviations added to the mean, a finite
+        number.  The paper uses 3; SLO-critical deployments can raise it
+        (Section V-B).
     """
 
     latency_model: DetectorLatencyModel
@@ -68,11 +66,14 @@ class LatencyEstimator:
     sigma_multiplier: float = 3.0
     streams: Optional[RandomStreams] = None
     _profiles: Dict[int, LatencyProfile] = field(default_factory=dict)
-    _estimate_cache: Dict[Tuple[int, int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.iterations < 2:
-            raise ValueError("iterations must be at least 2")
+        # Fractional and NaN counts pass ``< 2`` and would only fail in
+        # ``range()`` at the first profile, mid-run, so they fail here.
+        if not isinstance(self.iterations, numbers.Integral) or self.iterations < 2:
+            raise ValueError("iterations must be an integer of at least 2")
+        if not math.isfinite(self.sigma_multiplier):
+            raise ValueError("sigma_multiplier must be finite")
         if self.streams is None:
             self.streams = RandomStreams(101)
         self._rng = self.streams.get("latency-estimator/profiling")
@@ -112,36 +113,3 @@ class LatencyEstimator:
             return 0.0
         profile = self.profile(batch_size)
         return profile.mean + self.sigma_multiplier * profile.std
-
-    def estimate(self, canvases: Sequence[Canvas]) -> float:
-        """T_slack for the given canvases (the online call in Algorithm 2).
-
-        Oversized canvases (patches bigger than the profiled canvas size)
-        are charged as the equivalent number of standard canvases, rounded
-        up, which keeps the estimate conservative.
-
-        Results are memoized on ``(num_canvases, total pixels in whole
-        standard canvases, equivalent canvases)``; repeated queue states
-        short-circuit to the cached slack.  (Per-batch-size profiles are
-        themselves cached in ``_profiles``, so the memo is a fast path over
-        the profile lookup, not what prevents re-profiling.)  Including
-        the equivalent-canvas count keeps the memo exact even when several
-        oversized canvases share a pixel bucket, so ``estimate`` always
-        returns the same value as :meth:`slack_time` on the equivalent
-        batch size — the identity the scheduler's fast path relies on.
-        """
-        if not canvases:
-            return 0.0
-        num_canvases = 0
-        total_pixels = 0.0
-        for canvas in canvases:
-            num_canvases += 1
-            total_pixels += canvas.area
-        equivalent = equivalent_canvases(canvases, self.canvas_pixels)
-        key = (num_canvases, int(total_pixels / self.canvas_pixels), equivalent)
-        cached = self._estimate_cache.get(key)
-        if cached is not None:
-            return cached
-        slack = self.slack_time(max(1, equivalent))
-        self._estimate_cache[key] = slack
-        return slack

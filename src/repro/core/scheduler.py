@@ -15,6 +15,13 @@ violate the SLO), or (b) the canvases no longer fit in the function's GPU
 memory alongside the model.  In both cases the new patch starts a fresh
 queue.
 
+The queue's packing stays alive across arrivals in an
+:class:`~repro.core.stitching.IncrementalStitcher`, which places each
+arrival into the live canvases and re-packs only on a wasteful overflow,
+so an arrival does not re-pack the whole queue from scratch.  The
+literal re-pack per arrival survives as the test oracle in
+``tests/oracles.py``, which reproduces the literal Algorithm 2's batches.
+
 :class:`BaseScheduler` factors out the invocation and bookkeeping machinery
 (execution-time sampling, billing, per-patch latency and SLO accounting) so
 the baseline scheduling policies (Clipper, MArk, ELF) in
@@ -31,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.latency import LatencyEstimator
-from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import Canvas, IncrementalStitcher, PatchStitchingSolver
 from repro.serverless.platform import ServerlessPlatform
@@ -227,10 +233,6 @@ class TangramScheduler(BaseScheduler):
         Memory occupied by the DNN weights (``tau`` in the paper).
     canvas_memory_gb:
         GPU memory one canvas occupies during inference (``w``).
-    options:
-        The :class:`~repro.core.options.SchedulerOptions` record carrying
-        both scheduler knobs (the fast path and its re-pack budget); see
-        its fields for each knob's meaning.  Exposed as :attr:`options`.
     record_placements:
         Capture each batch's per-canvas placement tuples on its
         :class:`BatchRecord` at invoke time (run-independent patch
@@ -249,10 +251,8 @@ class TangramScheduler(BaseScheduler):
         model_memory_gb: float = 2.5,
         canvas_memory_gb: float = 0.35,
         streams: Optional[RandomStreams] = None,
-        options: SchedulerOptions = SchedulerOptions(),
         record_placements: bool = False,
     ) -> None:
-        self.options = options
         latency_model = latency_model or DetectorLatencyModel.serverless()
         super().__init__(
             simulator,
@@ -279,24 +279,17 @@ class TangramScheduler(BaseScheduler):
         self.gpu_memory_gb = gpu_memory_gb
         self.model_memory_gb = model_memory_gb
         self.canvas_memory_gb = canvas_memory_gb
-        self.incremental = options.incremental
-        self._packer: Optional[IncrementalStitcher] = (
-            IncrementalStitcher(
-                self.solver,
-                equivalent_canvas_pixels=self.estimator.canvas_pixels,
-                options=options,
-            )
-            if options.incremental
-            else None
+        #: The live packing of the queue: its patches and canvases are
+        #: the scheduler's pending state.
+        self._packer = IncrementalStitcher(
+            self.solver, equivalent_canvas_pixels=self.estimator.canvas_pixels
         )
         #: Always empty: every arriving patch is batched.  Kept because the
         #: end-to-end benchmark (``benchmarks/e2e/measure.py`` and
         #: ``tracing.py``) reads it; it goes with that benchmark's next
         #: revision.
         self.shed: List[Patch] = []
-        self._queue: List[Patch] = []
         self._deadline_heap: List[float] = []
-        self._canvases: List[Canvas] = []
         self._timer: Optional[Event] = None
 
     # ------------------------------------------------------------- constraint
@@ -305,9 +298,6 @@ class TangramScheduler(BaseScheduler):
         """Largest batch that fits in GPU memory alongside the model."""
         available = self.gpu_memory_gb - self.model_memory_gb
         return max(1, int(available / self.canvas_memory_gb))
-
-    def _memory_exceeded(self, canvases: Sequence[Canvas]) -> bool:
-        return len(canvases) > self.max_canvases
 
     # ---------------------------------------------------------------- arrival
     def receive_patch(self, patch: Patch) -> None:
@@ -319,43 +309,16 @@ class TangramScheduler(BaseScheduler):
             self.compute_seconds += time.perf_counter() - start
 
     def _handle_arrival(self, patch: Patch) -> None:
-        if self._packer is not None:
-            self._receive_patch_fast(patch)
-            return
-        now = self.simulator.now
-        old_canvases = self._canvases
-        self._queue.append(patch)
-        heapq.heappush(self._deadline_heap, patch.deadline)
-        candidate = self.solver.pack(self._queue)
-        deadline = self._deadline_heap[0]
-        slack = self.estimator.estimate(candidate)
-        t_remain = deadline - slack
-
-        if t_remain < now or self._memory_exceeded(candidate):
-            # Serving the whole queue together would violate the earliest
-            # SLO (or exceed GPU memory): ship the old canvases now and
-            # start a fresh queue with just the new patch.
-            self.invoke_canvases(old_canvases)
-            self._queue = [patch]
-            self._deadline_heap = [patch.deadline]
-            candidate = self.solver.pack(self._queue)
-            deadline = patch.deadline
-            slack = self.estimator.estimate(candidate)
-            t_remain = deadline - slack
-
-        self._canvases = candidate
-        self._schedule_invocation(max(now, t_remain))
-
-    def _receive_patch_fast(self, patch: Patch) -> None:
-        """The incremental fast path: plan the placement without mutating
-        the live packing, decide, then commit (or ship-and-reset).
+        """Plan the placement without mutating the live packing, decide,
+        then commit (or ship-and-reset).
 
         The probe/commit split matters: when the new patch would push
         ``t_remain`` into the past, Algorithm 2 ships the *old* canvases
         without the patch — so the patch must not have been placed yet.
+        The slack is the estimator's for the plan's standard-canvas
+        equivalent count (oversized canvases count as several).
         """
         packer = self._packer
-        assert packer is not None
         now = self.simulator.now
         plan = packer.probe(patch)
         deadline = patch.deadline
@@ -365,18 +328,18 @@ class TangramScheduler(BaseScheduler):
         t_remain = deadline - slack
 
         if t_remain < now or plan.canvases_after > self.max_canvases:
-            self.invoke_canvases(self._canvases)
-            self._queue = [patch]
+            # Serving the whole queue together would violate the earliest
+            # SLO (or exceed GPU memory): ship the old canvases now and
+            # start a fresh queue with just the new patch.
+            self.invoke_canvases(packer.canvases)
             self._deadline_heap = [patch.deadline]
-            canvases = packer.reset([patch])
+            packer.reset([patch])
             slack = self.estimator.slack_time(max(1, packer.equivalent))
             t_remain = patch.deadline - slack
         else:
-            self._queue.append(patch)
             heapq.heappush(self._deadline_heap, patch.deadline)
-            canvases = packer.commit(plan)
+            packer.commit(plan)
 
-        self._canvases = canvases
         self._schedule_invocation(max(now, t_remain))
 
     def _schedule_invocation(self, when: float) -> None:
@@ -391,9 +354,9 @@ class TangramScheduler(BaseScheduler):
         start = time.perf_counter()
         try:
             self._timer = None
-            if not self._canvases:
+            if not self._packer.canvases:
                 return
-            self.invoke_canvases(self._canvases)
+            self.invoke_canvases(self._packer.canvases)
             self._clear_queue()
         finally:
             self.compute_seconds += time.perf_counter() - start
@@ -406,39 +369,31 @@ class TangramScheduler(BaseScheduler):
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
-            if self._canvases:
-                self.invoke_canvases(self._canvases)
+            if self._packer.canvases:
+                self.invoke_canvases(self._packer.canvases)
                 self._clear_queue()
         finally:
             self.compute_seconds += time.perf_counter() - start
 
     def _clear_queue(self) -> None:
-        self._queue = []
         self._deadline_heap = []
-        self._canvases = []
-        if self._packer is not None:
-            self._packer.reset()
+        self._packer.reset()
 
     # --------------------------------------------------------------- insight
     @property
     def pending_patches(self) -> int:
-        return len(self._queue)
+        return self._packer.num_patches
 
     @property
     def pending_canvases(self) -> int:
-        return len(self._canvases)
+        return self._packer.num_canvases
 
     @property
     def packing_stats(self) -> dict:
-        """Fast-path counters (probes, incremental placements, re-packs);
-        empty when running with ``incremental=False``."""
-        if self._packer is None:
-            return {}
+        """Stitcher counters (probes, incremental placements, re-packs)."""
         return dict(self._packer.stats)
 
     @property
     def consolidation_stats(self) -> dict:
-        """Consolidation-engine counters; empty without the fast path."""
-        if self._packer is None:
-            return {}
+        """Consolidation-engine counters."""
         return self._packer.consolidation_stats

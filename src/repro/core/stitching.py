@@ -38,8 +38,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 # module when the consolidation subsystem was extracted, but
 # ``repro.core.stitching.Canvas`` remains the documented import path.
 from repro.core.canvas import Canvas, Placement  # noqa: F401
-from repro.core.consolidation import ConsolidationEngine
-from repro.core.options import SchedulerOptions
+from repro.core.consolidation import PARTIAL_PATCH_BUDGET, ConsolidationEngine
 from repro.core.patches import Patch
 from repro.core.skyline import Skyline
 from repro.video.geometry import Box
@@ -249,8 +248,8 @@ def equivalent_canvases(canvases: Iterable[Canvas], canvas_pixels: float) -> int
     """Number of standard-size canvases a packing is charged as.
 
     Oversized canvases count as the equivalent number of standard canvases,
-    rounded up — the same conservative accounting
-    :meth:`repro.core.latency.LatencyEstimator.estimate` applies.
+    rounded up, which keeps the latency estimator's slack conservative:
+    the scheduler asks it for the slack of this many canvases.
     """
     if canvas_pixels <= 0:
         raise ValueError("canvas_pixels must be positive")
@@ -312,10 +311,11 @@ class IncrementalStitcher:
     patch is about to open a canvas even though the existing canvases still
     hold at least ``1.05 * patch.area`` of free space — the signature of
     ordering/fragmentation loss rather than genuine overflow — it
-    re-packs, bounded by ``partial_patch_budget``: while the whole queue
-    plus the patch fits the budget it re-packs the whole queue in
-    decreasing-area order (tracking the batch packer exactly); past that
-    it consolidates at most
+    re-packs, bounded by the
+    :data:`~repro.core.consolidation.PARTIAL_PATCH_BUDGET` of 48 pooled
+    patches: while the whole queue plus the patch fits the budget it
+    re-packs the whole queue in decreasing-area order (tracking the
+    batch packer exactly); past that it consolidates at most
     :data:`~repro.core.consolidation.MAX_PARTIAL_VICTIMS` of the
     least-efficient canvases through the trial re-pack of
     :mod:`repro.core.consolidation`, which keeps the overflow path O(a
@@ -331,21 +331,18 @@ class IncrementalStitcher:
         accounting; defaults to the solver's canvas area.  Pass the latency
         estimator's ``canvas_pixels`` when the two are configured apart.
         Must be positive and finite.
-    options:
-        The :class:`~repro.core.options.SchedulerOptions` record; the
-        stitcher reads ``partial_patch_budget``.  Exposed as
-        :attr:`options`.
     """
 
     def __init__(
         self,
         solver: Optional[PatchStitchingSolver] = None,
         equivalent_canvas_pixels: Optional[float] = None,
-        options: SchedulerOptions = SchedulerOptions(),
     ) -> None:
-        self.options = options
         self.solver = solver or PatchStitchingSolver()
-        self.partial_patch_budget = options.partial_patch_budget
+        #: The re-pack budget.  Production never changes it; tests lower
+        #: it after construction to reach partial re-packs on short
+        #: streams.
+        self.partial_patch_budget = PARTIAL_PATCH_BUDGET
         self.equivalent_canvas_pixels = (
             self.solver.canvas_area
             if equivalent_canvas_pixels is None
@@ -384,6 +381,10 @@ class IncrementalStitcher:
     @property
     def patches(self) -> List[Patch]:
         return list(self._patches)
+
+    @property
+    def num_patches(self) -> int:
+        return len(self._patches)
 
     @property
     def num_canvases(self) -> int:

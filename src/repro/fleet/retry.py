@@ -18,6 +18,7 @@ is delivered at most once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -43,8 +44,10 @@ class RetryPolicy:
     attempt_timeout_s: Optional[float] = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        # NaN passes ``< 1`` and then never exhausts (``attempt >= NaN``
+        # is always false), so it fails here.
+        if not isinstance(self.max_attempts, numbers.Integral) or self.max_attempts < 1:
+            raise ValueError("max_attempts must be an integer of at least 1")
         # Each test is written so that NaN fails it too.
         if not 0 <= self.base_backoff_s <= self.max_backoff_s:
             raise ValueError("backoff bounds must satisfy 0 <= base <= max")
@@ -120,8 +123,9 @@ class ReliableSender:
         draws (callers pass stable identity like ``(camera, frame,
         slot)``); ``deadline`` lets the sender give up early when even a
         successful retry could no longer arrive in time.  ``on_failed``
-        receives the terminal reason: ``"attempts"``, ``"deadline"``, or
-        ``"outage"``/``"loss"``-derived exhaustion.
+        receives the terminal reason: ``"deadline"``, or the last
+        attempt's ``"loss"`` or ``"timeout"`` once the attempts are
+        exhausted.
         """
         self.stats.transfers += 1
         if key is None:
@@ -196,7 +200,9 @@ class _Transfer:
             loss_key=(self.key, attempt),
         )
         timeout_s = sender.policy.attempt_timeout_s
-        if timeout_s is not None and outcome.pending:
+        # A send resolves at serialisation end at the earliest, so the
+        # outcome is still pending here.
+        if timeout_s is not None:
             current.outcome = outcome
             current.timeout = sender.simulator.schedule_in(
                 timeout_s,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.options import SchedulerOptions
 from repro.fleet.faults import FaultPlan
 from repro.fleet.retry import RetryPolicy
 from repro.workloads.fleet import FleetWorkloadConfig
@@ -57,9 +56,6 @@ class FleetScenarioConfig:
     #: per-scheduler live canvas set -- and hence per-patch probe cost --
     #: grow with fleet size (the regime the sharded bench measures).
     gpu_memory_gb: float = 6.0
-    #: Every scheduler knob; the sharded frontend hands this one frozen
-    #: record to each worker.
-    scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
     #: Capture per-batch placement tuples for the byte-identity pins
     #: (fills :attr:`FleetRunResult.batch_keys`; off by default).
     record_placements: bool = False

@@ -40,8 +40,6 @@ that run.
   plan over one shard's camera set (under ``"consistent_hash"`` that set
   is a pure function of the camera ids and the shard count).
 
-Every worker's scheduler is built from the one frozen
-:class:`~repro.core.options.SchedulerOptions` record of the base config.
 The result exposes every counter the chaos contracts compare: two runs
 with the same config and plan produce identical
 :meth:`ShardRunResult.counters`.
@@ -82,8 +80,7 @@ class ShardScenarioConfig:
     """One sharded fleet run: the single-scheduler config plus routing."""
 
     #: Everything a single worker needs (workload, uplinks, liveness,
-    #: scheduler options).  Every worker's scheduler is built from
-    #: ``base.scheduler_options``.
+    #: platform and estimator settings).
     base: FleetScenarioConfig = field(default_factory=FleetScenarioConfig)
     #: Independent scheduler workers the cameras are partitioned across.
     shards: int = 4
@@ -200,7 +197,6 @@ class ShardWorker:
     ) -> None:
         self.shard_id = shard_id
         suffix = "" if shard_id == 0 else f"/shard-{shard_id}"
-        options = config.scheduler_options
         solver = PatchStitchingSolver(
             canvas_width=config.canvas_size,
             canvas_height=config.canvas_size,
@@ -219,7 +215,6 @@ class ShardWorker:
             estimator=estimator,
             latency_model=latency_model,
             streams=streams.spawn(f"scheduler{suffix}"),
-            options=options,
             record_placements=config.record_placements,
             gpu_memory_gb=config.gpu_memory_gb,
         )

@@ -9,11 +9,10 @@ via bandwidth.
 
 The uplink additionally supports a **lossy / jittery mode** for the fleet
 fault-injection experiments: a per-send loss probability (the bytes occupy
-the link but the payload is dropped at serialisation end), bounded latency
-jitter on the propagation leg, and transient outage windows during which
-sends fail immediately.  All three draw from *counter-based* uniforms --
-``sha256(seed, link name, send key)`` -- rather than a shared RNG stream,
-which buys two properties the chaos tests rely on:
+the link but the payload is dropped at serialisation end) and bounded
+latency jitter on the propagation leg.  Both draw from *counter-based*
+uniforms -- ``sha256(seed, link name, send key)`` -- rather than a shared
+RNG stream, which buys two properties the chaos tests rely on:
 
 * **byte-for-byte determinism**: the outcome of a send depends only on the
   seed and its key, never on how many other sends happened first;
@@ -32,8 +31,9 @@ byte-identical to the pre-fault implementation -- pinned in
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Union
 
 from repro.simulation.engine import Simulator
 from repro.simulation.resources import Resource, ResourceJob
@@ -70,9 +70,9 @@ class TransmissionRecord:
     enqueue_time: float
     start_time: float
     finish_time: float
-    #: False when the transmission was dropped (loss draw or outage).
+    #: False when the loss draw dropped the transmission.
     delivered: bool = True
-    #: Why an undelivered transmission failed: ``"loss"`` or ``"outage"``.
+    #: Why an undelivered transmission failed: ``"loss"``.
     drop_reason: Optional[str] = None
 
     @property
@@ -125,14 +125,15 @@ class SendOutcome:
 
 
 def _check_link(bandwidth_mbps: float, propagation_delay: float) -> None:
-    """Reject a link that cannot carry bytes in non-negative time.
+    """Reject a link that cannot carry bytes in finite, non-negative time.
 
-    Written as ``not x > 0`` rather than ``x <= 0`` so that NaN fails too.
+    Written as ``not x > 0`` rather than ``x <= 0`` so that NaN fails too;
+    an infinite propagation delay would deliver nothing, silently.
     """
     if not bandwidth_mbps > 0:
         raise ValueError("bandwidth_mbps must be positive")
-    if not propagation_delay >= 0:
-        raise ValueError("propagation_delay must be non-negative")
+    if not 0 <= propagation_delay < math.inf:
+        raise ValueError("propagation_delay must be finite and non-negative")
 
 
 class Uplink:
@@ -150,9 +151,6 @@ class Uplink:
         Each send draws a counter-based uniform and is delayed by
         ``jitter_s * u`` on top of ``propagation_delay``; the jitter leg
         never occupies the link.
-    outages:
-        ``(start, end)`` windows (half-open) during which a send fails
-        immediately at enqueue time with reason ``"outage"``.
     fault_seed:
         Seed of the counter-based uniforms.  Two uplinks with the same
         name, seed, and send keys make identical loss/jitter draws.
@@ -166,7 +164,6 @@ class Uplink:
         name: str = "uplink",
         loss_probability: FaultDial = 0.0,
         jitter_s: FaultDial = 0.0,
-        outages: Sequence[Tuple[float, float]] = (),
         fault_seed: int = 0,
     ) -> None:
         _check_link(bandwidth_mbps, propagation_delay)
@@ -176,11 +173,10 @@ class Uplink:
         self.name = name
         self.loss_probability = loss_probability
         self.jitter_s = jitter_s
-        self.outages = list(outages)
         self.fault_seed = fault_seed
         self._resource = Resource(simulator, capacity=1, name=name)
         self.records: List[TransmissionRecord] = []
-        #: Transmissions that failed (loss or outage); kept separate so
+        #: Transmissions the loss draw dropped; kept separate so
         #: :attr:`records` / :attr:`total_bytes` keep their historical
         #: "delivered traffic" semantics.
         self.drops: List[TransmissionRecord] = []
@@ -200,16 +196,12 @@ class Uplink:
 
     @property
     def dropped_bytes(self) -> float:
-        """Bytes of transmissions that were lost or hit an outage."""
+        """Bytes of transmissions that were lost."""
         return sum(record.size_bytes for record in self.drops)
 
     @property
     def queue_length(self) -> int:
         return self._resource.queue_length
-
-    def in_outage(self, now: float) -> bool:
-        """Whether ``now`` falls inside a configured outage window."""
-        return any(start <= now < end for start, end in self.outages)
 
     def send(
         self,
@@ -222,9 +214,8 @@ class Uplink:
         """Enqueue a transmission and return its :class:`SendOutcome`.
 
         ``on_delivered`` fires at arrival time (serialisation end plus the
-        propagation and jitter legs); ``on_dropped`` fires the moment the
-        failure is known -- immediately for an outage, at serialisation
-        end for a loss.  ``loss_key`` names the send for the counter-based
+        propagation and jitter legs); ``on_dropped`` fires at serialisation
+        end for a lost send.  ``loss_key`` names the send for the counter-based
         draws (defaults to a per-uplink sequence number); the retry layer
         passes ``(patch key, attempt)`` so re-transmissions of the same
         payload draw fresh, yet reproducible, uniforms.
@@ -235,24 +226,6 @@ class Uplink:
         outcome = SendOutcome(size_bytes=size_bytes, payload=payload)
         key = loss_key if loss_key is not None else self._send_counter
         self._send_counter += 1
-
-        if self.outages and self.in_outage(enqueue_time):
-            record = TransmissionRecord(
-                payload=payload,
-                size_bytes=size_bytes,
-                enqueue_time=enqueue_time,
-                start_time=enqueue_time,
-                finish_time=enqueue_time,
-                delivered=False,
-                drop_reason="outage",
-            )
-            self.drops.append(record)
-            outcome.status = "dropped"
-            outcome.record = record
-            outcome.drop_reason = "outage"
-            if on_dropped is not None:
-                on_dropped(record)
-            return outcome
 
         serialisation = size_bytes / self._bytes_per_second
         # Loss and jitter are decided at enqueue time from counter-based

@@ -28,7 +28,6 @@ import numpy as np
 from repro.baselines.clipper import ClipperScheduler
 from repro.baselines.elf import ELFScheduler
 from repro.baselines.mark import MArkScheduler
-from repro.core.options import SchedulerOptions
 from repro.core.partitioning import FramePartitioner
 from repro.core.scheduler import BaseScheduler, BatchRecord, PatchOutcome, TangramScheduler
 from repro.core.latency import LatencyEstimator
@@ -67,9 +66,6 @@ class EndToEndConfig:
     mark_batch_size: int = 8
     mark_timeout: float = 0.25
     clipper_initial_batch: int = 4
-    #: Every Tangram scheduler knob (see :class:`~repro.core.options.
-    #: SchedulerOptions`).
-    scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -231,7 +227,6 @@ class EndToEndRunner:
     def _build_scheduler(self) -> BaseScheduler:
         config = self.config
         if config.strategy == "tangram":
-            options = config.scheduler_options
             solver = PatchStitchingSolver(
                 canvas_width=config.canvas_size,
                 canvas_height=config.canvas_size,
@@ -250,7 +245,6 @@ class EndToEndRunner:
                 estimator=estimator,
                 latency_model=self.latency_model,
                 streams=self.streams.spawn("scheduler"),
-                options=options,
             )
         if config.strategy == "clipper":
             return ClipperScheduler(

@@ -13,12 +13,12 @@ ownership-aware policies:
   salted, so it is deliberately not used), and adding/removing one shard
   only moves ~1/N of the keys;
 * ``"least_loaded"`` -- assign to the target currently carrying the
-  least ``load`` (falling back to ``outstanding`` for function
-  instances), ties broken by position for determinism.
+  least ``load``, ties broken by position for determinism.
 
 Every policy accepts an optional ``key=`` on :meth:`LoadBalancer.select`;
 the classic policies ignore it, the consistent-hash ring requires it to
-be the sticky routing identity (e.g. the camera id).
+be the sticky routing identity (e.g. the camera id).  The platform's
+instance pool always rotates round robin.
 """
 
 from __future__ import annotations
@@ -69,12 +69,9 @@ class RoundRobinBalancer:
 
 
 def _target_load(target, position: int) -> Tuple[float, int]:
-    """Deterministic load key: ``load`` if the target exposes one (shard
-    workers do), else ``outstanding`` (function instances), else 0."""
-    load = getattr(target, "load", None)
-    if load is None:
-        load = getattr(target, "outstanding", 0)
-    return (float(load), position)
+    """Deterministic load key: the target's ``load`` (every target is a
+    shard worker), then its position."""
+    return (float(target.load), position)
 
 
 class LeastLoadedBalancer:
@@ -114,7 +111,6 @@ class ConsistentHashBalancer:
             raise ValueError("replicas must be at least 1")
         self.replicas = replicas
         self._rings: Dict[int, Tuple[List[int], List[int]]] = {}
-        self._fallback = 0
 
     def _ring(self, count: int) -> Tuple[List[int], List[int]]:
         if count not in self._rings:
@@ -135,10 +131,7 @@ class ConsistentHashBalancer:
         if not instances:
             raise ValueError("no instances available to balance across")
         if key is None:
-            # Keyless callers (the platform's instance pool) still get a
-            # deterministic spread: hash an internal counter instead.
-            key = ("__keyless__", self._fallback)
-            self._fallback += 1
+            raise ValueError("consistent hashing needs a routing key")
         points, positions = self._ring(len(instances))
         slot = bisect_left(points, stable_hash(key, salt="key"))
         if slot == len(points):

@@ -3,20 +3,22 @@
 :class:`ServerlessPlatform` owns the pool of function instances, scales the
 pool out when every warm instance is busy (serverless functions scale in
 tens of milliseconds, so the default policy simply adds an instance rather
-than queueing), routes each invocation through the configured load
-balancer to an idle instance whenever one exists, and aggregates billing
+than queueing), routes each invocation round robin to an idle instance
+whenever one exists (NGINX's default policy), and aggregates billing
 across all instances.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.simulation.engine import Simulator
 from repro.serverless.cost import AlibabaCostModel, FunctionResources
 from repro.serverless.function import FunctionInstance, InvocationRecord
-from repro.serverless.loadbalancer import LoadBalancer, RoundRobinBalancer
+from repro.serverless.loadbalancer import RoundRobinBalancer
 
 
 @dataclass(frozen=True)
@@ -24,17 +26,20 @@ class ScalingPolicy:
     """When to add a new function instance.
 
     ``max_instances`` bounds the pool (a per-account concurrency quota in
-    real deployments); ``scale_out_when_busy`` adds an instance whenever
-    all existing instances have at least one outstanding invocation, which
-    is how request-driven FaaS platforms behave.
+    real deployments) and must be an integer of at least 1;
+    ``scale_out_when_busy`` adds an instance whenever all existing
+    instances have at least one outstanding invocation, which is how
+    request-driven FaaS platforms behave.
     """
 
     max_instances: int = 32
     scale_out_when_busy: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_instances < 1:
-            raise ValueError("max_instances must be at least 1")
+        # NaN passes ``< 1`` and then caps nothing (``len < NaN`` is
+        # false, so the pool never grows), and 2.5 acts as 3.
+        if not isinstance(self.max_instances, numbers.Integral) or self.max_instances < 1:
+            raise ValueError("max_instances must be an integer of at least 1")
 
 
 class ServerlessPlatform:
@@ -45,7 +50,6 @@ class ServerlessPlatform:
         simulator: Simulator,
         resources: Optional[FunctionResources] = None,
         cost_model: Optional[AlibabaCostModel] = None,
-        balancer: Optional[LoadBalancer] = None,
         scaling: Optional[ScalingPolicy] = None,
         cold_start_time: float = 0.5,
         initial_instances: int = 1,
@@ -53,13 +57,14 @@ class ServerlessPlatform:
     ) -> None:
         if initial_instances < 0:
             raise ValueError("initial_instances must be non-negative")
-        # ``not x >= 0`` rather than ``x < 0``, so NaN fails too.
-        if not cold_start_time >= 0:
-            raise ValueError("cold_start_time must be non-negative")
+        # Written so that NaN fails too; an infinite cold start would
+        # silently miss every SLO.
+        if not 0 <= cold_start_time < math.inf:
+            raise ValueError("cold_start_time must be finite and non-negative")
         self.simulator = simulator
         self.resources = resources or FunctionResources()
         self.cost_model = cost_model or AlibabaCostModel(resources=self.resources)
-        self.balancer = balancer or RoundRobinBalancer()
+        self.balancer = RoundRobinBalancer()
         self.scaling = scaling or ScalingPolicy()
         self.cold_start_time = cold_start_time
         self.name = name
@@ -108,7 +113,7 @@ class ServerlessPlatform:
         payload: Any = None,
         on_complete: Optional[Callable[[InvocationRecord], None]] = None,
     ) -> FunctionInstance:
-        """Route one invocation through the load balancer.
+        """Route one invocation to an instance.
 
         Returns the instance the invocation was assigned to (useful for
         tests asserting scaling behaviour).

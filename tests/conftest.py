@@ -15,7 +15,6 @@ import pytest
 from repro.core.canvas import Placement
 from repro.core.patches import Patch
 from repro.core.skyline import _SLIVER
-from repro.core.stitching import IncrementalStitcher
 from repro.serverless.loadbalancer import make_balancer
 from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
@@ -94,29 +93,6 @@ def make_patch(
         generation_time=generation_time,
         slo=slo,
     )
-
-
-class AlwaysRepackStitcher(IncrementalStitcher):
-    """Test oracle: every probe batch-packs the whole queue plus the
-    arriving patch, so a scheduler driving this stitcher makes exactly the
-    literal Algorithm 2's decisions (``incremental=False``) through the
-    incremental probe/commit plumbing."""
-
-    def probe(self, patch: Patch):
-        self.stats["probes"] += 1
-        return self._full_repack_plan(patch)
-
-
-def use_always_repack(scheduler):
-    """Swap a fast-path scheduler's stitcher for the
-    :class:`AlwaysRepackStitcher` oracle (same solver, accounting and
-    options); returns the scheduler."""
-    scheduler._packer = AlwaysRepackStitcher(
-        scheduler.solver,
-        equivalent_canvas_pixels=scheduler.estimator.canvas_pixels,
-        options=scheduler.options,
-    )
-    return scheduler
 
 
 class GuillotineCanvas:

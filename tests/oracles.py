@@ -1,0 +1,34 @@
+"""Test oracles that the perf harness shares with the test suite.
+
+This module must not import pytest: ``python -m benchmarks.perf`` runs
+the always-re-pack oracle as the literal Algorithm 2 reference for its
+``scheduler_arrival_full_256`` and ``scheduler_stream_batchpack_2048``
+sections, and the harness runs without pytest installed.
+"""
+
+from __future__ import annotations
+
+from repro.core.patches import Patch
+from repro.core.stitching import IncrementalStitcher
+
+
+class AlwaysRepackStitcher(IncrementalStitcher):
+    """Test oracle: every probe batch-packs the whole queue plus the
+    arriving patch, so a scheduler driving this stitcher makes exactly
+    the literal Algorithm 2's decisions (a full re-pack per arrival)
+    through the incremental probe/commit plumbing."""
+
+    def probe(self, patch: Patch):
+        self.stats["probes"] += 1
+        return self._full_repack_plan(patch)
+
+
+def use_always_repack(scheduler):
+    """Swap a scheduler's stitcher for the :class:`AlwaysRepackStitcher`
+    oracle (same solver and equivalent-canvas accounting) before its
+    first arrival; returns the scheduler."""
+    scheduler._packer = AlwaysRepackStitcher(
+        scheduler.solver,
+        equivalent_canvas_pixels=scheduler.estimator.canvas_pixels,
+    )
+    return scheduler

@@ -26,8 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import consolidation
-from repro.core.consolidation import MAX_PARTIAL_VICTIMS, unpairable
-from repro.core.options import SchedulerOptions
+from repro.core.consolidation import MAX_PARTIAL_VICTIMS, PARTIAL_PATCH_BUDGET, unpairable
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
@@ -85,8 +84,12 @@ def _crowded_mix(count: int, seed: int):
     return _make_crowded_patches(count, seed)
 
 
-def _stitcher(**options) -> IncrementalStitcher:
-    return IncrementalStitcher(PatchStitchingSolver(), options=SchedulerOptions(**options))
+def _stitcher(partial_patch_budget: int = PARTIAL_PATCH_BUDGET) -> IncrementalStitcher:
+    """A stitcher whose re-pack budget a test may lower (the attribute is
+    a test seam; production always runs the constant)."""
+    stitcher = IncrementalStitcher(PatchStitchingSolver())
+    stitcher.partial_patch_budget = partial_patch_budget
+    return stitcher
 
 
 def _envelope(canvas) -> tuple[float, float]:
@@ -335,10 +338,8 @@ class TestStallPredictor:
         pre-check that rejects on the victims' current extents would
         wrongly reject this plan."""
         solver = PatchStitchingSolver(canvas_width=100.0, canvas_height=100.0)
-        stitcher = IncrementalStitcher(
-            solver,
-            options=SchedulerOptions(partial_patch_budget=5),
-        )
+        stitcher = IncrementalStitcher(solver)
+        stitcher.partial_patch_budget = 5
         # Two victims, each 100x40 + 100x35 (a 100x25 strip left), plus
         # three near-full canvases keeping the victims at the heap root
         # and the queue past the patch budget, whose 5 pooled patches
@@ -413,16 +414,15 @@ def test_every_unrejected_attempt_runs_a_trial_pack(monkeypatch):
 # --------------------------------------------------------------- plumbing
 class TestKnobPlumbing:
     def test_endtoend_config_validates_policy(self):
-        """The end-to-end config carries its consolidation budget in the
-        options record, which rejects an impossible budget and hands a
-        valid one to the stitcher."""
+        """The end-to-end config carries no consolidation knob: it
+        rejects the deleted options record, and its scheduler's stitcher
+        consolidates at the constant budget."""
         from repro.pipeline.endtoend import EndToEndConfig, EndToEndRunner
 
-        with pytest.raises(ValueError, match="partial_patch_budget"):
-            EndToEndConfig(scheduler_options=SchedulerOptions(partial_patch_budget=1))
-        options = SchedulerOptions(partial_patch_budget=32)
-        runner = EndToEndRunner(EndToEndConfig(scheduler_options=options), {"camera-0": []})
-        assert runner.scheduler._packer.partial_patch_budget == 32
+        with pytest.raises(TypeError, match="scheduler_options"):
+            EndToEndConfig(scheduler_options=None)
+        runner = EndToEndRunner(EndToEndConfig(), {"camera-0": []})
+        assert runner.scheduler._packer.partial_patch_budget == PARTIAL_PATCH_BUDGET
 
     def test_scheduler_exposes_consolidation_stats(self):
         from repro.core.scheduler import TangramScheduler

@@ -51,6 +51,10 @@ class TestBackoff:
         for name in ("base_backoff_s", "max_backoff_s", "attempt_timeout_s"):
             with pytest.raises(ValueError):
                 RetryPolicy(**{name: float("nan")})
+        # A NaN attempt count never exhausted (``attempt >= NaN`` is false).
+        for max_attempts in (float("nan"), 2.5):
+            with pytest.raises(ValueError):
+                RetryPolicy(max_attempts=max_attempts)
 
 
 class TestReliableSender:

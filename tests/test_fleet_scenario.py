@@ -99,6 +99,26 @@ class TestResultAccounting:
         assert result.shed_expired_fraction == pytest.approx((2 + 1) / 120)
 
 
+#: Fleet settings that used to fail mid-run or silently: a fractional
+#: profiling count raised ``TypeError`` at the first profile, a NaN
+#: instance cap kept the pool at one instance, an infinite propagation
+#: delay completed no patch and an infinite cold start missed every SLO.
+_MALFORMED_FLEET = {
+    "estimator_iterations": 2.5,
+    "max_instances": float("nan"),
+    "propagation_delay": float("inf"),
+    "cold_start_time": float("inf"),
+}
+
+
+@pytest.mark.parametrize("field, value", list(_MALFORMED_FLEET.items()))
+def test_malformed_fleet_settings_fail_before_the_run(field, value):
+    """Each such setting raises ``ValueError`` where the run builds the
+    component it configures, before any event fires."""
+    with pytest.raises(ValueError):
+        run_fleet_scenario(_small_config(**{field: value}))
+
+
 class TestFaultFreeScenario:
     def test_everything_delivered_and_counted(self):
         result = run_fleet_scenario(_small_config())

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.options import SchedulerOptions
+from repro.core.consolidation import PARTIAL_PATCH_BUDGET
 from repro.core.patches import Patch
 from repro.core.stitching import (
     Canvas,
@@ -23,7 +23,8 @@ from repro.core.stitching import (
     equivalent_canvases,
 )
 from repro.video.geometry import Box
-from tests.conftest import AlwaysRepackStitcher, free_rectangles
+from tests.conftest import free_rectangles
+from tests.oracles import AlwaysRepackStitcher
 
 patch_sizes = st.tuples(
     st.floats(min_value=10.0, max_value=1500.0, allow_nan=False),
@@ -201,8 +202,12 @@ def test_free_rectangle_pool_never_contains_nested_rectangles():
                     assert not first.contains_box(second)
 
 
-def _stitcher(**options) -> IncrementalStitcher:
-    return IncrementalStitcher(PatchStitchingSolver(), options=SchedulerOptions(**options))
+def _stitcher(partial_patch_budget: int = PARTIAL_PATCH_BUDGET) -> IncrementalStitcher:
+    """A stitcher whose re-pack budget a test may lower through the
+    stitcher's test seam."""
+    stitcher = IncrementalStitcher(PatchStitchingSolver())
+    stitcher.partial_patch_budget = partial_patch_budget
+    return stitcher
 
 
 # ------------------------------------------------------------ partial re-pack

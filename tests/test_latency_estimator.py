@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.latency import LatencyEstimator
-from repro.core.stitching import Canvas
+from repro.core.stitching import Canvas, equivalent_canvases
 from repro.simulation.random_streams import RandomStreams
 from repro.vision.detector import DetectorLatencyModel
 from tests.conftest import make_patch
@@ -65,10 +65,16 @@ def test_slack_grows_with_batch_size():
     assert estimator.slack_time(8) > estimator.slack_time(2) > estimator.slack_time(1)
 
 
+def _slack_of(estimator: LatencyEstimator, canvases: list[Canvas]) -> float:
+    """The slack the scheduler asks for: that of the packing's
+    standard-canvas equivalent count."""
+    return estimator.slack_time(equivalent_canvases(canvases, estimator.canvas_pixels))
+
+
 def test_estimate_counts_canvases(sample_patches):
     estimator = _estimator()
-    assert estimator.estimate([]) == 0.0
-    assert estimator.estimate(_canvases(3)) == pytest.approx(estimator.slack_time(3))
+    assert _slack_of(estimator, []) == 0.0
+    assert _slack_of(estimator, _canvases(3)) == estimator.slack_time(3)
 
 
 def test_oversized_canvas_charged_as_multiple_canvases():
@@ -76,7 +82,7 @@ def test_oversized_canvas_charged_as_multiple_canvases():
     oversized = Canvas(width=2048, height=1536, canvas_id=0, oversized=True)
     oversized.try_place(make_patch(2000, 1500))
     # 2048*1536 / (1024*1024) = 3 equivalent canvases.
-    assert estimator.estimate([oversized]) == pytest.approx(estimator.slack_time(3))
+    assert _slack_of(estimator, [oversized]) == estimator.slack_time(3)
 
 
 def test_sigma_multiplier_is_configurable():
@@ -90,6 +96,14 @@ def test_invalid_parameters_rejected():
         _estimator(iterations=1)
     with pytest.raises(ValueError):
         _estimator().profile(0)
+    # Fractional and NaN counts used to fail in ``range()`` at the first
+    # profile, mid-run; a NaN multiplier made every slack NaN.
+    for iterations in (2.5, float("nan")):
+        with pytest.raises(ValueError):
+            _estimator(iterations=iterations)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _estimator(sigma_multiplier=sigma)
 
 
 def test_zero_batch_slack_is_zero():

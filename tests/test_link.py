@@ -70,6 +70,9 @@ class TestUplink:
         uplink = Uplink(simulator, bandwidth_mbps=10.0)
         with pytest.raises(ValueError):
             uplink.send(-1)
+        # An infinite delay delivered nothing, silently.
+        with pytest.raises(ValueError):
+            Uplink(simulator, bandwidth_mbps=10.0, propagation_delay=float("inf"))
 
 
 class TestSendOutcome:
@@ -153,24 +156,6 @@ class TestLossyUplink:
         assert uplink.dropped_bytes == 500_000
         assert uplink.total_bytes == 500_000
 
-    def test_outage_window_drops_immediately(self):
-        simulator = Simulator()
-        uplink = Uplink(simulator, bandwidth_mbps=8.0, outages=[(1.0, 2.0)])
-        statuses = []
-
-        def try_send(_sim):
-            outcome = uplink.send(1000, loss_key=simulator.now)
-            statuses.append((simulator.now, outcome.status, outcome.drop_reason))
-
-        for when in (0.5, 1.5, 2.5):
-            simulator.schedule_at(when, try_send)
-        simulator.run()
-        assert statuses[0][1] == "pending"
-        assert statuses[1] == (1.5, "dropped", "outage")
-        assert statuses[2][1] == "pending"
-        assert uplink.in_outage(1.5) and not uplink.in_outage(2.5)
-        assert len(uplink.drops) == 1
-
     def test_jitter_delays_delivery_within_bound(self):
         simulator = Simulator()
         uplink = Uplink(
@@ -206,7 +191,7 @@ class TestLossyUplink:
             ]
 
         baseline = run()
-        with_knobs = run(loss_probability=0.0, jitter_s=0.0, outages=(), fault_seed=99)
+        with_knobs = run(loss_probability=0.0, jitter_s=0.0, fault_seed=99)
         assert with_knobs == baseline
 
     def test_bytes_per_second_hoisted_once(self):

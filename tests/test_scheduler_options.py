@@ -1,17 +1,17 @@
-"""The SchedulerOptions API: one frozen record for every scheduler knob.
+"""The scheduler's knobs are constants, and every old way to set one fails.
 
-The contract of the redesign:
+The contract:
 
-* every knob keeps its historical default, and the record holds exactly
-  the two knobs that move a decision on the benchmark workloads;
-* the record is the only carrier: the per-knob kwargs on the scheduler
-  and stitcher and the per-knob config fields are gone, and passing one
+* the re-pack budget and the victim cap are module constants of
+  :mod:`repro.core.consolidation` (48 pooled patches, 8 victims), and
+  every stitcher starts at that budget; tests lower it through the
+  stitcher's ``partial_patch_budget`` attribute, a test seam;
+* the options record, the per-knob kwargs on the scheduler and
+  stitcher and the per-knob config fields are gone, and passing one
   fails loudly, as ``use_index=`` does;
 * the always-re-pack mode lives on as a test oracle with the same
   meaning;
-* each runner config's ``scheduler_options`` record reaches the
-  scheduler it builds unchanged, and every runner config defaults to
-  the same ``SchedulerOptions()``.
+* every runner builds its schedulers on that one production stitcher.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.options import SchedulerOptions
+from repro.core.consolidation import MAX_PARTIAL_VICTIMS, PARTIAL_PATCH_BUDGET
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.core.tangram import TangramConfig
@@ -49,57 +49,32 @@ def _patches(count: int = 160, seed: int = 5) -> list[Patch]:
 
 class TestSchedulerOptionsRecord:
     def test_defaults_match_historical_kwarg_defaults(self):
-        options = SchedulerOptions()
-        assert [field.name for field in dataclasses.fields(options)] == [
-            "incremental",
-            "partial_patch_budget",
-        ]
-        assert options.incremental is True
-        assert options.partial_patch_budget == 48
-
-    # Row order keeps the test ids stable: ``overrides5`` is still the
-    # budget's lower bound, and the budget's new rows fill the other slots.
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"partial_patch_budget": float("nan")},
-            {"partial_patch_budget": float("inf")},
-            {"partial_patch_budget": 2.5},
-            {"partial_patch_budget": -1},
-            {"partial_patch_budget": 0},
-            {"partial_patch_budget": 1},
-            {"partial_patch_budget": 48.0},
-        ],
-    )
-    def test_validation(self, overrides):
-        with pytest.raises(ValueError):
-            SchedulerOptions(**overrides)
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            SchedulerOptions().partial_patch_budget = 32  # type: ignore[misc]
+        """The constants keep the defaults the options record had, and a
+        fresh stitcher starts at the budget."""
+        assert PARTIAL_PATCH_BUDGET == 48
+        assert MAX_PARTIAL_VICTIMS == 8
+        assert IncrementalStitcher().partial_patch_budget == PARTIAL_PATCH_BUDGET
 
 
 class TestBackCompatEquivalence:
     def test_always_repack_maps_to_full_repack_equivalent(self):
         """The always-re-pack oracle the equivalence suites inject keeps
-        what ``always_repack=True`` meant: under the same options, its
-        live packing after every arrival is the batch packing of the
-        whole queue — the literal Algorithm 2 state."""
-        from tests.conftest import AlwaysRepackStitcher
+        what ``always_repack=True`` meant: whatever the budget, its live
+        packing after every arrival is the batch packing of the whole
+        queue — the literal Algorithm 2 state."""
+        from tests.oracles import AlwaysRepackStitcher
 
         def key(canvases):
             return [(p.patch.patch_id, p.x, p.y) for c in canvases for p in c.placements]
 
         solver = PatchStitchingSolver()
-        options = SchedulerOptions(partial_patch_budget=8)
-        oracle = AlwaysRepackStitcher(solver, options=options)
+        oracle = AlwaysRepackStitcher(solver)
+        oracle.partial_patch_budget = 8
         queue: list[Patch] = []
         for patch in _patches(count=40):
             queue.append(patch)
             oracle.add(patch)
             assert key(oracle.canvases) == key(solver.pack(queue))
-        assert oracle.options is options
         assert oracle.stats["full_repacks"] == len(queue)
 
 
@@ -123,6 +98,20 @@ def _estimator(**kwargs):
     return LatencyEstimator(DetectorLatencyModel.serverless(), **kwargs)
 
 
+def _platform(**kwargs):
+    from repro.serverless.platform import ServerlessPlatform
+    from repro.simulation.engine import Simulator
+
+    return ServerlessPlatform(Simulator(), **kwargs)
+
+
+def _uplink(**kwargs):
+    from repro.network.link import Uplink
+    from repro.simulation.engine import Simulator
+
+    return Uplink(Simulator(), bandwidth_mbps=40.0, **kwargs)
+
+
 #: The per-knob kwargs ``TangramScheduler`` had (``repack_scope`` and
 #: ``canvas_structure`` later left the options record too).
 _SCHEDULER_KWARGS = {
@@ -143,24 +132,24 @@ _CONFIG_FIELDS = {
     if knob not in ("max_partial_victims", "partial_patch_budget")
 }
 
-#: Every removed way of setting a knob next to the options record, plus
-#: ``use_index=``, whose deprecation cycle ended earlier; the record's
-#: own fields that always decided as constants or never acted; the
-#: fleet config's ingest knobs, which left with the ingest queue; and
-#: the fields no runner set: the offline facade's online-scheduler
-#: wiring, the end-to-end runner's uplink fault knobs, ingest expiry and
-#: per-camera uplinks, and the estimator's eager-profiling bound and
-#: memo bucket.
+#: Every removed way of setting a knob, plus ``use_index=``, whose
+#: deprecation cycle ended earlier; the options record itself, carried as
+#: ``options=`` and ``scheduler_options``; the fleet config's ingest
+#: knobs, which left with the ingest queue; and the parameters no runner
+#: set: the offline facade's online-scheduler wiring, the end-to-end
+#: runner's uplink fault knobs, ingest expiry and per-camera uplinks, the
+#: estimator's eager-profiling bound and memo bucket, the platform's
+#: pluggable balancer and the uplink's outage windows.
 _REMOVED = {
-    "options": (
-        SchedulerOptions,
-        {"drift_margin": 0.05, "max_partial_victims": 8, "admission_watermark": 16},
-    ),
     "stitch": (
         _stitcher,
-        {"use_index": False, **{knob: _SCHEDULER_KWARGS[knob] for knob in _STITCHER_KWARGS}},
+        {
+            "use_index": False,
+            **{knob: _SCHEDULER_KWARGS[knob] for knob in _STITCHER_KWARGS},
+            "options": None,
+        },
     ),
-    "sched": (_scheduler, _SCHEDULER_KWARGS),
+    "sched": (_scheduler, {**_SCHEDULER_KWARGS, "options": None}),
     "e2e": (
         EndToEndConfig,
         {
@@ -170,6 +159,7 @@ _REMOVED = {
             "uplink_fault_seed": 7,
             "expire_stale_at_ingest": True,
             "shared_uplink": False,
+            "scheduler_options": None,
         },
     ),
     "tangram": (
@@ -180,7 +170,7 @@ _REMOVED = {
             "model_memory_gb": 2.5,
             "canvas_memory_gb": 0.35,
             "latency_profile_iterations": 300,
-            "scheduler_options": SchedulerOptions(),
+            "scheduler_options": None,
         },
     ),
     "fleet": (
@@ -192,29 +182,31 @@ _REMOVED = {
             "high_watermark": 128,
             "low_watermark": 64,
             "drain_interval": 0.05,
+            "scheduler_options": None,
         },
     ),
     "estimator": (_estimator, {"max_batch_size": 16, "pixel_bucket": 0.0}),
+    "platform": (_platform, {"balancer": None}),
+    "uplink": (_uplink, {"outages": ()}),
 }
 
 
 class TestUseIndexDeprecation:
     """``use_index=`` finished its deprecation cycle, and every other
-    per-knob kwarg and config field followed it: building through the
-    options record has nothing left to warn about, and each old
-    spelling fails loudly."""
+    per-knob kwarg and config field followed it, the options record
+    last: building with the defaults has nothing left to warn about,
+    and each old spelling fails loudly."""
 
     def test_options_path_does_not_warn(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            stitcher = IncrementalStitcher(
-                PatchStitchingSolver(), options=SchedulerOptions(partial_patch_budget=8)
-            )
+            stitcher = IncrementalStitcher(PatchStitchingSolver())
+            stitcher.partial_patch_budget = 8
             for patch in _patches(count=16):
                 stitcher.add(patch)
-        assert stitcher.options == SchedulerOptions(partial_patch_budget=8)
+        assert stitcher.num_patches == 16
 
     @pytest.mark.parametrize(
         "build, knob, value",
@@ -237,33 +229,36 @@ def _online_parts():
     return simulator, ServerlessPlatform(simulator)
 
 
-def _assert_built_from(scheduler, record: SchedulerOptions) -> None:
-    assert scheduler.options is record
-    assert scheduler._packer.options is record
-    assert scheduler._packer.partial_patch_budget == record.partial_patch_budget
+def _assert_production_stitcher(scheduler) -> None:
+    """The scheduler packs through a stitcher of its own (not an oracle)
+    on its solver, at the constant budget."""
+    stitcher = scheduler._packer
+    assert type(stitcher) is IncrementalStitcher
+    assert stitcher.solver is scheduler.solver
+    assert stitcher.equivalent_canvas_pixels == scheduler.estimator.canvas_pixels
+    assert stitcher.partial_patch_budget == PARTIAL_PATCH_BUDGET
 
 
 class TestConfigResolution:
-    """Each runner config's ``scheduler_options`` record is the very
-    object its scheduler, and that scheduler's stitcher, is built from."""
+    """Every runner builds its Tangram schedulers on the production
+    stitcher; no runner config can change it."""
 
     def test_endtoend_config_options_win_wholesale(self):
         from repro.pipeline.endtoend import EndToEndRunner
 
-        record = SchedulerOptions(partial_patch_budget=32)
-        runner = EndToEndRunner(EndToEndConfig(scheduler_options=record), {"camera-0": []})
-        _assert_built_from(runner.scheduler, record)
+        runner = EndToEndRunner(EndToEndConfig(), {"camera-0": []})
+        _assert_production_stitcher(runner.scheduler)
 
     def test_fleet_config_record_reaches_every_shard(self):
+        """Each shard's scheduler packs through a stitcher of its own."""
         from repro.fleet.shard import ShardWorker
         from repro.simulation.random_streams import RandomStreams
         from repro.vision.detector import DetectorLatencyModel
 
-        record = SchedulerOptions(partial_patch_budget=32)
         simulator, platform = _online_parts()
-        fleet = FleetScenarioConfig(scheduler_options=record, estimator_iterations=10)
-        for shard_id in range(2):
-            worker = ShardWorker(
+        fleet = FleetScenarioConfig(estimator_iterations=10)
+        schedulers = [
+            ShardWorker(
                 shard_id,
                 simulator,
                 platform,
@@ -271,12 +266,16 @@ class TestConfigResolution:
                 RandomStreams(0),
                 fleet,
                 None,
-            )
-            _assert_built_from(worker.scheduler, record)
+            ).scheduler
+            for shard_id in range(2)
+        ]
+        for scheduler in schedulers:
+            _assert_production_stitcher(scheduler)
+        assert schedulers[0]._packer is not schedulers[1]._packer
 
     def test_fleet_default_is_canvas_scope(self):
-        """Both runner configs default to the same ``SchedulerOptions()``,
-        the one record the fleet runs and the end-to-end runner
-        consolidate with."""
+        """Neither runner config has a field left that names a scheduler
+        knob, so both run the one production path."""
         for config in (FleetScenarioConfig(), EndToEndConfig()):
-            assert config.scheduler_options == SchedulerOptions()
+            names = [field.name for field in dataclasses.fields(config)]
+            assert not [name for name in names if name.startswith("scheduler")]

@@ -197,6 +197,10 @@ class TestServerlessPlatform:
     def test_invalid_scaling_policy_rejected(self):
         with pytest.raises(ValueError):
             ScalingPolicy(max_instances=0)
+        # NaN kept the pool at one instance and 2.5 acted as 3.
+        for max_instances in (float("nan"), 2.5):
+            with pytest.raises(ValueError):
+                ScalingPolicy(max_instances=max_instances)
 
 
 NAN = float("nan")
@@ -217,8 +221,9 @@ def _invoke_on_fresh_platform(execution_time):
         lambda: ServerlessPlatform(Simulator(), cold_start_time=NAN),
         lambda: ServerlessPlatform(Simulator(), cold_start_time=-5.0),
         lambda: _invoke_on_fresh_platform(NAN),
+        lambda: ServerlessPlatform(Simulator(), cold_start_time=float("inf")),
     ],
-    ids=["cold_start-nan", "cold_start-negative", "invoke-nan"],
+    ids=["cold_start-nan", "cold_start-negative", "invoke-nan", "cold_start-inf"],
 )
 def test_malformed_inputs_rejected(call):
     with pytest.raises(ValueError):

@@ -79,6 +79,12 @@ class TestBalancerPolicies:
         # roughly 1/5 and must stay well under half.
         assert moved < len(keys) // 2
 
+    def test_consistent_hash_needs_a_key(self):
+        """The router always routes by camera id; a keyless select is a
+        caller bug, not a request for some spread."""
+        with pytest.raises(ValueError, match="key"):
+            ConsistentHashBalancer().select(list(range(4)))
+
     def test_least_loaded_balances_camera_counts(self):
         class Target:
             def __init__(self):

@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.consolidation import MAX_PARTIAL_VICTIMS
-from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.skyline import Skyline
 from repro.core.stitching import (
@@ -68,6 +67,14 @@ def _patches(size_list) -> list[Patch]:
         )
         for width, height in size_list
     ]
+
+
+def _small_budget_stitcher() -> IncrementalStitcher:
+    """A stitcher whose 8-patch re-pack budget reaches partial re-packs
+    within a few dozen arrivals."""
+    stitcher = IncrementalStitcher(PatchStitchingSolver())
+    stitcher.partial_patch_budget = 8
+    return stitcher
 
 
 def _rng_patches(count: int, seed: int, lo: float = 64.0, hi: float = 640.0):
@@ -140,10 +147,7 @@ class TestSkylineInvariants:
     def test_incremental_skyline_invariants_hold_after_every_arrival(
         self, size_list
     ):
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(partial_patch_budget=8),
-        )
+        stitcher = _small_budget_stitcher()
         for patch in _patches(size_list):
             stitcher.add(patch)
             PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
@@ -340,10 +344,7 @@ class TestEfficiencyHeap:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(fitting_sizes, min_size=4, max_size=50))
     def test_partial_repack_victims_match_reference_selection(self, size_list):
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(partial_patch_budget=8),
-        )
+        stitcher = _small_budget_stitcher()
         for patch in _patches(size_list):
             plan = stitcher.probe(patch)
             if plan.kind == "partial":
@@ -358,10 +359,7 @@ class TestEfficiencyHeap:
         the live non-oversized canvases at their current efficiencies
         (read through the engine's introspection surface, not its
         private heap/stamp lists)."""
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(partial_patch_budget=8),
-        )
+        stitcher = _small_budget_stitcher()
         for patch in _patches(size_list):
             stitcher.add(patch)
         expected = sorted(
@@ -374,10 +372,7 @@ class TestEfficiencyHeap:
     def test_probe_leaves_heap_usable(self):
         """A probe pops heap entries while planning; every live canvas
         must still be selectable by the next probe (entries pushed back)."""
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(partial_patch_budget=8),
-        )
+        stitcher = _small_budget_stitcher()
         sizes = [(300.0, 300.0)] * 20 + [(900.0, 900.0)] * 3
         for patch in _patches(sizes):
             stitcher.add(patch)
