@@ -19,13 +19,18 @@ statistical:
    add fault windows or widen magnitudes, never move or remove existing
    ones, so "more injected faults" produces a superset of disturbances and
    monotone degradation becomes a structural property.
+
+A query reads only the windows that can answer it: the plan indexes its
+events once, by kind and camera, so a capture or uplink send costs the
+same whatever the number of cameras with faults of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.network.link import counter_uniform
 from repro.simulation.random_streams import RandomStreams
@@ -37,6 +42,9 @@ JITTER = "jitter"
 BURST = "burst"
 
 FAULT_KINDS = (DROPOUT, LOSS, JITTER, BURST)
+
+#: A fault window as the queries read it: ``(start, end, magnitude)``.
+_Window = Tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -60,12 +68,6 @@ class FaultEvent:
         # ``not start <= end`` rather than ``end < start``, so NaN fails too.
         if not self.start <= self.end:
             raise ValueError("fault window must have end >= start")
-
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
-    def covers(self, camera_id: str) -> bool:
-        return self.camera_id is None or self.camera_id == camera_id
 
 
 @dataclass(frozen=True)
@@ -193,40 +195,72 @@ class FaultPlan:
         )
 
     # ---------------------------------------------------------------- queries
-    def _active(self, kind: str, camera_id: str, now: float) -> List[FaultEvent]:
-        return [
-            event
-            for event in self.events
-            if event.kind == kind and event.active(now) and event.covers(camera_id)
-        ]
+    @cached_property
+    def _windows(self) -> Dict[Tuple[str, Optional[str]], Tuple[_Window, ...]]:
+        """The windows each camera query reads, built on the first query.
+
+        ``(kind, None)`` holds the fleet-wide windows of ``kind``.  A
+        camera with windows of its own has a ``(kind, camera_id)`` entry
+        that holds those and the fleet-wide ones.  Both keep event order.
+        """
+        index: Dict[Tuple[str, Optional[str]], List[_Window]] = {
+            (kind, None): [] for kind in FAULT_KINDS
+        }
+        for event in self.events:
+            window = (event.start, event.end, event.magnitude)
+            if event.camera_id is None:
+                # A fleet-wide window covers every camera.
+                for (kind, _camera), windows in index.items():
+                    if kind == event.kind:
+                        windows.append(window)
+            else:
+                key = (event.kind, event.camera_id)
+                if key not in index:
+                    index[key] = list(index[(event.kind, None)])
+                index[key].append(window)
+        return {key: tuple(windows) for key, windows in index.items()}
+
+    @cached_property
+    def _burst_windows(self) -> Tuple[_Window, ...]:
+        """Every burst window, camera-scoped ones included: the arrival
+        multiplier takes no camera and counts them all."""
+        return tuple((e.start, e.end, e.magnitude) for e in self.events if e.kind == BURST)
+
+    def _covering(self, kind: str, camera_id: str) -> Tuple[_Window, ...]:
+        """The windows of ``kind`` that cover ``camera_id``, in event order."""
+        windows = self._windows
+        own = windows.get((kind, camera_id))
+        return windows[(kind, None)] if own is None else own
 
     def camera_down(self, camera_id: str, now: float) -> bool:
         """Whether ``camera_id`` is inside a dropout window at ``now``."""
-        return bool(self._active(DROPOUT, camera_id, now))
+        for start, end, _magnitude in self._covering(DROPOUT, camera_id):
+            if start <= now < end:
+                return True
+        return False
 
     def loss_probability(self, camera_id: str, now: float) -> float:
         """Effective per-send loss probability for the camera's uplink."""
-        active = self._active(LOSS, camera_id, now)
-        return max((event.magnitude for event in active), default=0.0)
+        return _peak(self._covering(LOSS, camera_id), now, 0.0)
 
     def extra_jitter(self, camera_id: str, now: float) -> float:
         """Upper bound on extra propagation jitter (seconds)."""
-        active = self._active(JITTER, camera_id, now)
-        return max((event.magnitude for event in active), default=0.0)
+        return _peak(self._covering(JITTER, camera_id), now, 0.0)
 
     def burst_multiplier(self, now: float) -> float:
         """Arrival multiplier at ``now`` (1.0 outside burst windows)."""
-        active = [e for e in self.events if e.kind == BURST and e.active(now)]
-        return max((event.magnitude for event in active), default=1.0)
+        return _peak(self._burst_windows, now, 1.0)
 
     # ------------------------------------------------------------- link dials
     def loss_dial(self, camera_id: str) -> Callable[[float], float]:
         """A ``f(now) -> p`` dial for :class:`repro.network.link.Uplink`."""
-        return lambda now: self.loss_probability(camera_id, now)
+        windows = self._covering(LOSS, camera_id)
+        return lambda now: _peak(windows, now, 0.0)
 
     def jitter_dial(self, camera_id: str) -> Callable[[float], float]:
         """A ``f(now) -> bound`` jitter dial for the camera's uplink."""
-        return lambda now: self.extra_jitter(camera_id, now)
+        windows = self._covering(JITTER, camera_id)
+        return lambda now: _peak(windows, now, 0.0)
 
     # ---------------------------------------------------------------- summary
     def dropout_cameras(self) -> List[str]:
@@ -246,6 +280,14 @@ class FaultPlan:
             "events": by_kind,
             "dropout_cameras": self.dropout_cameras(),
         }
+
+
+def _peak(windows: Iterable[_Window], now: float, default: float) -> float:
+    """The largest magnitude among ``windows`` open at ``now``."""
+    return max(
+        (magnitude for start, end, magnitude in windows if start <= now < end),
+        default=default,
+    )
 
 
 @dataclass

@@ -14,10 +14,20 @@ and the heartbeats) and by :meth:`sweep` calls that age the silence out.
 Sweeps are *lazy*: the ingest layer calls :meth:`sweep` on its own
 activity instead of keeping a perpetual timer event alive, which keeps the
 discrete-event queue finite and the runs deterministic.
+
+A sweep costs O(1 + suspects + transitions), whatever the fleet size.
+The tracker keeps its non-dead cameras ordered by last heartbeat, oldest
+first; simulated time never runs backwards, so a heartbeat moves its
+camera to the end.  A sweep walks from the oldest camera and stops at the
+first one silent for less than ``suspect_after``: every camera after it
+last heartbeat no earlier, so none of them has been silent long enough to
+change state.  Cameras the sweep declares dead leave the walk until they
+heartbeat again.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict
 
@@ -77,6 +87,8 @@ class LivenessTracker:
         self.dead_after = dead_after
         self.reconnect_settle = reconnect_settle
         self._cameras: Dict[str, CameraHealth] = {}
+        #: The non-dead cameras, oldest heartbeat first: the sweep's walk.
+        self._walk: "OrderedDict[str, CameraHealth]" = OrderedDict()
         self.transitions = {state: 0 for state in LIVENESS_STATES}
 
     # ------------------------------------------------------------------ state
@@ -84,9 +96,11 @@ class LivenessTracker:
         """Start tracking ``camera_id`` as alive from now."""
         if camera_id not in self._cameras:
             now = self.simulator.now
-            self._cameras[camera_id] = CameraHealth(
+            health = CameraHealth(
                 camera_id=camera_id, last_heartbeat=now, state_since=now
             )
+            self._cameras[camera_id] = health
+            self._walk[camera_id] = health
 
     def state(self, camera_id: str) -> str:
         health = self._cameras.get(camera_id)
@@ -116,21 +130,33 @@ class LivenessTracker:
         now = self.simulator.now
         if health.state == DEAD:
             self._enter(health, RECONNECTING)
+            self._walk[camera_id] = health
         elif health.state == RECONNECTING:
             if now - health.state_since >= self.reconnect_settle:
                 self._enter(health, ALIVE)
         elif health.state == SUSPECT:
             self._enter(health, ALIVE)
+        self._walk.move_to_end(camera_id)
         health.last_heartbeat = now
         return health.state
 
     def sweep(self) -> None:
-        """Age silence into state transitions (called on ingest activity)."""
+        """Age silence into state transitions (called on ingest activity).
+
+        Silence only shrinks along the walk, so the cameras this sweep
+        declares dead are the walk's first ``dead`` entries.
+        """
         now = self.simulator.now
-        for health in self._cameras.values():
+        walk = self._walk
+        dead = 0
+        for health in walk.values():
             silence = now - health.last_heartbeat
-            if health.state in (ALIVE, SUSPECT, RECONNECTING):
-                if silence >= self.dead_after:
-                    self._enter(health, DEAD)
-                elif health.state == ALIVE and silence >= self.suspect_after:
-                    self._enter(health, SUSPECT)
+            if silence < self.suspect_after:
+                break
+            if silence >= self.dead_after:
+                self._enter(health, DEAD)
+                dead += 1
+            elif health.state == ALIVE:
+                self._enter(health, SUSPECT)
+        for _ in range(dead):
+            walk.popitem(last=False)

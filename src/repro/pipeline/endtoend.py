@@ -75,6 +75,10 @@ class EndToEndConfig:
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (self.bandwidth_mbps > 0 and self.slo > 0 and self.fps > 0):
             raise ValueError("bandwidth_mbps, slo and fps must be positive")
+        # An infinite SLO sets the batch timer at t = inf: the run then
+        # ends at t = inf with every patch "on time" in one batch.
+        if not math.isfinite(self.slo):
+            raise ValueError("slo must be finite")
         # Fractional or NaN counts pass ``< 1`` and would only fail in
         # ``range()`` mid-run (or not at all), so they fail here.
         for name in ("zones_x", "zones_y", "max_instances"):

@@ -10,6 +10,7 @@ experiment reproducible from a single root seed.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from typing import Dict
 
 import numpy as np
@@ -21,14 +22,17 @@ class RandomStreams:
     Parameters
     ----------
     root_seed:
-        The experiment-level seed.  Each named stream derives its own seed
-        from ``(root_seed, name)`` via SHA-256, so streams are mutually
-        independent and stable across runs and machines.
+        The experiment-level seed, an integer of at least 0.  Each named
+        stream derives its own seed from ``(root_seed, name)`` via
+        SHA-256, so streams are mutually independent and stable across
+        runs and machines.
     """
 
     def __init__(self, root_seed: int = 0) -> None:
-        if root_seed < 0:
-            raise ValueError("root_seed must be non-negative")
+        # ``int()`` would truncate a fractional seed, so 2.5 would replay
+        # seed 2, and a NaN seed would fail only inside ``int()``.
+        if not isinstance(root_seed, numbers.Integral) or root_seed < 0:
+            raise ValueError("root_seed must be an integer of at least 0")
         self.root_seed = int(root_seed)
         self._streams: Dict[str, np.random.Generator] = {}
 

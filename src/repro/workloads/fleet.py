@@ -53,10 +53,11 @@ class FleetWorkloadConfig:
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (self.fps > 0 and self.duration_s > 0 and self.slo > 0):
             raise ValueError("fps, duration_s and slo must be positive")
-        # An infinite rate or duration has no frame count, and an
-        # infinite patch never finishes its transfer.
-        if not (math.isfinite(self.fps) and math.isfinite(self.duration_s)):
-            raise ValueError("fps and duration_s must be finite")
+        # An infinite rate or duration has no frame count, an infinite
+        # patch never finishes its transfer, and an infinite SLO sets the
+        # batch timer at t = inf, so every patch is "on time" in one batch.
+        if not all(map(math.isfinite, (self.fps, self.duration_s, self.slo))):
+            raise ValueError("fps, duration_s and slo must be finite")
         if not 0 < self.min_patch <= self.max_patch < math.inf:
             raise ValueError("need 0 < min_patch <= max_patch < inf")
 

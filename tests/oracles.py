@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher
+from repro.fleet.liveness import ALIVE, DEAD, RECONNECTING, SUSPECT, LivenessTracker
 
 
 class AlwaysRepackStitcher(IncrementalStitcher):
@@ -32,3 +33,19 @@ def use_always_repack(scheduler):
         equivalent_canvas_pixels=scheduler.estimator.canvas_pixels,
     )
     return scheduler
+
+
+class FullWalkLivenessTracker(LivenessTracker):
+    """Test oracle: every sweep walks every registered camera, dead ones
+    included, and stops nowhere, so no order among the cameras can change
+    what it decides."""
+
+    def sweep(self) -> None:
+        now = self.simulator.now
+        for health in self._cameras.values():
+            silence = now - health.last_heartbeat
+            if health.state in (ALIVE, SUSPECT, RECONNECTING):
+                if silence >= self.dead_after:
+                    self._enter(health, DEAD)
+                elif health.state == ALIVE and silence >= self.suspect_after:
+                    self._enter(health, SUSPECT)

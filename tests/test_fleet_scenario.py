@@ -69,6 +69,7 @@ class TestWorkloadPurity:
             {"fps": float("inf")},
             {"duration_s": float("inf")},
             {"max_patch": float("inf")},
+            {"slo": float("inf")},
         ):
             with pytest.raises(ValueError):
                 FleetWorkloadConfig(**overrides)
@@ -102,12 +103,14 @@ class TestResultAccounting:
 #: Fleet settings that used to fail mid-run or silently: a fractional
 #: profiling count raised ``TypeError`` at the first profile, a NaN
 #: instance cap kept the pool at one instance, an infinite propagation
-#: delay completed no patch and an infinite cold start missed every SLO.
+#: delay completed no patch, an infinite cold start missed every SLO and
+#: a fractional seed replayed its integer part.
 _MALFORMED_FLEET = {
     "estimator_iterations": 2.5,
     "max_instances": float("nan"),
     "propagation_delay": float("inf"),
     "cold_start_time": float("inf"),
+    "seed": 2.5,
 }
 
 

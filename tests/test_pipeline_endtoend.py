@@ -52,6 +52,7 @@ class TestEndToEndConfig:
             {"mark_timeout": float("nan")},
             {"mark_timeout": 0.0},
             {"mark_timeout": float("inf")},
+            {"slo": float("inf")},
         ],
         ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
     )

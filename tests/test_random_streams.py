@@ -55,9 +55,12 @@ def test_reset_restarts_streams():
     assert np.allclose(first, second)
 
 
-def test_negative_seed_rejected():
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan")])
+def test_negative_seed_rejected(seed):
+    # Without the integer check, 2.5 would replay seed 2 and NaN would
+    # fail only inside ``int()``.
     with pytest.raises(ValueError):
-        RandomStreams(-1)
+        RandomStreams(seed)
 
 
 def test_stream_consumption_does_not_affect_other_streams():
