@@ -104,14 +104,6 @@ def main(argv=None) -> int:
         "the injected-fault fraction plus this margin (default 0.05)",
     )
     parser.add_argument(
-        "--min-sharded-speedup",
-        type=float,
-        default=1.5,
-        help="--check fails when the 4-shard frontend's scheduler-side "
-        "patches/sec falls below this multiple of the single scheduler's "
-        "(default 1.5)",
-    )
-    parser.add_argument(
         "--max-sharded-slo-delta",
         type=float,
         default=0.0,
@@ -224,7 +216,6 @@ def main(argv=None) -> int:
             min_efficiency_ratio=args.min_efficiency_ratio,
             min_fleet_efficiency_ratio=args.min_fleet_efficiency_ratio,
             max_fleet_overreaction=args.max_fleet_overreaction,
-            min_sharded_speedup=args.min_sharded_speedup,
             max_sharded_slo_delta=args.max_sharded_slo_delta,
             ratios_only=args.ratios_only,
         )

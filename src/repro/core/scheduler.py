@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -126,15 +125,6 @@ class BaseScheduler:
         self.record_placements = record_placements
         self.batches: List[BatchRecord] = []
         self._batch_counter = 0
-        #: Wall-clock seconds this scheduler spent inside its own entry
-        #: points (arrival handling, invocation timers, flush).  The
-        #: simulator charges no simulated time for scheduler compute, so
-        #: this is the quantity a deployment's scheduling throughput is
-        #: bounded by -- and what the sharded fleet bench states its
-        #: patches/sec critical path over (each shard worker is an
-        #: independent process in deployment, so the sharded critical
-        #: path is the *max* over workers, not the sum).
-        self.compute_seconds = 0.0
 
     # ----------------------------------------------------------------- invoke
     def invoke_canvases(self, canvases: Sequence[Canvas]) -> Optional[BatchRecord]:
@@ -301,15 +291,9 @@ class TangramScheduler(BaseScheduler):
 
     # ---------------------------------------------------------------- arrival
     def receive_patch(self, patch: Patch) -> None:
-        """Algorithm 2, lines 4-18: handle one arriving patch."""
-        start = time.perf_counter()
-        try:
-            self._handle_arrival(patch)
-        finally:
-            self.compute_seconds += time.perf_counter() - start
+        """Algorithm 2, lines 4-18: handle one arriving patch.
 
-    def _handle_arrival(self, patch: Patch) -> None:
-        """Plan the placement without mutating the live packing, decide,
+        Plan the placement without mutating the live packing, decide,
         then commit (or ship-and-reset).
 
         The probe/commit split matters: when the new patch would push
@@ -351,29 +335,21 @@ class TangramScheduler(BaseScheduler):
 
     def _fire(self) -> None:
         """Algorithm 2, lines 19-22: the invocation timer went off."""
-        start = time.perf_counter()
-        try:
-            self._timer = None
-            if not self._packer.canvases:
-                return
-            self.invoke_canvases(self._packer.canvases)
-            self._clear_queue()
-        finally:
-            self.compute_seconds += time.perf_counter() - start
+        self._timer = None
+        if not self._packer.canvases:
+            return
+        self.invoke_canvases(self._packer.canvases)
+        self._clear_queue()
 
     # ------------------------------------------------------------------ flush
     def flush(self) -> None:
         """Invoke whatever is still queued (used at the end of a trace)."""
-        start = time.perf_counter()
-        try:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
-            if self._packer.canvases:
-                self.invoke_canvases(self._packer.canvases)
-                self._clear_queue()
-        finally:
-            self.compute_seconds += time.perf_counter() - start
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if self._packer.canvases:
+            self.invoke_canvases(self._packer.canvases)
+            self._clear_queue()
 
     def _clear_queue(self) -> None:
         self._deadline_heap = []

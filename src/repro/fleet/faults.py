@@ -52,8 +52,9 @@ class FaultEvent:
     """One fault window.
 
     ``camera_id`` is ``None`` for fleet-wide events (loss, jitter, burst);
-    ``magnitude`` is a loss probability, a jitter bound in seconds, or a
-    burst arrival multiplier depending on ``kind``.
+    ``magnitude`` is a loss probability in [0, 1], a finite jitter bound
+    in seconds, or a finite burst arrival multiplier of at least 1,
+    depending on ``kind``.
     """
 
     kind: str
@@ -68,6 +69,14 @@ class FaultEvent:
         # ``not start <= end`` rather than ``end < start``, so NaN fails too.
         if not self.start <= self.end:
             raise ValueError("fault window must have end >= start")
+        # Each magnitude check is written so that NaN fails it; a dropout
+        # reads no magnitude.
+        if self.kind == LOSS and not 0.0 <= self.magnitude <= 1.0:
+            raise ValueError("a loss magnitude is a probability in [0, 1]")
+        if self.kind == JITTER and not 0.0 <= self.magnitude < math.inf:
+            raise ValueError("a jitter magnitude must be non-negative and finite")
+        if self.kind == BURST and not 1.0 <= self.magnitude < math.inf:
+            raise ValueError("a burst magnitude must be at least 1 and finite")
 
 
 @dataclass(frozen=True)

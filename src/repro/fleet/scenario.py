@@ -90,10 +90,6 @@ class FleetRunResult:
     #: attempt's timeout is cancelled once the attempt resolves, so no
     #: no-op timeout stretches the run past its last real work.
     simulated_duration: float = 0.0
-    #: Wall-clock seconds the scheduler(s) spent inside their own entry
-    #: points (see :attr:`repro.core.scheduler.BaseScheduler.
-    #: compute_seconds`); summed across workers in the sharded path.
-    scheduler_compute_seconds: float = 0.0
     errors: int = 0
     #: Run-independent per-batch keys (times, cost, efficiencies,
     #: placements, outcome identities); only populated when the config

@@ -9,10 +9,10 @@ over the deterministic patch workload of :mod:`repro.workloads.fleet`:
 * every patch rides a :class:`~repro.fleet.retry.ReliableSender` over a
   per-camera :class:`~repro.network.link.Uplink` whose loss/jitter dials
   are driven by the :class:`~repro.fleet.faults.FaultPlan`;
-* each delivery is routed to the worker that currently owns its camera,
-  whose :class:`~repro.fleet.ingest.FleetIngestor` expires dead-camera
-  and stale deliveries and hands every other one straight to that
-  worker's :class:`~repro.core.scheduler.TangramScheduler`;
+* each delivery goes to the worker its camera registered with, whose
+  :class:`~repro.fleet.ingest.FleetIngestor` expires dead-camera and
+  stale deliveries and hands every other one straight to that worker's
+  :class:`~repro.core.scheduler.TangramScheduler`;
 * burst fault events inject surplus patches tagged ``"fault:burst"``,
   excluded from the delivered-fraction metric so they only *pressure* the
   pipeline.
@@ -26,15 +26,9 @@ that run.
 
 * **Dispatch** is a :mod:`repro.serverless.loadbalancer` policy
   (``"consistent_hash"`` by default — ownership is a pure function of
-  the camera id and the shard count; ``"least_loaded"`` balances by
-  owned-camera count at registration and by live backlog afterwards).
-* **Work stealing**: on a fixed rebalance cadence the router compares
-  shard backlogs (each scheduler's queue); when one shard runs hot it
-  moves the ownership of up to ``steal_fraction`` of its cameras, in
-  camera-id order, to the coldest shard.  Only **future** arrivals move
-  — patches already queued on the hot shard's scheduler stay there
-  (they are mid-flight state, like a canvas's residents).  Rebalance
-  ticks are only scheduled for ``shards > 1``.
+  the camera id and the shard count; ``"round_robin"`` deals camera *i*
+  to shard *i* mod N).  Ownership is fixed when a camera registers:
+  nothing moves a camera to another shard afterwards.
 * **Faults** compose per camera: the plan drives capture suppression,
   uplink dials, and burst surplus, so shard-targeted chaos is just a
   plan over one shard's camera set (under ``"consistent_hash"`` that set
@@ -49,7 +43,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.latency import LatencyEstimator
 from repro.core.scheduler import BatchRecord, TangramScheduler
@@ -60,7 +54,7 @@ from repro.fleet.liveness import LivenessTracker
 from repro.fleet.retry import ReliableSender, TransferStats
 from repro.fleet.scenario import FleetRunResult, FleetScenarioConfig
 from repro.network.encoding import FrameEncoder
-from repro.network.link import Uplink
+from repro.network.link import TransmissionRecord, Uplink
 from repro.serverless.loadbalancer import BALANCER_POLICIES, make_balancer
 from repro.serverless.platform import ScalingPolicy, ServerlessPlatform
 from repro.simulation.engine import Simulator
@@ -87,18 +81,6 @@ class ShardScenarioConfig:
     #: Camera->shard dispatch policy (:data:`~repro.serverless.
     #: loadbalancer.BALANCER_POLICIES`).
     dispatch: str = "consistent_hash"
-    #: Work stealing: compare shard backlogs every ``rebalance_interval``
-    #: simulated seconds and migrate camera ownership off a hot shard.
-    #: Disabled automatically at ``shards=1`` (nothing to steal from).
-    steal_enabled: bool = True
-    rebalance_interval: float = 0.25
-    #: A shard is "hot" when its backlog exceeds ``hot_factor`` times the
-    #: mean backlog and leads the coldest shard by ``min_steal_gap``.
-    hot_factor: float = 2.0
-    min_steal_gap: int = 8
-    #: At most this fraction of the hot shard's cameras migrates per
-    #: rebalance (the steal quota).
-    steal_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         # NaN and fractional counts pass ``< 1`` and would only fail in
@@ -110,15 +92,6 @@ class ShardScenarioConfig:
                 f"unknown dispatch policy {self.dispatch!r}; "
                 f"valid: {BALANCER_POLICIES}"
             )
-        # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
-        if not self.rebalance_interval > 0:
-            raise ValueError("rebalance_interval must be positive")
-        if not self.hot_factor >= 1.0:
-            raise ValueError("hot_factor must be at least 1.0")
-        if self.min_steal_gap < 1:
-            raise ValueError("min_steal_gap must be at least 1")
-        if not 0.0 < self.steal_fraction <= 1.0:
-            raise ValueError("steal_fraction must be in (0, 1]")
 
 
 class _CountingFrontend:
@@ -222,63 +195,28 @@ class ShardWorker:
         self.ingestor = FleetIngestor(simulator, self.frontend, liveness=liveness)
         self.cameras: set = set()
 
-    # ------------------------------------------------------------------ load
-    @property
-    def backlog(self) -> int:
-        """Patches in this worker's scheduler queue; the quantity the
-        work-stealing planner compares."""
-        return self.scheduler.pending_patches
-
-    @property
-    def load(self) -> int:
-        """Dispatch-time load: live backlog plus owned-camera count (the
-        camera count is the proxy for imminent arrivals, and it is what
-        spreads registrations when every backlog is still zero)."""
-        return self.backlog + len(self.cameras)
-
 
 class ShardRouter:
-    """Camera->shard ownership: sticky dispatch plus work stealing."""
+    """Camera->shard ownership, fixed when a camera registers."""
 
     def __init__(
-        self,
-        workers: Sequence[ShardWorker],
-        dispatch: str = "consistent_hash",
-        hot_factor: float = 2.0,
-        min_steal_gap: int = 8,
-        steal_fraction: float = 0.25,
+        self, workers: Sequence[ShardWorker], dispatch: str = "consistent_hash"
     ) -> None:
         if not workers:
             raise ValueError("need at least one shard worker")
         self.workers = list(workers)
-        self.dispatch = dispatch
         self._balancer = make_balancer(dispatch)
-        self.hot_factor = hot_factor
-        self.min_steal_gap = min_steal_gap
-        self.steal_fraction = steal_fraction
         self._owner: Dict[str, ShardWorker] = {}
-        self.counters: Dict[str, int] = {
-            "assignments": 0,
-            "rebalances": 0,
-            "steals_committed": 0,
-            "steals_aborted": 0,
-            "cameras_moved": 0,
-        }
 
-    # ------------------------------------------------------------- ownership
     def assign(self, camera_id: str) -> ShardWorker:
-        """Bind a camera to its shard via the dispatch policy (sticky)."""
+        """The camera's worker: chosen by the dispatch policy on the first
+        call, the same worker on every later one."""
         worker = self._owner.get(camera_id)
         if worker is None:
             worker = self._balancer.select(self.workers, key=camera_id)
             self._owner[camera_id] = worker
             worker.cameras.add(camera_id)
-            self.counters["assignments"] += 1
         return worker
-
-    def owner(self, camera_id: str) -> ShardWorker:
-        """The worker currently owning ``camera_id`` (assigns if new)."""
-        return self._owner.get(camera_id) or self.assign(camera_id)
 
     def assignments(self) -> Dict[str, int]:
         """Current camera -> shard-id map (a copy)."""
@@ -286,43 +224,14 @@ class ShardRouter:
             camera_id: worker.shard_id for camera_id, worker in self._owner.items()
         }
 
-    # ---------------------------------------------------------- work stealing
     def rebalance(self) -> int:
-        """One work-stealing pass; returns the number of cameras moved.
+        """Moves nothing and returns 0: ownership is fixed at registration.
 
-        When a shard runs hot, the first ``steal_fraction`` of its
-        cameras in id order (at least one) move to the coldest shard.
-        A hot shard that owns no camera commits nothing.
+        Nothing calls it.  Kept because the end-to-end benchmark's tracer
+        (``benchmarks/e2e/tracing.py``) wraps it; it goes with that
+        benchmark's next revision.
         """
-        self.counters["rebalances"] += 1
-        count = len(self.workers)
-        if count < 2:
-            return 0
-        backlogs = [worker.backlog for worker in self.workers]
-        mean = sum(backlogs) / count
-        hot_index = max(range(count), key=lambda i: (backlogs[i], -i))
-        cold_index = min(range(count), key=lambda i: (backlogs[i], i))
-        hot, cold = self.workers[hot_index], self.workers[cold_index]
-        if (
-            hot_index == cold_index
-            or backlogs[hot_index] < self.hot_factor * max(1.0, mean)
-            or backlogs[hot_index] - backlogs[cold_index] < self.min_steal_gap
-        ):
-            return 0
-        # Only the cameras' *future* arrivals move: their queued patches
-        # stay on the hot shard, like a drained canvas's residents.
-        candidates = sorted(hot.cameras)
-        moved = candidates[: max(1, int(len(candidates) * self.steal_fraction))]
-        if not moved:
-            self.counters["steals_aborted"] += 1
-            return 0
-        for camera_id in moved:
-            hot.cameras.discard(camera_id)
-            cold.cameras.add(camera_id)
-            self._owner[camera_id] = cold
-        self.counters["steals_committed"] += 1
-        self.counters["cameras_moved"] += len(moved)
-        return len(moved)
+        return 0
 
 
 @dataclass
@@ -333,48 +242,21 @@ class ShardRunResult:
     #: ``batch_keys`` concatenate in shard order when recorded).
     fleet: FleetRunResult
     shards: int = 1
-    dispatch: str = "consistent_hash"
-    #: Per-shard admissions, completed batches, and final owned-camera
-    #: counts (index = shard id).
+    #: Per-shard admissions and owned-camera counts (index = shard id).
     shard_admitted: List[int] = field(default_factory=list)
-    shard_batches: List[int] = field(default_factory=list)
     shard_cameras: List[int] = field(default_factory=list)
-    #: Per-shard scheduler wall-clock compute (index = shard id).  In
-    #: deployment each worker is an independent process, so the sharded
-    #: run's scheduling throughput is bounded by the *max*, not the sum
-    #: (which is what :attr:`FleetRunResult.scheduler_compute_seconds`
-    #: carries).
-    shard_compute_seconds: List[float] = field(default_factory=list)
-    #: Router counters (assignments / rebalances / steals / moves).
-    routing: Dict[str, int] = field(default_factory=dict)
-    #: Final camera -> shard-id ownership.
+    #: Camera -> shard-id ownership.
     assignments: Dict[str, int] = field(default_factory=dict)
 
     @property
     def delivered_fraction(self) -> float:
         return self.fleet.delivered_fraction
 
-    @property
-    def slo_violation_rate(self) -> float:
-        if self.fleet.completed_patches == 0:
-            return 0.0
-        return self.fleet.slo_violations / self.fleet.completed_patches
-
-    @property
-    def critical_path_seconds(self) -> float:
-        """Scheduler compute on the slowest shard -- the deployment's
-        scheduling-side critical path."""
-        if not self.shard_compute_seconds:
-            return 0.0
-        return max(self.shard_compute_seconds)
-
     def counters(self) -> Dict[str, int]:
         """The integer counters two same-seed runs must agree on: the
-        merged fleet counters plus the routing/ownership breakdown."""
+        merged fleet counters plus the per-shard breakdown."""
         flat = self.fleet.counters()
         flat["shard_count"] = self.shards
-        for key, value in sorted(self.routing.items()):
-            flat[f"shard_{key}"] = value
         for shard_id, admitted in enumerate(self.shard_admitted):
             flat[f"shard{shard_id}_admitted"] = admitted
         for shard_id, count in enumerate(self.shard_cameras):
@@ -389,9 +271,8 @@ def run_sharded_scenario(
     """Run one seeded fleet scenario across N scheduler shards.
 
     All shards share one platform, the per-camera retrying uplinks and
-    the capture schedule; deliveries are routed to the owning shard's
-    ingestor at delivery time (so a mid-run ownership migration redirects
-    retransmissions too).
+    the capture schedule.  Each camera registers with one shard, and its
+    deliveries, retransmissions included, go to that shard's ingestor.
     """
     config = config or ShardScenarioConfig()
     base = config.base
@@ -421,18 +302,13 @@ def run_sharded_scenario(
         )
         for shard_id in range(config.shards)
     ]
-    router = ShardRouter(
-        workers,
-        dispatch=config.dispatch,
-        hot_factor=config.hot_factor,
-        min_steal_gap=config.min_steal_gap,
-        steal_fraction=config.steal_fraction,
-    )
+    router = ShardRouter(workers, dispatch=config.dispatch)
     encoder = FrameEncoder()
     result = FleetRunResult(expected_base=workload.total_base_patches)
 
     cameras = camera_ids(workload)
     senders: Dict[str, ReliableSender] = {}
+    deliver: Dict[str, Callable[[TransmissionRecord], None]] = {}
     for camera_id in cameras:
         uplink = Uplink(
             simulator,
@@ -446,7 +322,8 @@ def run_sharded_scenario(
         senders[camera_id] = ReliableSender(simulator, uplink, policy=base.retry)
         if liveness is not None:
             liveness.register(camera_id)
-        router.assign(camera_id)
+        offer = router.assign(camera_id).ingestor.offer
+        deliver[camera_id] = lambda record, offer=offer: offer(record.payload)
 
     def transmit(camera_id: str, frame_index: int, slot: int, scene_key: str) -> None:
         patch = make_patch(
@@ -474,11 +351,7 @@ def run_sharded_scenario(
             payload=patch,
             key=(camera_id, frame_index, slot),
             deadline=patch.deadline,
-            # Ownership is looked up at delivery time, so work stealing
-            # redirects retransmissions along with fresh arrivals.
-            on_delivered=lambda record: router.owner(
-                record.payload.camera_id
-            ).ingestor.offer(record.payload),
+            on_delivered=deliver[camera_id],
             on_failed=failed,
         )
 
@@ -505,17 +378,6 @@ def run_sharded_scenario(
 
         simulator.schedule_at(when, on_capture, name=f"{camera_id}:capture")
 
-    # Rebalance cadence: only when there is more than one shard (with one
-    # shard there is nothing to steal, and no tick events are queued).
-    if config.shards > 1 and config.steal_enabled:
-        horizon = workload.duration_s + 1.0 / workload.fps + workload.slo
-        tick = config.rebalance_interval
-        while tick <= horizon:
-            simulator.schedule_at(
-                tick, lambda _sim: router.rebalance(), name="shard:rebalance"
-            )
-            tick += config.rebalance_interval
-
     simulator.run()
     # End of run: one last sweep of the shared tracker, then every
     # scheduler ships what it still holds.
@@ -529,13 +391,11 @@ def run_sharded_scenario(
     merged_ingest: Dict[str, int] = {}
     efficiencies: List[float] = []
     shard_admitted: List[int] = []
-    shard_batches: List[int] = []
     for worker in workers:
         result.admitted_base += worker.frontend.base
         result.admitted_burst += worker.frontend.burst
         shard_admitted.append(worker.ingestor.admitted)
         completed = [b for b in worker.scheduler.batches if b.outcomes]
-        shard_batches.append(len(completed))
         result.num_batches += len(completed)
         for batch in completed:
             result.completed_patches += len(batch.outcomes)
@@ -550,8 +410,6 @@ def run_sharded_scenario(
         sum(efficiencies) / len(efficiencies) if efficiencies else 0.0
     )
     result.ingest = merged_ingest
-    compute = [worker.scheduler.compute_seconds for worker in workers]
-    result.scheduler_compute_seconds = sum(compute)
     result.transfers = TransferStats().as_dict()
     for sender in senders.values():
         for key, value in sender.stats.as_dict().items():
@@ -563,12 +421,8 @@ def run_sharded_scenario(
     return ShardRunResult(
         fleet=result,
         shards=config.shards,
-        dispatch=config.dispatch,
         shard_admitted=shard_admitted,
-        shard_batches=shard_batches,
         shard_cameras=[len(worker.cameras) for worker in workers],
-        shard_compute_seconds=compute,
-        routing=dict(router.counters),
         assignments=router.assignments(),
     )
 

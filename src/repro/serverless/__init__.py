@@ -14,7 +14,6 @@ from repro.serverless.function import FunctionInstance, InvocationRecord
 from repro.serverless.loadbalancer import (
     BALANCER_POLICIES,
     ConsistentHashBalancer,
-    LeastLoadedBalancer,
     RoundRobinBalancer,
     make_balancer,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "InvocationRecord",
     "BALANCER_POLICIES",
     "RoundRobinBalancer",
-    "LeastLoadedBalancer",
     "ConsistentHashBalancer",
     "make_balancer",
     "ServerlessPlatform",

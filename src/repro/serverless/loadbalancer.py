@@ -3,17 +3,16 @@
 The paper fronts its function instances with NGINX using the default
 policy (round robin).
 
-The sharded fleet frontend (:mod:`repro.fleet.shard`) routes *cameras to
-scheduler shards* through the same factory, which added the two
-ownership-aware policies:
+The sharded fleet frontend (:mod:`repro.fleet.shard`) assigns *cameras to
+scheduler shards* through the same factory, once per camera when it
+registers.  Round robin then deals camera *i* to shard *i* mod N, and the
+factory adds one ownership-aware policy:
 
 * ``"consistent_hash"`` -- a BLAKE2-based hash ring with virtual nodes,
   so a camera's owner is a pure function of ``(key, len(instances))``:
   stable across runs and machines (Python's ``hash`` is per-process
   salted, so it is deliberately not used), and adding/removing one shard
-  only moves ~1/N of the keys;
-* ``"least_loaded"`` -- assign to the target currently carrying the
-  least ``load``, ties broken by position for determinism.
+  only moves ~1/N of the keys.
 
 Every policy accepts an optional ``key=`` on :meth:`LoadBalancer.select`;
 the classic policies ignore it, the consistent-hash ring requires it to
@@ -68,35 +67,6 @@ class RoundRobinBalancer:
         return instance
 
 
-def _target_load(target, position: int) -> Tuple[float, int]:
-    """Deterministic load key: the target's ``load`` (every target is a
-    shard worker), then its position."""
-    return (float(target.load), position)
-
-
-class LeastLoadedBalancer:
-    """Assign to the currently least-loaded target, first index on ties.
-
-    It understands the shard workers' aggregate ``load`` (scheduler
-    backlog plus owned cameras), and its tie-break is positional, so
-    camera placement is deterministic even when every target is idle
-    (the common state at registration time — the effect is then a
-    balanced round-robin-by-count whenever the caller assigns sticky
-    keys one at a time).
-    """
-
-    def select(
-        self, instances: Sequence[FunctionInstance], key: Optional[Hashable] = None
-    ) -> FunctionInstance:
-        if not instances:
-            raise ValueError("no instances available to balance across")
-        index = min(
-            range(len(instances)),
-            key=lambda position: _target_load(instances[position], position),
-        )
-        return instances[index]
-
-
 class ConsistentHashBalancer:
     """A consistent-hash ring over the target *positions*.
 
@@ -142,7 +112,6 @@ class ConsistentHashBalancer:
 #: Policy names accepted by :func:`make_balancer`.
 BALANCER_POLICIES = (
     "round_robin",
-    "least_loaded",
     "consistent_hash",
 )
 
@@ -151,7 +120,6 @@ def make_balancer(name: str) -> LoadBalancer:
     """Factory used by experiment configs (see :data:`BALANCER_POLICIES`)."""
     policies = {
         "round_robin": RoundRobinBalancer,
-        "least_loaded": LeastLoadedBalancer,
         "consistent_hash": ConsistentHashBalancer,
     }
     if name not in policies:

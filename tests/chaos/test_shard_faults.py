@@ -1,4 +1,4 @@
-"""Chaos cell for shard-targeted faults (ISSUE 8).
+"""Chaos cell for shard-targeted faults.
 
 One shard's cameras all drop and reconnect while the other shards run
 clean.  Because ownership under ``consistent_hash`` dispatch is a pure
@@ -15,10 +15,11 @@ Contracts (the fault-matrix contracts, restated per shard):
   :meth:`~repro.fleet.faults.FaultPlan.generate` contract) never
   increases the delivered fraction;
 * **blast-radius isolation** -- at full intensity the victim shard's
-  cameras stay where the hash put them (work stealing moves load, not
-  blame), and the healthy shards keep delivering;
+  cameras stay where the hash put them (ownership is fixed when a camera
+  registers, so the final map is the predicted one), and the healthy
+  shards keep delivering;
 * **deterministic replay** -- two runs with the same config and plan
-  produce identical counters, routing included.
+  produce identical counters, the per-shard breakdown included.
 
 Tier-1 stays fault-free: this suite only runs when ``RUN_CHAOS=1``.
 """
@@ -125,6 +126,11 @@ def test_blast_radius_stays_on_the_victim_shard():
     victims = set(_victim_cameras(config))
     result = _result(1.0)
     assert result.fleet.suppressed_base > 0, "the targeted dropout never fired"
+    # Every camera, the victims included, ends on the shard the hash
+    # gave it before the run.
+    assert result.assignments == consistent_shard_assignment(
+        camera_ids(config.base.workload), config.shards
+    )
     # The healthy shards' cameras are untouched by the plan, so the
     # healthy share of the base stream must be fully delivered: every
     # lost patch is accounted to the victim shard's cameras.

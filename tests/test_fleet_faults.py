@@ -35,6 +35,10 @@ def _plan(intensity=1.0, seed=29, duration=10.0, **kwargs):
     )
 
 
+def _event(kind, magnitude):
+    return FaultEvent(kind=kind, start=0.0, end=1.0, magnitude=magnitude)
+
+
 class TestGeneration:
     def test_same_seed_same_plan(self):
         assert _plan() == _plan()
@@ -101,11 +105,28 @@ class TestGeneration:
             pytest.param(lambda: _plan(burst_count=-1), id="burst_count-negative"),
             pytest.param(lambda: FaultEvent(kind=DROPOUT, start=_NAN, end=1.0), id="start-nan"),
             pytest.param(lambda: FaultEvent(kind=DROPOUT, start=0.0, end=_NAN), id="end-nan"),
+            # Hand-built windows: a NaN loss lost nothing, a loss above 1
+            # was a certain loss, and a NaN burst raised mid-run.
+            pytest.param(lambda: _event(LOSS, _NAN), id="loss-nan"),
+            pytest.param(lambda: _event(LOSS, -0.1), id="loss-negative"),
+            pytest.param(lambda: _event(LOSS, 1.5), id="loss-above-one"),
+            pytest.param(lambda: _event(JITTER, _NAN), id="jitter-magnitude-nan"),
+            pytest.param(lambda: _event(JITTER, -0.1), id="jitter-magnitude-negative"),
+            pytest.param(lambda: _event(JITTER, _INF), id="jitter-magnitude-inf"),
+            pytest.param(lambda: _event(BURST, _NAN), id="burst-magnitude-nan"),
+            pytest.param(lambda: _event(BURST, 0.5), id="burst-magnitude-below-one"),
+            pytest.param(lambda: _event(BURST, _INF), id="burst-magnitude-inf"),
         ],
     )
     def test_malformed_plans_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_magnitude_range_edges_accepted(self):
+        for kind, magnitude in ((LOSS, 0.0), (LOSS, 1.0), (JITTER, 0.0), (BURST, 1.0)):
+            assert _event(kind, magnitude).magnitude == magnitude
+        # A dropout reads no magnitude, so none is rejected.
+        _event(DROPOUT, _NAN)
 
 
 class TestQueries:

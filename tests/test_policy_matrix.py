@@ -194,12 +194,13 @@ def test_fault_free_fleet_ingest_is_byte_identical():
 # --------------------------------------------------------------------------
 # Sharded-frontend axis: the ``shards in {1, 4}`` cells of the matrix.
 # The unsharded fleet run *is* the ``shards=1`` run, so comparing the two
-# would be a tautology.  Both cells instead pin values recorded from the
-# standalone unsharded runner (for ``shards=1``) and the four-shard
-# router, before the two shared one code path: counters plus a digest of
-# the per-batch keys (times, cost, efficiencies, placements, outcome
-# identities), under a plan with dropouts, loss and a burst so the fault
-# path is pinned too.  ``shards=4`` partitions the stream across four
+# would be a tautology.  Both cells instead pin recorded values: the
+# ``shards=1`` cell those of the standalone unsharded runner, from before
+# the two shared one code path, and the ``shards=4`` cell those of the
+# four-shard run with each camera's shard fixed at registration.  Each
+# pin is counters plus a digest of the per-batch keys (times, cost,
+# efficiencies, placements, outcome identities), under a plan with
+# dropouts, loss and a burst so the fault path is pinned too.  ``shards=4`` partitions the stream across four
 # independent packers, so its packing may drift from the one-shard run,
 # but only within the stream-drift bounds: mean canvas efficiency within
 # 1% and canvas counts within 3%.
@@ -227,8 +228,8 @@ RECORDED = {
     ),
     4: (
         14,
-        "99e06440a7ae3e70bf03b62932a23a43cb393f3dfd74033b1e264f701ebf6d5d",
-        {"shard_steals_committed": 5, "slo_violations": 14},
+        "022edd1676ba471740b33eeceaa11015adc91be3b800a01264c08ecb9eacecb5",
+        {"num_canvases": 19, "slo_violations": 14},
     ),
 }
 

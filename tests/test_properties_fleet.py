@@ -120,16 +120,27 @@ CAMERAS = ("cam-0", "cam-1", "cam-2")
 BYSTANDER = "cam-9"
 
 
+#: The magnitudes drawn per kind: each kind's valid range, which
+#: :class:`FaultEvent` enforces.  A dropout reads no magnitude.
+MAGNITUDES = {
+    DROPOUT: (0.0, 0.05, 0.5, 1.0, 2.0, 3.0),
+    LOSS: (0.0, 0.05, 0.5, 1.0),
+    JITTER: (0.0, 0.05, 0.5, 1.0, 2.0, 3.0),
+    BURST: (1.0, 1.5, 2.0, 3.0),
+}
+
+
 @st.composite
 def fault_events(draw) -> FaultEvent:
     """Windows of every kind on a half-second grid, fleet-wide or scoped
     to one camera; zero-length windows and equal magnitudes included."""
     start = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+    kind = draw(st.sampled_from(FAULT_KINDS))
     return FaultEvent(
-        kind=draw(st.sampled_from(FAULT_KINDS)),
+        kind=kind,
         start=start,
         end=start + draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])),
-        magnitude=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, 3.0])),
+        magnitude=draw(st.sampled_from(MAGNITUDES[kind])),
         camera_id=draw(st.sampled_from((None,) + CAMERAS)),
     )
 
