@@ -634,9 +634,8 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
 
     The pair gates what the simulation decides, not a speed-up: the
     sharded arm's SLO-violation rate may be no worse than the single
-    scheduler's, and neither arm may raise.  Dispatch is ``round_robin``,
-    which deals the 1024 cameras 256 to each shard (consistent hashing
-    spreads them 225-281).
+    scheduler's, and neither arm may raise.  The fleet runner deals camera
+    *i* to shard *i* mod N, so the 4-shard arm owns 256 cameras per shard.
     """
     from repro.fleet import ShardScenarioConfig, run_sharded_scenario
 
@@ -644,9 +643,7 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
     plan = _sharded_fleet_plan(config)
     start = time.perf_counter()
     # shards=1 is exactly ``run_fleet_scenario``: one worker owns every camera.
-    sharded = run_sharded_scenario(
-        ShardScenarioConfig(base=config, shards=shards, dispatch="round_robin"), plan
-    )
+    sharded = run_sharded_scenario(ShardScenarioConfig(base=config, shards=shards), plan)
     elapsed = time.perf_counter() - start
     fleet = sharded.fleet
     violation_rate = (

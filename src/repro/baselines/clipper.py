@@ -14,6 +14,8 @@ valve without which AIMD alone has unbounded waiting at low arrival rates).
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import List, Optional
 
 from repro.core.patches import Patch
@@ -49,10 +51,14 @@ class ClipperScheduler(BaseScheduler):
             streams=streams or RandomStreams(29),
             name="clipper",
         )
-        if input_size <= 0:
-            raise ValueError("input_size must be positive")
-        if initial_batch_size < 1 or max_batch_size < 1:
-            raise ValueError("batch sizes must be at least 1")
+        # Written so that NaN fails each check: a NaN batch target would
+        # run silently, and a NaN or infinite input size fails only at the
+        # first canvas, mid-run.
+        if not 0 < input_size < math.inf:
+            raise ValueError("input_size must be finite and positive")
+        for size in (initial_batch_size, max_batch_size):
+            if not isinstance(size, numbers.Integral) or size < 1:
+                raise ValueError("batch sizes must be integers of at least 1")
         self.input_size = input_size
         self.batch_size_target = initial_batch_size
         self.max_batch_size = max_batch_size
@@ -97,7 +103,7 @@ class ClipperScheduler(BaseScheduler):
     def receive_patch(self, patch: Patch) -> None:
         self._queue.append(patch)
         if len(self._queue) >= self.batch_size_target:
-            self._dispatch()
+            self._invoke_batch()
             return
         self._reschedule_deadline_guard()
 
@@ -110,11 +116,11 @@ class ClipperScheduler(BaseScheduler):
         if self._timer is not None:
             self._timer.cancel()
         self._timer = self.simulator.schedule_at(
-            fire_at, lambda _sim: self._dispatch(), name="clipper:deadline-guard"
+            fire_at, lambda _sim: self._invoke_batch(), name="clipper:deadline-guard"
         )
 
-    # --------------------------------------------------------------- dispatch
-    def _dispatch(self) -> None:
+    # ----------------------------------------------------------------- invoke
+    def _invoke_batch(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -155,4 +161,4 @@ class ClipperScheduler(BaseScheduler):
     # ------------------------------------------------------------------ flush
     def flush(self) -> None:
         while self._queue:
-            self._dispatch()
+            self._invoke_batch()

@@ -10,6 +10,8 @@ knob.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import List, Optional
 
 from repro.core.patches import Patch
@@ -42,12 +44,14 @@ class MArkScheduler(BaseScheduler):
             streams=streams or RandomStreams(31),
             name="mark",
         )
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if input_size <= 0:
-            raise ValueError("input_size must be positive")
+        # Written so that NaN fails each check; a fractional batch size
+        # would only fail mid-run, as a slice index.
+        if not isinstance(batch_size, numbers.Integral) or batch_size < 1:
+            raise ValueError("batch_size must be an integer of at least 1")
+        if not 0 < timeout < math.inf:
+            raise ValueError("timeout must be finite and positive")
+        if not 0 < input_size < math.inf:
+            raise ValueError("input_size must be finite and positive")
         self.input_size = input_size
         self.batch_size = batch_size
         self.timeout = timeout
@@ -58,15 +62,15 @@ class MArkScheduler(BaseScheduler):
     def receive_patch(self, patch: Patch) -> None:
         self._queue.append(patch)
         if len(self._queue) >= self.batch_size:
-            self._dispatch()
+            self._invoke_batch()
         elif self._timer is None:
             # The timeout window opens when the first request of the batch
             # arrives.
             self._timer = self.simulator.schedule_in(
-                self.timeout, lambda _sim: self._dispatch(), name="mark:timeout"
+                self.timeout, lambda _sim: self._invoke_batch(), name="mark:timeout"
             )
 
-    # --------------------------------------------------------------- dispatch
+    # ----------------------------------------------------------------- invoke
     def _build_inputs(self, patches: List[Patch]) -> List[Canvas]:
         inputs: List[Canvas] = []
         for patch in patches:
@@ -84,7 +88,7 @@ class MArkScheduler(BaseScheduler):
             inputs.append(canvas)
         return inputs
 
-    def _dispatch(self) -> None:
+    def _invoke_batch(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -95,10 +99,10 @@ class MArkScheduler(BaseScheduler):
         self.invoke_canvases(self._build_inputs(batch))
         if self._queue:
             self._timer = self.simulator.schedule_in(
-                self.timeout, lambda _sim: self._dispatch(), name="mark:timeout"
+                self.timeout, lambda _sim: self._invoke_batch(), name="mark:timeout"
             )
 
     # ------------------------------------------------------------------ flush
     def flush(self) -> None:
         while self._queue:
-            self._dispatch()
+            self._invoke_batch()

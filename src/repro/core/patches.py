@@ -10,6 +10,7 @@ frame's SLO -- exactly the metadata the paper lists as "Patches' Info".
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -56,10 +57,12 @@ class Patch:
     patch_id: int = field(default_factory=lambda: next(_patch_counter))
 
     def __post_init__(self) -> None:
-        if self.slo <= 0:
-            raise ValueError("slo must be positive")
-        if self.generation_time < 0:
-            raise ValueError("generation_time must be non-negative")
+        # Written so that NaN fails too: a NaN or infinite time would give
+        # the patch a deadline no scheduler can order or meet.
+        if not 0 < self.slo < math.inf:
+            raise ValueError("slo must be finite and positive")
+        if not 0 <= self.generation_time < math.inf:
+            raise ValueError("generation_time must be finite and non-negative")
 
     # ------------------------------------------------------------- dimensions
     @property

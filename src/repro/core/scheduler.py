@@ -31,7 +31,6 @@ the baseline scheduling policies (Clipper, MArk, ELF) in
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -279,7 +278,8 @@ class TangramScheduler(BaseScheduler):
         #: ``tracing.py``) reads it; it goes with that benchmark's next
         #: revision.
         self.shed: List[Patch] = []
-        self._deadline_heap: List[float] = []
+        #: The earliest deadline in the queue (``inf`` while it is empty).
+        self._earliest_deadline = math.inf
         self._timer: Optional[Event] = None
 
     # ------------------------------------------------------------- constraint
@@ -305,9 +305,7 @@ class TangramScheduler(BaseScheduler):
         packer = self._packer
         now = self.simulator.now
         plan = packer.probe(patch)
-        deadline = patch.deadline
-        if self._deadline_heap and self._deadline_heap[0] < deadline:
-            deadline = self._deadline_heap[0]
+        deadline = min(patch.deadline, self._earliest_deadline)
         slack = self.estimator.slack_time(max(1, plan.equivalent_after))
         t_remain = deadline - slack
 
@@ -316,12 +314,12 @@ class TangramScheduler(BaseScheduler):
             # SLO (or exceed GPU memory): ship the old canvases now and
             # start a fresh queue with just the new patch.
             self.invoke_canvases(packer.canvases)
-            self._deadline_heap = [patch.deadline]
+            self._earliest_deadline = patch.deadline
             packer.reset([patch])
             slack = self.estimator.slack_time(max(1, packer.equivalent))
             t_remain = patch.deadline - slack
         else:
-            heapq.heappush(self._deadline_heap, patch.deadline)
+            self._earliest_deadline = deadline
             packer.commit(plan)
 
         self._schedule_invocation(max(now, t_remain))
@@ -352,7 +350,7 @@ class TangramScheduler(BaseScheduler):
             self._clear_queue()
 
     def _clear_queue(self) -> None:
-        self._deadline_heap = []
+        self._earliest_deadline = math.inf
         self._packer.reset()
 
     # --------------------------------------------------------------- insight

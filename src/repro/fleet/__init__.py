@@ -16,10 +16,9 @@ real fleet needs between frame capture and ``TangramScheduler``:
 * :mod:`repro.fleet.scenario` -- the fleet run's config and fully-counted
   result, and :func:`run_fleet_scenario`, the unsharded run;
 * :mod:`repro.fleet.shard` -- the one fleet runner, which wires all of
-  the above together: the cameras partitioned across N independent
-  scheduler workers by consistent-hash (or round-robin) dispatch, each
-  camera's owner fixed when it registers.  :func:`run_fleet_scenario` is
-  its ``shards=1`` run.
+  the above together: the cameras dealt round robin across N independent
+  scheduler workers, each camera's owner fixed when it registers.
+  :func:`run_fleet_scenario` is its ``shards=1`` run.
 """
 
 from repro.fleet.faults import FaultEvent, FaultFreePlan, FaultPlan

@@ -28,9 +28,9 @@ same whatever the number of cameras with faults of their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.network.link import counter_uniform
 from repro.simulation.random_streams import RandomStreams
@@ -291,53 +291,27 @@ class FaultPlan:
         }
 
 
-def _peak(windows: Iterable[_Window], now: float, default: float) -> float:
+def _peak(windows: Tuple[_Window, ...], now: float, default: float) -> float:
     """The largest magnitude among ``windows`` open at ``now``."""
+    # A fault-free plan answers here on every uplink send and capture, so
+    # it returns before building a generator over no windows.
+    if not windows:
+        return default
     return max(
         (magnitude for start, end, magnitude in windows if start <= now < end),
         default=default,
     )
 
 
-@dataclass
-class FaultFreePlan:
+@dataclass(frozen=True)
+class FaultFreePlan(FaultPlan):
     """The null object: a plan with no events (every query says "healthy").
 
     Scenario code can hold a plan unconditionally instead of branching on
-    ``None`` everywhere.
+    ``None`` everywhere.  Its ``seed`` is reported by :meth:`describe`
+    and handed to the uplinks, which draw nothing without loss or jitter.
     """
 
     seed: int = 0
     duration: float = 0.0
-    events: Tuple[FaultEvent, ...] = field(default=())
     intensity: float = 0.0
-
-    def camera_down(self, camera_id: str, now: float) -> bool:
-        return False
-
-    def loss_probability(self, camera_id: str, now: float) -> float:
-        return 0.0
-
-    def extra_jitter(self, camera_id: str, now: float) -> float:
-        return 0.0
-
-    def burst_multiplier(self, now: float) -> float:
-        return 1.0
-
-    def loss_dial(self, camera_id: str) -> float:
-        return 0.0
-
-    def jitter_dial(self, camera_id: str) -> float:
-        return 0.0
-
-    def dropout_cameras(self) -> List[str]:
-        return []
-
-    def describe(self) -> dict:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "intensity": 0.0,
-            "events": {kind: 0 for kind in FAULT_KINDS},
-            "dropout_cameras": [],
-        }

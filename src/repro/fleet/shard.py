@@ -12,27 +12,27 @@ over the deterministic patch workload of :mod:`repro.workloads.fleet`:
 * each delivery goes to the worker its camera registered with, whose
   :class:`~repro.fleet.ingest.FleetIngestor` expires dead-camera and
   stale deliveries and hands every other one straight to that worker's
-  :class:`~repro.core.scheduler.TangramScheduler`;
+  :class:`~repro.core.scheduler.TangramScheduler`; the delivery callback
+  counts each admission as base stream or burst surplus;
 * burst fault events inject surplus patches tagged ``"fault:burst"``,
   excluded from the delivered-fraction metric so they only *pressure* the
   pipeline.
 
-One scheduler owns one packing, one deadline heap, one consolidation
+One scheduler owns one packing, one earliest deadline, one consolidation
 engine — state that is deliberately *not* shared, which is what makes
 scale-out routing rather than surgery: the camera fleet is partitioned
 across ``shards`` independent workers.  ``shards=1`` is the unsharded
 fleet, and :func:`~repro.fleet.scenario.run_fleet_scenario` is exactly
 that run.
 
-* **Dispatch** is a :mod:`repro.serverless.loadbalancer` policy
-  (``"consistent_hash"`` by default — ownership is a pure function of
-  the camera id and the shard count; ``"round_robin"`` deals camera *i*
-  to shard *i* mod N).  Ownership is fixed when a camera registers:
-  nothing moves a camera to another shard afterwards.
+* **Dispatch** is round robin: cameras register in
+  :func:`~repro.workloads.fleet.camera_ids` order, and the *i*-th goes to
+  shard *i* mod N.  Ownership is fixed when a camera registers: nothing
+  moves a camera to another shard afterwards.
 * **Faults** compose per camera: the plan drives capture suppression,
   uplink dials, and burst surplus, so shard-targeted chaos is just a
-  plan over one shard's camera set (under ``"consistent_hash"`` that set
-  is a pure function of the camera ids and the shard count).
+  plan over one shard's camera set, ``camera_ids(workload)[k::N]`` for
+  shard *k*.
 
 The result exposes every counter the chaos contracts compare: two runs
 with the same config and plan produce identical
@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.latency import LatencyEstimator
+from repro.core.patches import Patch
 from repro.core.scheduler import BatchRecord, TangramScheduler
 from repro.core.stitching import PatchStitchingSolver
 from repro.fleet.faults import FaultFreePlan, FaultPlan
@@ -55,7 +56,6 @@ from repro.fleet.retry import ReliableSender, TransferStats
 from repro.fleet.scenario import FleetRunResult, FleetScenarioConfig
 from repro.network.encoding import FrameEncoder
 from repro.network.link import TransmissionRecord, Uplink
-from repro.serverless.loadbalancer import BALANCER_POLICIES, make_balancer
 from repro.serverless.platform import ScalingPolicy, ServerlessPlatform
 from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
@@ -71,51 +71,19 @@ from repro.workloads.fleet import (
 
 @dataclass
 class ShardScenarioConfig:
-    """One sharded fleet run: the single-scheduler config plus routing."""
+    """One sharded fleet run: the single-scheduler config plus a shard count."""
 
     #: Everything a single worker needs (workload, uplinks, liveness,
     #: platform and estimator settings).
     base: FleetScenarioConfig = field(default_factory=FleetScenarioConfig)
     #: Independent scheduler workers the cameras are partitioned across.
     shards: int = 4
-    #: Camera->shard dispatch policy (:data:`~repro.serverless.
-    #: loadbalancer.BALANCER_POLICIES`).
-    dispatch: str = "consistent_hash"
 
     def __post_init__(self) -> None:
         # NaN and fractional counts pass ``< 1`` and would only fail in
         # ``range()`` mid-run, so they fail here.
         if not isinstance(self.shards, numbers.Integral) or self.shards < 1:
             raise ValueError("shards must be an integer of at least 1")
-        if self.dispatch not in BALANCER_POLICIES:
-            raise ValueError(
-                f"unknown dispatch policy {self.dispatch!r}; "
-                f"valid: {BALANCER_POLICIES}"
-            )
-
-
-class _CountingFrontend:
-    """Scheduler facade that splits admissions by scene key.
-
-    The ingestor admits into this instead of the scheduler directly, so
-    the result can separate the base stream from burst-injected surplus
-    without threading tags through the scheduler itself.
-    """
-
-    def __init__(self, scheduler: TangramScheduler) -> None:
-        self.scheduler = scheduler
-        self.base = 0
-        self.burst = 0
-
-    def receive_patch(self, patch) -> None:
-        if patch.scene_key == BURST_SCENE:
-            self.burst += 1
-        else:
-            self.base += 1
-        self.scheduler.receive_patch(patch)
-
-    def flush(self) -> None:
-        self.scheduler.flush()
 
 
 def batch_key(batch: BatchRecord) -> tuple:
@@ -191,29 +159,27 @@ class ShardWorker:
             record_placements=config.record_placements,
             gpu_memory_gb=config.gpu_memory_gb,
         )
-        self.frontend = _CountingFrontend(self.scheduler)
-        self.ingestor = FleetIngestor(simulator, self.frontend, liveness=liveness)
+        self.ingestor = FleetIngestor(simulator, self.scheduler, liveness=liveness)
         self.cameras: set = set()
 
 
 class ShardRouter:
-    """Camera->shard ownership, fixed when a camera registers."""
+    """Camera->shard ownership, dealt round robin and fixed when a camera
+    registers."""
 
-    def __init__(
-        self, workers: Sequence[ShardWorker], dispatch: str = "consistent_hash"
-    ) -> None:
+    def __init__(self, workers: Sequence[ShardWorker]) -> None:
         if not workers:
             raise ValueError("need at least one shard worker")
         self.workers = list(workers)
-        self._balancer = make_balancer(dispatch)
         self._owner: Dict[str, ShardWorker] = {}
 
     def assign(self, camera_id: str) -> ShardWorker:
-        """The camera's worker: chosen by the dispatch policy on the first
-        call, the same worker on every later one."""
+        """The camera's worker: on the first call, the camera is the
+        *i*-th to register and gets worker *i* mod N; every later call
+        returns the same worker."""
         worker = self._owner.get(camera_id)
         if worker is None:
-            worker = self._balancer.select(self.workers, key=camera_id)
+            worker = self.workers[len(self._owner) % len(self.workers)]
             self._owner[camera_id] = worker
             worker.cameras.add(camera_id)
         return worker
@@ -302,13 +268,13 @@ def run_sharded_scenario(
         )
         for shard_id in range(config.shards)
     ]
-    router = ShardRouter(workers, dispatch=config.dispatch)
+    router = ShardRouter(workers)
     encoder = FrameEncoder()
     result = FleetRunResult(expected_base=workload.total_base_patches)
 
     cameras = camera_ids(workload)
     senders: Dict[str, ReliableSender] = {}
-    deliver: Dict[str, Callable[[TransmissionRecord], None]] = {}
+    offers: Dict[str, Callable[[Patch], str]] = {}
     for camera_id in cameras:
         uplink = Uplink(
             simulator,
@@ -317,13 +283,20 @@ def run_sharded_scenario(
             name=f"uplink/{camera_id}",
             loss_probability=active_plan.loss_dial(camera_id),
             jitter_s=active_plan.jitter_dial(camera_id),
-            fault_seed=getattr(active_plan, "seed", 0),
+            fault_seed=active_plan.seed,
         )
         senders[camera_id] = ReliableSender(simulator, uplink, policy=base.retry)
         if liveness is not None:
             liveness.register(camera_id)
-        offer = router.assign(camera_id).ingestor.offer
-        deliver[camera_id] = lambda record, offer=offer: offer(record.payload)
+        offers[camera_id] = router.assign(camera_id).ingestor.offer
+
+    def deliver(record: TransmissionRecord) -> None:
+        patch = record.payload
+        if offers[patch.camera_id](patch) == "admitted":
+            if patch.scene_key == BURST_SCENE:
+                result.admitted_burst += 1
+            else:
+                result.admitted_base += 1
 
     def transmit(camera_id: str, frame_index: int, slot: int, scene_key: str) -> None:
         patch = make_patch(
@@ -351,7 +324,7 @@ def run_sharded_scenario(
             payload=patch,
             key=(camera_id, frame_index, slot),
             deadline=patch.deadline,
-            on_delivered=deliver[camera_id],
+            on_delivered=deliver,
             on_failed=failed,
         )
 
@@ -384,7 +357,7 @@ def run_sharded_scenario(
     if liveness is not None:
         liveness.sweep()
     for worker in workers:
-        worker.frontend.flush()
+        worker.scheduler.flush()
     simulator.run()
 
     # ------------------------------------------------------------ aggregation
@@ -392,8 +365,6 @@ def run_sharded_scenario(
     efficiencies: List[float] = []
     shard_admitted: List[int] = []
     for worker in workers:
-        result.admitted_base += worker.frontend.base
-        result.admitted_burst += worker.frontend.burst
         shard_admitted.append(worker.ingestor.admitted)
         completed = [b for b in worker.scheduler.batches if b.outcomes]
         result.num_batches += len(completed)

@@ -80,8 +80,15 @@ class EndToEndConfig:
         if not math.isfinite(self.slo):
             raise ValueError("slo must be finite")
         # Fractional or NaN counts pass ``< 1`` and would only fail in
-        # ``range()`` mid-run (or not at all), so they fail here.
-        for name in ("zones_x", "zones_y", "max_instances"):
+        # ``range()`` or a slice mid-run (or not at all, as Clipper's AIMD
+        # target), so they fail here.
+        for name in (
+            "zones_x",
+            "zones_y",
+            "max_instances",
+            "mark_batch_size",
+            "clipper_initial_batch",
+        ):
             count = getattr(self, name)
             if not isinstance(count, numbers.Integral) or count < 1:
                 raise ValueError(f"{name} must be an integer of at least 1")
@@ -91,6 +98,10 @@ class EndToEndConfig:
             raise ValueError("edge_latency must be finite and non-negative")
         if not (math.isfinite(self.mark_timeout) and self.mark_timeout > 0):
             raise ValueError("mark_timeout must be finite and positive")
+        # A NaN or infinite input size would only fail at the first
+        # baseline canvas, mid-run.
+        if not 0 < self.baseline_input_size < math.inf:
+            raise ValueError("baseline_input_size must be finite and positive")
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 :class:`ServerlessPlatform` owns the pool of function instances, scales the
 pool out when every warm instance is busy (serverless functions scale in
-tens of milliseconds, so the default policy simply adds an instance rather
-than queueing), routes each invocation round robin to an idle instance
-whenever one exists (NGINX's default policy), and aggregates billing
-across all instances.
+tens of milliseconds, so it simply adds an instance rather than queueing)
+until the pool reaches ``max_instances``, routes each invocation round
+robin to an idle instance whenever one exists (NGINX's default policy),
+and aggregates billing across all instances.
 """
 
 from __future__ import annotations
@@ -18,22 +18,20 @@ from typing import Any, Callable, List, Optional
 from repro.simulation.engine import Simulator
 from repro.serverless.cost import AlibabaCostModel, FunctionResources
 from repro.serverless.function import FunctionInstance, InvocationRecord
-from repro.serverless.loadbalancer import RoundRobinBalancer
 
 
 @dataclass(frozen=True)
 class ScalingPolicy:
     """When to add a new function instance.
 
-    ``max_instances`` bounds the pool (a per-account concurrency quota in
-    real deployments) and must be an integer of at least 1;
-    ``scale_out_when_busy`` adds an instance whenever all existing
-    instances have at least one outstanding invocation, which is how
-    request-driven FaaS platforms behave.
+    The platform adds an instance whenever all existing instances have at
+    least one outstanding invocation, which is how request-driven FaaS
+    platforms behave.  ``max_instances`` bounds the pool (a per-account
+    concurrency quota in real deployments) and must be an integer of at
+    least 1.
     """
 
     max_instances: int = 32
-    scale_out_when_busy: bool = True
 
     def __post_init__(self) -> None:
         # NaN passes ``< 1`` and then caps nothing (``len < NaN`` is
@@ -64,12 +62,14 @@ class ServerlessPlatform:
         self.simulator = simulator
         self.resources = resources or FunctionResources()
         self.cost_model = cost_model or AlibabaCostModel(resources=self.resources)
-        self.balancer = RoundRobinBalancer()
         self.scaling = scaling or ScalingPolicy()
         self.cold_start_time = cold_start_time
         self.name = name
         self.instances: List[FunctionInstance] = []
         self._instance_counter = 0
+        #: The round-robin position; it advances once per routed
+        #: invocation, whichever list it indexes.
+        self._cursor = 0
         for _ in range(initial_instances):
             self._add_instance()
 
@@ -94,17 +94,16 @@ class ServerlessPlatform:
         if not self.instances:
             return self._add_instance()
         # Concurrency is one invocation per instance, so an idle instance
-        # always beats queueing behind a busy one; the balancer rotates
+        # always beats queueing behind a busy one; the cursor rotates
         # among the idle instances and falls back to all of them only
         # when every instance is busy and the pool cannot grow.
         idle = [instance for instance in self.instances if instance.outstanding == 0]
-        if (
-            not idle
-            and self.scaling.scale_out_when_busy
-            and len(self.instances) < self.scaling.max_instances
-        ):
+        if not idle and len(self.instances) < self.scaling.max_instances:
             return self._add_instance()
-        return self.balancer.select(idle or self.instances)
+        candidates = idle or self.instances
+        instance = candidates[self._cursor % len(candidates)]
+        self._cursor += 1
+        return instance
 
     # ----------------------------------------------------------------- invoke
     def invoke(
@@ -119,7 +118,7 @@ class ServerlessPlatform:
         tests asserting scaling behaviour).
         """
         # Checked before an instance is picked, so a bad call neither
-        # scales the pool nor advances the balancer.
+        # scales the pool nor advances the cursor.
         if not execution_time >= 0:
             raise ValueError("execution_time must be non-negative")
         instance = self._pick_instance()

@@ -1,10 +1,9 @@
 """Chaos cell for shard-targeted faults.
 
 One shard's cameras all drop and reconnect while the other shards run
-clean.  Because ownership under ``consistent_hash`` dispatch is a pure
-function of the camera id and the shard count
-(``consistent_shard_assignment`` in ``tests/conftest.py``), the fault plan
-can be aimed at exactly the victim shard's camera set before the run.
+clean.  Cameras register in ``camera_ids`` order and the *i*-th goes to
+shard *i* mod N, so shard *k* owns ``camera_ids(workload)[k::N]`` and the
+fault plan can be aimed at exactly that set before the run.
 
 Contracts (the fault-matrix contracts, restated per shard):
 
@@ -15,9 +14,9 @@ Contracts (the fault-matrix contracts, restated per shard):
   :meth:`~repro.fleet.faults.FaultPlan.generate` contract) never
   increases the delivered fraction;
 * **blast-radius isolation** -- at full intensity the victim shard's
-  cameras stay where the hash put them (ownership is fixed when a camera
-  registers, so the final map is the predicted one), and the healthy
-  shards keep delivering;
+  cameras stay on the shard they were dealt to (ownership is fixed when a
+  camera registers, so the final map is the predicted one), and the
+  healthy shards keep delivering;
 * **deterministic replay** -- two runs with the same config and plan
   produce identical counters, the per-shard breakdown included.
 
@@ -34,7 +33,6 @@ from repro.fleet import FaultPlan
 from repro.fleet.scenario import FleetScenarioConfig
 from repro.fleet.shard import ShardScenarioConfig, run_sharded_scenario
 from repro.workloads.fleet import FleetWorkloadConfig, camera_ids
-from tests.conftest import consistent_shard_assignment
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("RUN_CHAOS"),
@@ -44,6 +42,8 @@ pytestmark = pytest.mark.skipif(
 PLAN_SEED = 23
 DURATION = 6.0
 SHARDS = 4
+#: The shard whose cameras the plan targets.
+VICTIM_SHARD = 1
 INTENSITIES = (0.0, 0.5, 1.0)
 
 
@@ -61,14 +61,8 @@ def _config() -> ShardScenarioConfig:
 
 
 def _victim_cameras(config: ShardScenarioConfig) -> list[str]:
-    """The cameras of the shard with the most owners -- the blast target."""
-    cameras = camera_ids(config.base.workload)
-    owners = consistent_shard_assignment(cameras, config.shards)
-    counts: dict[int, int] = {}
-    for shard in owners.values():
-        counts[shard] = counts.get(shard, 0) + 1
-    victim = max(counts, key=lambda shard: (counts[shard], -shard))
-    return [camera for camera, shard in owners.items() if shard == victim]
+    """The cameras of the victim shard -- the blast target."""
+    return camera_ids(config.base.workload)[VICTIM_SHARD :: config.shards]
 
 
 def _plan(config: ShardScenarioConfig, intensity: float) -> FaultPlan:
@@ -126,11 +120,12 @@ def test_blast_radius_stays_on_the_victim_shard():
     victims = set(_victim_cameras(config))
     result = _result(1.0)
     assert result.fleet.suppressed_base > 0, "the targeted dropout never fired"
-    # Every camera, the victims included, ends on the shard the hash
-    # gave it before the run.
-    assert result.assignments == consistent_shard_assignment(
-        camera_ids(config.base.workload), config.shards
-    )
+    # Every camera, the victims included, ends on the shard it was dealt
+    # to when it registered.
+    cameras = camera_ids(config.base.workload)
+    assert result.assignments == {
+        camera: index % config.shards for index, camera in enumerate(cameras)
+    }
     # The healthy shards' cameras are untouched by the plan, so the
     # healthy share of the base stream must be fully delivered: every
     # lost patch is accounted to the victim shard's cameras.

@@ -8,14 +8,13 @@ All fixtures are deterministic (fixed seeds) so test failures reproduce.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import pytest
 
 from repro.core.canvas import Placement
 from repro.core.patches import Patch
 from repro.core.skyline import _SLIVER
-from repro.serverless.loadbalancer import make_balancer
 from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
 from repro.video.dataset import build_panda4k
@@ -324,23 +323,6 @@ def check_invariants(skyline) -> None:
             assert (
                 overlap_w <= 1e-6 or overlap_h <= 1e-6
             ), "waste rectangles must stay disjoint"
-
-
-def consistent_shard_assignment(
-    cameras: Sequence[str], shards: int
-) -> Dict[str, int]:
-    """The static camera->shard map of the ``"consistent_hash"`` dispatch.
-
-    Ownership under consistent hashing is a pure function of the camera
-    id and the shard count, so chaos suites can compute one shard's
-    camera set *before* the run and aim a :class:`~repro.fleet.faults.
-    FaultPlan` at exactly that set.
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    balancer = make_balancer("consistent_hash")
-    targets = list(range(shards))
-    return {camera_id: balancer.select(targets, key=camera_id) for camera_id in cameras}
 
 
 def restart_merge_overlapping(boxes, iou_threshold: float = 0.0) -> list[Box]:

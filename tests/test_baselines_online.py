@@ -120,6 +120,18 @@ class TestMArkScheduler:
             MArkScheduler(simulator, _platform(simulator), timeout=0.0)
         with pytest.raises(ValueError):
             MArkScheduler(simulator, _platform(simulator), input_size=0.0)
+        # Each of these passed the old ``< 1`` / ``<= 0`` tests; a
+        # fractional batch size then failed mid-run as a slice index.
+        for overrides in (
+            {"batch_size": 2.5},
+            {"batch_size": float("nan")},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
+            {"input_size": float("nan")},
+            {"input_size": float("inf")},
+        ):
+            with pytest.raises(ValueError):
+                MArkScheduler(simulator, _platform(simulator), **overrides)
 
 
 class TestClipperScheduler:
@@ -198,6 +210,18 @@ class TestClipperScheduler:
             ClipperScheduler(simulator, _platform(simulator), input_size=0.0)
         with pytest.raises(ValueError):
             ClipperScheduler(simulator, _platform(simulator), initial_batch_size=0)
+        # Each of these passed the old ``< 1`` / ``<= 0`` tests; a NaN
+        # initial batch ran silently with a NaN AIMD target.
+        for overrides in (
+            {"initial_batch_size": 2.5},
+            {"initial_batch_size": float("nan")},
+            {"max_batch_size": 2.5},
+            {"max_batch_size": float("nan")},
+            {"input_size": float("nan")},
+            {"input_size": float("inf")},
+        ):
+            with pytest.raises(ValueError):
+                ClipperScheduler(simulator, _platform(simulator), **overrides)
 
 
 #: sha256 of each strategy's run on the pinned trace (see

@@ -164,10 +164,12 @@ class TestQueries:
 class TestFaultFreePlan:
     def test_all_queries_healthy(self):
         plan = FaultFreePlan()
+        assert isinstance(plan, FaultPlan) and plan.events == ()
         assert not plan.camera_down("cam-000", 1.0)
         assert plan.loss_probability("cam-000", 1.0) == 0.0
         assert plan.extra_jitter("cam-000", 1.0) == 0.0
         assert plan.burst_multiplier(1.0) == 1.0
-        assert plan.loss_dial("cam-000") == 0.0
+        assert plan.loss_dial("cam-000")(1.0) == 0.0
+        assert plan.jitter_dial("cam-000")(1.0) == 0.0
         assert plan.dropout_cameras() == []
         assert plan.describe()["intensity"] == 0.0

@@ -60,6 +60,21 @@ def test_negative_generation_time_rejected():
         _patch(generation_time=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("slo", float("nan")),
+        ("slo", float("inf")),
+        ("generation_time", float("nan")),
+        ("generation_time", float("inf")),
+    ],
+)
+def test_non_finite_times_rejected(field, value):
+    # Each used to build a patch whose deadline is NaN or infinite.
+    with pytest.raises(ValueError):
+        _patch(**{field: value})
+
+
 def test_patch_is_hashable_and_frozen():
     patch = _patch()
     with pytest.raises(AttributeError):

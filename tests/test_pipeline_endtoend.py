@@ -53,6 +53,14 @@ class TestEndToEndConfig:
             {"mark_timeout": 0.0},
             {"mark_timeout": float("inf")},
             {"slo": float("inf")},
+            {"mark_batch_size": 2.5},
+            {"mark_batch_size": float("nan")},
+            {"mark_batch_size": 0},
+            {"clipper_initial_batch": 2.5},
+            {"clipper_initial_batch": float("nan")},
+            {"baseline_input_size": float("nan")},
+            {"baseline_input_size": float("inf")},
+            {"baseline_input_size": 0.0},
         ],
         ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
     )

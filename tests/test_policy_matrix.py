@@ -197,7 +197,9 @@ def test_fault_free_fleet_ingest_is_byte_identical():
 # would be a tautology.  Both cells instead pin recorded values: the
 # ``shards=1`` cell those of the standalone unsharded runner, from before
 # the two shared one code path, and the ``shards=4`` cell those of the
-# four-shard run with each camera's shard fixed at registration.  Each
+# four-shard run that deals camera *i* to shard *i* mod 4 at registration
+# (recorded from the ``dispatch="round_robin"`` run, before round robin
+# became the only deal).  Each
 # pin is counters plus a digest of the per-batch keys (times, cost,
 # efficiencies, placements, outcome identities), under a plan with
 # dropouts, loss and a burst so the fault path is pinned too.  ``shards=4`` partitions the stream across four
@@ -228,8 +230,8 @@ RECORDED = {
     ),
     4: (
         14,
-        "022edd1676ba471740b33eeceaa11015adc91be3b800a01264c08ecb9eacecb5",
-        {"num_canvases": 19, "slo_violations": 14},
+        "5ebd999ad1906bf95e64a571716f93e1bd2ee6a66060536d18ba0af0bfae7265",
+        {"num_canvases": 17, "slo_violations": 8},
     ),
 }
 

@@ -26,7 +26,9 @@ from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.core.tangram import TangramConfig
 from repro.fleet.scenario import FleetScenarioConfig
+from repro.fleet.shard import ShardScenarioConfig
 from repro.pipeline.endtoend import EndToEndConfig
+from repro.serverless.platform import ScalingPolicy
 from repro.video.geometry import Box
 
 
@@ -139,7 +141,9 @@ _CONFIG_FIELDS = {
 #: set: the offline facade's online-scheduler wiring, the end-to-end
 #: runner's uplink fault knobs, ingest expiry and per-camera uplinks, the
 #: estimator's eager-profiling bound and memo bucket, the platform's
-#: pluggable balancer and the uplink's outage windows.
+#: pluggable balancer and the uplink's outage windows; and the two routing
+#: knobs that round robin replaced, the fleet's camera->shard dispatch
+#: policy and the scaling policy's opt-out of scale-out.
 _REMOVED = {
     "stitch": (
         _stitcher,
@@ -188,6 +192,8 @@ _REMOVED = {
     "estimator": (_estimator, {"max_batch_size": 16, "pixel_bucket": 0.0}),
     "platform": (_platform, {"balancer": None}),
     "uplink": (_uplink, {"outages": ()}),
+    "shard": (ShardScenarioConfig, {"dispatch": "round_robin"}),
+    "scaling": (ScalingPolicy, {"scale_out_when_busy": False}),
 }
 
 

@@ -1,15 +1,10 @@
-"""Tests for function instances, load balancing and the platform facade."""
+"""Tests for function instances and the platform facade."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.serverless.function import FunctionInstance
-from repro.serverless.loadbalancer import (
-    ConsistentHashBalancer,
-    RoundRobinBalancer,
-    make_balancer,
-)
 from repro.serverless.platform import ScalingPolicy, ServerlessPlatform
 from repro.simulation.engine import Simulator
 
@@ -70,30 +65,6 @@ class TestFunctionInstance:
             instance.invoke(-1.0)
 
 
-class TestLoadBalancers:
-    def _instances(self, simulator, count=3):
-        return [FunctionInstance(simulator, f"fn-{i}") for i in range(count)]
-
-    def test_round_robin_cycles(self):
-        simulator = Simulator()
-        instances = self._instances(simulator)
-        balancer = RoundRobinBalancer()
-        picks = [balancer.select(instances).instance_id for _ in range(6)]
-        assert picks == ["fn-0", "fn-1", "fn-2", "fn-0", "fn-1", "fn-2"]
-
-    def test_empty_instance_list_rejected(self):
-        for balancer in (RoundRobinBalancer(), ConsistentHashBalancer()):
-            with pytest.raises(ValueError):
-                balancer.select([])
-
-    def test_make_balancer_factory(self):
-        assert isinstance(make_balancer("round_robin"), RoundRobinBalancer)
-        assert isinstance(make_balancer("consistent_hash"), ConsistentHashBalancer)
-        for name in ("random", "least_connections", "least_loaded"):
-            with pytest.raises(KeyError):
-                make_balancer(name)
-
-
 class TestServerlessPlatform:
     def test_scale_out_when_all_instances_busy(self):
         simulator = Simulator()
@@ -121,13 +92,31 @@ class TestServerlessPlatform:
             simulator,
             cold_start_time=0.0,
             initial_instances=1,
-            scaling=ScalingPolicy(max_instances=8, scale_out_when_busy=False),
+            scaling=ScalingPolicy(max_instances=1),
         )
         for _ in range(4):
             platform.invoke(1.0)
         assert platform.num_instances == 1
         simulator.run()
         assert platform.total_invocations == 4
+
+    def test_round_robin_over_busy_pool_at_max(self):
+        """With the pool at ``max_instances`` and every instance busy,
+        invocations queue round robin over the whole pool."""
+        simulator = Simulator()
+        platform = ServerlessPlatform(
+            simulator,
+            cold_start_time=0.0,
+            initial_instances=2,
+            scaling=ScalingPolicy(max_instances=2),
+        )
+        for _ in range(2):
+            platform.invoke(5.0)
+        picks = [platform.invoke(1.0).instance_id for _ in range(4)]
+        assert picks == ["faas-0", "faas-1", "faas-0", "faas-1"]
+        assert platform.num_instances == 2
+        simulator.run()
+        assert platform.total_invocations == 6
 
     def test_total_cost_aggregates_instances(self):
         simulator = Simulator()

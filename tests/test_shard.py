@@ -1,13 +1,9 @@
-"""The sharded fleet frontend: dispatch, fixed ownership, and the pin.
+"""The sharded fleet frontend: round-robin ownership and the pin.
 
 The contracts:
 
-* the ownership-aware balancer policy (``consistent_hash``) behaves as a
-  dispatcher: sticky, deterministic, and stable under target addition
-  (consistent hashing moves only a minority of keys);
-* the router fixes a camera's shard when it registers: the default run's
-  final map is the consistent-hash prediction, and ``round_robin`` deals
-  the cameras evenly;
+* the router fixes a camera's shard when it registers: the *i*-th camera
+  to register goes to shard *i* mod N, so the cameras are dealt evenly;
 * ``shards=1`` -- which is what ``run_fleet_scenario`` runs -- matches
   the per-batch keys (times, cost, efficiencies, placements, outcomes)
   and counters recorded from the standalone single-scheduler runner
@@ -19,19 +15,12 @@ The contracts:
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 
 import pytest
 
 from repro.fleet.scenario import FleetScenarioConfig, run_fleet_scenario
 from repro.fleet.shard import ShardRouter, ShardScenarioConfig, run_sharded_scenario
-from repro.serverless.loadbalancer import (
-    BALANCER_POLICIES,
-    ConsistentHashBalancer,
-    make_balancer,
-)
 from repro.workloads.fleet import FleetWorkloadConfig, camera_ids
-from tests.conftest import consistent_shard_assignment
 
 
 def _base(num_cameras: int = 12, **overrides) -> FleetScenarioConfig:
@@ -43,45 +32,6 @@ def _base(num_cameras: int = 12, **overrides) -> FleetScenarioConfig:
         seed=3,
         **overrides,
     )
-
-
-# ---------------------------------------------------------------- dispatchers
-class TestBalancerPolicies:
-    def test_registry_covers_new_policies(self):
-        assert BALANCER_POLICIES == ("round_robin", "consistent_hash")
-        for policy in BALANCER_POLICIES:
-            make_balancer(policy)
-        with pytest.raises(KeyError):
-            make_balancer("tarot")
-
-    def test_consistent_hash_is_sticky_and_deterministic(self):
-        targets = list(range(4))
-        first = ConsistentHashBalancer()
-        second = ConsistentHashBalancer()
-        keys = [f"cam-{i:03d}" for i in range(64)]
-        assert [first.select(targets, key=k) for k in keys] == [
-            second.select(targets, key=k) for k in keys
-        ]
-        assert all(
-            first.select(targets, key=k) == first.select(targets, key=k)
-            for k in keys
-        )
-
-    def test_consistent_hash_moves_minority_on_target_addition(self):
-        balancer = ConsistentHashBalancer()
-        keys = [f"cam-{i:03d}" for i in range(256)]
-        before = {k: balancer.select(list(range(4)), key=k) for k in keys}
-        after = {k: balancer.select(list(range(5)), key=k) for k in keys}
-        moved = sum(1 for k in keys if before[k] != after[k])
-        # A modulo hash would reshuffle ~4/5 of the keys; the ring moves
-        # roughly 1/5 and must stay well under half.
-        assert moved < len(keys) // 2
-
-    def test_consistent_hash_needs_a_key(self):
-        """The router always routes by camera id; a keyless select is a
-        caller bug, not a request for some spread."""
-        with pytest.raises(ValueError, match="key"):
-            ConsistentHashBalancer().select(list(range(4)))
 
 
 # --------------------------------------------------------------------- router
@@ -113,14 +63,11 @@ class TestShardScenarioConfig:
         "overrides",
         [
             {"shards": 0},
-            {"dispatch": "tarot"},
-            {"dispatch": "least_loaded"},
-            {"shards": -1},
-            {"shards": float("inf")},
-            {"shards": "4"},
             # These rows keep the ids they had in the longer table that
-            # also listed the deleted work-stealing knobs.
-            pytest.param({"dispatch": "least_connections"}, id="overrides10"),
+            # also listed the deleted work-stealing and dispatch knobs.
+            pytest.param({"shards": -1}, id="overrides3"),
+            pytest.param({"shards": float("inf")}, id="overrides4"),
+            pytest.param({"shards": "4"}, id="overrides5"),
             pytest.param({"shards": 2.5}, id="overrides11"),
             pytest.param({"shards": float("nan")}, id="overrides12"),
         ],
@@ -128,19 +75,6 @@ class TestShardScenarioConfig:
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
             ShardScenarioConfig(**overrides)
-
-    def test_consistent_assignment_rejects_bad_shards(self):
-        with pytest.raises(ValueError):
-            consistent_shard_assignment(["cam-000"], 0)
-
-    def test_consistent_assignment_matches_run(self):
-        base = _base()
-        cameras = camera_ids(base.workload)
-        predicted = consistent_shard_assignment(cameras, 4)
-        result = run_sharded_scenario(ShardScenarioConfig(base=base, shards=4))
-        assert result.assignments == predicted
-        spread = Counter(predicted.values())
-        assert len(spread) > 1, "hash sent every camera to one shard"
 
 
 # ----------------------------------------------------------------- end to end
@@ -176,9 +110,7 @@ class TestShardedScenario:
 
     def test_round_robin_dispatch_spreads_cameras(self):
         base = _base(num_cameras=16)
-        result = run_sharded_scenario(
-            ShardScenarioConfig(base=base, shards=4, dispatch="round_robin")
-        )
+        result = run_sharded_scenario(ShardScenarioConfig(base=base, shards=4))
         assert result.shard_cameras == [4, 4, 4, 4]
         # Camera i registers i-th, so it lands on shard i mod 4.
         cameras = camera_ids(base.workload)
