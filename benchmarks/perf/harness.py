@@ -437,7 +437,8 @@ def bench_edge_extract_partition() -> BenchResult:
     """The edge stage of one PANDA-like 4K camera over 40 frames: the
     analytic GMM extractor's RoIs, then Algorithm 1's 4x4 partitioning.
     Trace generation is untimed and cached across repeats; the meta's
-    digest of the patch regions shows any change of a partition."""
+    digests of the patch regions and of the object ids each patch carries
+    show any change of a partition."""
     from repro.core.partitioning import FramePartitioner
     from repro.simulation.random_streams import RandomStreams
     from repro.vision.roi_extractors import make_extractor
@@ -459,6 +460,7 @@ def bench_edge_extract_partition() -> BenchResult:
         patches.extend(partitioner.partition(frame, 0.0, 1.0, rois=frame_rois))
     elapsed = time.perf_counter() - start
     regions = repr([patch.region.as_tuple() for patch in patches])
+    objects = repr([tuple(obj.object_id for obj in patch.objects) for patch in patches])
     return BenchResult(
         "edge_extract_partition_40",
         elapsed,
@@ -467,6 +469,7 @@ def bench_edge_extract_partition() -> BenchResult:
             "rois": rois,
             "patches": len(patches),
             "regions_sha256": hashlib.sha256(regions.encode()).hexdigest(),
+            "objects_sha256": hashlib.sha256(objects.encode()).hexdigest(),
         },
     )
 

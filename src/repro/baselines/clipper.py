@@ -59,6 +59,15 @@ class ClipperScheduler(BaseScheduler):
         for size in (initial_batch_size, max_batch_size):
             if not isinstance(size, numbers.Integral) or size < 1:
                 raise ValueError("batch sizes must be integers of at least 1")
+        # A NaN decrease fails mid-run in ``int()``, one above 1 turns each
+        # decrease into an increase, and ``max(0.05, nan)`` reads a NaN
+        # margin as the 0.05 floor.
+        if not 0 < multiplicative_decrease <= 1:
+            raise ValueError("multiplicative_decrease must be in (0, 1]")
+        if not isinstance(additive_increase, numbers.Integral) or additive_increase < 1:
+            raise ValueError("additive_increase must be an integer of at least 1")
+        if not 0 <= safety_margin <= 1:
+            raise ValueError("safety_margin must be in [0, 1]")
         self.input_size = input_size
         self.batch_size_target = initial_batch_size
         self.max_batch_size = max_batch_size

@@ -11,7 +11,9 @@ likely to cut off objects the background model missed between zones.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+import math
+from bisect import bisect_left, bisect_right
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.patches import Patch
 from repro.video.frames import Frame, GroundTruthObject
@@ -26,9 +28,10 @@ def make_zones(frame_width: float, frame_height: float, zones_x: int, zones_y: i
     """
     if zones_x < 1 or zones_y < 1:
         raise ValueError("zone counts must be at least 1")
-    if not frame_width > 0 or not frame_height > 0:
+    # An infinite frame makes the first zone's edge ``0 * inf``, NaN.
+    if not 0 < frame_width < math.inf or not 0 < frame_height < math.inf:
         raise ValueError(
-            f"frame dimensions must be positive, got {frame_width} x {frame_height}"
+            f"frame dimensions must be finite and positive, got {frame_width} x {frame_height}"
         )
     zone_width = frame_width / zones_x
     zone_height = frame_height / zones_y
@@ -64,19 +67,50 @@ def partition_rois(
     Note that the enclosing rectangle may extend beyond the original zone
     when an RoI straddles a zone boundary; the paper resizes to cover all
     affiliated RoIs, which is what keeps boundary objects intact.
+
+    Step 2 tests an RoI only against the zones whose column and row both
+    overlap it, found by bisecting the zone edges, so its cost grows with
+    the overlaps rather than with the zone count.  A skipped zone has an
+    overlap of 0.0, which never wins the strict ``>``, and the candidates
+    are visited row-major, so ties still go to the lowest zone index.
     """
     zones = make_zones(frame_width, frame_height, zones_x, zones_y)
+    # Each edge is computed as ``Box.intersection_area`` computes it
+    # (``x + width``), and each list is sorted because the zones tile the
+    # frame in order.
+    lefts = [zone.x for zone in zones[:zones_x]]
+    rights = [zone.x + zone.width for zone in zones[:zones_x]]
+    tops = [zone.y for zone in zones[::zones_x]]
+    bottoms = [zone.y + zone.height for zone in zones[::zones_x]]
     assignments: List[List[Box]] = [[] for _ in zones]
     for roi in rois:
         if roi.is_empty():
             continue
+        x, y = roi.x, roi.y
+        x2, y2 = x + roi.width, y + roi.height
+        # Only these columns and rows can overlap the RoI positively; a NaN
+        # edge leaves them empty, as its NaN overlaps never win either.
+        columns = range(bisect_right(rights, x), bisect_left(lefts, x2))
         best_zone = -1
         best_overlap = 0.0
-        for index, zone in enumerate(zones):
-            overlap = roi.intersection_area(zone)
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best_zone = index
+        for row in range(bisect_right(bottoms, y), bisect_left(tops, y2)):
+            # ``max`` and ``min`` with the builtins' operand order, as in
+            # ``Box.intersection_area``, so each overlap is the same float.
+            zone_top, zone_bottom = tops[row], bottoms[row]
+            top = zone_top if zone_top > y else y
+            bottom = zone_bottom if zone_bottom < y2 else y2
+            if bottom <= top:
+                continue
+            for col in columns:
+                zone_left, zone_right = lefts[col], rights[col]
+                left = zone_left if zone_left > x else x
+                right = zone_right if zone_right < x2 else x2
+                if right <= left:
+                    continue
+                overlap = (right - left) * (bottom - top)
+                if overlap > best_overlap:
+                    best_overlap = overlap
+                    best_zone = row * zones_x + col
         if best_zone >= 0:
             assignments[best_zone].append(roi)
 
@@ -89,6 +123,24 @@ def partition_rois(
         if clipped is not None and not clipped.is_empty():
             patches.append(clipped)
     return patches
+
+
+#: A ground-truth object with its box's left, top, right and bottom edges,
+#: computed as ``Box.intersection_area`` computes them, and its area.
+ObjectEdges = Tuple[GroundTruthObject, float, float, float, float, float]
+
+
+def object_edges(frame: Frame) -> List[ObjectEdges]:
+    """The edges of every object of ``frame`` with a positive area (no
+    other can be carried), in frame order."""
+    edges: List[ObjectEdges] = []
+    for obj in frame.objects:
+        box = obj.box
+        area = box.area
+        if area <= 0:
+            continue
+        edges.append((obj, box.x, box.y, box.x + box.width, box.y + box.height, area))
+    return edges
 
 
 class FramePartitioner:
@@ -106,7 +158,7 @@ class FramePartitioner:
     object_coverage_threshold:
         Minimum fraction of a ground-truth object's area that must fall
         inside a patch for the object to be considered "carried" by that
-        patch (used to annotate patches for downstream accuracy scoring).
+        patch (its ``Patch.objects``).
     min_patch_area:
         Patches smaller than this many pixels are dropped as noise (they
         come from false-positive RoIs).
@@ -145,14 +197,20 @@ class FramePartitioner:
 
     # ------------------------------------------------------------------ cover
     def _objects_in_region(
-        self, frame: Frame, region: Box
+        self, objects: Sequence[ObjectEdges], region: Box
     ) -> List[GroundTruthObject]:
+        """The objects with at least ``object_coverage_threshold`` of their
+        area inside ``region``, in frame order.  An object disjoint from the
+        region is skipped before the division: its coverage of 0.0 never
+        reaches the threshold, which is positive."""
+        left, top = region.x, region.y
+        right, bottom = left + region.width, top + region.height
+        threshold = self.object_coverage_threshold
         carried: List[GroundTruthObject] = []
-        for obj in frame.objects:
-            if obj.box.area <= 0:
+        for obj, x, y, x2, y2, area in objects:
+            if x2 <= left or right <= x or y2 <= top or bottom <= y:
                 continue
-            coverage = obj.box.intersection_area(region) / obj.box.area
-            if coverage >= self.object_coverage_threshold:
+            if obj.box.intersection_area(region) / area >= threshold:
                 carried.append(obj)
         return carried
 
@@ -174,6 +232,7 @@ class FramePartitioner:
         regions = partition_rois(
             frame.width, frame.height, self.zones_x, self.zones_y, extracted
         )
+        objects = object_edges(frame)
         patches: List[Patch] = []
         for region in regions:
             if region.area < self.min_patch_area:
@@ -186,7 +245,7 @@ class FramePartitioner:
                     generation_time=generation_time,
                     slo=slo,
                     scene_key=frame.scene_key,
-                    objects=tuple(self._objects_in_region(frame, region)),
+                    objects=tuple(self._objects_in_region(objects, region)),
                 )
             )
         return patches

@@ -42,9 +42,11 @@ class Patch:
         The end-to-end latency objective attached to the source frame.
         Every patch of one frame shares the frame's SLO.
     objects:
-        Ground-truth objects whose boxes fall (mostly) inside the region;
-        carried through the pipeline so accuracy can be scored after cloud
-        inference.
+        Ground-truth objects whose boxes fall (mostly) inside the region,
+        in frame order.  Nothing in the pipeline reads them: accuracy is
+        scored by ``SimulatedDetector.detect_in_regions``, which recomputes
+        each object's coverage from the regions.  Tests, the quickstart
+        and the ablations read them.
     """
 
     camera_id: str

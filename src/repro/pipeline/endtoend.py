@@ -39,7 +39,7 @@ from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
 from repro.video.frames import Frame
 from repro.vision.detector import DetectorLatencyModel
-from repro.vision.roi_extractors import make_extractor
+from repro.vision.roi_extractors import EXTRACTOR_PROFILES, make_extractor
 
 #: Scheduling policies selectable by name in experiment configs.
 STRATEGIES = ("tangram", "clipper", "elf", "mark")
@@ -72,13 +72,24 @@ class EndToEndConfig:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; valid: {STRATEGIES}"
             )
+        if self.roi_method not in EXTRACTOR_PROFILES:
+            raise ValueError(
+                f"unknown roi_method {self.roi_method!r}; valid: {sorted(EXTRACTOR_PROFILES)}"
+            )
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (self.bandwidth_mbps > 0 and self.slo > 0 and self.fps > 0):
             raise ValueError("bandwidth_mbps, slo and fps must be positive")
         # An infinite SLO sets the batch timer at t = inf: the run then
-        # ends at t = inf with every patch "on time" in one batch.
-        if not math.isfinite(self.slo):
-            raise ValueError("slo must be finite")
+        # ends at t = inf with every patch "on time" in one batch.  An
+        # infinite frame rate stamps every frame at t = 0.
+        if not (math.isfinite(self.slo) and math.isfinite(self.fps)):
+            raise ValueError("slo and fps must be finite")
+        # Each of these would only fail when the runner builds its
+        # canvases or its platform.
+        if not 0 < self.canvas_size < math.inf:
+            raise ValueError("canvas_size must be finite and positive")
+        if not 0 <= self.cold_start_time < math.inf:
+            raise ValueError("cold_start_time must be finite and non-negative")
         # Fractional or NaN counts pass ``< 1`` and would only fail in
         # ``range()`` or a slice mid-run (or not at all, as Clipper's AIMD
         # target), so they fail here.

@@ -168,6 +168,33 @@ class Box:
         return Box(float(x), float(y), float(max(1, x2 - x)), float(max(1, y2 - y)))
 
 
+def clip_rect(
+    x: float, y: float, width: float, height: float, frame_width: float, frame_height: float
+) -> Optional[Box]:
+    """``Box(x, y, width, height).clip_to(frame_width, frame_height)``
+    without building the box and the frame box that it discards.
+
+    The edges take ``max`` and ``min`` with the builtins' operand order and
+    the frame's far edges are ``0.0 + frame_width`` and ``0.0 +
+    frame_height``, as in :meth:`Box.clip_to`, so every coordinate keeps
+    its type, its value and its sign of zero.
+    """
+    if not (width >= 0 and height >= 0 and frame_width >= 0 and frame_height >= 0):
+        # Either box would reject its size: raise as they do.
+        return Box(x, y, width, height).clip_to(frame_width, frame_height)
+    left = 0.0 if 0.0 > x else x
+    top = 0.0 if 0.0 > y else y
+    right, frame_right = x + width, 0.0 + frame_width
+    if frame_right < right:
+        right = frame_right
+    bottom, frame_bottom = y + height, 0.0 + frame_height
+    if frame_bottom < bottom:
+        bottom = frame_bottom
+    if right <= left or bottom <= top:
+        return None
+    return Box(left, top, right - left, bottom - top)
+
+
 def enclosing_box(boxes: Sequence[Box]) -> Box:
     """Minimum enclosing rectangle of a non-empty sequence of boxes.
 
@@ -203,9 +230,21 @@ def merge_overlapping(boxes: Sequence[Box], iou_threshold: float = 0.0) -> list[
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     merged = list(boxes)
+    # Each box's edges sit beside it, so a pair whose intersection area is
+    # 0.0 is skipped before ``_overlapping`` runs.
+    edges = [_edges(box) for box in merged]
     row = 0
     while row < len(merged):
+        left, top, right, bottom = edges[row]
         for col in range(row + 1, len(merged)):
+            col_left, col_top, col_right, col_bottom = edges[col]
+            if (
+                right <= col_left
+                or col_right <= left
+                or bottom <= col_top
+                or col_bottom <= top
+            ):
+                continue
             if _overlapping(merged[row], merged[col], iou_threshold):
                 break
         else:
@@ -217,13 +256,32 @@ def merge_overlapping(boxes: Sequence[Box], iou_threshold: float = 0.0) -> list[
         # ``row`` itself.
         while True:
             merged[row] = merged[row].enclosing(merged.pop(col))
+            del edges[col]
+            edges[row] = left, top, right, bottom = _edges(merged[row])
             for earlier in range(row):
+                early_left, early_top, early_right, early_bottom = edges[earlier]
+                if (
+                    early_right <= left
+                    or right <= early_left
+                    or early_bottom <= top
+                    or bottom <= early_top
+                ):
+                    continue
                 if _overlapping(merged[earlier], merged[row], iou_threshold):
                     row, col = earlier, row
                     break
             else:
                 break
     return merged
+
+
+def _edges(box: Box) -> tuple[float, float, float, float]:
+    """``box``'s left, top, right and bottom edges, computed as
+    :meth:`Box.intersection_area` computes them.  A pair whose right edge
+    is at or left of the other's left edge (or likewise vertically) has an
+    intersection area of 0.0; NaN edges fail every such test and so are
+    never skipped."""
+    return box.x, box.y, box.x + box.width, box.y + box.height
 
 
 def _overlapping(first: Box, second: Box, iou_threshold: float) -> bool:

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.simulation.random_streams import RandomStreams
 from repro.video.frames import Frame, GroundTruthObject
-from repro.video.geometry import Box, merge_overlapping
+from repro.video.geometry import Box, clip_rect, merge_overlapping
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,14 @@ class AnalyticRoIExtractor:
         margin_h = profile.box_margin * box.height
         jitter_x = float(self.rng.normal(0.0, profile.box_jitter * box.width))
         jitter_y = float(self.rng.normal(0.0, profile.box_jitter * box.height))
-        loose = Box(
+        clipped = clip_rect(
             box.x - margin_w + jitter_x,
             box.y - margin_h + jitter_y,
             box.width + 2 * margin_w,
             box.height + 2 * margin_h,
+            frame.width,
+            frame.height,
         )
-        clipped = loose.clip_to(frame.width, frame.height)
         return clipped if clipped is not None else box
 
     def _merge_blobs(self, rois: List[Box]) -> List[Box]:
@@ -211,7 +212,7 @@ class AnalyticRoIExtractor:
             height = width * aspect
             x = float(self.rng.uniform(0, max(1.0, frame.width - width)))
             y = float(self.rng.uniform(0, max(1.0, frame.height - height)))
-            clipped = Box(x, y, width, height).clip_to(frame.width, frame.height)
+            clipped = clip_rect(x, y, width, height, frame.width, frame.height)
             if clipped is not None:
                 boxes.append(clipped)
         return boxes

@@ -8,9 +8,15 @@ sections, and the harness runs without pytest installed.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
+from repro.core.partitioning import make_zones
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher
 from repro.fleet.liveness import ALIVE, DEAD, RECONNECTING, SUSPECT, LivenessTracker
+from repro.video.frames import Frame, GroundTruthObject
+from repro.video.geometry import Box, enclosing_box
+from repro.vision.roi_extractors import AnalyticRoIExtractor
 
 
 class AlwaysRepackStitcher(IncrementalStitcher):
@@ -49,3 +55,71 @@ class FullWalkLivenessTracker(LivenessTracker):
                     self._enter(health, DEAD)
                 elif health.state == ALIVE and silence >= self.suspect_after:
                     self._enter(health, SUSPECT)
+
+
+def all_zones_partition_rois(
+    frame_width: float,
+    frame_height: float,
+    zones_x: int,
+    zones_y: int,
+    rois: Sequence[Box],
+) -> List[Box]:
+    """Test oracle: Algorithm 1 testing every RoI against every zone with
+    ``Box.intersection_area``.  ``partition_rois`` must return exactly
+    this list."""
+    zones = make_zones(frame_width, frame_height, zones_x, zones_y)
+    assignments: List[List[Box]] = [[] for _ in zones]
+    for roi in rois:
+        if roi.is_empty():
+            continue
+        best_zone = -1
+        best_overlap = 0.0
+        for index, zone in enumerate(zones):
+            overlap = roi.intersection_area(zone)
+            if overlap > best_overlap:
+                best_overlap = overlap
+                best_zone = index
+        if best_zone >= 0:
+            assignments[best_zone].append(roi)
+    patches: List[Box] = []
+    for zone_rois in assignments:
+        if not zone_rois:
+            continue
+        clipped = enclosing_box(zone_rois).clip_to(frame_width, frame_height)
+        if clipped is not None and not clipped.is_empty():
+            patches.append(clipped)
+    return patches
+
+
+def all_objects_in_region(
+    frame: Frame, region: Box, coverage_threshold: float
+) -> List[GroundTruthObject]:
+    """Test oracle: the objects ``FramePartitioner`` carries in a patch of
+    ``region``, dividing every object's overlap by its area."""
+    carried: List[GroundTruthObject] = []
+    for obj in frame.objects:
+        if obj.box.area <= 0:
+            continue
+        coverage = obj.box.intersection_area(region) / obj.box.area
+        if coverage >= coverage_threshold:
+            carried.append(obj)
+    return carried
+
+
+def clip_to_perturb_box(extractor: AnalyticRoIExtractor, box: Box, frame: Frame) -> Box:
+    """Test oracle: ``AnalyticRoIExtractor._perturb_box`` building the
+    loose box and clipping it with ``Box.clip_to``; it draws from
+    ``extractor``'s stream exactly as the method does."""
+    profile = extractor.profile
+    margin_w = profile.box_margin * box.width
+    margin_h = profile.box_margin * box.height
+    jitter_x = float(extractor.rng.normal(0.0, profile.box_jitter * box.width))
+    jitter_y = float(extractor.rng.normal(0.0, profile.box_jitter * box.height))
+    loose = Box(
+        box.x - margin_w + jitter_x,
+        box.y - margin_h + jitter_y,
+        box.width + 2 * margin_w,
+        box.height + 2 * margin_h,
+    )
+    clipped = loose.clip_to(frame.width, frame.height)
+    return clipped if clipped is not None else box

@@ -219,6 +219,19 @@ class TestClipperScheduler:
             {"max_batch_size": float("nan")},
             {"input_size": float("nan")},
             {"input_size": float("inf")},
+            # A NaN decrease failed mid-run in ``int()``, 1.5 turned each
+            # decrease into an increase, and a NaN margin was read as the
+            # 0.05 floor.
+            {"multiplicative_decrease": float("nan")},
+            {"multiplicative_decrease": 1.5},
+            {"multiplicative_decrease": 0.0},
+            {"additive_increase": 2.5},
+            {"additive_increase": -1},
+            {"additive_increase": 0},
+            {"safety_margin": float("nan")},
+            {"safety_margin": float("inf")},
+            {"safety_margin": -0.1},
+            {"safety_margin": 1.5},
         ):
             with pytest.raises(ValueError):
                 ClipperScheduler(simulator, _platform(simulator), **overrides)

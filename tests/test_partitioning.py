@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.partitioning import FramePartitioner, make_zones, partition_rois
 from repro.simulation.random_streams import RandomStreams
 from repro.video.geometry import Box
 from repro.vision.roi_extractors import make_extractor
+from repro.workloads import build_camera_traces
 
 
 class TestMakeZones:
@@ -28,6 +31,11 @@ class TestMakeZones:
             make_zones(float("nan"), 100, 2, 2)
         with pytest.raises(ValueError):
             make_zones(100, float("nan"), 2, 2)
+        # An infinite frame gave its first zone the edge ``0 * inf``, NaN.
+        with pytest.raises(ValueError):
+            make_zones(float("inf"), 100, 2, 2)
+        with pytest.raises(ValueError):
+            make_zones(100, float("inf"), 2, 2)
 
 
 class TestPartitionRoIs:
@@ -93,6 +101,17 @@ class TestPartitionRoIs:
         ]
         patches = partition_rois(3840, 2160, 4, 4, rois)
         assert len(patches) <= 16
+
+    @pytest.mark.parametrize(
+        "roi",
+        [Box(100.0, 5.0, 50.0, 5e-324), Box(5.0, 100.0, 5e-324, 50.0)],
+        ids=["height-absorbed", "width-absorbed"],
+    )
+    def test_roi_whose_size_rounds_away_overlaps_no_zone(self, roi):
+        # ``5.0 + 5e-324 == 5.0``: the RoI is not empty, yet its overlap
+        # with the zone it sits in is 0.0, so it is assigned nowhere.
+        assert not roi.is_empty()
+        assert partition_rois(1000, 1000, 4, 4, [roi]) == []
 
     def test_patches_clipped_to_frame(self):
         rois = [Box(3800, 2100, 100, 100)]  # extends past the frame edge
@@ -201,3 +220,39 @@ class TestFramePartitioner:
                 total += frame.num_objects
             coverage[zones] = kept / total
         assert coverage[2] >= coverage[6] - 0.02
+
+
+#: sha256 of Algorithm 1's output on ``test_baselines_online``'s pinned
+#: traces (3 cameras x 12 frames, seed 5), one per zone count: each
+#: patch's ``region.as_tuple()`` repr and its carried object ids, in
+#: order.  Recorded from the all-zones, all-objects scans, so a faster
+#: partition must leave them as they are.
+PINNED_PARTITION_DIGESTS = {
+    2: "9a792862b2e9c3cefa90bd1591be0d6d1bd58789a34d02b2cd606327989132b5",
+    4: "74e6097844229edef3cc138a7ab35bbf6fe2631ae50d282cbccd1c25701355a6",
+    6: "9edc0efda7119c1a2bdfa94138532ec67c1d0bdba1e84e40d149c60f3b20cd21",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_traces():
+    return build_camera_traces(
+        num_cameras=3, frames_per_camera=12, seed=5, max_concurrent_objects=60
+    )
+
+
+@pytest.mark.parametrize("zones", sorted(PINNED_PARTITION_DIGESTS))
+def test_partition_matches_pinned_digest(pinned_traces, zones):
+    streams = RandomStreams(0)
+    digest = hashlib.sha256()
+    for camera_id, frames in pinned_traces.items():
+        partitioner = FramePartitioner(
+            zones,
+            zones,
+            roi_extractor=make_extractor("gmm", streams=streams.spawn(f"edge/{camera_id}")),
+        )
+        for frame in frames:
+            for patch in partitioner.partition(frame, 0.0, 1.0, camera_id=camera_id):
+                carried = tuple(obj.object_id for obj in patch.objects)
+                digest.update(repr((patch.region.as_tuple(), carried)).encode())
+    assert digest.hexdigest() == PINNED_PARTITION_DIGESTS[zones]

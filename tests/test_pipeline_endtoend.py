@@ -61,6 +61,13 @@ class TestEndToEndConfig:
             {"baseline_input_size": float("nan")},
             {"baseline_input_size": float("inf")},
             {"baseline_input_size": 0.0},
+            {"fps": float("inf")},
+            {"canvas_size": float("nan")},
+            {"canvas_size": float("inf")},
+            {"canvas_size": 0.0},
+            {"cold_start_time": float("nan")},
+            {"cold_start_time": -0.1},
+            {"roi_method": "nope"},
         ],
         ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
     )
