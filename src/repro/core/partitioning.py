@@ -75,42 +75,29 @@ def partition_rois(
     are visited row-major, so ties still go to the lowest zone index.
     """
     zones = make_zones(frame_width, frame_height, zones_x, zones_y)
-    # Each edge is computed as ``Box.intersection_area`` computes it
-    # (``x + width``), and each list is sorted because the zones tile the
-    # frame in order.
+    # The zones tile the frame in order, so each edge list is sorted.  Each
+    # edge is computed as ``Box.intersection_area`` computes it (``x2`` is
+    # ``x + width``), so a zone the bisection skips has an overlap of 0.0.
     lefts = [zone.x for zone in zones[:zones_x]]
-    rights = [zone.x + zone.width for zone in zones[:zones_x]]
+    rights = [zone.x2 for zone in zones[:zones_x]]
     tops = [zone.y for zone in zones[::zones_x]]
-    bottoms = [zone.y + zone.height for zone in zones[::zones_x]]
+    bottoms = [zone.y2 for zone in zones[::zones_x]]
     assignments: List[List[Box]] = [[] for _ in zones]
     for roi in rois:
         if roi.is_empty():
             continue
-        x, y = roi.x, roi.y
-        x2, y2 = x + roi.width, y + roi.height
         # Only these columns and rows can overlap the RoI positively; a NaN
         # edge leaves them empty, as its NaN overlaps never win either.
-        columns = range(bisect_right(rights, x), bisect_left(lefts, x2))
+        columns = range(bisect_right(rights, roi.x), bisect_left(lefts, roi.x2))
         best_zone = -1
         best_overlap = 0.0
-        for row in range(bisect_right(bottoms, y), bisect_left(tops, y2)):
-            # ``max`` and ``min`` with the builtins' operand order, as in
-            # ``Box.intersection_area``, so each overlap is the same float.
-            zone_top, zone_bottom = tops[row], bottoms[row]
-            top = zone_top if zone_top > y else y
-            bottom = zone_bottom if zone_bottom < y2 else y2
-            if bottom <= top:
-                continue
+        for row in range(bisect_right(bottoms, roi.y), bisect_left(tops, roi.y2)):
             for col in columns:
-                zone_left, zone_right = lefts[col], rights[col]
-                left = zone_left if zone_left > x else x
-                right = zone_right if zone_right < x2 else x2
-                if right <= left:
-                    continue
-                overlap = (right - left) * (bottom - top)
+                index = row * zones_x + col
+                overlap = roi.intersection_area(zones[index])
                 if overlap > best_overlap:
                     best_overlap = overlap
-                    best_zone = row * zones_x + col
+                    best_zone = index
         if best_zone >= 0:
             assignments[best_zone].append(roi)
 
@@ -127,19 +114,19 @@ def partition_rois(
 
 #: A ground-truth object with its box's left, top, right and bottom edges,
 #: computed as ``Box.intersection_area`` computes them, and its area.
-ObjectEdges = Tuple[GroundTruthObject, float, float, float, float, float]
+_ObjectEdges = Tuple[GroundTruthObject, float, float, float, float, float]
 
 
-def object_edges(frame: Frame) -> List[ObjectEdges]:
+def _object_edges(frame: Frame) -> List[_ObjectEdges]:
     """The edges of every object of ``frame`` with a positive area (no
     other can be carried), in frame order."""
-    edges: List[ObjectEdges] = []
+    edges: List[_ObjectEdges] = []
     for obj in frame.objects:
         box = obj.box
         area = box.area
         if area <= 0:
             continue
-        edges.append((obj, box.x, box.y, box.x + box.width, box.y + box.height, area))
+        edges.append((obj, box.x, box.y, box.x2, box.y2, area))
     return edges
 
 
@@ -197,14 +184,13 @@ class FramePartitioner:
 
     # ------------------------------------------------------------------ cover
     def _objects_in_region(
-        self, objects: Sequence[ObjectEdges], region: Box
+        self, objects: Sequence[_ObjectEdges], region: Box
     ) -> List[GroundTruthObject]:
         """The objects with at least ``object_coverage_threshold`` of their
         area inside ``region``, in frame order.  An object disjoint from the
         region is skipped before the division: its coverage of 0.0 never
         reaches the threshold, which is positive."""
-        left, top = region.x, region.y
-        right, bottom = left + region.width, top + region.height
+        left, top, right, bottom = region.as_xyxy()
         threshold = self.object_coverage_threshold
         carried: List[GroundTruthObject] = []
         for obj, x, y, x2, y2, area in objects:
@@ -232,7 +218,7 @@ class FramePartitioner:
         regions = partition_rois(
             frame.width, frame.height, self.zones_x, self.zones_y, extracted
         )
-        objects = object_edges(frame)
+        objects = _object_edges(frame)
         patches: List[Patch] = []
         for region in regions:
             if region.area < self.min_patch_area:

@@ -151,7 +151,7 @@ class Box:
 
     def clip_to(self, frame_width: float, frame_height: float) -> Optional["Box"]:
         """Clip the box to the frame bounds; ``None`` if nothing remains."""
-        return self.intersection(Box(0.0, 0.0, frame_width, frame_height))
+        return clip_rect(self.x, self.y, self.width, self.height, frame_width, frame_height)
 
     def expand(self, margin: float) -> "Box":
         """Grow the box by ``margin`` pixels on every side (clamped at 0)."""
@@ -171,17 +171,22 @@ class Box:
 def clip_rect(
     x: float, y: float, width: float, height: float, frame_width: float, frame_height: float
 ) -> Optional[Box]:
-    """``Box(x, y, width, height).clip_to(frame_width, frame_height)``
-    without building the box and the frame box that it discards.
+    """The part of the rectangle ``(x, y, width, height)`` inside the frame
+    ``(0, 0, frame_width, frame_height)``; ``None`` if nothing remains.
 
-    The edges take ``max`` and ``min`` with the builtins' operand order and
-    the frame's far edges are ``0.0 + frame_width`` and ``0.0 +
-    frame_height``, as in :meth:`Box.clip_to`, so every coordinate keeps
-    its type, its value and its sign of zero.
+    It takes coordinates, so a caller that clips a rectangle it computed
+    builds no box for it.  The result is :meth:`Box.intersection` with the
+    frame box ``Box(0.0, 0.0, frame_width, frame_height)``: the edges take
+    ``max`` and ``min`` with the builtins' operand order and the far edges
+    are ``0.0 + frame_width`` and ``0.0 + frame_height``, so every
+    coordinate keeps its type, its value and its sign of zero.
     """
+    # ``not x >= 0`` rather than ``x < 0``, so NaN fails too, as in ``Box``.
     if not (width >= 0 and height >= 0 and frame_width >= 0 and frame_height >= 0):
-        # Either box would reject its size: raise as they do.
-        return Box(x, y, width, height).clip_to(frame_width, frame_height)
+        raise ValueError(
+            "box and frame dimensions must be non-negative, got "
+            f"{width} x {height} in {frame_width} x {frame_height}"
+        )
     left = 0.0 if 0.0 > x else x
     top = 0.0 if 0.0 > y else y
     right, frame_right = x + width, 0.0 + frame_width

@@ -16,7 +16,6 @@ from repro.core.stitching import IncrementalStitcher
 from repro.fleet.liveness import ALIVE, DEAD, RECONNECTING, SUSPECT, LivenessTracker
 from repro.video.frames import Frame, GroundTruthObject
 from repro.video.geometry import Box, enclosing_box
-from repro.vision.roi_extractors import AnalyticRoIExtractor
 
 
 class AlwaysRepackStitcher(IncrementalStitcher):
@@ -104,22 +103,3 @@ def all_objects_in_region(
         if coverage >= coverage_threshold:
             carried.append(obj)
     return carried
-
-
-def clip_to_perturb_box(extractor: AnalyticRoIExtractor, box: Box, frame: Frame) -> Box:
-    """Test oracle: ``AnalyticRoIExtractor._perturb_box`` building the
-    loose box and clipping it with ``Box.clip_to``; it draws from
-    ``extractor``'s stream exactly as the method does."""
-    profile = extractor.profile
-    margin_w = profile.box_margin * box.width
-    margin_h = profile.box_margin * box.height
-    jitter_x = float(extractor.rng.normal(0.0, profile.box_jitter * box.width))
-    jitter_y = float(extractor.rng.normal(0.0, profile.box_jitter * box.height))
-    loose = Box(
-        box.x - margin_w + jitter_x,
-        box.y - margin_h + jitter_y,
-        box.width + 2 * margin_w,
-        box.height + 2 * margin_h,
-    )
-    clipped = loose.clip_to(frame.width, frame.height)
-    return clipped if clipped is not None else box

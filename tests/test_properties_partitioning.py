@@ -7,8 +7,8 @@
   before dividing, against :func:`tests.oracles.all_objects_in_region`;
 * ``merge_overlapping``, which skips disjoint pairs, against the
   restarting greedy of :func:`tests.conftest.restart_merge_overlapping`;
-* ``clip_rect`` and ``AnalyticRoIExtractor._perturb_box`` against
-  ``Box.clip_to``.
+* ``clip_rect``, the clip of ``Box.clip_to`` and of the RoI extractor,
+  against ``Box.intersection`` with the frame box.
 
 Regions must match with ``==`` and by the repr of their tuples, which
 also tells ``-0.0`` from ``0.0`` and ``3840`` from ``3840.0``, and carried
@@ -27,13 +27,11 @@ import os
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.partitioning import FramePartitioner, object_edges, partition_rois
-from repro.simulation.random_streams import RandomStreams
+from repro.core.partitioning import FramePartitioner, _object_edges, partition_rois
 from repro.video.frames import Frame, GroundTruthObject
 from repro.video.geometry import Box, clip_rect, merge_overlapping
-from repro.vision.roi_extractors import EXTRACTOR_PROFILES, make_extractor
 from tests.conftest import restart_merge_overlapping
-from tests.oracles import all_objects_in_region, all_zones_partition_rois, clip_to_perturb_box
+from tests.oracles import all_objects_in_region, all_zones_partition_rois
 
 CHAOS = bool(os.environ.get("RUN_CHAOS"))
 EXAMPLES = 500 if CHAOS else 50
@@ -140,7 +138,7 @@ def test_carried_objects_equal_all_objects_oracle(scene, threshold, data):
         carried = all_objects_in_region(frame, patch.region, threshold)
         assert _ids(patch.objects) == _ids(carried)
     # Regions no partition would cut too: NaN, infinite, empty, outside.
-    edges = object_edges(frame)
+    edges = _object_edges(frame)
     for region in data.draw(st.lists(boxes, max_size=4)):
         actual = partitioner._objects_in_region(edges, region)
         assert _ids(actual) == _ids(all_objects_in_region(frame, region, threshold))
@@ -181,32 +179,11 @@ def _clip_outcome(clip, *args):
 @example(2160, 0, 5000.0, 10.0, 3840, 2160)
 # ``max(-0.0, 0.0)`` is -0.0.
 @example(-0.0, -0.0, 10.0, 10.0, 3840, 2160)
-def test_clip_rect_equals_clip_to(x, y, width, height, frame_width, frame_height):
+def test_clip_rect_equals_frame_box_intersection(
+    x, y, width, height, frame_width, frame_height
+):
     expected = _clip_outcome(
-        lambda: Box(x, y, width, height).clip_to(frame_width, frame_height)
+        lambda: Box(x, y, width, height).intersection(Box(0.0, 0.0, frame_width, frame_height))
     )
     actual = _clip_outcome(clip_rect, x, y, width, height, frame_width, frame_height)
     assert actual == expected
-
-
-@settings(max_examples=EXAMPLES, deadline=None)
-@given(
-    st.sampled_from(sorted(EXTRACTOR_PROFILES)),
-    st.integers(0, 2**16),
-    st.sampled_from(FRAMES),
-    st.floats(-0.25, 1.25),
-    st.floats(-0.25, 1.25),
-    st.floats(0.0, 0.6),
-    st.floats(0.0, 0.6),
-)
-def test_perturb_box_equals_clip_to_oracle(name, seed, frame_size, fx, fy, fw, fh):
-    width, height = frame_size
-    frame = Frame("scene", 0, 0.0, width, height)
-    box = Box(fx * width, fy * height, fw * width, fh * height)
-    extractor = make_extractor(name, streams=RandomStreams(seed))
-    twin = make_extractor(name, streams=RandomStreams(seed))
-    actual = extractor._perturb_box(box, frame)
-    expected = clip_to_perturb_box(twin, box, frame)
-    assert repr(actual.as_tuple()) == repr(expected.as_tuple())
-    # Both drew the same number of times.
-    assert extractor.rng.random() == twin.rng.random()
