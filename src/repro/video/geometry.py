@@ -236,8 +236,10 @@ def merge_overlapping(boxes: Sequence[Box], iou_threshold: float = 0.0) -> list[
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     merged = list(boxes)
     # Each box's edges sit beside it, so a pair whose intersection area is
-    # 0.0 is skipped before ``_overlapping`` runs.
-    edges = [_edges(box) for box in merged]
+    # 0.0 is skipped before ``_overlapping`` runs.  ``as_xyxy`` computes the
+    # far edges as ``intersection_area`` does (``x + width``), and NaN edges
+    # fail every skip test.
+    edges = [box.as_xyxy() for box in merged]
     row = 0
     while row < len(merged):
         left, top, right, bottom = edges[row]
@@ -262,7 +264,7 @@ def merge_overlapping(boxes: Sequence[Box], iou_threshold: float = 0.0) -> list[
         while True:
             merged[row] = merged[row].enclosing(merged.pop(col))
             del edges[col]
-            edges[row] = left, top, right, bottom = _edges(merged[row])
+            edges[row] = left, top, right, bottom = merged[row].as_xyxy()
             for earlier in range(row):
                 early_left, early_top, early_right, early_bottom = edges[earlier]
                 if (
@@ -278,15 +280,6 @@ def merge_overlapping(boxes: Sequence[Box], iou_threshold: float = 0.0) -> list[
             else:
                 break
     return merged
-
-
-def _edges(box: Box) -> tuple[float, float, float, float]:
-    """``box``'s left, top, right and bottom edges, computed as
-    :meth:`Box.intersection_area` computes them.  A pair whose right edge
-    is at or left of the other's left edge (or likewise vertically) has an
-    intersection area of 0.0; NaN edges fail every such test and so are
-    never skipped."""
-    return box.x, box.y, box.x + box.width, box.y + box.height
 
 
 def _overlapping(first: Box, second: Box, iou_threshold: float) -> bool:
