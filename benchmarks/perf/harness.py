@@ -477,15 +477,14 @@ def bench_edge_extract_partition() -> BenchResult:
 def bench_end_to_end() -> BenchResult:
     """A small multi-camera end-to-end run with the default (fast) path."""
     from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
-    from repro.simulation.random_streams import RandomStreams
     from repro.workloads import build_camera_traces
 
     traces = build_camera_traces(
         num_cameras=2, frames_per_camera=6, seed=2024, max_concurrent_objects=80
     )
-    config = EndToEndConfig(strategy="tangram", bandwidth_mbps=40.0, slo=1.0)
+    config = EndToEndConfig(strategy="tangram", bandwidth_mbps=40.0, slo=1.0, seed=77)
     start = time.perf_counter()
-    result = run_end_to_end(config, traces, streams=RandomStreams(77))
+    result = run_end_to_end(config, traces)
     elapsed = time.perf_counter() - start
     return BenchResult(
         "end_to_end_small",
@@ -505,7 +504,6 @@ def bench_end_to_end_fleet() -> BenchResult:
     """A 64-camera fleet sharing one fat uplink through the Tangram
     scheduler.  Trace generation is untimed and cached across repeats."""
     from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
-    from repro.simulation.random_streams import RandomStreams
     from repro.workloads import build_camera_traces
 
     global _FLEET_TRACES
@@ -513,9 +511,9 @@ def bench_end_to_end_fleet() -> BenchResult:
         _FLEET_TRACES = build_camera_traces(
             num_cameras=64, frames_per_camera=2, seed=4096, max_concurrent_objects=60
         )
-    config = EndToEndConfig(strategy="tangram", bandwidth_mbps=400.0, slo=2.0)
+    config = EndToEndConfig(strategy="tangram", bandwidth_mbps=400.0, slo=2.0, seed=77)
     start = time.perf_counter()
-    result = run_end_to_end(config, _FLEET_TRACES, streams=RandomStreams(77))
+    result = run_end_to_end(config, _FLEET_TRACES)
     elapsed = time.perf_counter() - start
     return BenchResult(
         "end_to_end_fleet_64",
@@ -646,9 +644,8 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
     plan = _sharded_fleet_plan(config)
     start = time.perf_counter()
     # shards=1 is exactly ``run_fleet_scenario``: one worker owns every camera.
-    sharded = run_sharded_scenario(ShardScenarioConfig(base=config, shards=shards), plan)
+    fleet = run_sharded_scenario(ShardScenarioConfig(base=config, shards=shards), plan)
     elapsed = time.perf_counter() - start
-    fleet = sharded.fleet
     violation_rate = (
         fleet.slo_violations / fleet.completed_patches if fleet.completed_patches else 0.0
     )
@@ -658,7 +655,7 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
         {
             "num_cameras": config.workload.num_cameras,
             "shards": shards,
-            "shard_cameras": sharded.shard_cameras,
+            "shard_cameras": fleet.shard_cameras,
             "completed_patches": fleet.completed_patches,
             "slo_violation_rate": round(violation_rate, 4),
             "delivered_fraction": round(fleet.delivered_fraction, 4),

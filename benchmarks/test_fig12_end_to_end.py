@@ -22,8 +22,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.pipeline.endtoend import STRATEGIES, run_end_to_end
-from repro.simulation.random_streams import RandomStreams
+from repro.pipeline.endtoend import STRATEGIES, EndToEndConfig, run_end_to_end
 from repro.workloads.sweeps import SLO_GRID_BY_BANDWIDTH, SweepPoint
 
 #: Subset of each bandwidth's SLO grid: tightest, middle, loosest.
@@ -40,7 +39,7 @@ def _run_sweep(camera_traces):
             for strategy in STRATEGIES:
                 point = SweepPoint(strategy=strategy, bandwidth_mbps=bandwidth, slo=slo)
                 result = run_end_to_end(
-                    point.to_config(), camera_traces, streams=RandomStreams(2024)
+                    point.to_config(EndToEndConfig(seed=2024)), camera_traces
                 )
                 results[(bandwidth, slo, strategy)] = result
     return results

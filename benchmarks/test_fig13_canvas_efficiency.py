@@ -17,12 +17,11 @@ import numpy as np
 from repro.analysis.stats import fraction_above, summarise
 from repro.analysis.tables import format_table
 from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
-from repro.simulation.random_streams import RandomStreams
 
 
 def _efficiencies(camera_traces, bandwidth: float, slo: float):
-    config = EndToEndConfig(strategy="tangram", bandwidth_mbps=bandwidth, slo=slo)
-    result = run_end_to_end(config, camera_traces, streams=RandomStreams(77))
+    config = EndToEndConfig(strategy="tangram", bandwidth_mbps=bandwidth, slo=slo, seed=77)
+    result = run_end_to_end(config, camera_traces)
     return result.canvas_efficiencies
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from repro.analysis.stats import joint_histogram, summarise
 from repro.analysis.tables import format_table
 from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
-from repro.simulation.random_streams import RandomStreams
 
 BANDWIDTHS = (20.0, 40.0, 80.0)
 
@@ -30,10 +29,10 @@ BANDWIDTHS = (20.0, 40.0, 80.0)
 def _run_all(camera_traces):
     results = {}
     for bandwidth in BANDWIDTHS:
-        config = EndToEndConfig(strategy="tangram", bandwidth_mbps=bandwidth, slo=1.0)
-        results[bandwidth] = run_end_to_end(
-            config, camera_traces, streams=RandomStreams(99)
+        config = EndToEndConfig(
+            strategy="tangram", bandwidth_mbps=bandwidth, slo=1.0, seed=99
         )
+        results[bandwidth] = run_end_to_end(config, camera_traces)
     return results
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.pipeline.endtoend import STRATEGIES, EndToEndConfig, run_end_to_end
-from repro.simulation.random_streams import RandomStreams
 from repro.workloads import build_camera_traces
 
 
@@ -49,9 +48,9 @@ def main() -> None:
     rows = []
     for strategy in STRATEGIES:
         config = EndToEndConfig(
-            strategy=strategy, bandwidth_mbps=args.bandwidth, slo=args.slo
+            strategy=strategy, bandwidth_mbps=args.bandwidth, slo=args.slo, seed=11
         )
-        result = run_end_to_end(config, traces, streams=RandomStreams(11))
+        result = run_end_to_end(config, traces)
         rows.append(
             [
                 strategy,

@@ -12,6 +12,7 @@ likely to cut off objects the background model missed between zones.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -163,12 +164,22 @@ class FramePartitioner:
     ) -> None:
         if roi_extractor is None:
             raise ValueError("roi_extractor must be provided")
-        if not zones_x >= 1 or not zones_y >= 1:
-            raise ValueError(f"zone counts must be at least 1, got {zones_x} x {zones_y}")
+        # A fractional or infinite zone count would only fail in ``range()``
+        # at the first partition, and an infinite area floor would drop
+        # every patch; each check fails NaN too.
+        if not all(
+            isinstance(count, numbers.Integral) and count >= 1
+            for count in (zones_x, zones_y)
+        ):
+            raise ValueError(
+                f"zone counts must be integers of at least 1, got {zones_x} x {zones_y}"
+            )
         if not 0 < object_coverage_threshold <= 1:
             raise ValueError("object_coverage_threshold must be in (0, 1]")
-        if not min_patch_area >= 0:
-            raise ValueError(f"min_patch_area must be non-negative, got {min_patch_area}")
+        if not 0 <= min_patch_area < math.inf:
+            raise ValueError(
+                f"min_patch_area must be finite and non-negative, got {min_patch_area}"
+            )
         self.zones_x = zones_x
         self.zones_y = zones_y
         self.roi_extractor = roi_extractor

@@ -371,3 +371,41 @@ class TangramScheduler(BaseScheduler):
     def consolidation_stats(self) -> dict:
         """Consolidation-engine counters."""
         return self._packer.consolidation_stats
+
+
+def build_tangram_scheduler(
+    simulator: Simulator,
+    platform: ServerlessPlatform,
+    latency_model: DetectorLatencyModel,
+    streams: RandomStreams,
+    iterations: int,
+    canvas_size: float = 1024.0,
+    suffix: str = "",
+    gpu_memory_gb: float = 6.0,
+    record_placements: bool = False,
+) -> TangramScheduler:
+    """The Tangram stack both end-to-end runners deploy: a solver on square
+    ``canvas_size`` canvases, an estimator profiled ``iterations`` times per
+    batch size on the stream ``"estimator" + suffix``, and the scheduler on
+    ``"scheduler" + suffix``.
+
+    Streams are name-keyed, so a fleet shard's ``suffix`` leaves every
+    other shard's draws as they are.
+    """
+    estimator = LatencyEstimator(
+        latency_model=latency_model,
+        canvas_width=canvas_size,
+        canvas_height=canvas_size,
+        iterations=iterations,
+        streams=streams.spawn(f"estimator{suffix}"),
+    )
+    return TangramScheduler(
+        simulator,
+        platform,
+        solver=PatchStitchingSolver(canvas_width=canvas_size, canvas_height=canvas_size),
+        estimator=estimator,
+        latency_model=latency_model,
+        gpu_memory_gb=gpu_memory_gb,
+        streams=streams.spawn(f"scheduler{suffix}"),
+        record_placements=record_placements,
+    )

@@ -396,13 +396,6 @@ class IncrementalStitcher:
         return self._equivalent
 
     @property
-    def overall_efficiency(self) -> float:
-        """Patch area over canvas area across non-oversized canvases."""
-        if self._active_count == 0:
-            return 0.0
-        return self._active_used / (self._active_count * self.solver.canvas_area)
-
-    @property
     def mean_canvas_efficiency(self) -> float:
         """Mean per-canvas efficiency of the live packing (Fig. 13)."""
         return PatchStitchingSolver.mean_efficiency(self._canvases)

@@ -15,12 +15,14 @@ canvases, and :meth:`process_frame_offline` stitches and invokes one
 frame's patches as a single request -- the configuration used for the
 cost/bandwidth comparison of Fig. 8 and Fig. 9 ("Tangram 4x4").  The
 online side, ``receive_patch`` plus SLO-aware batching, is
-:class:`~repro.core.scheduler.TangramScheduler`, which the end-to-end
-runners (Fig. 12-14) build directly.
+:class:`~repro.core.scheduler.TangramScheduler`, which both end-to-end
+runners build through :func:`~repro.core.scheduler.build_tangram_scheduler`.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -32,7 +34,11 @@ from repro.serverless.cost import AlibabaCostModel
 from repro.simulation.random_streams import RandomStreams
 from repro.video.frames import Frame
 from repro.vision.detector import DetectorLatencyModel
-from repro.vision.roi_extractors import AnalyticRoIExtractor, make_extractor
+from repro.vision.roi_extractors import (
+    EXTRACTOR_PROFILES,
+    AnalyticRoIExtractor,
+    make_extractor,
+)
 
 
 @dataclass
@@ -71,6 +77,22 @@ class TangramConfig:
     canvas_height: float = 1024.0
     slo: float = 1.0
     roi_method: str = "gmm"
+
+    def __post_init__(self) -> None:
+        # Each value would otherwise fail only at the first partition or
+        # when the facade builds its parts; each check fails NaN too.
+        for name in ("zones_x", "zones_y"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
+        if not (0 < self.canvas_width < math.inf and 0 < self.canvas_height < math.inf):
+            raise ValueError("canvas_width and canvas_height must be finite and positive")
+        if not 0 < self.slo < math.inf:
+            raise ValueError("slo must be finite and positive")
+        if self.roi_method not in EXTRACTOR_PROFILES:
+            raise ValueError(
+                f"unknown roi_method {self.roi_method!r}; valid: {sorted(EXTRACTOR_PROFILES)}"
+            )
 
 
 class Tangram:

@@ -13,12 +13,16 @@ real fleet needs between frame capture and ``TangramScheduler``:
   over the lossy uplink mode of :mod:`repro.network.link`;
 * :mod:`repro.fleet.faults` -- seeded, deterministic fault plans
   (dropout, loss, jitter, burst) whose windows nest as intensity rises;
-* :mod:`repro.fleet.scenario` -- the fleet run's config and fully-counted
-  result, and :func:`run_fleet_scenario`, the unsharded run;
+* :mod:`repro.fleet.scenario` -- the fleet run's config and its one
+  fully-counted result type, and :func:`run_fleet_scenario`, the
+  unsharded run;
 * :mod:`repro.fleet.shard` -- the one fleet runner, which wires all of
   the above together: the cameras dealt round robin across N independent
-  scheduler workers, each camera's owner fixed when it registers.
-  :func:`run_fleet_scenario` is its ``shards=1`` run.
+  scheduler workers, each camera's owner fixed when it registers, and
+  each worker's stack built by
+  :func:`~repro.core.scheduler.build_tangram_scheduler`, as the
+  end-to-end runner builds its own.  :func:`run_fleet_scenario` is its
+  ``shards=1`` run, and both return a :class:`FleetRunResult`.
 """
 
 from repro.fleet.faults import FaultEvent, FaultFreePlan, FaultPlan
@@ -39,7 +43,6 @@ from repro.fleet.scenario import (
 )
 from repro.fleet.shard import (
     ShardRouter,
-    ShardRunResult,
     ShardScenarioConfig,
     ShardWorker,
     run_sharded_scenario,
@@ -61,7 +64,6 @@ __all__ = [
     "FleetWorkloadConfig",
     "LivenessTracker",
     "ShardRouter",
-    "ShardRunResult",
     "ShardScenarioConfig",
     "ShardWorker",
     "camera_ids",

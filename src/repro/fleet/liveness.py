@@ -73,9 +73,9 @@ class LivenessTracker:
     def __init__(
         self,
         simulator: Simulator,
-        suspect_after: float = 2.0,
-        dead_after: float = 5.0,
-        reconnect_settle: float = 1.0,
+        suspect_after: float = 0.75,
+        dead_after: float = 2.0,
+        reconnect_settle: float = 0.5,
     ) -> None:
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (suspect_after > 0 and dead_after > 0 and reconnect_settle >= 0):

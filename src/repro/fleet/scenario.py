@@ -11,7 +11,7 @@ stale deliveries and hands every other one straight to the
 one runner that does this wiring is
 :func:`~repro.fleet.shard.run_sharded_scenario`;
 :func:`run_fleet_scenario` is its ``shards=1`` case -- one scheduler
-behind the router.
+behind the router -- and returns the same :class:`FleetRunResult`.
 
 The result object exposes every counter the chaos contracts compare:
 two runs with the same config and plan produce identical
@@ -22,6 +22,8 @@ plan intensity (see ``tests/chaos/test_fault_matrix.py``).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -32,24 +34,22 @@ from repro.workloads.fleet import FleetWorkloadConfig
 
 @dataclass
 class FleetScenarioConfig:
-    """Everything one fleet run needs besides the fault plan."""
+    """Everything one fleet run needs besides the fault plan.
+
+    The deployment itself -- the 1024 px canvas, the platform's 32
+    instances and 0.05 s cold start, the uplinks' 5 ms propagation delay
+    and the tracker's liveness timeouts -- is left to the defaults of the
+    parts the runner builds.
+    """
 
     workload: FleetWorkloadConfig = field(default_factory=FleetWorkloadConfig)
     #: Per-camera uplink bandwidth (the fleet path never shares uplinks).
     bandwidth_mbps: float = 40.0
-    propagation_delay: float = 0.005
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Liveness knobs; ``track_liveness=False`` disables the tracker.
+    #: ``track_liveness=False`` runs without the liveness tracker.
     track_liveness: bool = True
-    suspect_after_s: float = 0.75
-    dead_after_s: float = 2.0
-    reconnect_settle_s: float = 0.5
-    #: Canvas size, seed, platform and estimator settings of each worker's
-    #: scheduler.
-    canvas_size: float = 1024.0
     seed: int = 0
-    max_instances: int = 32
-    cold_start_time: float = 0.05
+    #: Profiling iterations per batch size of each worker's estimator.
     estimator_iterations: int = 150
     #: Function GPU memory; raising it (e.g. to 24) lifts the
     #: ``max_canvases`` ship-and-reset cap, which is what lets the
@@ -59,6 +59,21 @@ class FleetScenarioConfig:
     #: Capture per-batch placement tuples for the byte-identity pins
     #: (fills :attr:`FleetRunResult.batch_keys`; off by default).
     record_placements: bool = False
+
+    def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it; each value would
+        # otherwise fail only when the runner builds the part it sets.
+        if not self.bandwidth_mbps > 0:
+            raise ValueError("bandwidth_mbps must be positive")
+        if not 0 < self.gpu_memory_gb < math.inf:
+            raise ValueError("gpu_memory_gb must be finite and positive")
+        if (
+            not isinstance(self.estimator_iterations, numbers.Integral)
+            or self.estimator_iterations < 2
+        ):
+            raise ValueError("estimator_iterations must be an integer of at least 2")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be an integer of at least 0")
 
 
 @dataclass
@@ -92,10 +107,17 @@ class FleetRunResult:
     simulated_duration: float = 0.0
     errors: int = 0
     #: Run-independent per-batch keys (times, cost, efficiencies,
-    #: placements, outcome identities); only populated when the config
-    #: asked for ``record_placements`` -- the byte-identity pins hash
-    #: these lists.
+    #: placements, outcome identities), concatenated in shard order; only
+    #: populated when the config asked for ``record_placements`` -- the
+    #: byte-identity pins hash these lists.
     batch_keys: List[tuple] = field(default_factory=list)
+    #: Scheduler workers the cameras were dealt across, and per worker
+    #: (index = shard id) its admissions and owned-camera count.
+    shards: int = 1
+    shard_admitted: List[int] = field(default_factory=list)
+    shard_cameras: List[int] = field(default_factory=list)
+    #: Camera -> shard-id ownership.
+    assignments: Dict[str, int] = field(default_factory=dict)
 
     # ---------------------------------------------------------------- derived
     @property
@@ -136,7 +158,8 @@ class FleetRunResult:
         return lost / offered
 
     def counters(self) -> Dict[str, int]:
-        """The integer counters two same-seed runs must agree on."""
+        """The integer counters two same-seed runs must agree on: the
+        fleet-wide counts plus the per-shard breakdown."""
         flat = {
             "expected_base": self.expected_base,
             "captured_base": self.captured_base,
@@ -158,6 +181,11 @@ class FleetRunResult:
             flat[f"transfer_{key}"] = value
         for key, value in sorted(self.liveness_transitions.items()):
             flat[f"liveness_{key}"] = value
+        flat["shard_count"] = self.shards
+        for shard_id, admitted in enumerate(self.shard_admitted):
+            flat[f"shard{shard_id}_admitted"] = admitted
+        for shard_id, count in enumerate(self.shard_cameras):
+            flat[f"shard{shard_id}_cameras"] = count
         return flat
 
 
@@ -170,7 +198,7 @@ def run_fleet_scenario(
     from repro.fleet.shard import ShardScenarioConfig, run_sharded_scenario
 
     base = config or FleetScenarioConfig()
-    return run_sharded_scenario(ShardScenarioConfig(base=base, shards=1), plan).fleet
+    return run_sharded_scenario(ShardScenarioConfig(base=base, shards=1), plan)
 
 
 __all__: List[str] = [

@@ -34,9 +34,14 @@ that run.
   plan over one shard's camera set, ``camera_ids(workload)[k::N]`` for
   shard *k*.
 
-The result exposes every counter the chaos contracts compare: two runs
+Each worker's stack comes from
+:func:`~repro.core.scheduler.build_tangram_scheduler`, the builder the
+end-to-end runner uses too, and every deployment value (platform,
+uplink propagation, liveness timeouts) is the default of the part built.
+The run returns one :class:`~repro.fleet.scenario.FleetRunResult`, whose
+counters sum across shards and carry the per-shard breakdown: two runs
 with the same config and plan produce identical
-:meth:`ShardRunResult.counters`.
+:meth:`~repro.fleet.scenario.FleetRunResult.counters`.
 """
 
 from __future__ import annotations
@@ -45,10 +50,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.latency import LatencyEstimator
 from repro.core.patches import Patch
-from repro.core.scheduler import BatchRecord, TangramScheduler
-from repro.core.stitching import PatchStitchingSolver
+from repro.core.scheduler import BatchRecord, build_tangram_scheduler
 from repro.fleet.faults import FaultFreePlan, FaultPlan
 from repro.fleet.ingest import FleetIngestor
 from repro.fleet.liveness import LivenessTracker
@@ -56,7 +59,7 @@ from repro.fleet.retry import ReliableSender, TransferStats
 from repro.fleet.scenario import FleetRunResult, FleetScenarioConfig
 from repro.network.encoding import FrameEncoder
 from repro.network.link import TransmissionRecord, Uplink
-from repro.serverless.platform import ScalingPolicy, ServerlessPlatform
+from repro.serverless.platform import ServerlessPlatform
 from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
 from repro.vision.detector import DetectorLatencyModel
@@ -73,8 +76,8 @@ from repro.workloads.fleet import (
 class ShardScenarioConfig:
     """One sharded fleet run: the single-scheduler config plus a shard count."""
 
-    #: Everything a single worker needs (workload, uplinks, liveness,
-    #: platform and estimator settings).
+    #: Everything the fleet run varies besides the shard count (workload,
+    #: uplink bandwidth, retries, liveness, estimator and memory settings).
     base: FleetScenarioConfig = field(default_factory=FleetScenarioConfig)
     #: Independent scheduler workers the cameras are partitioned across.
     shards: int = 4
@@ -137,27 +140,15 @@ class ShardWorker:
         liveness: Optional[LivenessTracker],
     ) -> None:
         self.shard_id = shard_id
-        suffix = "" if shard_id == 0 else f"/shard-{shard_id}"
-        solver = PatchStitchingSolver(
-            canvas_width=config.canvas_size,
-            canvas_height=config.canvas_size,
-        )
-        estimator = LatencyEstimator(
-            latency_model=latency_model,
-            canvas_width=config.canvas_size,
-            canvas_height=config.canvas_size,
-            iterations=config.estimator_iterations,
-            streams=streams.spawn(f"estimator{suffix}"),
-        )
-        self.scheduler = TangramScheduler(
+        self.scheduler = build_tangram_scheduler(
             simulator,
             platform,
-            solver=solver,
-            estimator=estimator,
-            latency_model=latency_model,
-            streams=streams.spawn(f"scheduler{suffix}"),
-            record_placements=config.record_placements,
+            latency_model,
+            streams,
+            iterations=config.estimator_iterations,
+            suffix="" if shard_id == 0 else f"/shard-{shard_id}",
             gpu_memory_gb=config.gpu_memory_gb,
+            record_placements=config.record_placements,
         )
         self.ingestor = FleetIngestor(simulator, self.scheduler, liveness=liveness)
         self.cameras: set = set()
@@ -200,40 +191,10 @@ class ShardRouter:
         return 0
 
 
-@dataclass
-class ShardRunResult:
-    """Counters and derived metrics of one sharded fleet run."""
-
-    #: The merged fleet-level result (counters sum across shards;
-    #: ``batch_keys`` concatenate in shard order when recorded).
-    fleet: FleetRunResult
-    shards: int = 1
-    #: Per-shard admissions and owned-camera counts (index = shard id).
-    shard_admitted: List[int] = field(default_factory=list)
-    shard_cameras: List[int] = field(default_factory=list)
-    #: Camera -> shard-id ownership.
-    assignments: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def delivered_fraction(self) -> float:
-        return self.fleet.delivered_fraction
-
-    def counters(self) -> Dict[str, int]:
-        """The integer counters two same-seed runs must agree on: the
-        merged fleet counters plus the per-shard breakdown."""
-        flat = self.fleet.counters()
-        flat["shard_count"] = self.shards
-        for shard_id, admitted in enumerate(self.shard_admitted):
-            flat[f"shard{shard_id}_admitted"] = admitted
-        for shard_id, count in enumerate(self.shard_cameras):
-            flat[f"shard{shard_id}_cameras"] = count
-        return flat
-
-
 def run_sharded_scenario(
     config: Optional[ShardScenarioConfig] = None,
     plan: Optional[FaultPlan] = None,
-) -> ShardRunResult:
+) -> FleetRunResult:
     """Run one seeded fleet scenario across N scheduler shards.
 
     All shards share one platform, the per-camera retrying uplinks and
@@ -247,21 +208,8 @@ def run_sharded_scenario(
     simulator = Simulator()
     streams = RandomStreams(base.seed)
     latency_model = DetectorLatencyModel.serverless()
-    platform = ServerlessPlatform(
-        simulator,
-        scaling=ScalingPolicy(max_instances=base.max_instances),
-        cold_start_time=base.cold_start_time,
-    )
-    liveness = (
-        LivenessTracker(
-            simulator,
-            suspect_after=base.suspect_after_s,
-            dead_after=base.dead_after_s,
-            reconnect_settle=base.reconnect_settle_s,
-        )
-        if base.track_liveness
-        else None
-    )
+    platform = ServerlessPlatform(simulator)
+    liveness = LivenessTracker(simulator) if base.track_liveness else None
     workers = [
         ShardWorker(
             shard_id, simulator, platform, latency_model, streams, base, liveness
@@ -270,7 +218,7 @@ def run_sharded_scenario(
     ]
     router = ShardRouter(workers)
     encoder = FrameEncoder()
-    result = FleetRunResult(expected_base=workload.total_base_patches)
+    result = FleetRunResult(expected_base=workload.total_base_patches, shards=config.shards)
 
     cameras = camera_ids(workload)
     senders: Dict[str, ReliableSender] = {}
@@ -279,7 +227,6 @@ def run_sharded_scenario(
         uplink = Uplink(
             simulator,
             bandwidth_mbps=base.bandwidth_mbps,
-            propagation_delay=base.propagation_delay,
             name=f"uplink/{camera_id}",
             loss_probability=active_plan.loss_dial(camera_id),
             jitter_s=active_plan.jitter_dial(camera_id),
@@ -363,9 +310,9 @@ def run_sharded_scenario(
     # ------------------------------------------------------------ aggregation
     merged_ingest: Dict[str, int] = {}
     efficiencies: List[float] = []
-    shard_admitted: List[int] = []
     for worker in workers:
-        shard_admitted.append(worker.ingestor.admitted)
+        result.shard_admitted.append(worker.ingestor.admitted)
+        result.shard_cameras.append(len(worker.cameras))
         completed = [b for b in worker.scheduler.batches if b.outcomes]
         result.num_batches += len(completed)
         for batch in completed:
@@ -389,18 +336,12 @@ def run_sharded_scenario(
         result.liveness_transitions = dict(liveness.transitions)
     result.fault_summary = active_plan.describe()
     result.simulated_duration = simulator.now
-    return ShardRunResult(
-        fleet=result,
-        shards=config.shards,
-        shard_admitted=shard_admitted,
-        shard_cameras=[len(worker.cameras) for worker in workers],
-        assignments=router.assignments(),
-    )
+    result.assignments = router.assignments()
+    return result
 
 
 __all__ = [
     "ShardRouter",
-    "ShardRunResult",
     "ShardScenarioConfig",
     "ShardWorker",
     "batch_key",

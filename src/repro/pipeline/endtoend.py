@@ -4,8 +4,9 @@ Event-driven flow for every camera:
 
 1. the camera captures a frame at its frame interval;
 2. the edge runs the adaptive frame partitioning filter (a small, fixed
-   processing latency) and produces the frame's patches, each stamped with
-   the capture time as its generation time and carrying the frame's SLO;
+   processing latency, :data:`EDGE_LATENCY`) and produces the frame's
+   patches, each stamped with the capture time as its generation time
+   and carrying the frame's SLO;
 3. the patches are serialised over the one bandwidth-limited uplink all
    cameras share, one after another (this is how the paper's bandwidth
    knob controls the "arrival speed of patches" at the cloud);
@@ -14,6 +15,12 @@ Event-driven flow for every camera:
 5. when an invocation completes, every patch it carried gets its
    end-to-end latency (completion time minus capture time) compared
    against the SLO, and the invocation's cost is billed with Eqn. (1).
+
+The run is ``run_end_to_end(config, frames_by_camera)``, seeded by
+``config.seed``.  Tangram's stack comes from
+:func:`~repro.core.scheduler.build_tangram_scheduler`, the builder the
+fleet runner uses too, and the platform is ``ServerlessPlatform``'s
+defaults; the config holds only what a driver varies.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -29,20 +36,26 @@ from repro.baselines.clipper import ClipperScheduler
 from repro.baselines.elf import ELFScheduler
 from repro.baselines.mark import MArkScheduler
 from repro.core.partitioning import FramePartitioner
-from repro.core.scheduler import BaseScheduler, BatchRecord, PatchOutcome, TangramScheduler
-from repro.core.latency import LatencyEstimator
-from repro.core.stitching import PatchStitchingSolver
+from repro.core.scheduler import (
+    BaseScheduler,
+    BatchRecord,
+    PatchOutcome,
+    build_tangram_scheduler,
+)
 from repro.network.encoding import FrameEncoder
 from repro.network.link import Uplink
-from repro.serverless.platform import ServerlessPlatform, ScalingPolicy
+from repro.serverless.platform import ServerlessPlatform
 from repro.simulation.engine import Simulator
 from repro.simulation.random_streams import RandomStreams
 from repro.video.frames import Frame
 from repro.vision.detector import DetectorLatencyModel
-from repro.vision.roi_extractors import EXTRACTOR_PROFILES, make_extractor
+from repro.vision.roi_extractors import make_extractor
 
 #: Scheduling policies selectable by name in experiment configs.
 STRATEGIES = ("tangram", "clipper", "elf", "mark")
+
+#: Seconds the edge's adaptive partitioning filter takes per frame.
+EDGE_LATENCY = 0.04
 
 
 @dataclass
@@ -56,25 +69,13 @@ class EndToEndConfig:
     zones_x: int = 4
     zones_y: int = 4
     canvas_size: float = 1024.0
-    roi_method: str = "gmm"
-    edge_latency: float = 0.04
-    cold_start_time: float = 0.05
-    max_instances: int = 32
     seed: int = 0
-    #: Clipper/MArk fixed input size (pixels, square).
-    baseline_input_size: float = 640.0
-    mark_batch_size: int = 8
     mark_timeout: float = 0.25
-    clipper_initial_batch: int = 4
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; valid: {STRATEGIES}"
-            )
-        if self.roi_method not in EXTRACTOR_PROFILES:
-            raise ValueError(
-                f"unknown roi_method {self.roi_method!r}; valid: {sorted(EXTRACTOR_PROFILES)}"
             )
         # ``not x > 0`` rather than ``x <= 0``, so NaN fails too.
         if not (self.bandwidth_mbps > 0 and self.slo > 0 and self.fps > 0):
@@ -85,34 +86,21 @@ class EndToEndConfig:
         if not (math.isfinite(self.slo) and math.isfinite(self.fps)):
             raise ValueError("slo and fps must be finite")
         # Each of these would only fail when the runner builds its
-        # canvases or its platform.
+        # canvases or its random streams.
         if not 0 < self.canvas_size < math.inf:
             raise ValueError("canvas_size must be finite and positive")
-        if not 0 <= self.cold_start_time < math.inf:
-            raise ValueError("cold_start_time must be finite and non-negative")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be an integer of at least 0")
         # Fractional or NaN counts pass ``< 1`` and would only fail in
-        # ``range()`` or a slice mid-run (or not at all, as Clipper's AIMD
-        # target), so they fail here.
-        for name in (
-            "zones_x",
-            "zones_y",
-            "max_instances",
-            "mark_batch_size",
-            "clipper_initial_batch",
-        ):
+        # ``range()`` mid-run, so they fail here.
+        for name in ("zones_x", "zones_y"):
             count = getattr(self, name)
             if not isinstance(count, numbers.Integral) or count < 1:
                 raise ValueError(f"{name} must be an integer of at least 1")
-        # A negative or NaN edge delay, or a NaN MArk timeout, would only
-        # surface as a SimulationError at the first event that uses it.
-        if not (math.isfinite(self.edge_latency) and self.edge_latency >= 0):
-            raise ValueError("edge_latency must be finite and non-negative")
+        # A NaN MArk timeout would only surface as a SimulationError at
+        # the first event that uses it.
         if not (math.isfinite(self.mark_timeout) and self.mark_timeout > 0):
             raise ValueError("mark_timeout must be finite and positive")
-        # A NaN or infinite input size would only fail at the first
-        # baseline canvas, mid-run.
-        if not 0 < self.baseline_input_size < math.inf:
-            raise ValueError("baseline_input_size must be finite and positive")
 
 
 @dataclass
@@ -201,10 +189,6 @@ class EndToEndResult:
             return 0.0
         return float(np.mean([o.latency for o in outcomes]))
 
-    @property
-    def mean_patch_latency(self) -> float:
-        return self.amortised_latency_per_patch
-
 
 class EndToEndRunner:
     """Build and run one end-to-end experiment."""
@@ -213,29 +197,23 @@ class EndToEndRunner:
         self,
         config: EndToEndConfig,
         frames_by_camera: Dict[str, Sequence[Frame]],
-        streams: Optional[RandomStreams] = None,
-        encoder: Optional[FrameEncoder] = None,
     ) -> None:
         if not frames_by_camera:
             raise ValueError("frames_by_camera must contain at least one camera")
         self.config = config
         self.frames_by_camera = frames_by_camera
-        self.streams = streams or RandomStreams(config.seed)
-        self.encoder = encoder or FrameEncoder()
+        self.streams = RandomStreams(config.seed)
+        self.encoder = FrameEncoder()
         self.simulator = Simulator()
         self.latency_model = DetectorLatencyModel.serverless()
-        self.platform = ServerlessPlatform(
-            self.simulator,
-            scaling=ScalingPolicy(max_instances=config.max_instances),
-            cold_start_time=config.cold_start_time,
-        )
+        self.platform = ServerlessPlatform(self.simulator)
         self.scheduler = self._build_scheduler()
         self.partitioners = {
             camera_id: FramePartitioner(
                 zones_x=config.zones_x,
                 zones_y=config.zones_y,
                 roi_extractor=make_extractor(
-                    config.roi_method, streams=self.streams.spawn(f"edge/{camera_id}")
+                    "gmm", streams=self.streams.spawn(f"edge/{camera_id}")
                 ),
             )
             for camera_id in frames_by_camera
@@ -253,32 +231,19 @@ class EndToEndRunner:
     def _build_scheduler(self) -> BaseScheduler:
         config = self.config
         if config.strategy == "tangram":
-            solver = PatchStitchingSolver(
-                canvas_width=config.canvas_size,
-                canvas_height=config.canvas_size,
-            )
-            estimator = LatencyEstimator(
-                latency_model=self.latency_model,
-                canvas_width=config.canvas_size,
-                canvas_height=config.canvas_size,
-                iterations=200,
-                streams=self.streams.spawn("estimator"),
-            )
-            return TangramScheduler(
+            return build_tangram_scheduler(
                 self.simulator,
                 self.platform,
-                solver=solver,
-                estimator=estimator,
-                latency_model=self.latency_model,
-                streams=self.streams.spawn("scheduler"),
+                self.latency_model,
+                self.streams,
+                iterations=200,
+                canvas_size=config.canvas_size,
             )
         if config.strategy == "clipper":
             return ClipperScheduler(
                 self.simulator,
                 self.platform,
                 latency_model=self.latency_model,
-                input_size=config.baseline_input_size,
-                initial_batch_size=config.clipper_initial_batch,
                 streams=self.streams.spawn("scheduler"),
             )
         if config.strategy == "mark":
@@ -286,8 +251,6 @@ class EndToEndRunner:
                 self.simulator,
                 self.platform,
                 latency_model=self.latency_model,
-                input_size=config.baseline_input_size,
-                batch_size=config.mark_batch_size,
                 timeout=config.mark_timeout,
                 streams=self.streams.spawn("scheduler"),
             )
@@ -335,7 +298,7 @@ class EndToEndRunner:
                         )
 
                 self.simulator.schedule_at(
-                    capture_time + config.edge_latency,
+                    capture_time + EDGE_LATENCY,
                     on_capture,
                     name=f"{camera_id}:capture",
                 )
@@ -361,7 +324,6 @@ class EndToEndRunner:
 def run_end_to_end(
     config: EndToEndConfig,
     frames_by_camera: Dict[str, Sequence[Frame]],
-    streams: Optional[RandomStreams] = None,
 ) -> EndToEndResult:
     """Convenience wrapper: build a runner and run it."""
-    return EndToEndRunner(config, frames_by_camera, streams=streams).run()
+    return EndToEndRunner(config, frames_by_camera).run()

@@ -46,10 +46,6 @@ class StrategySummary:
     def cost_per_frame(self) -> float:
         return self.total_cost / self.num_frames if self.num_frames else 0.0
 
-    @property
-    def bytes_per_frame(self) -> float:
-        return self.total_uploaded_bytes / self.num_frames if self.num_frames else 0.0
-
 
 @dataclass
 class SceneComparison:
@@ -75,12 +71,6 @@ class SceneComparison:
         if full <= 0:
             return 0.0
         return self.summaries[strategy].total_uploaded_bytes / full
-
-    def cost_ratio(self, strategy: str, reference: str) -> float:
-        ref = self.summaries[reference].total_cost
-        if ref <= 0:
-            return 0.0
-        return self.summaries[strategy].total_cost / ref
 
 
 def compare_strategies_on_scene(

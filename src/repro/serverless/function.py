@@ -35,10 +35,6 @@ class InvocationRecord:
     def queueing_delay(self) -> float:
         return self.start_time - self.submit_time
 
-    @property
-    def total_latency(self) -> float:
-        return self.finish_time - self.submit_time
-
 
 class FunctionInstance:
     """One warm (or warming) function instance.
@@ -64,7 +60,7 @@ class FunctionInstance:
         instance_id: str,
         resources: Optional[FunctionResources] = None,
         cost_model: Optional[AlibabaCostModel] = None,
-        cold_start_time: float = 0.5,
+        cold_start_time: float = 0.05,
     ) -> None:
         self.simulator = simulator
         self.instance_id = instance_id
@@ -76,7 +72,6 @@ class FunctionInstance:
         )
         self._warm = False
         self.invocations: List[InvocationRecord] = []
-        self.created_at = simulator.now
 
     # ------------------------------------------------------------------ state
     @property
@@ -85,21 +80,8 @@ class FunctionInstance:
         return self._resource.queue_length + self._resource.in_service
 
     @property
-    def is_warm(self) -> bool:
-        return self._warm
-
-    @property
     def total_cost(self) -> float:
         return sum(record.cost for record in self.invocations)
-
-    @property
-    def total_busy_time(self) -> float:
-        return sum(record.execution_time + record.cold_start for record in self.invocations)
-
-    def last_finish_time(self) -> float:
-        if not self.invocations:
-            return self.created_at
-        return max(record.finish_time for record in self.invocations)
 
     # ----------------------------------------------------------------- invoke
     def invoke(

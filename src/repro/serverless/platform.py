@@ -49,7 +49,7 @@ class ServerlessPlatform:
         resources: Optional[FunctionResources] = None,
         cost_model: Optional[AlibabaCostModel] = None,
         scaling: Optional[ScalingPolicy] = None,
-        cold_start_time: float = 0.5,
+        cold_start_time: float = 0.05,
         initial_instances: int = 1,
         name: str = "faas",
     ) -> None:

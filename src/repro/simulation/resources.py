@@ -32,11 +32,6 @@ class ResourceJob:
         """Seconds spent queued before service began."""
         return self.start_time - self.submit_time
 
-    @property
-    def sojourn_time(self) -> float:
-        """Total time from submission to completion."""
-        return self.finish_time - self.submit_time
-
 
 @dataclass
 class ResourceStats:

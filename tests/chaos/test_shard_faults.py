@@ -78,7 +78,7 @@ def _plan(config: ShardScenarioConfig, intensity: float) -> FaultPlan:
         camera_ids=_victim_cameras(config),
         duration=DURATION,
         dropout_fraction=1.0,
-        # Half the run: long enough to blow through ``dead_after_s`` so
+        # Half the run: long enough to blow through the tracker's 2 s dead_after so
         # the victims are declared dead and then genuinely reconnect.
         dropout_duration=DURATION / 2,
         intensity=intensity,
@@ -100,13 +100,9 @@ def test_completes_and_degrades_monotonically():
     fractions = []
     for intensity in INTENSITIES:
         result = _result(intensity)
-        assert result.fleet.errors == 0
-        accounted = (
-            result.fleet.delivered_base
-            + result.fleet.suppressed_base
-            + result.fleet.failed_base
-        )
-        assert accounted <= result.fleet.expected_base
+        assert result.errors == 0
+        accounted = result.delivered_base + result.suppressed_base + result.failed_base
+        assert accounted <= result.expected_base
         fractions.append(result.delivered_fraction)
     assert fractions[0] == pytest.approx(1.0), "fault-free run must deliver everything"
     for lower, higher in zip(fractions[1:], fractions[:-1]):
@@ -119,7 +115,7 @@ def test_blast_radius_stays_on_the_victim_shard():
     config = _config()
     victims = set(_victim_cameras(config))
     result = _result(1.0)
-    assert result.fleet.suppressed_base > 0, "the targeted dropout never fired"
+    assert result.suppressed_base > 0, "the targeted dropout never fired"
     # Every camera, the victims included, ends on the shard it was dealt
     # to when it registered.
     cameras = camera_ids(config.base.workload)
@@ -134,14 +130,14 @@ def test_blast_radius_stays_on_the_victim_shard():
         * config.base.workload.patches_per_frame
     )
     healthy = config.base.workload.num_cameras - len(victims)
-    lost = result.fleet.expected_base - result.fleet.delivered_base
+    lost = result.expected_base - result.delivered_base
     assert lost <= len(victims) * per_camera
-    assert result.fleet.delivered_base >= healthy * per_camera
+    assert result.delivered_base >= healthy * per_camera
 
 
 def test_victim_shard_cameras_drop_and_reconnect():
     result = _result(1.0)
-    transitions = result.fleet.liveness_transitions
+    transitions = result.liveness_transitions
     assert transitions.get("dead", 0) > 0, "no camera was ever declared dead"
     assert transitions.get("reconnecting", 0) > 0, "no camera ever reconnected"
 

@@ -376,18 +376,21 @@ def test_every_unrejected_attempt_runs_a_trial_pack(monkeypatch):
     churn workload (10% dropout, 2% loss, two 2x bursts) whose deep
     queue re-tries victim pools that already failed — where skipping
     trials for remembered failures turns attempts away."""
+    from repro.core import scheduler as scheduler_module
     from repro.fleet import FaultPlan, FleetScenarioConfig, FleetWorkloadConfig, camera_ids
-    from repro.fleet import run_fleet_scenario, shard
+    from repro.fleet import run_fleet_scenario
 
     schedulers = []
 
-    class RecordingScheduler(shard.TangramScheduler):
+    class RecordingScheduler(scheduler_module.TangramScheduler):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             schedulers.append(self)
 
-    # The shard workers build the schedulers, the unsharded run included.
-    monkeypatch.setattr(shard, "TangramScheduler", RecordingScheduler)
+    # The shard workers build their schedulers, the unsharded run's
+    # included, through ``build_tangram_scheduler``, which looks the
+    # class up in its own module.
+    monkeypatch.setattr(scheduler_module, "TangramScheduler", RecordingScheduler)
     workload = FleetWorkloadConfig(
         num_cameras=28, fps=4.0, duration_s=0.5, patches_per_frame=2, slo=1.0, seed=0
     )

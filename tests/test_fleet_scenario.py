@@ -100,26 +100,26 @@ class TestResultAccounting:
         assert result.shed_expired_fraction == pytest.approx((2 + 1) / 120)
 
 
-#: Fleet settings that used to fail mid-run or silently: a fractional
-#: profiling count raised ``TypeError`` at the first profile, a NaN
-#: instance cap kept the pool at one instance, an infinite propagation
-#: delay completed no patch, an infinite cold start missed every SLO and
-#: a fractional seed replayed its integer part.
-_MALFORMED_FLEET = {
-    "estimator_iterations": 2.5,
-    "max_instances": float("nan"),
-    "propagation_delay": float("inf"),
-    "cold_start_time": float("inf"),
-    "seed": 2.5,
-}
+#: Fleet settings that used to fail mid-run, silently, or only when the
+#: runner built its parts: a fractional profiling count raised
+#: ``TypeError`` at the first profile, a fractional seed replayed its
+#: integer part, and a NaN bandwidth or GPU memory, or a negative seed,
+#: failed only in the uplink, scheduler or random streams.
+_MALFORMED_FLEET = [
+    ("estimator_iterations", 2.5),
+    ("seed", 2.5),
+    ("bandwidth_mbps", float("nan")),
+    ("gpu_memory_gb", float("nan")),
+    ("seed", -1),
+]
 
 
-@pytest.mark.parametrize("field, value", list(_MALFORMED_FLEET.items()))
+@pytest.mark.parametrize("field, value", _MALFORMED_FLEET)
 def test_malformed_fleet_settings_fail_before_the_run(field, value):
-    """Each such setting raises ``ValueError`` where the run builds the
-    component it configures, before any event fires."""
+    """Each such setting raises ``ValueError`` when the config is built,
+    before the runner builds any part."""
     with pytest.raises(ValueError):
-        run_fleet_scenario(_small_config(**{field: value}))
+        _small_config(**{field: value})
 
 
 class TestFaultFreeScenario:

@@ -141,8 +141,24 @@ class TestFramePartitioner:
             {"min_patch_area": -1.0},
             {"zones_x": 0},
             {"zones_y": 0},
+            # These used to construct: a fractional or infinite zone count
+            # failed only in ``range()`` at the first partition, and an
+            # infinite area floor dropped every patch.
+            {"zones_x": 2.5},
+            {"zones_x": float("inf")},
+            {"zones_y": 2.5},
+            {"min_patch_area": float("inf")},
         ],
-        ids=["min_patch_area-nan", "min_patch_area-negative", "zones_x-zero", "zones_y-zero"],
+        ids=[
+            "min_patch_area-nan",
+            "min_patch_area-negative",
+            "zones_x-zero",
+            "zones_y-zero",
+            "zones_x-fractional",
+            "zones_x-inf",
+            "zones_y-fractional",
+            "min_patch_area-inf",
+        ],
     )
     def test_malformed_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError):

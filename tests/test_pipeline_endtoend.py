@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.pipeline.endtoend import EndToEndConfig, EndToEndRunner, run_end_to_end
-from repro.simulation.random_streams import RandomStreams
 from repro.workloads import build_camera_traces
 
 
@@ -17,8 +16,8 @@ def traces():
 
 
 def _run(traces, **overrides):
-    config = EndToEndConfig(**overrides)
-    return run_end_to_end(config, traces, streams=RandomStreams(5))
+    config = EndToEndConfig(seed=5, **overrides)
+    return run_end_to_end(config, traces)
 
 
 class TestEndToEndConfig:
@@ -44,36 +43,24 @@ class TestEndToEndConfig:
             {"zones_y": 2.5},
             {"zones_x": 0},
             {"zones_y": float("nan")},
-            {"max_instances": 2.5},
-            {"max_instances": 0},
-            {"edge_latency": -0.1},
-            {"edge_latency": float("nan")},
-            {"edge_latency": float("inf")},
             {"mark_timeout": float("nan")},
             {"mark_timeout": 0.0},
             {"mark_timeout": float("inf")},
             {"slo": float("inf")},
-            {"mark_batch_size": 2.5},
-            {"mark_batch_size": float("nan")},
-            {"mark_batch_size": 0},
-            {"clipper_initial_batch": 2.5},
-            {"clipper_initial_batch": float("nan")},
-            {"baseline_input_size": float("nan")},
-            {"baseline_input_size": float("inf")},
-            {"baseline_input_size": 0.0},
             {"fps": float("inf")},
             {"canvas_size": float("nan")},
             {"canvas_size": float("inf")},
             {"canvas_size": 0.0},
-            {"cold_start_time": float("nan")},
-            {"cold_start_time": -0.1},
-            {"roi_method": "nope"},
+            # The seed is the run's only seed, so it follows
+            # ``RandomStreams``' rule: an integer of at least 0.
+            {"seed": 2.5},
+            {"seed": -1},
         ],
         ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
     )
     def test_malformed_fields_rejected_at_construction(self, overrides):
         # Each of these used to be accepted and then crash mid-run (or,
-        # for a fractional instance cap, run silently).
+        # for a fractional seed, replay its integer part).
         with pytest.raises(ValueError):
             EndToEndConfig(**overrides)
 
@@ -146,8 +133,8 @@ class TestEndToEndRunner:
         assert fast.total_transmission_time < slow.total_transmission_time
 
     def test_deterministic_given_seed(self, traces):
-        a = run_end_to_end(EndToEndConfig(strategy="tangram"), traces, streams=RandomStreams(9))
-        b = run_end_to_end(EndToEndConfig(strategy="tangram"), traces, streams=RandomStreams(9))
+        a = run_end_to_end(EndToEndConfig(strategy="tangram", seed=9), traces)
+        b = run_end_to_end(EndToEndConfig(strategy="tangram", seed=9), traces)
         assert a.total_cost == pytest.approx(b.total_cost)
         assert a.slo_violation_rate == pytest.approx(b.slo_violation_rate)
         assert a.num_patches == b.num_patches

@@ -216,7 +216,7 @@ def test_fault_free_fleet_ingest_is_byte_identical():
 SHARDS = (1, 4)
 
 #: Per shard count: (completed batches, sha256 of ``repr(batch_keys)``,
-#: a selection of :meth:`ShardRunResult.counters`).
+#: a selection of :meth:`FleetRunResult.counters`).
 RECORDED = {
     1: (
         4,
@@ -278,11 +278,11 @@ def _shard_result(shards: int, record_placements: bool):
 def _assert_recorded(shards: int):
     batches, digest, counters = RECORDED[shards]
     result = _shard_result(shards, record_placements=True)
-    assert len(result.fleet.batch_keys) == batches
-    assert hashlib.sha256(repr(result.fleet.batch_keys).encode()).hexdigest() == digest
+    assert len(result.batch_keys) == batches
+    assert hashlib.sha256(repr(result.batch_keys).encode()).hexdigest() == digest
     recorded = {name: result.counters()[name] for name in counters}
     assert recorded == counters
-    assert result.fleet.errors == 0
+    assert result.errors == 0
 
 
 def test_shards_1_is_placement_equal_to_unsharded():
@@ -294,8 +294,8 @@ def test_shards_4_matches_recorded_placements():
 
 
 def test_shards_4_within_merge_contract_bounds():
-    reference = _shard_result(1, record_placements=False).fleet
-    sharded = _shard_result(4, record_placements=False).fleet
+    reference = _shard_result(1, record_placements=False)
+    sharded = _shard_result(4, record_placements=False)
     assert sharded.counters()["errors"] == 0
     assert sharded.mean_canvas_efficiency >= 0.99 * reference.mean_canvas_efficiency
     assert abs(sharded.num_canvases - reference.num_canvases) <= max(

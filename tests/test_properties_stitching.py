@@ -7,9 +7,14 @@ The packing invariants the paper's design depends on:
 * patches are never resized (width/height preserved);
 * total placed area equals the total input area;
 * oversized patches only appear on dedicated oversized canvases.
+
+Tier-1 runs a shallow search; ``RUN_CHAOS=1`` (CI's chaos job) runs
+``CHAOS`` times as many examples per property.
 """
 
 from __future__ import annotations
+
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +22,9 @@ from hypothesis import strategies as st
 from repro.core.patches import Patch
 from repro.core.stitching import PatchStitchingSolver
 from repro.video.geometry import Box
+
+#: Example-count multiplier: 1 in tier-1, 10 under ``RUN_CHAOS=1``.
+CHAOS = 10 if os.environ.get("RUN_CHAOS") else 1
 
 patch_sizes = st.tuples(
     st.floats(min_value=10.0, max_value=1500.0, allow_nan=False),
@@ -37,7 +45,7 @@ def _patches(size_list) -> list[Patch]:
     ]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * CHAOS, deadline=None)
 @given(st.lists(patch_sizes, min_size=0, max_size=40))
 def test_every_patch_placed_exactly_once(size_list):
     solver = PatchStitchingSolver()
@@ -47,7 +55,7 @@ def test_every_patch_placed_exactly_once(size_list):
     assert placed == sorted(p.patch_id for p in patches)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * CHAOS, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=40))
 def test_packing_invariants_hold(size_list):
     solver = PatchStitchingSolver()
@@ -56,7 +64,7 @@ def test_packing_invariants_hold(size_list):
     PatchStitchingSolver.validate_packing(canvases, strict=True)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * CHAOS, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=40))
 def test_total_area_preserved(size_list):
     solver = PatchStitchingSolver()
@@ -66,7 +74,7 @@ def test_total_area_preserved(size_list):
     assert abs(placed_area - sum(p.area for p in patches)) < 1e-3
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * CHAOS, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=40))
 def test_efficiency_bounded_by_one(size_list):
     solver = PatchStitchingSolver()
@@ -75,7 +83,7 @@ def test_efficiency_bounded_by_one(size_list):
         assert canvas.efficiency <= 1.0 + 1e-9
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * CHAOS, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=30))
 def test_oversized_patches_only_on_oversized_canvases(size_list):
     solver = PatchStitchingSolver(canvas_width=1024, canvas_height=1024)
@@ -90,7 +98,7 @@ def test_oversized_patches_only_on_oversized_canvases(size_list):
                 assert placement.patch.height <= 1024
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40 * CHAOS, deadline=None)
 @given(
     st.lists(
         st.tuples(
@@ -116,7 +124,7 @@ def test_canvas_count_at_most_patch_count_and_at_least_area_bound(size_list):
     assert len(canvases) >= max(1, area_lower_bound)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40 * CHAOS, deadline=None)
 @given(st.lists(patch_sizes, min_size=1, max_size=25))
 def test_packing_is_deterministic(size_list):
     solver = PatchStitchingSolver()

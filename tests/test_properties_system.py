@@ -1,7 +1,13 @@
 """Property-based tests for system-level invariants: partitioning coverage,
-billing monotonicity, estimator conservatism, and scheduler accounting."""
+billing monotonicity, estimator conservatism, and scheduler accounting.
+
+Tier-1 runs a shallow search; ``RUN_CHAOS=1`` (CI's chaos job) runs
+``CHAOS`` times as many examples per property.
+"""
 
 from __future__ import annotations
+
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +15,9 @@ from hypothesis import strategies as st
 from repro.core.partitioning import partition_rois
 from repro.serverless.cost import AlibabaCostModel, FunctionResources
 from repro.video.geometry import Box
+
+#: Example-count multiplier: 1 in tier-1, 10 under ``RUN_CHAOS=1``.
+CHAOS = 10 if os.environ.get("RUN_CHAOS") else 1
 
 roi_boxes = st.builds(
     Box,
@@ -19,7 +28,7 @@ roi_boxes = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * CHAOS, deadline=None)
 @given(st.lists(roi_boxes, min_size=0, max_size=60), st.integers(min_value=1, max_value=8))
 def test_partition_covers_every_roi(rois, zones):
     """Algorithm 1 invariant: every RoI is (almost entirely) inside some
@@ -36,14 +45,14 @@ def test_partition_covers_every_roi(rois, zones):
         assert covered > 0.99
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * CHAOS, deadline=None)
 @given(st.lists(roi_boxes, min_size=0, max_size=60), st.integers(min_value=1, max_value=8))
 def test_partition_patch_count_bounded_by_zone_count(rois, zones):
     patches = partition_rois(3840, 2160, zones, zones, rois)
     assert len(patches) <= zones * zones
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * CHAOS, deadline=None)
 @given(st.lists(roi_boxes, min_size=1, max_size=40))
 def test_partition_total_area_not_less_than_roi_area_union_bound(rois):
     """Patches enclose their RoIs, so the patch area is at least the area
@@ -53,7 +62,7 @@ def test_partition_total_area_not_less_than_roi_area_union_bound(rois):
     assert sum(patch.area for patch in patches) >= largest_roi - 1e-6
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100 * CHAOS, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -64,7 +73,7 @@ def test_billing_is_monotone_in_execution_time(t1, t2):
     assert model.invocation_cost(low) <= model.invocation_cost(high) + 1e-12
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50 * CHAOS, deadline=None)
 @given(
     st.floats(min_value=0.001, max_value=60.0, allow_nan=False),
     st.integers(min_value=1, max_value=8),
@@ -76,7 +85,7 @@ def test_billed_duration_never_undercharges(execution_time, granularity_ms):
     assert billed <= execution_time + granularity_ms / 1000.0 + 1e-9
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50 * CHAOS, deadline=None)
 @given(
     st.floats(min_value=0.1, max_value=16.0, allow_nan=False),
     st.floats(min_value=0.1, max_value=16.0, allow_nan=False),
@@ -90,7 +99,7 @@ def test_one_big_invocation_cheaper_than_two_small(t1, t2):
     assert merged < separate
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30 * CHAOS, deadline=None)
 @given(st.integers(min_value=1, max_value=12))
 def test_latency_estimator_slack_is_conservative(batch_size):
     """For any batch size, mu + 3 sigma covers the overwhelming majority of
@@ -111,7 +120,7 @@ def test_latency_estimator_slack_is_conservative(batch_size):
     assert violation_rate < 0.05
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25 * CHAOS, deadline=None)
 @given(
     st.integers(min_value=1, max_value=6),
     st.floats(min_value=4.0, max_value=24.0, allow_nan=False),

@@ -114,6 +114,18 @@ def _uplink(**kwargs):
     return Uplink(Simulator(), bandwidth_mbps=40.0, **kwargs)
 
 
+def _runner(**kwargs):
+    from repro.pipeline.endtoend import EndToEndRunner
+
+    return EndToEndRunner(EndToEndConfig(), {"camera-0": []}, **kwargs)
+
+
+def _run(**kwargs):
+    from repro.pipeline.endtoend import run_end_to_end
+
+    return run_end_to_end(EndToEndConfig(), {"camera-0": []}, **kwargs)
+
+
 #: The per-knob kwargs ``TangramScheduler`` had (``repack_scope`` and
 #: ``canvas_structure`` later left the options record too).
 _SCHEDULER_KWARGS = {
@@ -141,9 +153,13 @@ _CONFIG_FIELDS = {
 #: set: the offline facade's online-scheduler wiring, the end-to-end
 #: runner's uplink fault knobs, ingest expiry and per-camera uplinks, the
 #: estimator's eager-profiling bound and memo bucket, the platform's
-#: pluggable balancer and the uplink's outage windows; and the two routing
+#: pluggable balancer and the uplink's outage windows; the two routing
 #: knobs that round robin replaced, the fleet's camera->shard dispatch
-#: policy and the scaling policy's opt-out of scale-out.
+#: policy and the scaling policy's opt-out of scale-out; and the runner
+#: settings no driver varied: the deployment values both runners now take
+#: from their parts' defaults, the end-to-end runner's edge extractor,
+#: edge latency and baseline batch shapes, and its second way to seed a
+#: run (``streams=``) and its encoder.
 _REMOVED = {
     "stitch": (
         _stitcher,
@@ -164,6 +180,13 @@ _REMOVED = {
             "expire_stale_at_ingest": True,
             "shared_uplink": False,
             "scheduler_options": None,
+            "roi_method": "gmm",
+            "edge_latency": 0.04,
+            "cold_start_time": 0.05,
+            "max_instances": 32,
+            "baseline_input_size": 640.0,
+            "mark_batch_size": 8,
+            "clipper_initial_batch": 4,
         },
     ),
     "tangram": (
@@ -187,6 +210,13 @@ _REMOVED = {
             "low_watermark": 64,
             "drain_interval": 0.05,
             "scheduler_options": None,
+            "propagation_delay": 0.005,
+            "suspect_after_s": 0.75,
+            "dead_after_s": 2.0,
+            "reconnect_settle_s": 0.5,
+            "canvas_size": 1024.0,
+            "max_instances": 32,
+            "cold_start_time": 0.05,
         },
     ),
     "estimator": (_estimator, {"max_batch_size": 16, "pixel_bucket": 0.0}),
@@ -194,6 +224,8 @@ _REMOVED = {
     "uplink": (_uplink, {"outages": ()}),
     "shard": (ShardScenarioConfig, {"dispatch": "round_robin"}),
     "scaling": (ScalingPolicy, {"scale_out_when_busy": False}),
+    "runner": (_runner, {"streams": None, "encoder": None}),
+    "run": (_run, {"streams": None}),
 }
 
 

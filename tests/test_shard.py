@@ -86,7 +86,7 @@ class TestShardedScenario:
         base = _base(record_placements=True)
         fleet = run_fleet_scenario(base)
         sharded = run_sharded_scenario(ShardScenarioConfig(base=base, shards=1))
-        assert sharded.fleet.batch_keys == fleet.batch_keys
+        assert sharded.batch_keys == fleet.batch_keys
         assert len(fleet.batch_keys) == 4
         assert (
             hashlib.sha256(repr(fleet.batch_keys).encode()).hexdigest()
@@ -104,7 +104,7 @@ class TestShardedScenario:
         first = run_sharded_scenario(config)
         second = run_sharded_scenario(config)
         assert first.counters() == second.counters()
-        assert first.fleet.errors == 0
+        assert first.errors == 0
         assert first.delivered_fraction == pytest.approx(1.0)
         assert sum(first.shard_cameras) == 16
 

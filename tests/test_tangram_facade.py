@@ -65,6 +65,27 @@ def test_config_defaults_follow_paper():
     assert config.roi_method == "gmm"
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"zones_x": 2.5},
+        {"zones_y": 0},
+        {"slo": -1.0},
+        {"slo": float("nan")},
+        {"slo": float("inf")},
+        {"canvas_width": float("nan")},
+        {"canvas_height": float("inf")},
+        {"roi_method": "nope"},
+    ],
+    ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+)
+def test_malformed_config_rejected_at_construction(overrides):
+    """Each of these used to construct, then fail at the first partition
+    or when the facade built its parts."""
+    with pytest.raises(ValueError):
+        TangramConfig(**overrides)
+
+
 def test_empty_frame_offline_result_is_free(tangram, scene01_frames):
     from repro.video.frames import Frame
 
