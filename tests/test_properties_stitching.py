@@ -7,9 +7,6 @@ The packing invariants the paper's design depends on:
 * patches are never resized (width/height preserved);
 * total placed area equals the total input area;
 * oversized patches only appear on dedicated oversized canvases.
-
-Tier-1 runs a shallow search; ``RUN_CHAOS=1`` (CI's chaos job) runs
-``CHAOS`` times as many examples per property.
 """
 
 from __future__ import annotations
@@ -23,7 +20,8 @@ from repro.core.patches import Patch
 from repro.core.stitching import PatchStitchingSolver
 from repro.video.geometry import Box
 
-#: Example-count multiplier: 1 in tier-1, 10 under ``RUN_CHAOS=1``.
+#: Example-count multiplier: tier-1 runs a shallow search, and
+#: ``RUN_CHAOS=1`` (CI's chaos job) ten times as many examples.
 CHAOS = 10 if os.environ.get("RUN_CHAOS") else 1
 
 patch_sizes = st.tuples(

@@ -1,9 +1,5 @@
 """Property-based tests for system-level invariants: partitioning coverage,
-billing monotonicity, estimator conservatism, and scheduler accounting.
-
-Tier-1 runs a shallow search; ``RUN_CHAOS=1`` (CI's chaos job) runs
-``CHAOS`` times as many examples per property.
-"""
+billing monotonicity, estimator conservatism, and scheduler accounting."""
 
 from __future__ import annotations
 
@@ -16,7 +12,8 @@ from repro.core.partitioning import partition_rois
 from repro.serverless.cost import AlibabaCostModel, FunctionResources
 from repro.video.geometry import Box
 
-#: Example-count multiplier: 1 in tier-1, 10 under ``RUN_CHAOS=1``.
+#: Example-count multiplier: tier-1 runs a shallow search, and
+#: ``RUN_CHAOS=1`` (CI's chaos job) ten times as many examples.
 CHAOS = 10 if os.environ.get("RUN_CHAOS") else 1
 
 roi_boxes = st.builds(
