@@ -39,7 +39,6 @@ QUICK_SECTIONS = [
     "scheduler_arrival_full_256",
     "scheduler_arrival_fast_256",
     "stitching_fleet_repack_skyline_4096",
-    "gmm_frame_loop",
     "edge_extract_partition_40",
     "end_to_end_small",
 ]
@@ -398,38 +397,6 @@ def bench_stream_partial_repack_2048() -> BenchResult:
     return _bench_scheduler_stream("scheduler_stream_partial_2048", literal=False)
 
 
-def bench_gmm_frame_loop() -> BenchResult:
-    """Background subtraction + RoI extraction over a synthetic clip."""
-    # mask_to_boxes imports scipy lazily; load it before the timer starts
-    # so that a single repeat does not time the import.
-    import scipy.ndimage  # noqa: F401
-
-    from repro.vision.gmm import GaussianMixtureBackgroundSubtractor, mask_to_boxes
-
-    rng = np.random.default_rng(23)
-    height, width, frames = 180, 240, 16
-    subtractor = GaussianMixtureBackgroundSubtractor()
-    background = rng.uniform(90.0, 110.0, size=(height, width))
-    clips = []
-    for index in range(frames):
-        frame = background + rng.normal(0.0, 2.0, size=(height, width))
-        # A moving bright square keeps the no-match branch exercised.
-        top = 10 + 6 * index
-        frame[top : top + 32, 40:88] += 120.0
-        clips.append(frame.astype(np.float32))
-    start = time.perf_counter()
-    boxes = 0
-    for frame in clips:
-        mask = subtractor.apply(frame)
-        boxes += len(mask_to_boxes(mask))
-    elapsed = time.perf_counter() - start
-    return BenchResult(
-        "gmm_frame_loop",
-        elapsed,
-        {"frames": frames, "shape": [height, width], "boxes": boxes},
-    )
-
-
 _EDGE_FRAMES = None
 
 
@@ -686,7 +653,6 @@ SECTIONS: Dict[str, Callable[[], BenchResult]] = {
     "scheduler_arrival_heavytail_1024": bench_arrival_heavytail_1024,
     "scheduler_stream_batchpack_2048": bench_stream_batch_packer_2048,
     "scheduler_stream_partial_2048": bench_stream_partial_repack_2048,
-    "gmm_frame_loop": bench_gmm_frame_loop,
     "edge_extract_partition_40": bench_edge_extract_partition,
     "end_to_end_small": bench_end_to_end,
     "end_to_end_fleet_64": bench_end_to_end_fleet,

@@ -28,6 +28,32 @@ from repro.simulation.random_streams import RandomStreams
 from repro.vision.detector import DetectorLatencyModel
 
 
+def fixed_size_inputs(patches: List[Patch], input_size: float) -> List[Canvas]:
+    """Wrap each patch as a fixed-size model input, as Clipper and MArk do.
+
+    Patches smaller than the input are padded up (wasted pixels); patches
+    larger than the input are, in a real deployment, resized down --
+    modelled here as an oversized single-patch input with the same pixel
+    cost.  Either way the GPU processes at least ``input_size**2`` pixels
+    per request, which is the cost disadvantage relative to stitching.
+    """
+    inputs: List[Canvas] = []
+    for patch in patches:
+        canvas = Canvas(width=input_size, height=input_size, canvas_id=patch.patch_id)
+        if canvas.try_place(patch) is None:
+            # Oversized patch: modelled as filling the whole input after
+            # resizing (same pixel cost, single patch carried).
+            canvas = Canvas(
+                width=max(input_size, patch.width),
+                height=max(input_size, patch.height),
+                canvas_id=patch.patch_id,
+                oversized=True,
+            )
+            canvas.try_place(patch)
+        inputs.append(canvas)
+    return inputs
+
+
 class ClipperScheduler(BaseScheduler):
     """AIMD adaptive batch size over fixed-size inference inputs."""
 
@@ -79,35 +105,6 @@ class ClipperScheduler(BaseScheduler):
         self._queue: List[Patch] = []
         self._timer: Optional[Event] = None
 
-    # -------------------------------------------------------------- batching
-    def _build_inputs(self, patches: List[Patch]) -> List[Canvas]:
-        """Wrap each patch as a fixed-size model input.
-
-        Patches smaller than the input are padded up (wasted pixels);
-        patches larger than the input are, in a real deployment, resized
-        down -- modelled here as an oversized single-patch input with the
-        same pixel cost.  Either way the GPU processes at least
-        ``input_size**2`` pixels per request, which is the cost
-        disadvantage relative to stitching.
-        """
-        inputs: List[Canvas] = []
-        for patch in patches:
-            canvas = Canvas(
-                width=self.input_size, height=self.input_size, canvas_id=patch.patch_id
-            )
-            if canvas.try_place(patch) is None:
-                # Oversized patch: modelled as filling the whole input after
-                # resizing (same pixel cost, single patch carried).
-                canvas = Canvas(
-                    width=max(self.input_size, patch.width),
-                    height=max(self.input_size, patch.height),
-                    canvas_id=patch.patch_id,
-                    oversized=True,
-                )
-                canvas.try_place(patch)
-            inputs.append(canvas)
-        return inputs
-
     # ---------------------------------------------------------------- arrival
     def receive_patch(self, patch: Patch) -> None:
         self._queue.append(patch)
@@ -137,7 +134,7 @@ class ClipperScheduler(BaseScheduler):
             return
         batch = self._queue[: self.max_batch_size]
         self._queue = self._queue[self.max_batch_size:]
-        inputs = self._build_inputs(batch)
+        inputs = fixed_size_inputs(batch, self.input_size)
         record = self.invoke_canvases(inputs)
         if record is not None:
             self._attach_aimd_feedback(record)

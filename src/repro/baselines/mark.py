@@ -3,9 +3,10 @@
 MArk accumulates requests until either the batch-size target is reached or
 a timeout has elapsed since the first request in the batch arrived, then
 invokes.  Like Clipper, it serves fixed-shape inputs, so each patch is
-padded/resized to the model input size.  The paper notes that MArk needs
-its timeout tuned per bandwidth setting; the workload configs expose that
-knob.
+padded/resized to the model input size by the same
+:func:`~repro.baselines.clipper.fixed_size_inputs`.  The paper notes that
+MArk needs its timeout tuned per bandwidth setting; the workload configs
+expose that knob.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import math
 import numbers
 from typing import List, Optional
 
+from repro.baselines.clipper import fixed_size_inputs
 from repro.core.patches import Patch
 from repro.core.scheduler import BaseScheduler
-from repro.core.stitching import Canvas
 from repro.serverless.platform import ServerlessPlatform
 from repro.simulation.engine import Simulator
 from repro.simulation.events import Event
@@ -71,23 +72,6 @@ class MArkScheduler(BaseScheduler):
             )
 
     # ----------------------------------------------------------------- invoke
-    def _build_inputs(self, patches: List[Patch]) -> List[Canvas]:
-        inputs: List[Canvas] = []
-        for patch in patches:
-            canvas = Canvas(
-                width=self.input_size, height=self.input_size, canvas_id=patch.patch_id
-            )
-            if canvas.try_place(patch) is None:
-                canvas = Canvas(
-                    width=max(self.input_size, patch.width),
-                    height=max(self.input_size, patch.height),
-                    canvas_id=patch.patch_id,
-                    oversized=True,
-                )
-                canvas.try_place(patch)
-            inputs.append(canvas)
-        return inputs
-
     def _invoke_batch(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
@@ -96,7 +80,7 @@ class MArkScheduler(BaseScheduler):
             return
         batch = self._queue[: self.batch_size]
         self._queue = self._queue[self.batch_size:]
-        self.invoke_canvases(self._build_inputs(batch))
+        self.invoke_canvases(fixed_size_inputs(batch, self.input_size))
         if self._queue:
             self._timer = self.simulator.schedule_in(
                 self.timeout, lambda _sim: self._invoke_batch(), name="mark:timeout"

@@ -222,8 +222,9 @@ class FramePartitioner:
     ) -> List[Patch]:
         """Produce the patches for one frame.
 
-        ``rois`` lets callers supply pre-computed RoIs (e.g. from the
-        pixel-level GMM); otherwise the configured extractor runs.
+        ``rois`` lets callers supply pre-computed RoIs (e.g. extracted
+        ahead of a timed partitioning run); otherwise the configured
+        extractor runs.
         """
         extracted = list(rois) if rois is not None else self.extract_rois(frame)
         regions = partition_rois(

@@ -45,6 +45,11 @@ from repro.simulation.events import Event
 from repro.simulation.random_streams import RandomStreams
 from repro.vision.detector import DetectorLatencyModel
 
+#: GPU memory the detector's weights occupy in a function instance
+#: (``tau`` in the paper): every deployment's ``gpu_memory_gb`` must exceed
+#: it, or no canvas fits beside the model.
+MODEL_MEMORY_GB = 2.5
+
 
 @dataclass
 class PatchOutcome:
@@ -237,7 +242,7 @@ class TangramScheduler(BaseScheduler):
         estimator: Optional[LatencyEstimator] = None,
         latency_model: Optional[DetectorLatencyModel] = None,
         gpu_memory_gb: float = 6.0,
-        model_memory_gb: float = 2.5,
+        model_memory_gb: float = MODEL_MEMORY_GB,
         canvas_memory_gb: float = 0.35,
         streams: Optional[RandomStreams] = None,
         record_placements: bool = False,

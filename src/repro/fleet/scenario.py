@@ -27,6 +27,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.scheduler import MODEL_MEMORY_GB
 from repro.fleet.faults import FaultPlan
 from repro.fleet.retry import RetryPolicy
 from repro.workloads.fleet import FleetWorkloadConfig
@@ -65,8 +66,10 @@ class FleetScenarioConfig:
         # otherwise fail only when the runner builds the part it sets.
         if not self.bandwidth_mbps > 0:
             raise ValueError("bandwidth_mbps must be positive")
-        if not 0 < self.gpu_memory_gb < math.inf:
-            raise ValueError("gpu_memory_gb must be finite and positive")
+        if not MODEL_MEMORY_GB < self.gpu_memory_gb < math.inf:
+            raise ValueError(
+                f"gpu_memory_gb must be finite and exceed the model's {MODEL_MEMORY_GB} GB"
+            )
         if (
             not isinstance(self.estimator_iterations, numbers.Integral)
             or self.estimator_iterations < 2

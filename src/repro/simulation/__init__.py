@@ -17,7 +17,7 @@ Public surface:
 
 from repro.simulation.engine import Simulator
 from repro.simulation.events import Event, EventQueue
-from repro.simulation.resources import Resource, ResourceStats
+from repro.simulation.resources import Resource
 from repro.simulation.random_streams import RandomStreams
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "Event",
     "EventQueue",
     "Resource",
-    "ResourceStats",
     "RandomStreams",
 ]

@@ -33,29 +33,6 @@ class ResourceJob:
         return self.start_time - self.submit_time
 
 
-@dataclass
-class ResourceStats:
-    """Aggregate utilisation statistics for a :class:`Resource`."""
-
-    jobs_submitted: int = 0
-    jobs_completed: int = 0
-    busy_time: float = 0.0
-    total_waiting_time: float = 0.0
-    total_service_time: float = 0.0
-
-    def utilisation(self, elapsed: float, capacity: int) -> float:
-        """Fraction of capacity-seconds spent serving jobs."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (elapsed * capacity))
-
-    @property
-    def mean_waiting_time(self) -> float:
-        if self.jobs_completed == 0:
-            return 0.0
-        return self.total_waiting_time / self.jobs_completed
-
-
 class Resource:
     """A server pool with FIFO queueing and fixed concurrency.
 
@@ -69,9 +46,9 @@ class Resource:
         Label used in event names and error messages.
 
     A finished job is handed to its ``on_complete`` callback and then
-    dropped: :attr:`stats` keeps only aggregates, so a long run holds no
-    per-job history (and no callback a job captured).  Callers that need
-    a job's timings keep the :class:`ResourceJob` :meth:`submit` returns.
+    dropped, so a long run holds no per-job history (and no callback a
+    job captured).  Callers that need a job's timings keep the
+    :class:`ResourceJob` :meth:`submit` returns.
     """
 
     def __init__(
@@ -87,7 +64,6 @@ class Resource:
         self.name = name
         self._queue: Deque[ResourceJob] = deque()
         self._in_service = 0
-        self.stats = ResourceStats()
 
     # ------------------------------------------------------------------ state
     @property
@@ -124,7 +100,6 @@ class Resource:
             on_complete=on_complete,
             submit_time=self.simulator.now,
         )
-        self.stats.jobs_submitted += 1
         self._queue.append(job)
         self._try_start_next()
         return job
@@ -135,7 +110,6 @@ class Resource:
             job = self._queue.popleft()
             self._in_service += 1
             job.start_time = self.simulator.now
-            self.stats.total_waiting_time += job.waiting_time
             self.simulator.schedule_in(
                 job.service_time,
                 lambda _sim, job=job: self._finish(job),
@@ -145,9 +119,6 @@ class Resource:
     def _finish(self, job: ResourceJob) -> None:
         self._in_service -= 1
         job.finish_time = self.simulator.now
-        self.stats.jobs_completed += 1
-        self.stats.busy_time += job.service_time
-        self.stats.total_service_time += job.service_time
         if job.on_complete is not None:
             job.on_complete(job)
         self._try_start_next()

@@ -16,8 +16,6 @@ Public surface:
 * :class:`~repro.video.generator.SceneGenerator` -- produces ground-truth
   annotated frames for a scene.
 * :class:`~repro.video.frames.Frame` -- the annotated frame record.
-* :class:`~repro.video.renderer.FrameRenderer` -- rasterises frames to
-  low-resolution numpy arrays for the pixel-level vision algorithms.
 * :func:`~repro.video.dataset.build_panda4k` -- assemble the train/eval
   splits the paper uses.
 """
@@ -26,7 +24,6 @@ from repro.video.geometry import Box
 from repro.video.frames import Frame
 from repro.video.scenes import SceneProfile, PANDA4K_SCENES, get_scene
 from repro.video.generator import SceneGenerator
-from repro.video.renderer import FrameRenderer
 from repro.video.dataset import PandaDataset, build_panda4k
 
 __all__ = [
@@ -36,7 +33,6 @@ __all__ = [
     "PANDA4K_SCENES",
     "get_scene",
     "SceneGenerator",
-    "FrameRenderer",
     "PandaDataset",
     "build_panda4k",
 ]

@@ -113,7 +113,7 @@ def build_panda4k(
         Timestamp spacing of generated frames.
     max_concurrent_objects:
         Optional cap on simultaneously simulated objects (used by
-        pixel-level tests to keep rendering cheap).
+        tests to keep scenes small).
     limit_frames:
         Optional truncation of each scene's sequence length.
     """

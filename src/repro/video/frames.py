@@ -31,10 +31,9 @@ class GroundTruthObject:
 class Frame:
     """A single annotated video frame.
 
-    The pixel payload is not stored here -- the analytic pipeline only needs
-    geometry.  :class:`~repro.video.renderer.FrameRenderer` rasterises a
-    frame on demand when a pixel-level algorithm (the GMM background
-    subtractor) needs actual image data.
+    A frame holds geometry only: no stage renders pixels, because the RoI
+    extractors of :mod:`repro.vision.roi_extractors` model each method's
+    errors from the ground-truth boxes.
     """
 
     scene_key: str

@@ -59,8 +59,8 @@ class SceneGenerator:
     max_concurrent_objects:
         Optional cap on the number of simultaneously simulated objects.
         The two very crowded scenes (Xinzhongguan, Huaqiangbei) list many
-        hundreds of persons; the analytic pipeline handles that, but pixel
-        rendering in tests can cap it.
+        hundreds of persons; the analytic pipeline handles that, and tests
+        cap it to stay small.
     """
 
     def __init__(

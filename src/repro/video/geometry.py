@@ -159,14 +159,6 @@ class Box:
         new_y = self.y - margin
         return Box(new_x, new_y, self.width + 2 * margin, self.height + 2 * margin)
 
-    def to_int(self) -> "Box":
-        """Snap to integer pixel coordinates, never shrinking below 1 px."""
-        x = int(math.floor(self.x))
-        y = int(math.floor(self.y))
-        x2 = int(math.ceil(self.x2))
-        y2 = int(math.ceil(self.y2))
-        return Box(float(x), float(y), float(max(1, x2 - x)), float(max(1, y2 - y)))
-
 
 def clip_rect(
     x: float, y: float, width: float, height: float, frame_width: float, frame_height: float

@@ -4,10 +4,9 @@ The paper's prototype runs OpenCV's CUDA MOG2 background subtractor on the
 edge and a Yolov8x detector inside GPU serverless functions.  Neither a GPU
 nor the pretrained models are available here, so this package provides:
 
-* a from-scratch Stauffer-Grimson adaptive Gaussian-mixture background
-  subtractor operating on rendered frames (:mod:`repro.vision.gmm`);
 * analytic RoI extractors that emulate the recall/precision profiles of the
-  four extraction methods compared in Table IV
+  four extraction methods compared in Table IV; the ``gmm`` profile stands
+  in for MOG2, and no frame is rendered to pixels
   (:mod:`repro.vision.roi_extractors`);
 * a simulated Yolov8x whose accuracy model reproduces the resolution
   mismatch penalty of Fig. 4(b) and whose latency model is calibrated to
@@ -16,7 +15,6 @@ nor the pretrained models are available here, so this package provides:
   (:mod:`repro.vision.metrics`).
 """
 
-from repro.vision.gmm import GaussianMixtureBackgroundSubtractor, mask_to_boxes
 from repro.vision.roi_extractors import (
     AnalyticRoIExtractor,
     ExtractorProfile,
@@ -31,8 +29,6 @@ from repro.vision.detector import (
 from repro.vision.metrics import Detection, average_precision, match_detections, precision_recall
 
 __all__ = [
-    "GaussianMixtureBackgroundSubtractor",
-    "mask_to_boxes",
     "AnalyticRoIExtractor",
     "ExtractorProfile",
     "EXTRACTOR_PROFILES",

@@ -51,7 +51,6 @@ def test_fleet_churn_headline_claims_hold_on_a_small_fleet(fleet_churn):
     "script, args",
     [
         pytest.param("quickstart.py", [], id="quickstart"),
-        pytest.param("pixel_gmm_pipeline.py", [], id="pixel_gmm_pipeline"),
         pytest.param(
             "bandwidth_accuracy_tradeoff.py",
             ["--frames", "3"],

@@ -103,14 +103,17 @@ class TestResultAccounting:
 #: Fleet settings that used to fail mid-run, silently, or only when the
 #: runner built its parts: a fractional profiling count raised
 #: ``TypeError`` at the first profile, a fractional seed replayed its
-#: integer part, and a NaN bandwidth or GPU memory, or a negative seed,
-#: failed only in the uplink, scheduler or random streams.
+#: integer part, and a NaN bandwidth or GPU memory, a negative seed, or a
+#: GPU with no room beside the model's 2.5 GB failed only in the uplink,
+#: scheduler or random streams.
 _MALFORMED_FLEET = [
     ("estimator_iterations", 2.5),
     ("seed", 2.5),
     ("bandwidth_mbps", float("nan")),
     ("gpu_memory_gb", float("nan")),
     ("seed", -1),
+    ("gpu_memory_gb", 2.0),
+    ("gpu_memory_gb", 2.5),
 ]
 
 

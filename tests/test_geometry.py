@@ -106,15 +106,6 @@ def test_expand_grows_every_side():
     assert expanded == Box(5, 5, 20, 20)
 
 
-def test_to_int_never_shrinks_below_one_pixel():
-    box = Box(1.4, 2.6, 0.2, 0.3)
-    as_int = box.to_int()
-    assert as_int.width >= 1
-    assert as_int.height >= 1
-    assert as_int.x == 1.0
-    assert as_int.y == 2.0
-
-
 def test_contains_point_and_box():
     box = Box(0, 0, 10, 10)
     assert box.contains_point(5, 5)

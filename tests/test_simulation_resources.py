@@ -59,27 +59,6 @@ def test_jobs_submitted_at_different_times():
     assert records[1].finish_time == pytest.approx(6.0)
 
 
-def test_stats_track_counts_and_busy_time():
-    simulator = Simulator()
-    resource = Resource(simulator, capacity=1)
-    for _ in range(3):
-        resource.submit(2.0)
-    simulator.run()
-    assert resource.stats.jobs_submitted == 3
-    assert resource.stats.jobs_completed == 3
-    assert resource.stats.busy_time == pytest.approx(6.0)
-    assert resource.stats.utilisation(elapsed=6.0, capacity=1) == pytest.approx(1.0)
-
-
-def test_mean_waiting_time():
-    simulator = Simulator()
-    resource = Resource(simulator, capacity=1)
-    for _ in range(2):
-        resource.submit(1.0)
-    simulator.run()
-    assert resource.stats.mean_waiting_time == pytest.approx(0.5)
-
-
 def test_zero_service_time_job_completes():
     simulator = Simulator()
     resource = Resource(simulator, capacity=1)
@@ -117,11 +96,10 @@ def test_backlog_time_counts_only_queued_jobs():
 
 def test_finished_job_is_not_retained():
     # A finished job (and the callback it pins) must be garbage once the
-    # caller lets go of it: the resource keeps aggregates only.
+    # caller lets go of it: the resource keeps no per-job history.
     simulator = Simulator()
     resource = Resource(simulator, capacity=1)
     job = weakref.ref(resource.submit(1.0, on_complete=lambda job: None))
     simulator.run()
     gc.collect()
     assert job() is None
-    assert resource.stats.jobs_completed == 1
