@@ -404,10 +404,12 @@ def bench_edge_extract_partition() -> BenchResult:
     """The edge stage of one PANDA-like 4K camera over 40 frames: the
     analytic GMM extractor's RoIs, then Algorithm 1's 4x4 partitioning.
     Trace generation is untimed and cached across repeats; the meta's
-    digests of the patch regions and of the object ids each patch carries
-    show any change of a partition."""
+    digests of the patch regions and of the object ids each region carries
+    (``visible_objects`` of the patch's region alone, computed after the
+    timed loop) show any change of a partition."""
     from repro.core.partitioning import FramePartitioner
     from repro.simulation.random_streams import RandomStreams
+    from repro.vision.detector import visible_objects
     from repro.vision.roi_extractors import make_extractor
     from repro.workloads import build_camera_traces
 
@@ -426,8 +428,17 @@ def bench_edge_extract_partition() -> BenchResult:
         rois += len(frame_rois)
         patches.extend(partitioner.partition(frame, 0.0, 1.0, rois=frame_rois))
     elapsed = time.perf_counter() - start
+    frames = {frame.frame_index: frame for frame in _EDGE_FRAMES}
     regions = repr([patch.region.as_tuple() for patch in patches])
-    objects = repr([tuple(obj.object_id for obj in patch.objects) for patch in patches])
+    objects = repr(
+        [
+            tuple(
+                obj.object_id
+                for obj in visible_objects(frames[patch.frame_index].objects, [patch.region])
+            )
+            for patch in patches
+        ]
+    )
     return BenchResult(
         "edge_extract_partition_40",
         elapsed,

@@ -87,7 +87,6 @@ def test_ablation_sigma_multiplier(benchmark, eval_frames_by_scene):
                     type(p)(
                         camera_id=p.camera_id, frame_index=p.frame_index, region=p.region,
                         generation_time=sim.now, slo=1.0, scene_key=p.scene_key,
-                        objects=p.objects,
                     )
                 )
             )

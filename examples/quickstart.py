@@ -23,6 +23,7 @@ from repro.core import Tangram
 from repro.core.tangram import TangramConfig
 from repro.network import FrameEncoder
 from repro.video import build_panda4k
+from repro.vision.detector import visible_objects
 
 
 def main() -> None:
@@ -39,8 +40,9 @@ def main() -> None:
     patches = tangram.partition(frame, camera_id="camera-0")
     print(f"\nAdaptive partitioning produced {len(patches)} patches:")
     for patch in patches:
+        carried = visible_objects(frame.objects, [patch.region])
         print(f"  patch {patch.patch_id}: {patch.width:.0f}x{patch.height:.0f} px, "
-              f"{len(patch.objects)} objects, deadline t={patch.deadline:.2f}s")
+              f"{len(carried)} objects, deadline t={patch.deadline:.2f}s")
 
     encoder = FrameEncoder()
     patch_bytes = sum(encoder.patch_bytes(p.region) for p in patches)

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.patches import Patch
-from repro.video.frames import Frame, GroundTruthObject
+from repro.video.frames import Frame
 from repro.video.geometry import Box, enclosing_box
 from repro.vision.roi_extractors import AnalyticRoIExtractor
 
@@ -113,40 +113,21 @@ def partition_rois(
     return patches
 
 
-#: A ground-truth object with its box's left, top, right and bottom edges,
-#: computed as ``Box.intersection_area`` computes them, and its area.
-_ObjectEdges = Tuple[GroundTruthObject, float, float, float, float, float]
-
-
-def _object_edges(frame: Frame) -> List[_ObjectEdges]:
-    """The edges of every object of ``frame`` with a positive area (no
-    other can be carried), in frame order."""
-    edges: List[_ObjectEdges] = []
-    for obj in frame.objects:
-        box = obj.box
-        area = box.area
-        if area <= 0:
-            continue
-        edges.append((obj, box.x, box.y, box.x2, box.y2, area))
-    return edges
-
-
 class FramePartitioner:
     """Edge-side component wrapping RoI extraction plus Algorithm 1.
+
+    A patch carries its region and the metadata the paper uploads with it,
+    nothing more: which objects a region carries is decided where accuracy
+    is scored, by :func:`repro.vision.detector.visible_objects`.
 
     Parameters
     ----------
     zones_x, zones_y:
         Partition granularity (the paper's main configuration is 4 x 4).
     roi_extractor:
-        Either an :class:`~repro.vision.roi_extractors.AnalyticRoIExtractor`
-        or any callable ``frame -> list[Box]``; defaults must be supplied
-        by the caller so the extraction method stays an explicit choice
-        (Table IV compares several).
-    object_coverage_threshold:
-        Minimum fraction of a ground-truth object's area that must fall
-        inside a patch for the object to be considered "carried" by that
-        patch (its ``Patch.objects``).
+        The :class:`~repro.vision.roi_extractors.AnalyticRoIExtractor` run
+        on each frame; it must be supplied by the caller so the extraction
+        method stays an explicit choice (Table IV compares several).
     min_patch_area:
         Patches smaller than this many pixels are dropped as noise (they
         come from false-positive RoIs).
@@ -156,14 +137,14 @@ class FramePartitioner:
         self,
         zones_x: int = 4,
         zones_y: int = 4,
-        roi_extractor: Optional[
-            AnalyticRoIExtractor | Callable[[Frame], List[Box]]
-        ] = None,
-        object_coverage_threshold: float = 0.5,
+        roi_extractor: Optional[AnalyticRoIExtractor] = None,
         min_patch_area: float = 256.0,
     ) -> None:
-        if roi_extractor is None:
-            raise ValueError("roi_extractor must be provided")
+        # Any other object would fail only at the first frame.
+        if not isinstance(roi_extractor, AnalyticRoIExtractor):
+            raise ValueError(
+                f"roi_extractor must be an AnalyticRoIExtractor, got {roi_extractor!r}"
+            )
         # A fractional or infinite zone count would only fail in ``range()``
         # at the first partition, and an infinite area floor would drop
         # every patch; each check fails NaN too.
@@ -174,8 +155,6 @@ class FramePartitioner:
             raise ValueError(
                 f"zone counts must be integers of at least 1, got {zones_x} x {zones_y}"
             )
-        if not 0 < object_coverage_threshold <= 1:
-            raise ValueError("object_coverage_threshold must be in (0, 1]")
         if not 0 <= min_patch_area < math.inf:
             raise ValueError(
                 f"min_patch_area must be finite and non-negative, got {min_patch_area}"
@@ -183,33 +162,7 @@ class FramePartitioner:
         self.zones_x = zones_x
         self.zones_y = zones_y
         self.roi_extractor = roi_extractor
-        self.object_coverage_threshold = object_coverage_threshold
         self.min_patch_area = min_patch_area
-
-    # -------------------------------------------------------------- extraction
-    def extract_rois(self, frame: Frame) -> List[Box]:
-        """Run the configured RoI extractor on ``frame``."""
-        if isinstance(self.roi_extractor, AnalyticRoIExtractor):
-            return self.roi_extractor.extract(frame)
-        return self.roi_extractor(frame)
-
-    # ------------------------------------------------------------------ cover
-    def _objects_in_region(
-        self, objects: Sequence[_ObjectEdges], region: Box
-    ) -> List[GroundTruthObject]:
-        """The objects with at least ``object_coverage_threshold`` of their
-        area inside ``region``, in frame order.  An object disjoint from the
-        region is skipped before the division: its coverage of 0.0 never
-        reaches the threshold, which is positive."""
-        left, top, right, bottom = region.as_xyxy()
-        threshold = self.object_coverage_threshold
-        carried: List[GroundTruthObject] = []
-        for obj, x, y, x2, y2, area in objects:
-            if x2 <= left or right <= x or y2 <= top or bottom <= y:
-                continue
-            if obj.box.intersection_area(region) / area >= threshold:
-                carried.append(obj)
-        return carried
 
     # -------------------------------------------------------------- partition
     def partition(
@@ -226,11 +179,9 @@ class FramePartitioner:
         ahead of a timed partitioning run); otherwise the configured
         extractor runs.
         """
-        extracted = list(rois) if rois is not None else self.extract_rois(frame)
-        regions = partition_rois(
-            frame.width, frame.height, self.zones_x, self.zones_y, extracted
-        )
-        objects = _object_edges(frame)
+        if rois is None:
+            rois = self.roi_extractor.extract(frame)
+        regions = partition_rois(frame.width, frame.height, self.zones_x, self.zones_y, rois)
         patches: List[Patch] = []
         for region in regions:
             if region.area < self.min_patch_area:
@@ -243,7 +194,6 @@ class FramePartitioner:
                     generation_time=generation_time,
                     slo=slo,
                     scene_key=frame.scene_key,
-                    objects=tuple(self._objects_in_region(objects, region)),
                 )
             )
         return patches

@@ -2,9 +2,10 @@
 
 A patch is a rectangular crop of a source frame produced by the adaptive
 frame partitioning algorithm.  Alongside the pixels (which the simulation
-represents by the crop's geometry and the ground-truth objects it
-contains), the edge uploads the patch's generation time, its size, and the
-frame's SLO -- exactly the metadata the paper lists as "Patches' Info".
+represents by the crop's geometry alone), the edge uploads the patch's
+generation time, its size, and the frame's SLO -- exactly the metadata the
+paper lists as "Patches' Info".  Which objects the pixels show is decided
+where accuracy is scored, by :func:`repro.vision.detector.visible_objects`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
 
-from repro.video.frames import GroundTruthObject
 from repro.video.geometry import Box
 
 _patch_counter = itertools.count()
@@ -41,12 +40,6 @@ class Patch:
     slo:
         The end-to-end latency objective attached to the source frame.
         Every patch of one frame shares the frame's SLO.
-    objects:
-        Ground-truth objects whose boxes fall (mostly) inside the region,
-        in frame order.  Nothing in the pipeline reads them: accuracy is
-        scored by ``SimulatedDetector.detect_in_regions``, which recomputes
-        each object's coverage from the regions.  Tests, the quickstart
-        and the ablations read them.
     """
 
     camera_id: str
@@ -55,7 +48,6 @@ class Patch:
     generation_time: float
     slo: float
     scene_key: str = ""
-    objects: Tuple[GroundTruthObject, ...] = ()
     patch_id: int = field(default_factory=lambda: next(_patch_counter))
 
     def __post_init__(self) -> None:

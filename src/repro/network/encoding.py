@@ -12,7 +12,7 @@ per independently encoded image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.video.frames import Frame
 from repro.video.geometry import Box
@@ -54,18 +54,8 @@ class EncodingModel:
 class FrameEncoder:
     """Compute transmitted sizes for the strategies the paper compares."""
 
-    #: Cap on the per-patch byte-size memo; hit once, the memo is cleared
-    #: rather than letting a long-lived encoder grow without bound when
-    #: crop sizes never repeat (RoI-tight crops vary continuously).
-    PATCH_BYTES_CACHE_LIMIT = 4096
-
     def __init__(self, model: EncodingModel | None = None) -> None:
         self.model = model or EncodingModel()
-        # The model is immutable, so per-patch byte sizes memoise on the
-        # patch area.  Repetition comes from full-zone patches, the
-        # fixed-size baselines, and benchmark workloads; RoI-tight crops
-        # mostly miss, which the size cap keeps harmless.
-        self._patch_bytes_cache: dict[float, float] = {}
 
     # ------------------------------------------------------------------ sizes
     def region_bytes(self, area_pixels: float, include_header: bool = True) -> float:
@@ -78,18 +68,7 @@ class FrameEncoder:
 
     def patch_bytes(self, patch_box: Box) -> float:
         """Encoded size of one Tangram/ELF patch, including its metadata."""
-        area = patch_box.area
-        cached = self._patch_bytes_cache.get(area)
-        if cached is None:
-            if len(self._patch_bytes_cache) >= self.PATCH_BYTES_CACHE_LIMIT:
-                self._patch_bytes_cache.clear()
-            cached = self.region_bytes(area) + self.model.metadata_bytes_per_patch
-            self._patch_bytes_cache[area] = cached
-        return cached
-
-    def patches_bytes(self, patch_boxes: Iterable[Box]) -> float:
-        """Total bytes for a set of independently encoded patches."""
-        return sum(self.patch_bytes(box) for box in patch_boxes)
+        return self.region_bytes(patch_box.area) + self.model.metadata_bytes_per_patch
 
     def full_frame_bytes(self, frame: Frame) -> float:
         """Encoded size of the whole frame at transmission quality."""

@@ -43,6 +43,35 @@ RESOLUTION_HEIGHTS = {
 }
 
 
+#: The share of an object's area that one region must cover for the
+#: object to reach the cloud model with it.
+COVERAGE_THRESHOLD = 0.5
+
+
+def visible_objects(
+    objects: Iterable[GroundTruthObject], regions: Sequence[Box]
+) -> List[GroundTruthObject]:
+    """The objects of positive area that a single region of ``regions``
+    covers by at least :data:`COVERAGE_THRESHOLD` of their area, in input
+    order.
+
+    This is the one rule for what a region carries: an object cut between
+    two regions is lost even when together they cover all of it, which is
+    what Table III charges finer partitions for.
+    """
+    visible: List[GroundTruthObject] = []
+    for obj in objects:
+        box = obj.box
+        area = box.area
+        if area <= 0:
+            continue
+        if any(
+            box.intersection_area(region) / area >= COVERAGE_THRESHOLD for region in regions
+        ):
+            visible.append(obj)
+    return visible
+
+
 @dataclass(frozen=True)
 class DetectorLatencyModel:
     """Execution-time model for batched DNN inference.
@@ -301,28 +330,16 @@ class SimulatedDetector:
         regions: Sequence[Box],
         frame_id: Optional[int] = None,
         input_scale: float = 1.0,
-        coverage_threshold: float = 0.5,
     ) -> List[Detection]:
-        """Detect only the objects sufficiently covered by ``regions``.
+        """Detect only the objects :func:`visible_objects` finds in
+        ``regions``.
 
         Objects that the RoI extraction / partitioning step did not include
         in any transmitted region can never be detected by the cloud model;
         this is the mechanism behind the accuracy loss of RoI-based
         baselines (Fig. 2(a)) and of aggressive partitioning (Table III).
         """
-        visible: List[GroundTruthObject] = []
-        for obj in frame.objects:
-            if obj.box.area <= 0:
-                continue
-            coverage = 0.0
-            for region in regions:
-                coverage = max(
-                    coverage, obj.box.intersection_area(region) / obj.box.area
-                )
-                if coverage >= coverage_threshold:
-                    break
-            if coverage >= coverage_threshold:
-                visible.append(obj)
+        visible = visible_objects(frame.objects, regions)
         processed = sum(region.area for region in regions)
         return self.detect_objects(
             visible,

@@ -139,30 +139,3 @@ def average_precision(
         precision[i] = max(precision[i], precision[i + 1])
     recall_change = np.where(np.diff(recall) > 0)[0]
     return float(np.sum(np.diff(recall)[recall_change] * precision[1:][recall_change]))
-
-
-def boxes_recall(
-    proposed: Sequence[Box],
-    ground_truth: Sequence[Box],
-    coverage_threshold: float = 0.5,
-) -> float:
-    """Fraction of ground-truth boxes covered by at least
-    ``coverage_threshold`` of their area by any proposed region.
-
-    Used to score RoI extraction quality (the extractor produces regions,
-    not scored detections, so AP does not apply directly).
-    """
-    if not ground_truth:
-        return 1.0
-    covered = 0
-    for gt in ground_truth:
-        if gt.area <= 0:
-            continue
-        best = 0.0
-        for region in proposed:
-            best = max(best, gt.intersection_area(region) / gt.area)
-            if best >= coverage_threshold:
-                break
-        if best >= coverage_threshold:
-            covered += 1
-    return covered / len(ground_truth)

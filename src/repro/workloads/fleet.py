@@ -60,6 +60,12 @@ class FleetWorkloadConfig:
             raise ValueError("fps, duration_s and slo must be finite")
         if not 0 < self.min_patch <= self.max_patch < math.inf:
             raise ValueError("need 0 < min_patch <= max_patch < inf")
+        # The seed reaches ``counter_uniform`` as text, so 2.0 would draw
+        # another workload than 2, and True another than 1; NaN is no
+        # ``Integral`` either.
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer of at least 0, got {seed!r}")
 
     @property
     def frames_per_camera(self) -> int:

@@ -14,7 +14,6 @@ from repro.core.partitioning import make_zones
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher
 from repro.fleet.liveness import ALIVE, DEAD, RECONNECTING, SUSPECT, LivenessTracker
-from repro.video.frames import Frame, GroundTruthObject
 from repro.video.geometry import Box, enclosing_box
 
 
@@ -88,18 +87,3 @@ def all_zones_partition_rois(
         if clipped is not None and not clipped.is_empty():
             patches.append(clipped)
     return patches
-
-
-def all_objects_in_region(
-    frame: Frame, region: Box, coverage_threshold: float
-) -> List[GroundTruthObject]:
-    """Test oracle: the objects ``FramePartitioner`` carries in a patch of
-    ``region``, dividing every object's overlap by its area."""
-    carried: List[GroundTruthObject] = []
-    for obj in frame.objects:
-        if obj.box.area <= 0:
-            continue
-        coverage = obj.box.intersection_area(region) / obj.box.area
-        if coverage >= coverage_threshold:
-            carried.append(obj)
-    return carried

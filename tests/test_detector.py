@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.vision.detector import (
     DetectorLatencyModel,
     SimulatedDetector,
     resolution_accuracy_curve,
+    visible_objects,
 )
 from repro.vision.metrics import average_precision
 
@@ -155,6 +158,52 @@ class TestDetectOnRegions:
             for det in detector.detect_objects([], processed_pixels=8e6)
         )
         assert many > few
+
+
+class TestVisibleObjects:
+    """The one rule for which objects a region carries."""
+
+    def test_object_exactly_half_inside_one_region_is_visible(self):
+        half = GroundTruthObject(object_id=0, box=Box(90, 0, 20, 10))
+        under_half = GroundTruthObject(object_id=1, box=Box(90.5, 0, 20, 10))
+        assert visible_objects([half, under_half], [Box(0, 0, 100, 100)]) == [half]
+
+    def test_best_single_region_counts_not_the_union(self):
+        # 40% inside each region, 80% inside the two together: an object
+        # cut between two patches is lost, which Table III charges for.
+        cut = GroundTruthObject(object_id=0, box=Box(60, 0, 100, 10))
+        left, right = Box(0, 0, 100, 10), Box(120, 0, 100, 10)
+        assert cut.box.intersection_area(left) == pytest.approx(0.4 * cut.box.area)
+        assert cut.box.intersection_area(right) == pytest.approx(0.4 * cut.box.area)
+        assert visible_objects([cut], [left, right]) == []
+        assert visible_objects([cut], [Box(0, 0, 220, 10)]) == [cut]
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            Box(10, 10, 0, 10),
+            Box(10, 10, 10, 0),
+            Box(10, 10, math.inf, 0),
+            Box(math.nan, 10, 10, 10),
+            Box(10, math.nan, 10, 10),
+        ],
+        ids=["zero-width", "zero-height", "nan-area", "nan-x", "nan-y"],
+    )
+    def test_zero_area_or_nan_objects_are_never_visible(self, box):
+        obj = GroundTruthObject(object_id=0, box=box)
+        regions = [Box(0, 0, 1000, 1000), Box(-math.inf, -math.inf, math.inf, math.inf), box]
+        assert visible_objects([obj], regions) == []
+
+    def test_output_keeps_input_order(self):
+        left, right = Box(0, 0, 100, 100), Box(500, 0, 100, 100)
+        objects = [
+            GroundTruthObject(object_id=3, box=Box(510, 10, 20, 20)),
+            GroundTruthObject(object_id=1, box=Box(10, 10, 20, 20)),
+            GroundTruthObject(object_id=2, box=Box(300, 10, 20, 20)),
+            GroundTruthObject(object_id=0, box=Box(50, 50, 20, 20)),
+        ]
+        visible = visible_objects(objects, [left, right])
+        assert [obj.object_id for obj in visible] == [3, 1, 0]
 
 
 class TestResolutionAccuracyCurve:

@@ -63,7 +63,8 @@ def test_patches_cheaper_than_full_frame_when_rois_sparse():
     encoder = FrameEncoder()
     frame = _frame()
     patches = [Box(100 * i, 100, 200, 300) for i in range(10)]
-    assert encoder.patches_bytes(patches) < 0.5 * encoder.full_frame_bytes(frame)
+    total = sum(encoder.patch_bytes(box) for box in patches)
+    assert total < 0.5 * encoder.full_frame_bytes(frame)
 
 
 def test_negative_area_rejected():
@@ -83,27 +84,6 @@ def test_custom_encoding_model_changes_sizes():
     default = FrameEncoder()
     frame = _frame()
     assert cheap.full_frame_bytes(frame) < default.full_frame_bytes(frame)
-
-
-def test_patch_bytes_memoised_per_area():
-    encoder = FrameEncoder()
-    box = Box(0, 0, 120, 80)
-    first = encoder.patch_bytes(box)
-    assert encoder._patch_bytes_cache == {box.area: first}
-    # A different box with the same area hits the same memo entry.
-    assert encoder.patch_bytes(Box(5, 5, 80, 120)) == first
-    assert len(encoder._patch_bytes_cache) == 1
-
-
-def test_patch_bytes_cache_cleared_at_limit():
-    encoder = FrameEncoder()
-    limit = FrameEncoder.PATCH_BYTES_CACHE_LIMIT
-    for index in range(limit):
-        encoder.patch_bytes(Box(0, 0, 1, float(index + 1)))
-    assert len(encoder._patch_bytes_cache) == limit
-    # The next novel area trips the cap: the memo restarts instead of growing.
-    encoder.patch_bytes(Box(0, 0, 1, float(limit + 1)))
-    assert len(encoder._patch_bytes_cache) == 1
 
 
 def test_memoised_value_matches_direct_computation():

@@ -74,6 +74,15 @@ class TestWorkloadPurity:
             with pytest.raises(ValueError):
                 FleetWorkloadConfig(**overrides)
 
+    # These used to construct: the seed reaches ``counter_uniform`` as
+    # text, so 2.0 drew another workload than 2 and True another than 1.
+    @pytest.mark.parametrize(
+        "seed", [2.0, 2.5, -1, float("nan"), True], ids=["2.0", "2.5", "-1", "nan", "True"]
+    )
+    def test_malformed_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            FleetWorkloadConfig(seed=seed)
+
 
 class TestResultAccounting:
     def test_empty_run_fractions_are_zero(self):

@@ -8,7 +8,6 @@ from repro.video.geometry import Box
 from repro.vision.metrics import (
     Detection,
     average_precision,
-    boxes_recall,
     match_detections,
     precision_recall,
 )
@@ -94,20 +93,6 @@ def test_precision_recall_curve_shapes():
     assert len(precision) == len(recall) == 3
     assert recall[-1] == pytest.approx(1.0)
     assert precision[0] == pytest.approx(1.0)
-
-
-def test_boxes_recall_counts_coverage():
-    ground_truth = [Box(0, 0, 10, 10), Box(100, 100, 10, 10)]
-    proposals = [Box(0, 0, 20, 20)]
-    assert boxes_recall(proposals, ground_truth) == pytest.approx(0.5)
-    assert boxes_recall(proposals, []) == 1.0
-
-
-def test_boxes_recall_partial_coverage_threshold():
-    ground_truth = [Box(0, 0, 10, 10)]
-    half_covering = [Box(0, 0, 10, 5)]
-    assert boxes_recall(half_covering, ground_truth, coverage_threshold=0.6) == 0.0
-    assert boxes_recall(half_covering, ground_truth, coverage_threshold=0.5) == 1.0
 
 
 def test_ap_is_monotone_in_detection_quality(scene01_frames):

@@ -10,6 +10,7 @@ import pytest
 from repro.core.partitioning import FramePartitioner, make_zones, partition_rois
 from repro.simulation.random_streams import RandomStreams
 from repro.video.geometry import Box
+from repro.vision.detector import COVERAGE_THRESHOLD, visible_objects
 from repro.vision.roi_extractors import make_extractor
 from repro.workloads import build_camera_traces
 
@@ -148,6 +149,8 @@ class TestFramePartitioner:
             {"zones_x": float("inf")},
             {"zones_y": 2.5},
             {"min_patch_area": float("inf")},
+            # A callable constructed and failed only at the first frame.
+            {"roi_extractor": lambda frame: []},
         ],
         ids=[
             "min_patch_area-nan",
@@ -158,11 +161,13 @@ class TestFramePartitioner:
             "zones_x-inf",
             "zones_y-fractional",
             "min_patch_area-inf",
+            "roi_extractor-callable",
         ],
     )
     def test_malformed_arguments_rejected(self, kwargs):
+        extractor = make_extractor("gmm", streams=RandomStreams(0))
         with pytest.raises(ValueError):
-            FramePartitioner(roi_extractor=lambda frame: [], **kwargs)
+            FramePartitioner(**{"roi_extractor": extractor, **kwargs})
 
     def test_partition_produces_patches_with_metadata(self, scene01_frames):
         partitioner = self._partitioner()
@@ -188,22 +193,15 @@ class TestFramePartitioner:
         partitioner = self._partitioner()
         frame = scene01_frames[8]
         patches = partitioner.partition(frame, 0.0, 1.0)
-        carried = {obj.object_id for patch in patches for obj in patch.objects}
+        carried = [visible_objects(frame.objects, [patch.region]) for patch in patches]
+        carried_ids = {obj.object_id for objects in carried for obj in objects}
         all_ids = {obj.object_id for obj in frame.objects}
         # Most (not necessarily all: GMM recall < 1) objects are carried.
-        assert len(carried) >= 0.5 * len(all_ids)
-        for patch in patches:
-            for obj in patch.objects:
+        assert len(carried_ids) >= 0.5 * len(all_ids)
+        for patch, objects in zip(patches, carried):
+            for obj in objects:
                 coverage = obj.box.intersection_area(patch.region) / obj.box.area
-                assert coverage >= partitioner.object_coverage_threshold - 1e-9
-
-    def test_callable_extractor_supported(self, scene01_frames):
-        frame = scene01_frames[0]
-        partitioner = FramePartitioner(
-            zones_x=2, zones_y=2, roi_extractor=lambda f: [obj.box for obj in f.objects]
-        )
-        patches = partitioner.partition(frame, 0.0, 1.0)
-        assert patches
+                assert coverage >= COVERAGE_THRESHOLD - 1e-9
 
     def test_precomputed_rois_override_extractor(self, scene01_frames):
         partitioner = self._partitioner()
@@ -215,12 +213,8 @@ class TestFramePartitioner:
 
     def test_min_patch_area_filters_noise(self, scene01_frames):
         frame = scene01_frames[0]
-        partitioner = FramePartitioner(
-            zones_x=4, zones_y=4,
-            roi_extractor=lambda f: [Box(5, 5, 3, 3)],
-            min_patch_area=256.0,
-        )
-        assert partitioner.partition(frame, 0.0, 1.0) == []
+        partitioner = self._partitioner(min_patch_area=256.0)
+        assert partitioner.partition(frame, 0.0, 1.0, rois=[Box(5, 5, 3, 3)]) == []
 
     def test_coarser_partition_keeps_more_objects(self, scene01_frames):
         """Table III: accuracy (object coverage) drops as zones get finer."""
@@ -232,7 +226,13 @@ class TestFramePartitioner:
             total = 0
             for frame in frame_subset:
                 patches = partitioner.partition(frame, 0.0, 1.0)
-                kept += len({o.object_id for p in patches for o in p.objects})
+                kept += len(
+                    {
+                        obj.object_id
+                        for patch in patches
+                        for obj in visible_objects(frame.objects, [patch.region])
+                    }
+                )
                 total += frame.num_objects
             coverage[zones] = kept / total
         assert coverage[2] >= coverage[6] - 0.02
@@ -240,9 +240,10 @@ class TestFramePartitioner:
 
 #: sha256 of Algorithm 1's output on ``test_baselines_online``'s pinned
 #: traces (3 cameras x 12 frames, seed 5), one per zone count: each
-#: patch's ``region.as_tuple()`` repr and its carried object ids, in
-#: order.  Recorded from the all-zones, all-objects scans, so a faster
-#: partition must leave them as they are.
+#: patch's ``region.as_tuple()`` repr and the ids of the objects that
+#: ``visible_objects`` finds in that region alone, in order.  Recorded
+#: from the all-zones, all-objects scans, so a faster partition must
+#: leave them as they are.
 PINNED_PARTITION_DIGESTS = {
     2: "9a792862b2e9c3cefa90bd1591be0d6d1bd58789a34d02b2cd606327989132b5",
     4: "74e6097844229edef3cc138a7ab35bbf6fe2631ae50d282cbccd1c25701355a6",
@@ -269,6 +270,8 @@ def test_partition_matches_pinned_digest(pinned_traces, zones):
         )
         for frame in frames:
             for patch in partitioner.partition(frame, 0.0, 1.0, camera_id=camera_id):
-                carried = tuple(obj.object_id for obj in patch.objects)
+                carried = tuple(
+                    obj.object_id for obj in visible_objects(frame.objects, [patch.region])
+                )
                 digest.update(repr((patch.region.as_tuple(), carried)).encode())
     assert digest.hexdigest() == PINNED_PARTITION_DIGESTS[zones]

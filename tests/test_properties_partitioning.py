@@ -1,22 +1,20 @@
 """Differential search: the edge stage against its all-pairs oracles.
 
 * ``partition_rois``, which tests an RoI only against the zones whose
-  column and row overlap it, against
-  :func:`tests.oracles.all_zones_partition_rois`, which tests every zone;
-* the objects ``FramePartitioner`` carries, which skip disjoint objects
-  before dividing, against :func:`tests.oracles.all_objects_in_region`;
+  column and row overlap it, and the patch regions ``FramePartitioner``
+  cuts from it, against :func:`tests.oracles.all_zones_partition_rois`,
+  which tests every zone;
 * ``merge_overlapping``, which skips disjoint pairs, against the
   restarting greedy of :func:`tests.conftest.restart_merge_overlapping`;
 * ``clip_rect``, the clip of ``Box.clip_to`` and of the RoI extractor,
   against ``Box.intersection`` with the frame box.
 
 Regions must match with ``==`` and by the repr of their tuples, which
-also tells ``-0.0`` from ``0.0`` and ``3840`` from ``3840.0``, and carried
-objects by their id sequences.  The draws put edges exactly on zone
-boundaries, split frames that the zone counts do not divide evenly, and
-mix in zero-area boxes, boxes partly or wholly outside the frame, and NaN
-and infinite positions.  Tier-1 runs a shallow search; ``RUN_CHAOS=1``
-runs a deep one.
+also tells ``-0.0`` from ``0.0`` and ``3840`` from ``3840.0``.  The draws
+put edges exactly on zone boundaries, split frames that the zone counts
+do not divide evenly, and mix in zero-area boxes, boxes partly or wholly
+outside the frame, and NaN and infinite positions.  Tier-1 runs a shallow
+search; ``RUN_CHAOS=1`` runs a deep one.
 """
 
 from __future__ import annotations
@@ -27,11 +25,13 @@ import os
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.partitioning import FramePartitioner, _object_edges, partition_rois
-from repro.video.frames import Frame, GroundTruthObject
+from repro.core.partitioning import FramePartitioner, partition_rois
+from repro.simulation.random_streams import RandomStreams
+from repro.video.frames import Frame
 from repro.video.geometry import Box, clip_rect, merge_overlapping
+from repro.vision.roi_extractors import make_extractor
 from tests.conftest import restart_merge_overlapping
-from tests.oracles import all_objects_in_region, all_zones_partition_rois
+from tests.oracles import all_zones_partition_rois
 
 CHAOS = bool(os.environ.get("RUN_CHAOS"))
 EXAMPLES = 500 if CHAOS else 50
@@ -40,15 +40,10 @@ MAX_BOXES = 40 if CHAOS else 12
 #: Frame sizes; no zone count above 1 divides 3840/7 or 1001 evenly.
 FRAMES = [(3840, 2160), (3840 / 7, 2160 / 3), (1001, 999), (7.5, 5.25)]
 NONFINITE = [math.nan, math.inf, -math.inf]
-THRESHOLDS = [0.25, 0.5, 1.0]
 
 
 def _reprs(boxes) -> list:
     return [repr(box.as_tuple()) for box in boxes]
-
-
-def _ids(objects) -> list:
-    return [obj.object_id for obj in objects]
 
 
 def _boundaries(extent: float, zones: int) -> list:
@@ -95,25 +90,18 @@ def edge_boxes(draw, xs: list, ys: list, width: float, height: float) -> Box:
 
 @st.composite
 def scenes(draw):
-    """A frame with objects, its zone counts, a list of RoIs and a
-    strategy for more boxes on the same zone grid."""
+    """A frame, its zone counts and a list of RoIs on its zone grid."""
     width, height = draw(st.sampled_from(FRAMES))
     zones_x, zones_y = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     xs, ys = _boundaries(width, zones_x), _boundaries(height, zones_y)
-    boxes = edge_boxes(xs, ys, width, height)
-    rois = draw(st.lists(boxes, max_size=MAX_BOXES))
-    objects = tuple(
-        GroundTruthObject(object_id=index, box=box)
-        for index, box in enumerate(draw(st.lists(boxes, max_size=MAX_BOXES)))
-    )
-    frame = Frame("scene", 0, 0.0, width, height, objects)
-    return frame, zones_x, zones_y, rois, boxes
+    rois = draw(st.lists(edge_boxes(xs, ys, width, height), max_size=MAX_BOXES))
+    return Frame("scene", 0, 0.0, width, height), zones_x, zones_y, rois
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(scenes())
 def test_partition_rois_equals_all_zones_oracle(scene):
-    frame, zones_x, zones_y, rois, _ = scene
+    frame, zones_x, zones_y, rois = scene
     actual = partition_rois(frame.width, frame.height, zones_x, zones_y, rois)
     expected = all_zones_partition_rois(frame.width, frame.height, zones_x, zones_y, rois)
     assert actual == expected
@@ -121,33 +109,24 @@ def test_partition_rois_equals_all_zones_oracle(scene):
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
-@given(scenes(), st.sampled_from(THRESHOLDS), st.data())
-def test_carried_objects_equal_all_objects_oracle(scene, threshold, data):
-    frame, zones_x, zones_y, rois, boxes = scene
+@given(scenes())
+def test_partitioner_regions_equal_all_zones_oracle(scene):
+    frame, zones_x, zones_y, rois = scene
     partitioner = FramePartitioner(
         zones_x,
         zones_y,
-        roi_extractor=lambda _frame: rois,
-        object_coverage_threshold=threshold,
+        roi_extractor=make_extractor("gmm", streams=RandomStreams(0)),
         min_patch_area=0.0,
     )
-    patches = partitioner.partition(frame, 0.0, 1.0)
+    patches = partitioner.partition(frame, 0.0, 1.0, rois=rois)
     expected = all_zones_partition_rois(frame.width, frame.height, zones_x, zones_y, rois)
     assert _reprs(patch.region for patch in patches) == _reprs(expected)
-    for patch in patches:
-        carried = all_objects_in_region(frame, patch.region, threshold)
-        assert _ids(patch.objects) == _ids(carried)
-    # Regions no partition would cut too: NaN, infinite, empty, outside.
-    edges = _object_edges(frame)
-    for region in data.draw(st.lists(boxes, max_size=4)):
-        actual = partitioner._objects_in_region(edges, region)
-        assert _ids(actual) == _ids(all_objects_in_region(frame, region, threshold))
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(scenes(), st.sampled_from([0.0, 0.1, 0.5]))
 def test_merge_overlapping_equals_restarting_greedy_off_the_grid(scene, threshold):
-    _, _, _, rois, _ = scene
+    _, _, _, rois = scene
     actual = merge_overlapping(rois, threshold)
     assert _reprs(actual) == _reprs(restart_merge_overlapping(rois, threshold))
 

@@ -8,7 +8,7 @@ import pytest
 from repro.simulation.random_streams import RandomStreams
 from repro.video.frames import Frame, GroundTruthObject
 from repro.video.geometry import Box
-from repro.vision.metrics import boxes_recall
+from repro.vision.detector import visible_objects
 from repro.vision.roi_extractors import (
     EXTRACTOR_PROFILES,
     AnalyticRoIExtractor,
@@ -103,7 +103,7 @@ def test_extraction_recall_reasonable_for_gmm(scene01_frames):
     recalls = []
     for frame in scene01_frames[5:15]:
         rois = extractor.extract(frame)
-        recalls.append(boxes_recall(rois, frame.boxes))
+        recalls.append(len(visible_objects(frame.objects, rois)) / frame.num_objects)
     assert np.mean(recalls) > 0.5
 
 
